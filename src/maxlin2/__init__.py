@@ -17,11 +17,9 @@ from .bipartize import (
     SearchStats,
     brute_force_bipartization,
     edge_bipartization,
-    expand_weighted_edges,
     is_bipartite,
 )
 from .core import (
-    Assignment,
     CapacityError,
     ContractViolationError,
     DimensionError,
@@ -73,13 +71,6 @@ from .occ2 import (
     solve_occ2_merge,
     split_components,
 )
-from .twovar import (
-    TwoVarRewrite,
-    VarVertexMap,
-    assignment_from_bipartition,
-    build_graph,
-    rewrite_zero_rhs,
-    solve_below_W,
-)
+from .twovar import solve_below_W
 
 __version__ = "0.1.0"

@@ -1,12 +1,23 @@
-"""Undirected multigraphs and minimum edge deletion to bipartiteness.
+"""Signed, capacitated multigraphs and minimum-weight edge bipartization.
 
-The exact engine uses iterative compression: edges are inserted one at a
-time while a minimum deletion set for the processed prefix is maintained.
-When an insertion breaks 2-colorability, the routine looks for a deletion
-set one smaller than the inflated one by enumerating, for each edge of the
-current set, which way round its endpoints are colored in the sought
-solution, and solving a unit-capacity minimum cut for every guess. The
-overall work is within O(2^k M^2) flow steps for budget k and M edges.
+An edge uv of parity b asks for side[u] XOR side[v] == b, and deleting it
+costs its weight. A plain graph is the all-parity-1, all-unit case, where
+every edge asks for its endpoints to sit on opposite sides. An edge
+bipartization is a deletion set after which every remaining edge can be
+satisfied; its cost is its total weight.
+
+The exact engine uses iterative compression (Guo, Gramm, Hüffner,
+Niedermeier and Wernicke, JCSS 2006). Edges are inserted one at a time into
+a parity union-find while a minimum deletion set for the processed prefix is
+kept. When an insertion contradicts the union-find, the old set plus the new
+edge is compressed: for each guess of the colours the endpoints of those
+edges end up with, a minimum cut in the remaining graph, with edge weights
+as capacities, is the cheapest deletion set compatible with the guess.
+Flipping every colour maps each cut onto the same cut, so the new edge's
+guess bit is fixed (Hüffner, JGAA 2009) and a set of c edges costs 2^(c-1)
+guesses. The set holds at most k + 1 edges for budget k, so a compression
+costs O(2^k) cuts. The union-find is rebuilt only when a compression
+changes the deletion set.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .core import CapacityError, MaxLin2Error
+from .core import CapacityError, ContractViolationError, MaxLin2Error
 
 
 class GraphError(MaxLin2Error):
@@ -24,18 +35,23 @@ class GraphError(MaxLin2Error):
 
 @dataclass(frozen=True)
 class Edge:
-    """Undirected edge; parallel edges are distinct, self-loops are rejected."""
+    """Constraint side[u] ^ side[v] == parity, deletable at cost weight.
+
+    Parallel edges are distinct; self-loops are rejected.
+    """
 
     u: int
     v: int
     weight: int = 1
-    label: object = None
+    parity: int = 1
 
     def __post_init__(self) -> None:
         if self.u == self.v:
             raise GraphError(f"self-loop at vertex {self.u} is not allowed")
         if self.weight < 1:
             raise GraphError(f"edge weight must be >= 1, got {self.weight}")
+        if self.parity not in (0, 1):
+            raise GraphError(f"edge parity must be 0 or 1, got {self.parity!r}")
 
     def endpoints(self) -> tuple[int, int]:
         return (self.u, self.v)
@@ -63,9 +79,6 @@ class Graph:
     def is_unweighted(self) -> bool:
         return all(e.weight == 1 for e in self.edges)
 
-    def total_weight(self) -> int:
-        return sum(e.weight for e in self.edges)
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -77,7 +90,7 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class OddCycle:
-    """Witness of non-bipartiteness: edge ids forming an odd closed walk."""
+    """Witness of non-bipartiteness: edge ids of a closed walk of odd parity sum."""
 
     edges: tuple[int, ...]
 
@@ -91,221 +104,215 @@ class SearchStats:
     flow_augmentations: int = 0
 
 
-def expand_weighted_edges(g: Graph) -> tuple[Graph, dict[int, tuple[int, int]]]:
-    """Replace each weight-w edge by w disjoint 3-edge paths via fresh vertices.
+class _ParityForest:
+    """Union-find in which every vertex stores its colour relative to its parent.
 
-    An intact path forces its endpoints onto opposite sides, and breaking a
-    path costs one deletion, so minimum deletions in the result equal the
-    minimum total weight of deleted edges in the input. Returns the expanded
-    unit-weight graph and a map from new edge id to (original edge id, path).
+    Each tree is rooted at its smallest vertex, so sides() colours that vertex
+    0, as a breadth-first 2-coloring started from it would.
     """
-    next_vertex = g.num_vertices
-    edges: list[Edge] = []
-    provenance: dict[int, tuple[int, int]] = {}
-    for orig_id, e in enumerate(g.edges):
-        for path in range(e.weight):
-            a, b = next_vertex, next_vertex + 1
-            next_vertex += 2
-            for u, v in ((e.u, a), (a, b), (b, e.v)):
-                provenance[len(edges)] = (orig_id, path)
-                edges.append(Edge(u, v, 1, label=(orig_id, path)))
-    return Graph(next_vertex, tuple(edges)), provenance
+
+    def __init__(self, num_vertices: int) -> None:
+        self.parent = list(range(num_vertices))
+        self.parity = [0] * num_vertices
+
+    def find(self, x: int) -> tuple[int, int]:
+        """Root of x's tree and x's colour relative to it; compresses the path."""
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        colour = 0
+        for y in reversed(path):
+            colour ^= self.parity[y]
+            self.parity[y] = colour
+            self.parent[y] = x
+        return x, colour
+
+    def add(self, u: int, v: int, parity: int) -> bool:
+        """Impose colour(u) ^ colour(v) == parity; False if that contradicts."""
+        root_u, colour_u = self.find(u)
+        root_v, colour_v = self.find(v)
+        if root_u == root_v:
+            return colour_u ^ colour_v == parity
+        low, high = sorted((root_u, root_v))
+        self.parent[high] = low
+        self.parity[high] = colour_u ^ colour_v ^ parity
+        return True
+
+    def sides(self) -> tuple[int, ...]:
+        return tuple(self.find(x)[1] for x in range(len(self.parent)))
 
 
-def _two_coloring(num_vertices: int, adjacency, with_witness: bool):
-    """BFS 2-coloring; returns (side, None) or (None, OddCycle)."""
-    side = [-1] * num_vertices
-    parent_edge = [-1] * num_vertices
-    parent_vertex = [-1] * num_vertices
-    depth = [0] * num_vertices
-    for root in range(num_vertices):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, eid in adjacency[u]:
-                if side[v] == -1:
-                    side[v] = side[u] ^ 1
-                    parent_vertex[v] = u
-                    parent_edge[v] = eid
-                    depth[v] = depth[u] + 1
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    if not with_witness:
-                        return None, OddCycle(())
-                    walk_u, walk_v = [], []
-                    a, b = u, v
-                    while depth[a] > depth[b]:
-                        walk_u.append(parent_edge[a])
-                        a = parent_vertex[a]
-                    while depth[b] > depth[a]:
-                        walk_v.append(parent_edge[b])
-                        b = parent_vertex[b]
-                    while a != b:
-                        walk_u.append(parent_edge[a])
-                        a = parent_vertex[a]
-                        walk_v.append(parent_edge[b])
-                        b = parent_vertex[b]
-                    cycle = walk_u + [eid] + list(reversed(walk_v))
-                    return None, OddCycle(tuple(cycle))
-    return tuple(side), None
-
-
-def _adjacency(g: Graph, edge_ids) -> list[list[tuple[int, int]]]:
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
+def _forest(g: Graph, edge_ids) -> _ParityForest | None:
+    """Parity union-find of the given edges, or None if they contradict."""
+    forest = _ParityForest(g.num_vertices)
     for eid in edge_ids:
         e = g.edges[eid]
-        adjacency[e.u].append((e.v, eid))
-        adjacency[e.v].append((e.u, eid))
-    return adjacency
+        if not forest.add(e.u, e.v, e.parity):
+            return None
+    return forest
+
+
+def _tree_path(tree, start: int, goal: int) -> list[int]:
+    """Edge ids of the path from start to goal in a forest's adjacency lists."""
+    via: dict[int, tuple[int, int] | None] = {start: None}
+    queue = deque([start])
+    while goal not in via:
+        x = queue.popleft()
+        for y, eid in tree[x]:
+            if y not in via:
+                via[y] = (x, eid)
+                queue.append(y)
+    path = []
+    while via[goal] is not None:
+        goal, eid = via[goal]
+        path.append(eid)
+    return path[::-1]
 
 
 def is_bipartite(g: Graph):
     """Return a Bipartition, or an OddCycle witness when none exists."""
-    side, cycle = _two_coloring(g.num_vertices, _adjacency(g, range(len(g.edges))), True)
-    if side is None:
-        return cycle
-    return Bipartition(side=side)
+    forest = _ParityForest(g.num_vertices)
+    tree: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
+    for eid, e in enumerate(g.edges):
+        joins = forest.find(e.u)[0] != forest.find(e.v)[0]
+        if not forest.add(e.u, e.v, e.parity):
+            return OddCycle(tuple(_tree_path(tree, e.u, e.v)) + (eid,))
+        if joins:
+            tree[e.u].append((e.v, eid))
+            tree[e.v].append((e.u, eid))
+    return Bipartition(side=forest.sides())
 
 
-def _min_cut(num_vertices, edges, sources, sinks, bound, stats):
-    """Minimum edge cut separating sources from sinks, or None if above bound.
+def _min_cut(num_vertices, edges, source, sink, bound, stats):
+    """Minimum edge cut separating source from sink, or None if above bound.
 
-    edges is a list of (a, b, payload) undirected unit-capacity edges.
-    Standard Edmonds-Karp with antisymmetric flow on each undirected edge;
-    source/sink attachments are implicit and uncapacitated.
+    edges is a list of (a, b, capacity, payload) undirected edges. Standard
+    Edmonds-Karp with antisymmetric flow on each undirected edge. Returns the
+    cut's value and the payloads of its edges.
     """
     adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(num_vertices)]
-    for j, (a, b, _) in enumerate(edges):
+    for j, (a, b, _, _) in enumerate(edges):
         adjacency[a].append((b, j, 1))
         adjacency[b].append((a, j, -1))
     flow = [0] * len(edges)
-    sink_set = set(sinks)
     value = 0
     while True:
-        parent: dict[int, tuple[int, int, int] | None] = {s: None for s in sources}
-        queue = deque(sources)
-        reached = None
-        while queue and reached is None:
+        parent: list[tuple[int, int, int] | None] = [None] * num_vertices
+        parent[source] = (source, -1, 0)
+        queue = deque([source])
+        while queue and parent[sink] is None:
             u = queue.popleft()
             for v, j, sign in adjacency[u]:
-                if v in parent or sign * flow[j] >= 1:
-                    continue
-                parent[v] = (u, j, sign)
-                if v in sink_set:
-                    reached = v
-                    break
-                queue.append(v)
-        if reached is None:
+                if parent[v] is None and sign * flow[j] < edges[j][2]:
+                    parent[v] = (u, j, sign)
+                    queue.append(v)
+        if parent[sink] is None:
             break
-        value += 1
+        path = []
+        node = sink
+        while node != source:
+            u, j, sign = parent[node]
+            path.append((j, sign))
+            node = u
+        push = min(edges[j][2] - sign * flow[j] for j, sign in path)
+        value += push
         if stats is not None:
             stats.flow_augmentations += 1
         if value > bound:
             return None
-        node = reached
-        while parent[node] is not None:
-            u, j, sign = parent[node]
-            flow[j] += sign
-            node = u
-    reachable = set(sources)
-    queue = deque(sources)
+        for j, sign in path:
+            flow[j] += sign * push
+    reachable = {source}
+    queue = deque([source])
     while queue:
         u = queue.popleft()
         for v, j, sign in adjacency[u]:
-            if v not in reachable and sign * flow[j] < 1:
+            if v not in reachable and sign * flow[j] < edges[j][2]:
                 reachable.add(v)
                 queue.append(v)
-    cut = [
-        payload for a, b, payload in edges if (a in reachable) != (b in reachable)
-    ]
-    assert len(cut) == value, "max-flow/min-cut mismatch"
-    return cut
+    cut = [e for e in edges if (e[0] in reachable) != (e[1] in reachable)]
+    if sum(e[2] for e in cut) != value:
+        raise ContractViolationError("max-flow/min-cut mismatch")
+    return value, [e[3] for e in cut]
 
 
-def _compress(g: Graph, active, solution_edges, stats):
-    """Find a deletion set for the active subgraph smaller than the given one.
+def _compress(g: Graph, forest: _ParityForest, active: int, candidate, floor, stats):
+    """Cheapest deletion set of the first `active` edges lighter than candidate.
 
-    Each solution edge uv is detached into pendants u-p and q-v (the middle
-    p-q edge is the guessed one), which makes the host graph bipartite. A
-    guess fixes the colors of every p and q; a deletion set compatible with
-    the guess is exactly an edge cut between the pendant vertices that must
-    flip their color and those that must keep it.
+    The forest holds the active edges outside the candidate set, which agree,
+    and gives each vertex a colour phi. A guess fixes the sought colour of
+    both endpoints of every candidate edge, consistently with its parity;
+    an endpoint attaches to the source if its colour must flip and to the
+    sink otherwise, by an edge of the candidate edge's weight. A deletion set
+    compatible with the guess is then exactly a cut between source and sink.
+    No deletion set is lighter than floor, the optimum before the insertion,
+    so a cut of that value ends the search.
     """
     if stats is not None:
         stats.compressions += 1
-    bound = len(solution_edges) - 1
-    if bound < 0:
-        return None
-    in_solution = set(solution_edges)
-    num_vertices = g.num_vertices + 2 * len(solution_edges)
-    host_edges: list[tuple[int, int, int]] = []
-    terminals: list[tuple[int, int]] = []
-    for eid in active:
-        if eid not in in_solution:
-            e = g.edges[eid]
-            host_edges.append((e.u, e.v, eid))
-    for i, eid in enumerate(solution_edges):
-        p = g.num_vertices + 2 * i
-        q = p + 1
-        e = g.edges[eid]
-        host_edges.append((e.u, p, eid))
-        host_edges.append((q, e.v, eid))
-        terminals.append((p, q))
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
-    for j, (a, b, _) in enumerate(host_edges):
-        adjacency[a].append((b, j))
-        adjacency[b].append((a, j))
-    phi, _ = _two_coloring(num_vertices, adjacency, False)
-    assert phi is not None, "host graph of a valid solution must be bipartite"
-    for guess in range(1 << len(solution_edges)):
+    n = g.num_vertices
+    source, sink = n, n + 1
+    phi = forest.sides()
+    in_candidate = set(candidate)
+    host = [
+        (e.u, e.v, e.weight, eid)
+        for eid, e in enumerate(g.edges[:active])
+        if eid not in in_candidate
+    ]
+    best = None
+    bound = sum(g.edges[eid].weight for eid in candidate) - 1
+    # the last candidate edge keeps guess bit 0; its complement is the same cut
+    for guess in range(1 << (len(candidate) - 1)):
         if stats is not None:
             stats.guesses += 1
-        must_flip: list[int] = []
-        must_keep: list[int] = []
-        for i, (p, q) in enumerate(terminals):
-            p_color = (guess >> i) & 1
-            (must_flip if p_color != phi[p] else must_keep).append(p)
-            (must_flip if (p_color ^ 1) != phi[q] else must_keep).append(q)
-        cut = _min_cut(num_vertices, host_edges, must_flip, must_keep, bound, stats)
-        if cut is not None:
-            return sorted(set(cut))
-    return None
+        terminals = []
+        for i, eid in enumerate(candidate):
+            e = g.edges[eid]
+            colour_v = (guess >> i) & 1
+            for end, colour in ((e.u, colour_v ^ e.parity), (e.v, colour_v)):
+                side = source if colour != phi[end] else sink
+                terminals.append((end, side, e.weight, eid))
+        found = _min_cut(n + 2, host + terminals, source, sink, bound, stats)
+        if found is None:
+            continue
+        value, cut = found
+        best, bound = sorted(set(cut)), value - 1
+        if value == floor:
+            break
+    return best
 
 
 def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
-    """Minimum edge deletion set making g bipartite, if its size is <= k.
+    """Minimum-weight edge deletion set making g bipartite, if it weighs <= k.
 
-    Requires a unit-weight graph. Returns a Bipartition whose deleted_edges
-    is a minimum deletion set, or None when every deletion set has more than
-    k edges. Deterministic: edges are inserted in input order and the first
-    improving guess is taken.
+    Returns a Bipartition whose deleted_edges is a deletion set of minimum
+    total weight, or None when every deletion set weighs more than k.
+    Deterministic: edges are inserted in input order, and on unit-weight
+    graphs the first improving guess is taken.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if not g.is_unweighted():
-        raise GraphError("edge_bipartization requires unit weights; expand first")
+    forest = _ParityForest(g.num_vertices)
     solution: list[int] = []
-    active: list[int] = []
-    for eid in range(len(g.edges)):
-        active.append(eid)
-        removed = set(solution)
-        kept = [i for i in active if i not in removed]
-        side, _ = _two_coloring(g.num_vertices, _adjacency(g, kept), False)
-        if side is not None:
+    weight = 0
+    for eid, e in enumerate(g.edges):
+        if forest.add(e.u, e.v, e.parity):
             continue
-        candidate = solution + [eid]
-        improved = _compress(g, active, candidate, stats)
-        solution = improved if improved is not None else candidate
-        if len(solution) > k:
+        improved = _compress(g, forest, eid + 1, solution + [eid], weight, stats)
+        if improved is None:
+            solution.append(eid)
+            weight += e.weight
+        else:
+            solution = improved
+            weight = sum(g.edges[i].weight for i in solution)
+            removed = set(solution)
+            forest = _forest(g, (i for i in range(eid + 1) if i not in removed))
+            if forest is None:
+                raise ContractViolationError("compressed set leaves a conflict")
+        if weight > k:
             return None
-    removed = set(solution)
-    kept = [i for i in range(len(g.edges)) if i not in removed]
-    side, _ = _two_coloring(g.num_vertices, _adjacency(g, kept), False)
-    assert side is not None, "final deletion set must leave a bipartite graph"
-    return Bipartition(side=side, deleted_edges=frozenset(solution))
+    return Bipartition(side=forest.sides(), deleted_edges=frozenset(solution))
 
 
 def brute_force_bipartization(g: Graph, k: int, edge_limit: int = 20):
@@ -319,8 +326,7 @@ def brute_force_bipartization(g: Graph, k: int, edge_limit: int = 20):
     all_ids = range(len(g.edges))
     for size in range(min(k, len(g.edges)) + 1):
         for combo in itertools.combinations(all_ids, size):
-            kept = [i for i in all_ids if i not in combo]
-            side, _ = _two_coloring(g.num_vertices, _adjacency(g, kept), False)
-            if side is not None:
-                return Bipartition(side=side, deleted_edges=frozenset(combo))
+            forest = _forest(g, (i for i in all_ids if i not in combo))
+            if forest is not None:
+                return Bipartition(side=forest.sides(), deleted_edges=frozenset(combo))
     return None

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 # system is checked against this bound at construction time.
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
-Assignment = tuple  # one bit per variable, length n
-
 
 class MaxLin2Error(Exception):
     """Base class for errors raised by this package."""

@@ -20,12 +20,18 @@ class FormatError(MaxLin2Error):
         self.lineno = lineno
 
 
-def _content_lines(text: str):
+def _content_lines(text: str, comments: list | None = None):
+    """Yield (lineno, line) for non-blank, non-comment lines.
+
+    Comment lines are collected into comments when a list is given.
+    """
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield lineno, line
+        if line.startswith("c"):
+            if comments is not None:
+                comments.append((lineno, line))
+        elif line:
+            yield lineno, line
 
 
 def _ints(lineno: int, tokens) -> list[int]:
@@ -38,11 +44,31 @@ def _ints(lineno: int, tokens) -> list[int]:
     return out
 
 
+def _forced_ledger(comments) -> int:
+    """Value of the `c forced-falsified <N>` comment, 0 when there is none."""
+    forced = None
+    for lineno, line in comments:
+        tokens = line.split()
+        if tokens[:2] != ["c", "forced-falsified"]:
+            continue
+        if forced is not None:
+            raise FormatError(lineno, "repeated forced-falsified line")
+        values = _ints(lineno, tokens[2:])
+        if len(values) != 1 or values[0] < 0:
+            raise FormatError(lineno, "forced-falsified needs one nonnegative count")
+        forced = values[0]
+    return forced or 0
+
+
 def parse_lin2(text: str) -> LinSystem:
-    """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`."""
+    """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`.
+
+    A `c forced-falsified <N>` comment line sets the forced ledger.
+    """
     header = None
     eqs: list[Equation] = []
-    for lineno, line in _content_lines(text):
+    comments: list[tuple[int, str]] = []
+    for lineno, line in _content_lines(text, comments):
         tokens = line.split()
         if tokens[0] == "p":
             if header is not None:
@@ -80,11 +106,11 @@ def parse_lin2(text: str) -> LinSystem:
         raise FormatError(0, "missing header")
     if len(eqs) != header[1]:
         raise FormatError(0, f"header declares {header[1]} records, found {len(eqs)}")
-    return LinSystem(header[0], tuple(eqs))
+    return LinSystem(header[0], tuple(eqs), _forced_ledger(comments))
 
 
 def emit_lin2(system: LinSystem, comments=()) -> str:
-    """Serialize a system; forced_falsified survives only as a comment."""
+    """Serialize a system; a nonzero ledger goes on a forced-falsified line."""
     lines = [f"c {comment}" for comment in comments]
     if system.forced_falsified:
         lines.append(f"c forced-falsified {system.forced_falsified}")

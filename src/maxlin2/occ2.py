@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .baseline import F2Matrix, SolveResult, f2_solve, _result
 from .core import (
+    ContractViolationError,
     Equation,
     InstanceClassError,
     LinSystem,
@@ -153,7 +154,8 @@ def _solve_component(system: LinSystem, ids: tuple[int, ...], assignment: list[i
         dropped = min(range(len(ids)), key=lambda i: (eqs[i].weight, ids[i]))
     kept = [eqn for i, eqn in enumerate(eqs) if i != dropped]
     solution = f2_solve(F2Matrix.from_system(LinSystem(system.n, tuple(kept))))
-    assert solution is not None, "post-prune component must be consistent"
+    if solution is None:
+        raise ContractViolationError("post-prune component must be consistent")
     for eqn in eqs:
         for v in eqn.lhs:
             assignment[v] = solution[v]
@@ -172,7 +174,8 @@ def solve_occ2(system: LinSystem) -> SolveResult:
         internal += _solve_component(pruned, comp_ids, assignment)
     full = extend_assignment(log, assignment)
     result = _result(system, full)
-    assert result.falsified_weight == internal, "solver bookkeeping out of sync"
+    if result.falsified_weight != internal:
+        raise ContractViolationError("solver bookkeeping out of sync")
     return result
 
 

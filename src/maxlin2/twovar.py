@@ -1,28 +1,20 @@
 """Fixed-parameter solver for systems with at most two variables per equation.
 
 Deciding whether some assignment falsifies weight at most k reduces to edge
-bipartization: after rewriting two-variable equations to rhs 1, variables
-become vertices, equations become edges, and two anchor vertices v' / v''
-absorb the single-variable equations. A heavy anchor edge pins v' and v'' to
-opposite sides, so a 2-coloring of the graph minus a cheap deletion set reads
-off an assignment directly.
+bipartization of one signed, capacitated graph: variables are vertices 0..n-1
+and vertex n is an anchor. An equation x + y = b of weight w becomes the edge
+xy of parity b and capacity w, and x = b becomes the edge from x to the
+anchor of parity 1 - b. Reading x = 1 iff x sits on the anchor's side turns
+every satisfied edge into a satisfied equation, so a deletion set of minimum
+weight is an optimal set of falsified equations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .baseline import SolveResult, _result
-from .bipartize import (
-    Bipartition,
-    Edge,
-    Graph,
-    edge_bipartization,
-    expand_weighted_edges,
-)
+from .bipartize import Edge, Graph, edge_bipartization
 from .core import (
     ContractViolationError,
-    Equation,
     InstanceClassError,
     LinSystem,
     cap_weights,
@@ -30,152 +22,42 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class TwoVarRewrite:
-    """Rewrite with every two-variable equation having rhs 1.
-
-    fresh_pairs maps each fresh variable to the (x_i, x_j) pair of the
-    two-variable rhs-0 equation it replaced; equation_origin maps each
-    rewritten equation back to its source equation in the input system.
-    """
-
-    system: LinSystem
-    original_n: int
-    fresh_pairs: dict[int, tuple[int, int]]
-    equation_origin: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class VarVertexMap:
-    """Variables are embedded as vertices 0..n-1; v' and v'' follow."""
-
-    num_variables: int
-    v_prime: int
-    v_double_prime: int
-
-    def vertex_of(self, variable: int) -> int:
-        return variable
-
-
-ANCHOR_LABEL = "anchor"
-
-
-def _check_arity(system: LinSystem) -> None:
+def _constraint_graph(system: LinSystem) -> Graph:
+    """Signed graph of a normalized system; edge j stands for equation j."""
+    anchor = system.n
+    edges = []
     for eqn in system.equations:
-        if eqn.arity > 2:
-            raise InstanceClassError(
-                f"equation {eqn} has {eqn.arity} variables; at most 2 allowed"
-            )
-
-
-def rewrite_zero_rhs(system: LinSystem) -> TwoVarRewrite:
-    """Replace every x_i + x_j = 0 by x_i + y = 1 and x_j + y = 1, y fresh.
-
-    A satisfied source equation extends with y = 1 - x_i satisfying both new
-    ones; a falsified one makes exactly one new equation false for y = 0, so
-    the minimum falsified weight is preserved.
-    """
-    _check_arity(system)
-    next_var = system.n
-    eqs: list[Equation] = []
-    origin: list[int] = []
-    fresh_pairs: dict[int, tuple[int, int]] = {}
-    for j, eqn in enumerate(system.equations):
-        if eqn.arity == 2 and eqn.rhs == 0:
-            x_i, x_j = eqn.lhs
-            y = next_var
-            next_var += 1
-            fresh_pairs[y] = (x_i, x_j)
-            eqs.append(Equation((x_i, y), 1, eqn.weight))
-            eqs.append(Equation((x_j, y), 1, eqn.weight))
-            origin.extend((j, j))
-        else:
-            eqs.append(eqn)
-            origin.append(j)
-    rewritten = LinSystem(next_var, tuple(eqs), system.forced_falsified)
-    return TwoVarRewrite(
-        system=rewritten,
-        original_n=system.n,
-        fresh_pairs=fresh_pairs,
-        equation_origin=tuple(origin),
-    )
-
-
-def build_graph(rw: TwoVarRewrite, k: int) -> tuple[Graph, VarVertexMap]:
-    """Turn the rewritten system into the weighted constraint graph.
-
-    Equation x+y=1 of weight w becomes edge xy; x=0 becomes v'x and x=1
-    becomes xv''; the anchor edge v'v'' of weight k+1 completes the graph.
-    Expects weights already capped at k+1.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    n = rw.system.n
-    vmap = VarVertexMap(num_variables=n, v_prime=n, v_double_prime=n + 1)
-    edges: list[Edge] = []
-    for j, eqn in enumerate(rw.system.equations):
         if eqn.arity == 2:
-            assert eqn.rhs == 1, "two-variable equations must be rewritten first"
-            edges.append(Edge(eqn.lhs[0], eqn.lhs[1], eqn.weight, label=j))
-        elif eqn.arity == 1:
-            x = eqn.lhs[0]
-            if eqn.rhs == 0:
-                edges.append(Edge(vmap.v_prime, x, eqn.weight, label=j))
-            else:
-                edges.append(Edge(x, vmap.v_double_prime, eqn.weight, label=j))
+            edges.append(Edge(eqn.lhs[0], eqn.lhs[1], eqn.weight, eqn.rhs))
         else:
-            raise InstanceClassError("constant equations must be normalized away")
-    edges.append(Edge(vmap.v_prime, vmap.v_double_prime, k + 1, label=ANCHOR_LABEL))
-    return Graph(n + 2, tuple(edges)), vmap
-
-
-def assignment_from_bipartition(
-    bp: Bipartition, vmap: VarVertexMap, rewrite: TwoVarRewrite | None = None
-) -> tuple[int, ...]:
-    """Read an assignment off a 2-coloring: x = 1 iff x sits on v's side.
-
-    Components holding neither anchor keep the coloring as produced (either
-    orientation is optimal by flip symmetry). When the rewrite is given, the
-    fresh variables are dropped from the result.
-    """
-    if bp.side[vmap.v_prime] == bp.side[vmap.v_double_prime]:
-        raise ContractViolationError(
-            "anchor vertices ended up on the same side; deletion budget exceeded"
-        )
-    prime_side = bp.side[vmap.v_prime]
-    values = tuple(
-        1 if bp.side[v] == prime_side else 0 for v in range(vmap.num_variables)
-    )
-    if rewrite is not None:
-        values = values[: rewrite.original_n]
-    return values
+            edges.append(Edge(eqn.lhs[0], anchor, eqn.weight, 1 - eqn.rhs))
+    return Graph(anchor + 1, tuple(edges))
 
 
 def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
     """Exact decision (and optimum) for falsifying weight at most k.
 
-    Pipeline: normalize, cap weights, rewrite rhs-0 pairs, build the
-    constraint graph, expand weighted edges into unit paths, and run the
-    edge bipartization engine. Returns None when the true optimum exceeds k;
-    otherwise the result carries an optimal assignment.
+    Pipeline: normalize, cap weights at the budget plus one, build the
+    constraint graph and run the edge bipartization engine on it. Returns
+    None when the true optimum exceeds k; otherwise the result carries an
+    optimal assignment.
     """
-    _check_arity(system)
+    for eqn in system.equations:
+        if eqn.arity > 2:
+            raise InstanceClassError(
+                f"equation {eqn} has {eqn.arity} variables; at most 2 allowed"
+            )
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     norm = normalize(system)
     budget = k - norm.forced_falsified
     if budget < 0:
         return None
-    capped = cap_weights(norm, budget)
-    rw = rewrite_zero_rhs(capped)
-    graph, vmap = build_graph(rw, budget)
-    expanded, _ = expand_weighted_edges(graph)
-    bp = edge_bipartization(expanded, budget)
+    bp = edge_bipartization(_constraint_graph(cap_weights(norm, budget)), budget)
     if bp is None:
         return None
-    original_side = bp.side[: graph.num_vertices]
-    reduced = Bipartition(side=original_side, deleted_edges=frozenset())
-    assignment = assignment_from_bipartition(reduced, vmap, rw)
+    anchor_side = bp.side[system.n]
+    assignment = tuple(int(bp.side[x] == anchor_side) for x in range(system.n))
     result = _result(system, assignment)
     if result.falsified_weight > k:
         raise ContractViolationError(

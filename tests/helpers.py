@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from maxlin2 import Edge, Graph, LinSystem, OddSetInstance
+from maxlin2 import Edge, Graph, LinSystem, OddCycle, OddSetInstance, is_bipartite
 
 
 def random_system(
@@ -41,8 +41,14 @@ def random_system(
 
 
 def random_graph(
-    rng: random.Random, *, max_vertices: int, max_edges: int, max_weight: int = 1
+    rng: random.Random,
+    *,
+    max_vertices: int,
+    max_edges: int,
+    max_weight: int = 1,
+    signed: bool = False,
 ) -> Graph:
+    """Random multigraph; signed graphs draw each edge's parity at random."""
     n = rng.randint(2, max_vertices)
     m = rng.randint(0, max_edges)
     edges = []
@@ -51,7 +57,9 @@ def random_graph(
         v = rng.randrange(n)
         while v == u:
             v = rng.randrange(n)
-        edges.append(Edge(min(u, v), max(u, v), rng.randint(1, max_weight)))
+        weight = rng.randint(1, max_weight)
+        parity = rng.randint(0, 1) if signed else 1
+        edges.append(Edge(min(u, v), max(u, v), weight, parity))
     return Graph(n, tuple(edges))
 
 
@@ -79,15 +87,12 @@ def oddset_is_yes(inst: OddSetInstance) -> bool:
 
 
 def min_weight_bipartization(graph: Graph) -> int:
-    """Minimum total weight of deleted edges leaving a bipartite graph."""
-    from maxlin2.bipartize import _adjacency, _two_coloring
-
+    """Minimum total weight of deleted edges leaving every parity satisfiable."""
     m = len(graph.edges)
     best = None
     for mask in range(1 << m):
-        kept = [i for i in range(m) if not mask >> i & 1]
-        side, _ = _two_coloring(graph.num_vertices, _adjacency(graph, kept), False)
-        if side is None:
+        kept = tuple(graph.edges[i] for i in range(m) if not mask >> i & 1)
+        if isinstance(is_bipartite(Graph(graph.num_vertices, kept)), OddCycle):
             continue
         weight = sum(graph.edges[i].weight for i in range(m) if mask >> i & 1)
         if best is None or weight < best:

@@ -1,4 +1,4 @@
-"""Edge bipartization: expansion, witnesses, exact engine vs. brute force."""
+"""Edge bipartization: witnesses, signed and weighted engine vs. brute force."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from maxlin2 import (
     Graph,
     GraphError,
     OddCycle,
+    SearchStats,
     brute_force_bipartization,
     edge_bipartization,
-    expand_weighted_edges,
     is_bipartite,
 )
 from helpers import min_weight_bipartization, random_graph
@@ -24,7 +24,7 @@ from helpers import min_weight_bipartization, random_graph
 def _check_proper(graph: Graph, bp: Bipartition) -> None:
     for eid, e in enumerate(graph.edges):
         if eid not in bp.deleted_edges:
-            assert bp.side[e.u] != bp.side[e.v]
+            assert bp.side[e.u] ^ bp.side[e.v] == e.parity
 
 
 def triangle() -> Graph:
@@ -36,33 +36,9 @@ def test_self_loops_rejected():
         Edge(1, 1)
 
 
-def test_expand_weight_two_edge():
-    g = Graph(2, (Edge(0, 1, 2),))
-    expanded, provenance = expand_weighted_edges(g)
-    assert expanded.num_vertices == 2 + 4
-    assert len(expanded.edges) == 6
-    assert expanded.is_unweighted()
-    assert set(provenance.values()) == {(0, 0), (0, 1)}
-
-
-def test_expand_unit_weights_make_paths():
-    g = Graph.from_pairs(3, [(0, 1), (1, 2)])
-    expanded, provenance = expand_weighted_edges(g)
-    assert len(expanded.edges) == 6
-    assert all(orig in (0, 1) and path == 0 for orig, path in provenance.values())
-
-
-def test_expand_empty_graph():
-    expanded, provenance = expand_weighted_edges(Graph(3))
-    assert expanded.edges == () and provenance == {}
-
-
-def test_expand_edge_count_is_three_times_weight():
-    rng = random.Random(8)
-    for _ in range(30):
-        g = random_graph(rng, max_vertices=6, max_edges=8, max_weight=4)
-        expanded, _ = expand_weighted_edges(g)
-        assert len(expanded.edges) == 3 * g.total_weight()
+def test_edge_parity_must_be_a_bit():
+    with pytest.raises(GraphError):
+        Edge(0, 1, 1, 2)
 
 
 def test_is_bipartite_even_cycle():
@@ -84,17 +60,16 @@ def test_is_bipartite_single_vertex():
     assert isinstance(is_bipartite(Graph(1)), Bipartition)
 
 
-def test_odd_cycle_witness_is_a_closed_odd_walk():
-    rng = random.Random(31)
+def _check_witnesses(rng: random.Random, *, max_edges: int, signed: bool) -> None:
     found = 0
     for _ in range(120):
-        g = random_graph(rng, max_vertices=7, max_edges=12)
+        g = random_graph(rng, max_vertices=7, max_edges=max_edges, signed=signed)
         result = is_bipartite(g)
         if isinstance(result, Bipartition):
             _check_proper(g, result)
             continue
         found += 1
-        assert len(result.edges) % 2 == 1
+        assert sum(g.edges[eid].parity for eid in result.edges) % 2 == 1
         # consecutive witness edges must chain into a closed walk
         degree: dict[int, int] = {}
         for eid in result.edges:
@@ -103,6 +78,25 @@ def test_odd_cycle_witness_is_a_closed_odd_walk():
             degree[e.v] = degree.get(e.v, 0) + 1
         assert all(d % 2 == 0 for d in degree.values())
     assert found >= 20
+
+
+def test_odd_cycle_witness_is_a_closed_odd_walk():
+    # all parities are 1, so an odd parity sum is an odd length
+    _check_witnesses(random.Random(31), max_edges=12, signed=False)
+
+
+def test_signed_odd_cycle_witness_has_odd_parity_sum():
+    _check_witnesses(random.Random(0x516), max_edges=10, signed=True)
+
+
+def test_parity_zero_parallel_pair_is_a_conflict():
+    g = Graph(2, (Edge(0, 1, 1, 0), Edge(0, 1, 3, 1)))
+    result = is_bipartite(g)
+    assert isinstance(result, OddCycle) and sorted(result.edges) == [0, 1]
+    assert edge_bipartization(g, 0) is None
+    result = edge_bipartization(g, 1)
+    assert result is not None and result.deleted_edges == frozenset({0})
+    assert result.side[0] != result.side[1]
 
 
 def test_edge_bipartization_triangle():
@@ -131,11 +125,6 @@ def test_edge_bipartization_parallel_edges():
     g = Graph.from_pairs(2, [(0, 1), (0, 1), (0, 1)])
     result = edge_bipartization(g, 0)
     assert result is not None and result.deleted_edges == frozenset()
-
-
-def test_edge_bipartization_rejects_weighted():
-    with pytest.raises(GraphError):
-        edge_bipartization(Graph(2, (Edge(0, 1, 2),)), 1)
 
 
 def test_brute_force_examples():
@@ -169,13 +158,37 @@ def test_engine_matches_brute_force():
             _check_proper(g, fast)
 
 
-def test_expansion_preserves_minimum_weight():
+def test_signed_engine_matches_brute_force():
+    rng = random.Random(0x5167)
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=8, max_edges=12, signed=True)
+        k = rng.randint(0, 4)
+        fast = edge_bipartization(g, k)
+        slow = brute_force_bipartization(g, k)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            assert len(fast.deleted_edges) == len(slow.deleted_edges)
+            _check_proper(g, fast)
+
+
+def test_weighted_engine_matches_min_weight():
     rng = random.Random(0xE4)
-    for _ in range(40):
-        g = random_graph(rng, max_vertices=5, max_edges=5, max_weight=3)
-        expanded, _ = expand_weighted_edges(g)
+    for index in range(80):
+        g = random_graph(
+            rng, max_vertices=5, max_edges=7, max_weight=4, signed=index % 2 == 1
+        )
         want = min_weight_bipartization(g)
-        result = edge_bipartization(expanded, want)
-        assert result is not None and len(result.deleted_edges) == want
+        result = edge_bipartization(g, want)
+        assert result is not None
+        assert sum(g.edges[eid].weight for eid in result.deleted_edges) == want
+        _check_proper(g, result)
         if want > 0:
-            assert edge_bipartization(expanded, want - 1) is None
+            assert edge_bipartization(g, want - 1) is None
+
+
+def test_engine_cost_does_not_grow_with_weight():
+    g = Graph(3, (Edge(0, 1, 10**9), Edge(1, 2, 10**9), Edge(0, 2, 10**9 - 1)))
+    stats = SearchStats()
+    result = edge_bipartization(g, 10**9, stats=stats)
+    assert result is not None and result.deleted_edges == frozenset({2})
+    assert stats.flow_augmentations <= 2

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxlin2
 from maxlin2 import (
     DimensionError,
     Equation,
@@ -205,3 +208,15 @@ def test_cap_weights_preserves_budget_decision():
 def test_occurrence_counts():
     system = LinSystem.build(3, [((0, 1), 0, 1), ((0, 2), 1, 2), ((0,), 1, 1)])
     assert occurrence_counts(system) == [3, 1, 1]
+
+
+def test_library_has_no_assert_statements():
+    # invariant checks must still run under python -O, which strips asserts
+    package = Path(maxlin2.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -8,6 +8,7 @@ import pytest
 
 from maxlin2 import (
     FormatError,
+    LinSystem,
     brute_force_min_falsified,
     emit_assignment,
     emit_lin2,
@@ -60,11 +61,19 @@ def test_parse_lin2_skips_comments():
 
 def test_lin2_round_trip():
     rng = random.Random(0xF11E)
-    for _ in range(60):
+    for index in range(60):
         system = normalize(random_system(rng, max_vars=6, max_eqs=8, max_weight=4))
-        if system.forced_falsified:
-            continue  # the file format carries no ledger
+        system = LinSystem(system.n, system.equations, index % 3)
         assert parse_lin2(emit_lin2(system)) == system
+
+
+@pytest.mark.parametrize(
+    "ledger",
+    ["c forced-falsified -1\n", "c forced-falsified 1\nc forced-falsified 1\n"],
+)
+def test_parse_lin2_rejects_bad_forced_ledger(ledger):
+    with pytest.raises(FormatError):
+        parse_lin2(ledger + "p lin2 1 0\n")
 
 
 def test_parse_oddset_example():
@@ -143,6 +152,12 @@ def test_cli_solve_two_var_decision(tmp_path, capsys):
     assert main(["solve", path, "--mode", "two-var", "-k", "1"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "s YES 1"
+
+
+def test_cli_solve_two_var_huge_k(tmp_path, capsys):
+    path = _write(tmp_path, "a.lin2", "p lin2 2 2\n1 0 2 1 2\n1 1 2 1 2\n")
+    assert main(["solve", path, "--mode", "two-var", "-k", "100000000"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "s YES 1"
 
 
 def test_cli_solve_two_var_needs_k(tmp_path, capsys):
@@ -242,6 +257,17 @@ def test_cli_reduce_eq3eq3_then_stats(tmp_path, capsys):
     assert (tmp_path / "red.lin2.trace").exists()
     assert main(["stats", str(out_path)]) == EXIT_OK
     assert "r=3 s=3" in capsys.readouterr().out
+
+
+def test_cli_reduce_then_solve_keeps_forced_ledger(tmp_path, capsys):
+    source = _write(
+        tmp_path, "src.lin2", "p lin2 2 4\n1 0 1 1\n1 1 1 1\n1 0 1 2\n1 1 1 2\n"
+    )
+    out_path = tmp_path / "red.lin2"
+    assert main(["reduce", source, "--target", "eq3eq3", "-o", str(out_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", str(out_path), "--mode", "exact"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "s OPTIMUM 2"
 
 
 def test_cli_reduce_emits_reparsable_targets(tmp_path, capsys):

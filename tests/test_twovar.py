@@ -7,109 +7,46 @@ import random
 import pytest
 
 from maxlin2 import (
-    Bipartition,
-    Equation,
     InstanceClassError,
     LinSystem,
     brute_force_min_falsified,
-    build_graph,
     cap_weights,
     evaluate,
-    expand_weighted_edges,
     normalize,
-    rewrite_zero_rhs,
     solve_below_W,
 )
-from maxlin2.core import ContractViolationError
-from maxlin2.twovar import ANCHOR_LABEL, assignment_from_bipartition
+from maxlin2.twovar import _constraint_graph
 from helpers import random_system
 
 
-def test_rewrite_replaces_zero_rhs_pairs():
-    rw = rewrite_zero_rhs(LinSystem.build(2, [((0, 1), 0, 3)]))
-    assert rw.system.equations == (
-        Equation((0, 2), 1, 3),
-        Equation((1, 2), 1, 3),
-    )
-    assert rw.fresh_pairs == {2: (0, 1)}
-    assert rw.equation_origin == (0, 0)
-
-
-def test_rewrite_keeps_rhs_one_pairs():
-    system = LinSystem.build(2, [((0, 1), 1, 2)])
-    rw = rewrite_zero_rhs(system)
-    assert rw.system == system
-
-
-def test_rewrite_keeps_single_variable_equations():
-    system = LinSystem.build(1, [((0,), 0, 1)])
-    assert rewrite_zero_rhs(system).system == system
-
-
-def test_rewrite_rejects_high_arity():
-    with pytest.raises(InstanceClassError):
-        rewrite_zero_rhs(LinSystem.build(3, [((0, 1, 2), 0, 1)]))
-
-
-def test_rewrite_preserves_optimum():
-    rng = random.Random(0xF00)
-    for _ in range(120):
-        system = random_system(rng, max_vars=6, max_eqs=8, max_weight=3, max_arity=2)
-        rw = rewrite_zero_rhs(system)
-        assert (
-            brute_force_min_falsified(rw.system).falsified_weight
-            == brute_force_min_falsified(system).falsified_weight
-        )
-
-
 def _edge_set(graph):
-    return {
-        (e.u, e.v, e.weight, e.label) for e in graph.edges
-    }
+    return {(e.u, e.v, e.weight, e.parity) for e in graph.edges}
 
 
 def test_build_graph_example():
-    system = LinSystem.build(2, [((0,), 0, 1), ((0, 1), 1, 2)])
-    rw = rewrite_zero_rhs(cap_weights(system, 1))
-    graph, vmap = build_graph(rw, 1)
-    assert (vmap.v_prime, vmap.v_double_prime) == (2, 3)
+    system = LinSystem.build(2, [((0,), 0, 1), ((0, 1), 1, 2), ((0, 1), 0, 3)])
+    graph = _constraint_graph(cap_weights(normalize(system), 1))
+    assert graph.num_vertices == 3
     assert _edge_set(graph) == {
-        (2, 0, 1, 0),  # v' x1 from x1=0
-        (0, 1, 2, 1),  # x1 x2 from x1+x2=1
-        (2, 3, 2, ANCHOR_LABEL),
+        (0, 2, 1, 1),  # x1 = 0: x1 off the anchor's side
+        (0, 1, 2, 0),  # x1 + x2 = 0, weight capped at k + 1
+        (0, 1, 2, 1),  # x1 + x2 = 1
     }
 
 
 def test_build_graph_empty_system():
-    graph, vmap = build_graph(rewrite_zero_rhs(LinSystem(0)), 0)
-    assert _edge_set(graph) == {(0, 1, 1, ANCHOR_LABEL)}
-    assert graph.num_vertices == 2
+    graph = _constraint_graph(LinSystem(0))
+    assert graph.num_vertices == 1 and graph.edges == ()
 
 
 def test_build_graph_rhs_one_unit():
-    graph, vmap = build_graph(rewrite_zero_rhs(LinSystem.build(1, [((0,), 1, 1)])), 2)
-    assert _edge_set(graph) == {(0, 2, 1, 0), (1, 2, 3, ANCHOR_LABEL)}
+    graph = _constraint_graph(LinSystem.build(1, [((0,), 1, 1)]))
+    assert _edge_set(graph) == {(0, 1, 1, 0)}
 
 
-def test_assignment_from_bipartition_conventions():
-    system = LinSystem.build(2, [((0,), 1, 1), ((1,), 0, 1)])
-    rw = rewrite_zero_rhs(system)
-    graph, vmap = build_graph(rw, 1)
-    expanded, _ = expand_weighted_edges(graph)
-    from maxlin2 import edge_bipartization
-
-    bp = edge_bipartization(expanded, 1)
-    sliced = Bipartition(side=bp.side[: graph.num_vertices])
-    assignment = assignment_from_bipartition(sliced, vmap, rw)
-    assert assignment == (1, 0)
-
-
-def test_assignment_from_bipartition_rejects_merged_anchors():
-    rw = rewrite_zero_rhs(LinSystem(1))
-    _, vmap = build_graph(rw, 0)
-    bad = Bipartition(side=(0, 0, 0))
-    with pytest.raises(ContractViolationError):
-        assignment_from_bipartition(bad, vmap, rw)
+def test_solve_below_W_rejects_high_arity():
+    with pytest.raises(InstanceClassError):
+        solve_below_W(LinSystem.build(3, [((0, 1, 2), 0, 1)]), 1)
 
 
 def test_solve_below_W_contradictory_pair():
@@ -128,7 +65,7 @@ def test_solve_below_W_consistent():
 
 
 def test_isolated_component_takes_coloring_as_is():
-    # x3+x4=1 lives in a component touching neither anchor; the produced
+    # x1+x2=1 lives in a component without the anchor; the produced
     # coloring assigns (1, 0), and either orientation would satisfy it.
     system = LinSystem.build(2, [((0, 1), 1, 1)])
     result = solve_below_W(system, 0)
@@ -138,7 +75,7 @@ def test_isolated_component_takes_coloring_as_is():
 
 
 def test_all_variables_on_far_side_gives_zero_assignment():
-    # every variable pinned to 0 sits on the v'' side
+    # every variable pinned to 0 sits off the anchor's side
     system = LinSystem.build(2, [((0,), 0, 1), ((1,), 0, 1)])
     result = solve_below_W(system, 0)
     assert result is not None
@@ -153,19 +90,16 @@ def test_solve_below_W_counts_forced_contradictions():
 
 
 def test_graph_size_bound():
-    # the rhs-0 rewrite can double an equation's weight contribution, so the
-    # expanded size is 3*(W_rewritten + k + 1) with W_rewritten <= 2*W_capped
+    # one edge per normalized equation and one anchor, whatever the weights or k
     rng = random.Random(0xBEEF)
     for _ in range(80):
         system = random_system(rng, max_vars=8, max_eqs=10, max_weight=3, max_arity=2)
         k = rng.randint(0, 4)
         capped = cap_weights(normalize(system), k)
-        rw = rewrite_zero_rhs(capped)
-        graph, _ = build_graph(rw, k)
-        expanded, _ = expand_weighted_edges(graph)
-        assert len(expanded.edges) == 3 * (rw.system.total_weight + k + 1)
-        assert rw.system.total_weight <= 2 * capped.total_weight
-        assert len(expanded.edges) <= 3 * (2 * capped.total_weight + k + 1)
+        graph = _constraint_graph(capped)
+        assert graph.num_vertices == system.n + 1
+        assert len(graph.edges) == len(capped.equations)
+        assert all(e.weight <= k + 1 for e in graph.edges)
 
 
 def test_decision_and_value_match_oracle():
