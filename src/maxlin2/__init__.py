@@ -1,12 +1,9 @@
 """Solvers and cost-preserving reductions for weighted GF(2) equation systems."""
 
 from .baseline import (
-    F2Matrix,
     SolveResult,
     brute_force_min_falsified,
     conditional_expectation_assignment,
-    f2_rank,
-    f2_solve,
 )
 from .bipartize import (
     Bipartition,
@@ -62,14 +59,12 @@ from .gadgets import (
     to_eq3_eq3,
 )
 from .occ2 import (
-    ComponentPartition,
     PruneLog,
     PruneStep,
     extend_assignment,
     prune_singletons,
     solve_occ2,
     solve_occ2_merge,
-    split_components,
 )
 from .twovar import solve_below_W
 

@@ -1,8 +1,7 @@
-"""Reference solvers: exhaustive oracle, GF(2) elimination, half-weight greedy.
+"""Reference solvers: the exhaustive oracle and the half-weight greedy.
 
 The brute-force oracle is the ground truth every other solver and every
-reduction in this package is validated against. GF(2) rows are stored as int
-bitmasks (bit i = variable i).
+reduction in this package is validated against.
 """
 
 from __future__ import annotations
@@ -17,34 +16,6 @@ from .core import (
 )
 
 DEFAULT_VAR_LIMIT = 24
-
-
-@dataclass(frozen=True)
-class F2Matrix:
-    """A system Ax=b over GF(2); rows are bitmasks over `width` columns."""
-
-    width: int
-    rows: tuple[int, ...]
-    rhs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.rhs):
-            raise ValueError("rows and rhs must have equal length")
-        for row in self.rows:
-            if row < 0 or row >> self.width:
-                raise ValueError(f"row {row:#x} does not fit in width {self.width}")
-
-    @classmethod
-    def from_system(cls, system: LinSystem) -> "F2Matrix":
-        rows = []
-        rhs = []
-        for eqn in system.equations:
-            mask = 0
-            for v in eqn.lhs:
-                mask |= 1 << v
-            rows.append(mask)
-            rhs.append(eqn.rhs)
-        return cls(system.n, tuple(rows), tuple(rhs))
 
 
 @dataclass(frozen=True)
@@ -109,67 +80,6 @@ def brute_force_min_falsified(
             best_value = current
     assignment = tuple((best_value >> (n - 1 - v)) & 1 for v in range(n))
     return _result(system, assignment)
-
-
-def f2_rank(mat: F2Matrix) -> int:
-    """Rank of the coefficient matrix over GF(2)."""
-    work = list(mat.rows)
-    rank = 0
-    for col in range(mat.width):
-        pivot = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
-def f2_solve(mat: F2Matrix):
-    """Solve Ax=b over GF(2); free variables are set to 0.
-
-    Returns an assignment tuple, or None when the system is inconsistent
-    (rank(A) < rank([A b])).
-    """
-    rows = list(mat.rows)
-    rhs = list(mat.rhs)
-    pivot_col_of_row: list[int] = []
-    row_idx = 0
-    for col in range(mat.width):
-        pivot = None
-        for r in range(row_idx, len(rows)):
-            if (rows[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[row_idx], rows[pivot] = rows[pivot], rows[row_idx]
-        rhs[row_idx], rhs[pivot] = rhs[pivot], rhs[row_idx]
-        for r in range(len(rows)):
-            if r != row_idx and (rows[r] >> col) & 1:
-                rows[r] ^= rows[row_idx]
-                rhs[r] ^= rhs[row_idx]
-        pivot_col_of_row.append(col)
-        row_idx += 1
-        if row_idx == len(rows):
-            break
-    for r in range(row_idx, len(rows)):
-        if rows[r] == 0 and rhs[r] == 1:
-            return None
-    solution = [0] * mat.width
-    # After Gauss-Jordan each pivot row reads x_pivot + (free terms) = rhs;
-    # free variables are 0, so x_pivot = rhs.
-    for r, col in enumerate(pivot_col_of_row):
-        solution[col] = rhs[r]
-    return tuple(solution)
 
 
 def conditional_expectation_assignment(system: LinSystem) -> SolveResult:

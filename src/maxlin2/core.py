@@ -16,6 +16,10 @@ from dataclasses import dataclass
 # system is checked against this bound at construction time.
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
+# Unit expansion builds one equation per unit of weight; above this many it
+# would exhaust memory long before it finished, so it is refused up front.
+MAX_UNIT_EQUATIONS = 10**7
+
 
 class MaxLin2Error(Exception):
     """Base class for errors raised by this package."""
@@ -216,7 +220,16 @@ def normalize(system: LinSystem) -> LinSystem:
 
 
 def expand_unit_weights(system: LinSystem) -> LinSystem:
-    """Replace each weight-w equation by w identical unit-weight copies."""
+    """Replace each weight-w equation by w identical unit-weight copies.
+
+    Raises CapacityError, before building anything, when the total weight
+    exceeds MAX_UNIT_EQUATIONS.
+    """
+    if system.total_weight > MAX_UNIT_EQUATIONS:
+        raise CapacityError(
+            f"unit expansion of total weight {system.total_weight} exceeds "
+            f"{MAX_UNIT_EQUATIONS} equations"
+        )
     eqs = []
     for eqn in system.equations:
         eqs.extend(Equation(eqn.lhs, eqn.rhs, 1) for _ in range(eqn.weight))

@@ -1,16 +1,22 @@
 """Exact polynomial solver for systems where every variable occurs at most twice.
 
-Two independent routes are provided: a structural solver (prune singleton
-variables, split into connected components, patch the rhs parity of each
-component by dropping one minimum-weight equation) and a pairwise merge
-solver that only reports the optimal value.
+Read equations as nodes and variables as edges between the (at most two)
+equations holding them. A variable held by one equation is a pendant edge:
+that equation can be satisfied last, so its whole component is satisfiable.
+A component without pendant edges has every variable twice, so its rows sum
+to zero: it is satisfiable iff its rhs bits XOR to 0, and otherwise exactly
+its lightest equation is lost. `solve_occ2` realises this with one peel of a
+spanning tree per component; `solve_occ2_merge` is an independent
+cross-check that only reports the optimal value.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 
-from .baseline import F2Matrix, SolveResult, f2_solve, _result
+from .baseline import SolveResult, _result
 from .core import (
     ContractViolationError,
     Equation,
@@ -34,15 +40,6 @@ class PruneLog:
     steps: tuple[PruneStep, ...]
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Connected components of the equation graph (edges = shared variables)."""
-
-    components: tuple[LinSystem, ...]
-    component_of: tuple[int, ...]
-    equation_ids: tuple[tuple[int, ...], ...]
-
-
 def _check_occurrence_bound(system: LinSystem) -> None:
     occ = occurrence_counts(system)
     if occ and max(occ) > 2:
@@ -57,26 +54,39 @@ def prune_singletons(system: LinSystem) -> tuple[LinSystem, PruneLog]:
 
     Such an equation can always be satisfied by choosing that variable last,
     so the minimum falsified weight is unchanged. Deletions cascade; the
-    lowest-indexed singleton variable is processed first.
+    lowest-indexed singleton variable is processed first. Occurrence counts
+    are decremented per deletion and the current singletons kept in a
+    min-heap, so the whole cascade costs O(size · log n).
     """
-    alive = list(range(len(system.equations)))
+    eqs = system.equations
+    occ = [0] * system.n
+    # XOR of the indices of the live equations holding each variable: for a
+    # singleton it is the index of its one equation.
+    holder = [0] * system.n
+    for j, eqn in enumerate(eqs):
+        for v in eqn.lhs:
+            occ[v] += 1
+            holder[v] ^= j
+    # Counts only fall, so each variable enters the heap at most once; an
+    # entry whose count has since dropped to 0 is skipped.
+    singletons = [v for v in range(system.n) if occ[v] == 1]
+    alive = [True] * len(eqs)
     steps: list[PruneStep] = []
-    while True:
-        occ = [0] * system.n
-        holder = [-1] * system.n
-        for j in alive:
-            for v in system.equations[j].lhs:
-                occ[v] += 1
-                holder[v] = j
-        witness = next((v for v in range(system.n) if occ[v] == 1), None)
-        if witness is None:
-            break
+    while singletons:
+        witness = heapq.heappop(singletons)
+        if occ[witness] != 1:
+            continue
         j = holder[witness]
-        steps.append(PruneStep(system.equations[j], witness))
-        alive.remove(j)
+        alive[j] = False
+        steps.append(PruneStep(eqs[j], witness))
+        for v in eqs[j].lhs:
+            occ[v] -= 1
+            holder[v] ^= j
+            if occ[v] == 1:
+                heapq.heappush(singletons, v)
     pruned = LinSystem(
         system.n,
-        tuple(system.equations[j] for j in alive),
+        tuple(eqn for j, eqn in enumerate(eqs) if alive[j]),
         system.forced_falsified,
     )
     return pruned, PruneLog(tuple(steps))
@@ -94,86 +104,74 @@ def extend_assignment(log: PruneLog, assignment) -> tuple[int, ...]:
     return tuple(values)
 
 
-def split_components(system: LinSystem) -> ComponentPartition:
-    """Group equations into connected components of the shared-variable graph."""
-    m = len(system.equations)
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    first_seen: dict[int, int] = {}
-    for j, eqn in enumerate(system.equations):
-        for v in eqn.lhs:
-            if v in first_seen:
-                union(first_seen[v], j)
-            else:
-                first_seen[v] = j
-    roots: list[int] = []
-    component_of = []
-    for j in range(m):
-        r = find(j)
-        if r not in roots:
-            roots.append(r)
-        component_of.append(roots.index(r))
-    ids: list[list[int]] = [[] for _ in roots]
-    for j, c in enumerate(component_of):
-        ids[c].append(j)
-    components = tuple(
-        LinSystem(system.n, tuple(system.equations[j] for j in members))
-        for members in ids
-    )
-    return ComponentPartition(
-        components=components,
-        component_of=tuple(component_of),
-        equation_ids=tuple(tuple(members) for members in ids),
-    )
-
-
-def _solve_component(system: LinSystem, ids: tuple[int, ...], assignment: list[int]):
-    """Solve one post-prune component in place; return its falsified weight.
-
-    In such a component every variable occurs exactly twice, so the rows sum
-    to zero: the component is solvable iff the rhs bits XOR to 0, and
-    otherwise exactly one equation (chosen of minimum weight) is falsified.
-    """
-    eqs = [system.equations[j] for j in ids]
-    rhs_parity = 0
-    for eqn in eqs:
-        rhs_parity ^= eqn.rhs
-    dropped = None
-    if rhs_parity == 1:
-        dropped = min(range(len(ids)), key=lambda i: (eqs[i].weight, ids[i]))
-    kept = [eqn for i, eqn in enumerate(eqs) if i != dropped]
-    solution = f2_solve(F2Matrix.from_system(LinSystem(system.n, tuple(kept))))
-    if solution is None:
-        raise ContractViolationError("post-prune component must be consistent")
-    for eqn in eqs:
-        for v in eqn.lhs:
-            assignment[v] = solution[v]
-    return 0 if dropped is None else eqs[dropped].weight
+def _bfs(eqs, holders, root: int, seen: list[bool]) -> tuple[list[int], list[int]]:
+    """Equations reachable from root in BFS order, and the variable linking
+    each to its BFS parent (-1 for the root)."""
+    seen[root] = True
+    order = [root]
+    link = [-1]
+    queue = deque([root])
+    while queue:
+        j = queue.popleft()
+        for v in eqs[j].lhs:
+            for i in holders[v]:
+                if not seen[i]:
+                    seen[i] = True
+                    order.append(i)
+                    link.append(v)
+                    queue.append(i)
+    return order, link
 
 
 def solve_occ2(system: LinSystem) -> SolveResult:
-    """Exact optimum for instances with every variable in at most 2 equations."""
+    """Exact optimum for instances with every variable in at most 2 equations.
+
+    Each component is rooted at an equation holding a pendant variable if
+    there is one, else, when its rhs bits XOR to 1, at its lightest equation
+    (least weight, then index), else anywhere. In reverse BFS order every
+    other equation sets the variable linking it to its parent; variables off
+    the tree stay 0. The root then holds, via its pendant variable or by
+    parity, except in the odd pendant-free case where it is the one loss.
+    Runs in O(n + size).
+    """
     _check_occurrence_bound(system)
     norm = normalize(system)
-    pruned, log = prune_singletons(norm)
-    parts = split_components(pruned)
+    eqs = norm.equations
+    holders: list[list[int]] = [[] for _ in range(norm.n)]
+    for j, eqn in enumerate(eqs):
+        for v in eqn.lhs:
+            holders[v].append(j)
     assignment = [0] * system.n
     internal = norm.forced_falsified
-    for comp_ids in parts.equation_ids:
-        internal += _solve_component(pruned, comp_ids, assignment)
-    full = extend_assignment(log, assignment)
-    result = _result(system, full)
+    found = [False] * len(eqs)
+    rooted = [False] * len(eqs)
+    for start in range(len(eqs)):
+        if found[start]:
+            continue
+        members, _ = _bfs(eqs, holders, start, found)
+        root, pendant = None, -1
+        parity = 0
+        for j in members:
+            parity ^= eqs[j].rhs
+            if root is None:
+                pendant = next((v for v in eqs[j].lhs if len(holders[v]) == 1), -1)
+                if pendant >= 0:
+                    root = j
+        if root is None:
+            root = min(members, key=lambda j: (eqs[j].weight, j)) if parity else start
+        order, link = _bfs(eqs, holders, root, rooted)
+        link[0] = pendant
+        if pendant < 0 and parity:
+            internal += eqs[root].weight
+        for j, var in zip(reversed(order), reversed(link)):
+            if var < 0:
+                continue  # a pendant-free root holds by parity or is the loss
+            value = eqs[j].rhs
+            for v in eqs[j].lhs:
+                if v != var:
+                    value ^= assignment[v]
+            assignment[var] = value
+    result = _result(system, assignment)
     if result.falsified_weight != internal:
         raise ContractViolationError("solver bookkeeping out of sync")
     return result
@@ -184,32 +182,36 @@ def solve_occ2_merge(system: LinSystem) -> int:
 
     While some variable occurs in two equations, replace the pair by its
     GF(2) sum carrying the smaller of the two weights. Leftover constant
-    equations 0=1 are exactly the unavoidable losses.
+    equations 0=1 are exactly the unavoidable losses. An index from each
+    variable to the rows holding it keeps every merge local: only the
+    variables of the smaller row are re-pointed.
     """
     _check_occurrence_bound(system)
     norm = normalize(system)
-    rows: list[tuple[int, int, int]] = []  # (lhs bitmask, rhs, weight)
-    for eqn in norm.equations:
-        mask = 0
-        for v in eqn.lhs:
-            mask |= 1 << v
-        rows.append((mask, eqn.rhs, eqn.weight))
-    while True:
-        shared = None
-        for var in range(norm.n):
-            bit = 1 << var
-            holders = [i for i, (mask, _, _) in enumerate(rows) if mask & bit]
-            if len(holders) == 2:
-                shared = holders
-                break
-        if shared is None:
-            break
-        i, j = shared
-        mask = rows[i][0] ^ rows[j][0]
-        rhs = rows[i][1] ^ rows[j][1]
-        weight = min(rows[i][2], rows[j][2])
-        rows[i] = (mask, rhs, weight)
-        del rows[j]
+    rows = [set(eqn.lhs) for eqn in norm.equations]
+    rhs = [eqn.rhs for eqn in norm.equations]
+    weight = [eqn.weight for eqn in norm.equations]
+    row_ids: list[set[int]] = [set() for _ in range(norm.n)]
+    for i, row in enumerate(rows):
+        for v in row:
+            row_ids[v].add(i)
+    for var in range(norm.n):
+        if len(row_ids[var]) != 2:
+            continue
+        keep, gone = row_ids[var]
+        if len(rows[keep]) < len(rows[gone]):
+            keep, gone = gone, keep
+        for v in rows[gone]:
+            row_ids[v].discard(gone)
+            if v in rows[keep]:
+                rows[keep].discard(v)
+                row_ids[v].discard(keep)
+            else:
+                rows[keep].add(v)
+                row_ids[v].add(keep)
+        rhs[keep] ^= rhs[gone]
+        weight[keep] = min(weight[keep], weight[gone])
+        rows[gone] = None
     return norm.forced_falsified + sum(
-        w for mask, rhs, w in rows if mask == 0 and rhs == 1
+        w for row, b, w in zip(rows, rhs, weight) if row == set() and b == 1
     )

@@ -1,4 +1,4 @@
-"""Oracle, GF(2) elimination, and the conditional-expectations baseline."""
+"""The brute-force oracle and the conditional-expectations baseline."""
 
 from __future__ import annotations
 
@@ -8,13 +8,10 @@ import pytest
 
 from maxlin2 import (
     CapacityError,
-    F2Matrix,
     LinSystem,
     brute_force_min_falsified,
     conditional_expectation_assignment,
     evaluate,
-    f2_rank,
-    f2_solve,
 )
 from helpers import all_assignments, random_system
 
@@ -66,56 +63,6 @@ def test_oracle_matches_naive_scan():
             if j in result.certificate
         ]
         assert tuple(falsified) == result.certificate
-
-
-def test_f2_rank_identity():
-    assert f2_rank(F2Matrix(2, (0b01, 0b10), (0, 0))) == 2
-
-
-def test_f2_rank_dependent_rows():
-    # third row is the sum of the first two
-    assert f2_rank(F2Matrix(3, (0b011, 0b110, 0b101), (0, 0, 0))) == 2
-
-
-def test_f2_rank_zero_matrix():
-    assert f2_rank(F2Matrix(3, (0, 0), (0, 0))) == 0
-
-
-def test_f2_solve_back_substitution():
-    # x1+x2=1, x2=1 -> (0, 1)
-    mat = F2Matrix(2, (0b11, 0b10), (1, 1))
-    assert f2_solve(mat) == (0, 1)
-
-
-def test_f2_solve_inconsistent():
-    assert f2_solve(F2Matrix(1, (1, 1), (0, 1))) is None
-
-
-def test_f2_solve_free_variable_defaults_to_zero():
-    assert f2_solve(F2Matrix(2, (0b11,), (0,))) == (0, 0)
-
-
-def test_f2_solve_agrees_with_rank_criterion():
-    rng = random.Random(21)
-    for _ in range(200):
-        width = rng.randint(1, 6)
-        rows = tuple(rng.randrange(1 << width) for _ in range(rng.randint(0, 6)))
-        rhs = tuple(rng.randint(0, 1) for _ in rows)
-        mat = F2Matrix(width, rows, rhs)
-        solution = f2_solve(mat)
-        aug_rank = f2_rank(
-            F2Matrix(width + 1, tuple(r | (b << width) for r, b in zip(rows, rhs)), rhs)
-        )
-        if solution is None:
-            assert f2_rank(mat) < aug_rank
-        else:
-            assert f2_rank(mat) == aug_rank
-            for row, b in zip(rows, rhs):
-                parity = 0
-                for v in range(width):
-                    if row >> v & 1:
-                        parity ^= solution[v]
-                assert parity == b
 
 
 @pytest.mark.parametrize(

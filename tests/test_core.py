@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import maxlin2
 from maxlin2 import (
+    CapacityError,
     DimensionError,
     Equation,
     LinSystem,
@@ -23,6 +24,7 @@ from maxlin2 import (
     occurrence_counts,
     profile,
 )
+from maxlin2.core import MAX_UNIT_EQUATIONS
 from helpers import random_system
 
 
@@ -91,6 +93,12 @@ def test_expand_unit_weights_splits_copies():
 def test_expand_unit_weights_fixed_point():
     system = LinSystem.build(2, [((0,), 1, 1), ((0, 1), 0, 1)])
     assert expand_unit_weights(system) == system
+
+
+def test_expand_unit_weights_refuses_huge_total_before_building():
+    system = LinSystem.build(2, [((0,), 1, MAX_UNIT_EQUATIONS), ((1,), 0, 1)])
+    with pytest.raises(CapacityError):
+        expand_unit_weights(system)
 
 
 def test_expand_unit_weights_mixed():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -268,6 +269,17 @@ def test_cli_reduce_then_solve_keeps_forced_ledger(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", str(out_path), "--mode", "exact"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == "s OPTIMUM 2"
+
+
+def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
+    source = _write(tmp_path, "big.lin2", "p lin2 1 1\n1000000000 1 1 1\n")
+    started = time.monotonic()
+    for target in ("eq3eq3", "deg3", "arity3"):
+        out_path = tmp_path / f"{target}.lin2"
+        assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
+        assert not out_path.exists()
+    assert time.monotonic() - started < 5
+    assert "unit expansion" in capsys.readouterr().err
 
 
 def test_cli_reduce_emits_reparsable_targets(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -15,6 +16,7 @@ from maxlin2 import (
     brute_force_min_falsified,
     chain_block_parity_check,
     deduplicate_equations,
+    emit_lin2,
     enforce_degree_exactly3,
     evaluate,
     expand_arity_to_3,
@@ -615,3 +617,39 @@ def test_oddset_through_pipeline_equivalence():
         candidate = tuple(rng.randint(0, 1) for _ in range(out.n))
         mapped = trace.map_assignment_back(candidate)
         assert evaluate(red.system, mapped)[1] <= evaluate(out, candidate)[1]
+
+
+# sha256 of the emitted .lin2 text, the forward maps and the back maps over
+# the corpus below. Any change to rule order, variable numbering or the
+# prune order of always-satisfied-removal shows up here.
+PIPELINE_GOLDEN = (
+    "0fd45df7fa498783e2332df220e1f53ea279f38c56e36d1474eacd28923bac11",
+    "0ff72011de114b5971ad6c451c1c526a5e3d4bb07d4e5702e4ce609278a8adf5",
+    "80ac1b0d7a104ce89056b794d732ef93ab1dd6cc89349e26b134859a20a76e01",
+)
+
+
+def test_pipeline_golden_digests():
+    rng = random.Random(0x601D)
+    systems = []
+    for _ in range(12):
+        system = random_system(
+            rng, max_vars=7, max_eqs=9, max_weight=2, max_arity=3, max_occurrence=4
+        )
+        if system.equations:
+            first = system.equations[0]
+            rows = [(e.lhs, e.rhs, e.weight) for e in system.equations]
+            system = LinSystem.build(system.n, rows + [(first.lhs, 1 - first.rhs, 1)])
+        systems.append(system)
+    inst = OddSetInstance(5, ((0, 1), (1, 2, 3), (2, 4), (0, 3, 4)), 1)
+    systems.append(oddset_to_lin2(inst).system)
+    text, forward, back = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for system in systems:
+        reduced, trace = to_eq3_eq3(system)
+        text.update(emit_lin2(reduced).encode())
+        a = tuple(rng.randint(0, 1) for _ in range(system.n))
+        forward.update(bytes(trace.map_assignment_forward(a)) + b"|")
+        b = tuple(rng.randint(0, 1) for _ in range(reduced.n))
+        back.update(bytes(trace.map_assignment_back(b)) + b"|")
+    digests = (text.hexdigest(), forward.hexdigest(), back.hexdigest())
+    assert digests == PIPELINE_GOLDEN

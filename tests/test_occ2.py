@@ -5,22 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlin2 import (
     Equation,
-    F2Matrix,
     InstanceClassError,
     LinSystem,
     brute_force_min_falsified,
     evaluate,
     extend_assignment,
-    f2_rank,
-    f2_solve,
     normalize,
+    occurrence_counts,
     prune_singletons,
+    solve_below_W,
     solve_occ2,
     solve_occ2_merge,
-    split_components,
 )
 from helpers import random_system
 
@@ -50,24 +50,59 @@ def test_prune_single_equation():
     assert log.steps[0].equation == Equation((0,), 1, 5)
 
 
+def test_prune_log_takes_lowest_singleton_first():
+    rng = random.Random(0x9E1)
+    for _ in range(300):
+        system = random_system(
+            rng, max_vars=9, max_eqs=12, max_weight=3, max_arity=3, max_occurrence=3
+        )
+        pruned, log = prune_singletons(system)
+        remaining = list(system.equations)
+        for step in log.steps:
+            occ = occurrence_counts(LinSystem(system.n, tuple(remaining)))
+            assert step.witness == occ.index(1)
+            assert step.witness in step.equation.lhs
+            remaining.remove(step.equation)
+        assert tuple(remaining) == pruned.equations
+        assert 1 not in occurrence_counts(pruned)
+
+
 def test_split_disjoint():
-    system = LinSystem.build(4, [((0, 1), 0, 1), ((2, 3), 1, 1)])
-    parts = split_components(system)
-    assert len(parts.components) == 2
-    assert parts.component_of == (0, 1)
+    # An opposing pair (loses 2) beside an odd triangle (loses its weight 1).
+    system = LinSystem.build(
+        5,
+        [
+            ((0, 1), 1, 3),
+            ((0, 1), 0, 2),
+            ((2, 3), 1, 4),
+            ((3, 4), 0, 1),
+            ((2, 4), 0, 5),
+        ],
+    )
+    result = solve_occ2(system)
+    assert result.falsified_weight == 3
+    assert result.certificate == (1, 3)
+    assert solve_occ2_merge(system) == 3
 
 
 def test_split_triangle():
+    # An odd triangle with a pendant variable is one satisfiable component.
     system = LinSystem.build(
-        3, [((0, 1), 0, 1), ((1, 2), 0, 1), ((0, 2), 0, 1)]
+        4, [((0, 1), 1, 1), ((1, 2), 0, 1), ((0, 2, 3), 0, 1)]
     )
-    parts = split_components(system)
-    assert len(parts.components) == 1
-    assert parts.equation_ids == ((0, 1, 2),)
+    result = solve_occ2(system)
+    assert result.falsified_weight == 0
+    assert solve_occ2_merge(system) == 0
 
 
 def test_split_empty():
-    assert split_components(LinSystem(0)).components == ()
+    result = solve_occ2(LinSystem(0))
+    assert (result.assignment, result.falsified_weight, result.certificate) == (
+        (),
+        0,
+        (),
+    )
+    assert solve_occ2_merge(LinSystem(2, (), forced_falsified=3)) == 3
 
 
 def test_solve_occ2_inconsistent_triangle():
@@ -113,7 +148,29 @@ def test_merge_consistent_chain():
     assert solve_occ2_merge(system) == 0
 
 
+def _components(system: LinSystem) -> list[LinSystem]:
+    """Connected components of the shared-variable graph, by union-find."""
+    parent = list(range(len(system.equations)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    first: dict[int, int] = {}
+    for j, eqn in enumerate(system.equations):
+        for v in eqn.lhs:
+            parent[find(j)] = find(first.setdefault(v, j))
+    groups: dict[int, list[Equation]] = {}
+    for j, eqn in enumerate(system.equations):
+        groups.setdefault(find(j), []).append(eqn)
+    return [LinSystem(system.n, tuple(eqs)) for eqs in groups.values()]
+
+
 def test_rank_structure_of_pruned_components():
+    # After pruning every variable occurs exactly twice, so each component's
+    # rows sum to zero: it loses its lightest equation iff its rhs bits XOR
+    # to 1, and nothing once any single equation is dropped.
     rng = random.Random(5150)
     checked = 0
     for _ in range(200):
@@ -121,21 +178,16 @@ def test_rank_structure_of_pruned_components():
             rng, max_vars=9, max_eqs=12, max_weight=4, max_occurrence=2
         )
         pruned, _ = prune_singletons(normalize(system))
-        parts = split_components(pruned)
-        for component in parts.components:
-            if not component.equations:
-                continue
-            mat = F2Matrix.from_system(component)
-            rows_sum = 0
-            for row in mat.rows:
-                rows_sum ^= row
-            assert rows_sum == 0  # every variable occurs exactly twice
-            assert f2_rank(mat) == len(mat.rows) - 1
-            for drop in range(len(mat.rows)):
-                kept_rows = tuple(r for i, r in enumerate(mat.rows) if i != drop)
-                kept_rhs = tuple(b for i, b in enumerate(mat.rhs) if i != drop)
-                sub = F2Matrix(mat.width, kept_rows, kept_rhs)
-                assert f2_solve(sub) is not None
+        assert set(occurrence_counts(pruned)) <= {0, 2}
+        for component in _components(pruned):
+            eqs = component.equations
+            parity = sum(e.rhs for e in eqs) % 2
+            loss = min(e.weight for e in eqs) if parity else 0
+            assert brute_force_min_falsified(component).falsified_weight == loss
+            assert solve_occ2(component).falsified_weight == loss
+            for drop in range(len(eqs)):
+                sub = LinSystem(component.n, eqs[:drop] + eqs[drop + 1 :])
+                assert solve_occ2_merge(sub) == 0
             checked += 1
     assert checked >= 50
 
@@ -164,3 +216,71 @@ def test_prune_preserves_optimum():
             brute_force_min_falsified(pruned).falsified_weight
             == brute_force_min_falsified(system).falsified_weight
         )
+
+
+@st.composite
+def occ2_systems(draw):
+    """Occurrence <= 2 systems with the shapes random_system never makes.
+
+    Besides free rows there are constant rows, duplicate and opposing pairs,
+    odd-parity cycles (with a pendant variable when arity 3 is allowed),
+    unused variables, n = 0 and an input forced_falsified ledger.
+    """
+    max_arity = draw(st.sampled_from((2, 3)))
+    weights = st.integers(1, 5)
+    n = 0
+    once: list[int] = []  # variables that so far occur in one row
+    rows = []
+
+    def fresh(count: int) -> list[int]:
+        nonlocal n
+        n += count
+        return list(range(n - count, n))
+
+    shapes = st.sampled_from(("row", "pair", "constant", "cycle"))
+    for shape in draw(st.lists(shapes, max_size=6)):
+        if n >= 6:  # keeps n <= 13 for the oracle
+            break
+        if shape == "row":
+            arity = draw(st.integers(1, max_arity))
+            reuse = draw(
+                st.lists(st.sampled_from(once), unique=True, max_size=arity)
+                if once
+                else st.just([])
+            )
+            once = [v for v in once if v not in reuse]
+            new = fresh(arity - len(reuse))
+            once += new
+            rows.append((reuse + new, draw(st.integers(0, 1)), draw(weights)))
+        elif shape == "pair":
+            lhs = fresh(draw(st.integers(1, max_arity)))
+            rows.append((lhs, draw(st.integers(0, 1)), draw(weights)))
+            rows.append((lhs, draw(st.integers(0, 1)), draw(weights)))
+        elif shape == "constant":
+            rows.append(((), draw(st.integers(0, 1)), draw(weights)))
+        else:
+            cycle = fresh(draw(st.integers(3, 4)))
+            bits = draw(st.lists(st.integers(0, 1), min_size=len(cycle) - 1,
+                                 max_size=len(cycle) - 1))
+            bits.append(1 ^ sum(bits) % 2)
+            lhss = [[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+            if max_arity == 3:
+                lhss[0] += fresh(1)
+            rows += [(lhs, b, draw(weights)) for lhs, b in zip(lhss, bits)]
+    n += draw(st.integers(0, 2))
+    return LinSystem.build(n, rows, forced_falsified=draw(st.integers(0, 3)))
+
+
+@given(occ2_systems())
+@settings(max_examples=300, deadline=None)
+def test_occ2_solvers_agree_with_oracle_on_edge_cases(system):
+    optimum = brute_force_min_falsified(system).falsified_weight
+    result = solve_occ2(system)
+    assert result.falsified_weight == optimum
+    assert evaluate(system, result.assignment)[1] == optimum
+    assert solve_occ2_merge(system) == optimum
+    if all(e.arity <= 2 for e in system.equations):
+        yes = solve_below_W(system, optimum)
+        assert yes is not None and yes.falsified_weight == optimum
+        if optimum > 0:
+            assert solve_below_W(system, optimum - 1) is None
