@@ -260,6 +260,51 @@ def test_cli_reduce_eq3eq3_then_stats(tmp_path, capsys):
     assert "r=3 s=3" in capsys.readouterr().out
 
 
+DEG3_TRACE = """\
+degree5plus variable=0 m:7->16 n:4->9
+degree4 variable=0 m:16->20 n:9->12
+degree4 variable=1 m:20->24 n:12->15
+degree4 variable=4 m:24->28 n:15->18
+degree4 variable=5 m:28->32 n:18->21
+degree4 variable=6 m:32->36 n:21->24
+degree4 variable=7 m:36->40 n:24->27
+degree4 variable=8 m:40->44 n:27->30
+"""
+
+# The exact .trace text of each target on one input with a weight-2 row, an
+# opposing unary pair and a variable of degree 5 (after unit expansion).
+REDUCE_TRACES = {
+    "deg3": DEG3_TRACE,
+    "arity3": DEG3_TRACE + "arity-expand m:44->88 n:30->118\n",
+    "eq3eq3": """\
+normalize m:6->6 n:4->4
+opposing-pairs m:6->4 n:4->4
+unit-expand m:4->5 n:4->4
+degree4 variable=0 m:5->9 n:4->7
+degree4 variable=1 m:9->13 n:7->10
+arity-expand m:13->24 n:10->32
+always-satisfied-removal m:24->23 n:32->32
+degree2-triplets m:23->103 n:32->104
+deduplicate m:103->199 n:104->200
+compact m:199->199 n:200->199
+""",
+}
+
+
+@pytest.mark.parametrize("target", sorted(REDUCE_TRACES))
+def test_cli_reduce_trace_file_text(tmp_path, capsys, target):
+    source = _write(
+        tmp_path,
+        "src.lin2",
+        "p lin2 4 6\n1 0 3 1 2 3\n2 1 2 1 2\n1 0 2 1 3\n"
+        "1 1 1 1\n1 0 1 1\n1 1 3 2 3 4\n",
+    )
+    out_path = tmp_path / "red.lin2"
+    assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert (tmp_path / "red.lin2.trace").read_text() == REDUCE_TRACES[target]
+
+
 def test_cli_reduce_then_solve_keeps_forced_ledger(tmp_path, capsys):
     source = _write(
         tmp_path, "src.lin2", "p lin2 2 4\n1 0 1 1\n1 1 1 1\n1 0 1 2\n1 1 1 2\n"
