@@ -139,7 +139,7 @@ def _run_reduction(system: LinSystem, target: str):
     if target == "deg3":
         return mid, trace
     out, arity_step = gadgets._expand_arity_step(mid)
-    return out, gadgets.ReductionTrace(trace.steps + (arity_step,))
+    return out, gadgets.ReductionTrace(trace.steps + (arity_step,), base, out)
 
 
 def _write_trace(path: Path, trace) -> None:
@@ -150,8 +150,7 @@ def _write_trace(path: Path, trace) -> None:
             detail = f" variable={step.data['variable']}"
         lines.append(
             f"{step.rule}{detail}"
-            f" m:{len(step.pre_system.equations)}->{len(step.post_system.equations)}"
-            f" n:{step.pre_system.n}->{step.post_system.n}"
+            f" m:{step.pre_m}->{step.post_m} n:{step.pre_n}->{step.post_n}"
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -55,14 +55,18 @@ class Equation:
     weight: int = 1
 
     def __post_init__(self) -> None:
+        lhs = self.lhs
         if self.rhs not in (0, 1):
             raise ValueError(f"rhs must be 0 or 1, got {self.rhs!r}")
         if self.weight < 1:
             raise ValueError(f"weight must be >= 1, got {self.weight!r}")
-        if self.lhs and self.lhs[0] < 0:
-            raise ValueError(f"negative variable index in {self.lhs}")
-        if any(b <= a for a, b in zip(self.lhs, self.lhs[1:])):
-            raise ValueError(f"lhs must be strictly ascending, got {self.lhs}")
+        if lhs and lhs[0] < 0:
+            raise ValueError(f"negative variable index in {lhs}")
+        # A plain loop: any() over a generator costs more, and this runs
+        # for every equation built.
+        for a, b in zip(lhs, lhs[1:]):
+            if b <= a:
+                raise ValueError(f"lhs must be strictly ascending, got {lhs}")
 
     @classmethod
     def make(cls, variables, rhs: int, weight: int = 1) -> "Equation":

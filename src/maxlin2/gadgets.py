@@ -8,29 +8,41 @@ equation has exactly three variables, every variable occurs in exactly three
 equations, and no two equations share a left-hand side -- without changing
 the minimum falsified weight.
 
-Every transformation logs a trace step; replaying the trace in reverse maps
-an assignment of the reduced instance back to one of the original whose
-falsified weight never exceeds the reduced one (and matches it at the
-optimum).
+Every transformation logs a trace step that records only its rule data
+and the variable and equation counts before and after, never a copy of the
+system. Replaying the trace in reverse maps an assignment of the reduced
+instance back to one of the original whose falsified weight never exceeds
+the reduced one (and matches it at the optimum).
+
+The rules rewrite one store of (lhs, rhs) rows with a variable-to-rows
+index, so a degree rule touches only its variable's rows and its new tie
+rows, and the output's equations are built once. Reduction and both
+assignment maps cost O(input + output). The output size of the degree rules
+follows from the degree profile alone, so an output above
+MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
+`maxlin2 reduce`) before it is built.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
+    MAX_UNIT_EQUATIONS,
+    CapacityError,
     ContractViolationError,
+    DimensionError,
     Equation,
     InstanceClassError,
     LinSystem,
     MaxLin2Error,
-    evaluate,
     expand_unit_weights,
     normalize,
     occurrence_counts,
 )
-from .occ2 import extend_assignment, prune_singletons
+from .occ2 import PruneLog, PruneStep, extend_assignment, singleton_cascade
 
 
 class GadgetError(MaxLin2Error):
@@ -152,25 +164,29 @@ def chain_block_parity_check(system: LinSystem, block, x_vars) -> int:
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One applied rule, with the systems before and after it."""
+    """One applied rule: the data the assignment maps need, and the sizes.
+
+    pre_n/pre_m and post_n/post_m are the variable and equation counts of
+    the system before and after the rule.
+    """
 
     rule: str
     data: dict
-    pre_system: LinSystem
-    post_system: LinSystem
+    pre_n: int
+    pre_m: int
+    post_n: int
+    post_m: int
+
+
+def _sized_step(rule: str, data: dict, pre: LinSystem, post: LinSystem) -> TraceStep:
+    return TraceStep(rule, data, pre.n, len(pre.equations), post.n, len(post.equations))
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
     steps: tuple[TraceStep, ...]
-
-    @property
-    def original_system(self) -> LinSystem:
-        return self.steps[0].pre_system
-
-    @property
-    def reduced_system(self) -> LinSystem:
-        return self.steps[-1].post_system
+    original_system: LinSystem
+    reduced_system: LinSystem
 
     def map_assignment_back(self, assignment) -> tuple[int, ...]:
         """Map an assignment of the reduced system to the original system.
@@ -178,10 +194,10 @@ class ReductionTrace:
         The mapped assignment falsifies at most as much weight as the given
         one does on the reduced system; at the optimum the weights agree.
         """
-        values = tuple(assignment)
+        values = _checked_list(assignment, self.reduced_system.n)
         for step in reversed(self.steps):
             values = _map_back_step(step, values)
-        return values
+        return tuple(values)
 
     def map_assignment_forward(self, assignment) -> tuple[int, ...]:
         """Extend an assignment of the original system to the reduced system.
@@ -192,241 +208,332 @@ class ReductionTrace:
         equations dropped as always-satisfiable get their witness variables
         re-satisfied first.
         """
-        values = tuple(assignment)
+        values = _checked_list(assignment, self.original_system.n)
         for step in self.steps:
             values = _map_forward_step(step, values)
-        return values
+        return tuple(values)
+
+
+def _checked_list(assignment, n: int) -> list[int]:
+    values = list(assignment)
+    if len(values) != n:
+        raise DimensionError(f"assignment length {len(values)} != variable count {n}")
+    return values
 
 
 def _best_uniform_clone_value(step: TraceStep, values) -> int:
-    """Pick the clone value whose uniform assignment falsifies least."""
-    clones = step.data["clones"]
-    best_value = 0
-    best_falsified = None
-    for v in (0, 1):
-        candidate = list(values)
-        for c in clones:
-            candidate[c] = v
-        falsified = evaluate(step.post_system, tuple(candidate))[1]
-        if best_falsified is None or falsified < best_falsified:
-            best_falsified = falsified
-            best_value = v
-    return best_value
+    """Pick the clone value whose uniform assignment falsifies least.
+
+    Only the rows that held the split variable tell the two values apart:
+    the ring and chord rows hold under any uniform value, and every other
+    row is the same under both. Ties go to 0.
+    """
+    variable = step.data["variable"]
+    falsified = [0, 0]
+    for lhs, rhs in step.data["rows"]:
+        parity = rhs
+        for v in lhs:
+            if v != variable:
+                parity ^= values[v]
+        falsified[parity ^ 1] += 1  # the row holds iff the clones equal parity
+    return 1 if falsified[1] < falsified[0] else 0
 
 
-def _map_back_step(step: TraceStep, values) -> tuple[int, ...]:
+# Both maps rewrite one list in place: a step truncates or extends it by the
+# variables it removed or added, so a whole map costs O(input + output).
+
+
+def _map_back_step(step: TraceStep, values: list[int]) -> list[int]:
     rule = step.rule
-    pre_n = step.pre_system.n
+    pre_n = step.pre_n
     if rule in ("normalize", "unit-expand", "opposing-pairs"):
-        return tuple(values)
+        return values
     if rule in ("degree4", "degree5plus"):
         v = _best_uniform_clone_value(step, values)
-        out = list(values[:pre_n])
-        out[step.data["variable"]] = v
-        return tuple(out)
+        del values[pre_n:]
+        values[step.data["variable"]] = v
+        return values
     if rule in ("arity-expand", "degree2-triplets"):
-        return tuple(values[:pre_n])
+        del values[pre_n:]
+        return values
     if rule == "always-satisfied-removal":
-        return extend_assignment(step.data["log"], values)
+        return list(extend_assignment(step.data["log"], values))
     if rule == "deduplicate":
-        out = list(values[:pre_n])
-        for eqn in step.data["triples"]:
-            x, y, z = eqn.lhs
-            out[x] = eqn.rhs
-            out[y] = 0
-            out[z] = 0
-        return tuple(out)
+        del values[pre_n:]
+        for (x, y, z), rhs in step.data["triples"]:
+            values[x] = rhs
+            values[y] = 0
+            values[z] = 0
+        return values
     if rule == "compact":
         out = [0] * pre_n
         for new_index, old_index in enumerate(step.data["kept"]):
             out[old_index] = values[new_index]
-        return tuple(out)
+        return out
     raise ContractViolationError(f"unknown trace rule {rule!r}")
 
 
-def _map_forward_step(step: TraceStep, values) -> tuple[int, ...]:
+def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
     rule = step.rule
     if rule in ("normalize", "unit-expand", "opposing-pairs"):
-        return tuple(values)
+        return values
     if rule in ("degree4", "degree5plus"):
         clones = step.data["clones"]
-        out = list(values)
-        out.extend(values[clones[0]] for _ in clones[1:])
-        return tuple(out)
+        values.extend([values[clones[0]]] * (len(clones) - 1))
+        return values
     if rule == "arity-expand":
-        out = list(values)
-        for eq_index, fresh in step.data["expanded"]:
-            eqn = step.pre_system.equations[eq_index]
-            if eqn.arity == 2:
-                x = eqn.lhs[0]
-                out.extend((values[x], 0))  # u = x, v = 0 satisfies u+v+x=0
+        for lhs, rhs in step.data["expanded"]:
+            if len(lhs) == 2:
+                values.extend((values[lhs[0]], 0))  # u = x, v = 0 satisfies u+v+x=0
             else:
-                parity = values[eqn.lhs[0]]
                 # a = 1 shifts the mismatch onto a single gadget equation
-                out.extend((0, 0, 0, 0) if parity == eqn.rhs else (1, 0, 0, 0))
-        return tuple(out)
+                values.extend((0, 0, 0, 0) if values[lhs[0]] == rhs else (1, 0, 0, 0))
+        return values
     if rule == "always-satisfied-removal":
-        return extend_assignment(step.data["log"], values)
+        return list(extend_assignment(step.data["log"], values))
     if rule == "degree2-triplets":
-        out = list(values)
-        for (t1, t2, t3), _fresh in step.data["triplets"]:
+        for t1, t2, t3 in step.data["triplets"]:
             tie = values[t1] ^ values[t2]
-            out.extend((0, 0, 0, tie, tie, tie, values[t3], values[t3], values[t3]))
-        return tuple(out)
+            t = values[t3]
+            values.extend((0, 0, 0, tie, tie, tie, t, t, t))
+        return values
     if rule == "deduplicate":
-        out = list(values)
-        for eqn in step.data["triples"]:
-            x, y, z = eqn.lhs
-            out[x] = eqn.rhs ^ out[y] ^ out[z]
-        for (x, y, z), rhs, _fresh in step.data["pairs"]:
-            parity = out[x] ^ out[y] ^ out[z]
-            c = out[z] if parity == rhs else out[z] ^ 1
-            out.extend((out[x], out[y], c, out[x], out[y], c))
-        return tuple(out)
+        for (x, y, z), rhs in step.data["triples"]:
+            values[x] = rhs ^ values[y] ^ values[z]
+        for (x, y, z), rhs in step.data["pairs"]:
+            parity = values[x] ^ values[y] ^ values[z]
+            c = values[z] if parity == rhs else values[z] ^ 1
+            values.extend((values[x], values[y], c, values[x], values[y], c))
+        return values
     if rule == "compact":
-        return tuple(values[old] for old in step.data["kept"])
+        return [values[old] for old in step.data["kept"]]
     raise ContractViolationError(f"unknown trace rule {rule!r}")
 
 
-def _require_unit_weights(system: LinSystem, op: str) -> None:
-    if any(e.weight != 1 for e in system.equations):
-        raise GadgetError(f"{op} requires unit weights")
+# ---------------------------------------------------------------------------
+# The working store the rewriting rules share
+
+
+class _Rows:
+    """A unit-weight system as (lhs, rhs) rows that the rules rewrite.
+
+    Every rule below runs on one store, so no rule rebuilds or re-validates
+    Equation objects; `system()` builds them, with full validation, once.
+    """
+
+    def __init__(self, system: LinSystem, op: str) -> None:
+        if any(e.weight != 1 for e in system.equations):
+            raise GadgetError(f"{op} requires unit weights")
+        self.n = system.n
+        self.rows = [(e.lhs, e.rhs) for e in system.equations]
+        self.forced = system.forced_falsified
+
+    def sizes(self) -> tuple[int, int]:
+        return self.n, len(self.rows)
+
+    def step(self, rule: str, data: dict, pre: tuple[int, int]) -> TraceStep:
+        return TraceStep(rule, data, *pre, self.n, len(self.rows))
+
+    def occurrences(self) -> list[int]:
+        counts = [0] * self.n
+        for lhs, _ in self.rows:
+            for v in lhs:
+                counts[v] += 1
+        return counts
+
+    def holders(self) -> list[list[int]]:
+        """Ids of the rows holding each variable, ascending."""
+        holders: list[list[int]] = [[] for _ in range(self.n)]
+        for j, (lhs, _) in enumerate(self.rows):
+            for v in lhs:
+                holders[v].append(j)
+        return holders
+
+    def system(self) -> LinSystem:
+        eqs = tuple(Equation(lhs, rhs) for lhs, rhs in self.rows)
+        return LinSystem(self.n, eqs, self.forced)
 
 
 # ---------------------------------------------------------------------------
 # Occurrence (degree) reduction rules
 
-
-def _reduce_degree4_step(system: LinSystem, variable: int) -> tuple[LinSystem, TraceStep]:
-    _require_unit_weights(system, "degree-4 rule")
-    occ = occurrence_counts(system)
-    if occ[variable] != 4:
-        raise GadgetError(f"variable {variable} occurs {occ[variable]} times, not 4")
-    clones = (variable, system.n, system.n + 1, system.n + 2)
-    eqs: list[Equation] = []
-    used = 0
-    for eqn in system.equations:
-        if variable in eqn.lhs:
-            replaced = tuple(clones[used] if v == variable else v for v in eqn.lhs)
-            eqs.append(Equation.make(replaced, eqn.rhs, 1))
-            used += 1
-        else:
-            eqs.append(eqn)
-    ring = ((0, 1), (1, 2), (2, 3), (3, 0))
-    for a, b in ring:
-        eqs.append(Equation.make((clones[a], clones[b]), 0, 1))
-    post = LinSystem(system.n + 3, tuple(eqs), system.forced_falsified)
-    step = TraceStep(
-        "degree4", {"variable": variable, "clones": clones}, system, post
-    )
-    return post, step
+_RING = ((0, 1), (1, 2), (2, 3), (3, 0))
+_RING_AND_CHORDS = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5))
 
 
-def _reduce_degree5plus_step(
-    system: LinSystem, variable: int
-) -> tuple[LinSystem, TraceStep]:
-    _require_unit_weights(system, "degree-5+ rule")
-    occ = occurrence_counts(system)
-    degree = occ[variable]
-    if degree < 5:
-        raise GadgetError(f"variable {variable} occurs {degree} times, below 5")
-    clones = (variable,) + tuple(range(system.n, system.n + 5))
-    eqs: list[Equation] = []
-    used = 0
-    for eqn in system.equations:
-        if variable in eqn.lhs:
-            # Fill the last clone first, round robin, so the sorted original
-            # occurrence counts sit between floor(d/6) and ceil(d/6).
-            clone = clones[5 - (used % 6)]
-            replaced = tuple(clone if v == variable else v for v in eqn.lhs)
-            eqs.append(Equation.make(replaced, eqn.rhs, 1))
-            used += 1
-        else:
-            eqs.append(eqn)
-    copies = -((degree - 2) // -6)  # ceil((d-2)/6)
-    pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5))
-    for a, b in pairs:
+def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
+    """Split one variable of degree d >= 4 into tied clones, in place.
+
+    d = 4: the four occurrences go to a 4-cycle of clones. d >= 5: they go
+    round robin to six clones tied by a ring and three chords, each tie
+    repeated ceil((d-2)/6) times. Only the variable's rows and the new tie
+    rows are touched; each clone is fresh, so it sorts last in its row. The
+    step records the variable's rows as they were before the split, the
+    only rows map-back has to evaluate.
+    """
+    rows = store.rows
+    ids = holders[variable]
+    degree = len(ids)
+    pre = store.sizes()
+    n = store.n
+    data: dict = {"variable": variable, "rows": tuple(rows[j] for j in ids)}
+    if degree == 4:
+        rule, ties, copies = "degree4", _RING, 1
+        clones = (variable, n, n + 1, n + 2)
+        order = clones
+    else:
+        rule, ties, copies = "degree5plus", _RING_AND_CHORDS, -((degree - 2) // -6)
+        clones = (variable,) + tuple(range(n, n + 5))
+        data["copies"] = copies
+        # Fill the last clone first, round robin, so the sorted original
+        # occurrence counts sit between floor(d/6) and ceil(d/6).
+        order = clones[::-1]
+    data["clones"] = clones
+    store.n += len(clones) - 1
+    holders[variable] = []
+    holders.extend([] for _ in clones[1:])
+    for used, j in enumerate(ids):
+        clone = order[used % len(order)]
+        if clone != variable:
+            lhs, rhs = rows[j]
+            rows[j] = (tuple(v for v in lhs if v != variable) + (clone,), rhs)
+        holders[clone].append(j)
+    for a, b in ties:
+        x, y = sorted((clones[a], clones[b]))
         for _ in range(copies):
-            eqs.append(Equation.make((clones[a], clones[b]), 0, 1))
-    post = LinSystem(system.n + 5, tuple(eqs), system.forced_falsified)
-    step = TraceStep(
-        "degree5plus",
-        {"variable": variable, "clones": clones, "copies": copies},
-        system,
-        post,
-    )
-    return post, step
+            holders[x].append(len(rows))
+            holders[y].append(len(rows))
+            rows.append(((x, y), 0))
+    return store.step(rule, data, pre)
+
+
+def _split_growth(degree: int, memo: dict) -> tuple[int, int]:
+    """Variables and rows the degree rules add to bring one variable to <= 3."""
+    if degree <= 3:
+        return 0, 0
+    if degree == 4:
+        return 3, 4
+    if degree not in memo:
+        copies = -((degree - 2) // -6)
+        n, m = 5, 9 * copies
+        for r in range(6):
+            # The clone filled r-th takes occurrences r, r + 6, ... plus its
+            # three kinds of tie rows.
+            dn, dm = _split_growth(-((degree - r) // -6) + 3 * copies, memo)
+            n += dn
+            m += dm
+        memo[degree] = n, m
+    return memo[degree]
+
+
+def _normalize_degrees(store: _Rows) -> list[TraceStep]:
+    """Split the worst variable, lowest index first, until every d(x) <= 3.
+
+    The output size depends only on the degree profile, so it is predicted
+    before any row is built: a prediction above MAX_UNIT_EQUATIONS rows is
+    refused with CapacityError, and a build that misses it is a bug.
+    """
+    holders = store.holders()
+    memo: dict = {}
+    n, m = store.sizes()
+    for ids in holders:
+        dn, dm = _split_growth(len(ids), memo)
+        n += dn
+        m += dm
+    if m > MAX_UNIT_EQUATIONS:
+        raise CapacityError(
+            f"degree splitting would build {m} equations, over {MAX_UNIT_EQUATIONS}"
+        )
+    # A variable's count changes only when it is split, and then it falls,
+    # so every variable has at most one heap entry and none goes stale.
+    heap = [(-len(ids), v) for v, ids in enumerate(holders) if len(ids) > 3]
+    heapq.heapify(heap)
+    steps: list[TraceStep] = []
+    while heap:
+        step = _split(store, holders, heapq.heappop(heap)[1])
+        steps.append(step)
+        for c in step.data["clones"]:
+            if len(holders[c]) > 3:
+                heapq.heappush(heap, (-len(holders[c]), c))
+    if store.sizes() != (n, m):
+        raise ContractViolationError(
+            f"degree splitting built {store.sizes()}, predicted {(n, m)}"
+        )
+    return steps
+
+
+def _split_step(system: LinSystem, variable: int, rule: str) -> tuple[LinSystem, TraceStep]:
+    store = _Rows(system, f"{rule} rule")
+    holders = store.holders()
+    degree = len(holders[variable])
+    if (degree != 4) if rule == "degree4" else (degree < 5):
+        raise GadgetError(f"variable {variable} occurs {degree} times; {rule} does not apply")
+    step = _split(store, holders, variable)
+    return store.system(), step
 
 
 def reduce_degree4(system: LinSystem, variable: int) -> LinSystem:
     """Split a variable occurring 4 times into a 4-cycle of fresh variables."""
-    return _reduce_degree4_step(system, variable)[0]
+    return _split_step(system, variable, "degree4")[0]
 
 
 def reduce_degree5plus(system: LinSystem, variable: int) -> LinSystem:
     """Split a variable occurring 5+ times into 6 ring-and-chord-tied clones."""
-    return _reduce_degree5plus_step(system, variable)[0]
-
-
-def _normalize_max_degree3_steps(
-    system: LinSystem,
-) -> tuple[LinSystem, list[TraceStep]]:
-    _require_unit_weights(system, "degree normalization")
-    steps: list[TraceStep] = []
-    current = system
-    while True:
-        occ = occurrence_counts(current)
-        worst = max(occ, default=0)
-        if worst <= 3:
-            return current, steps
-        variable = occ.index(worst)
-        if worst == 4:
-            current, step = _reduce_degree4_step(current, variable)
-        else:
-            current, step = _reduce_degree5plus_step(current, variable)
-        steps.append(step)
+    return _split_step(system, variable, "degree5plus")[0]
 
 
 def normalize_max_degree3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
-    """Apply the degree rules, worst variable first, until every d(x) <= 3."""
-    post, steps = _normalize_max_degree3_steps(system)
-    return post, ReductionTrace(tuple(steps))
+    """Apply the degree rules, worst variable first, until every d(x) <= 3.
+
+    Raises CapacityError, before building anything, when the output would
+    exceed MAX_UNIT_EQUATIONS equations.
+    """
+    store = _Rows(system, "degree normalization")
+    steps = _normalize_degrees(store)
+    out = store.system()
+    return out, ReductionTrace(tuple(steps), system, out)
 
 
 # ---------------------------------------------------------------------------
 # Arity expansion to exactly three variables per equation
 
 
-def _expand_arity_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
-    _require_unit_weights(system, "arity expansion")
-    next_var = system.n
-    eqs: list[Equation] = []
-    expanded: list[tuple[int, tuple[int, ...]]] = []
-    for j, eqn in enumerate(system.equations):
-        if eqn.arity == 3:
-            eqs.append(eqn)
-        elif eqn.arity == 2:
-            x, y = eqn.lhs
+def _expand_arity(store: _Rows) -> TraceStep:
+    pre = store.sizes()
+    next_var = store.n
+    rows: list = []
+    expanded = []
+    for row in store.rows:
+        lhs, rhs = row
+        if len(lhs) == 3:
+            rows.append(row)
+        elif len(lhs) == 2:
             u, v = next_var, next_var + 1
             next_var += 2
-            eqs.append(Equation.make((u, v, x), 0, 1))
-            eqs.append(Equation.make((u, v, y), eqn.rhs, 1))
-            expanded.append((j, (u, v)))
-        elif eqn.arity == 1:
-            x = eqn.lhs[0]
+            rows.append(((lhs[0], u, v), 0))
+            rows.append(((lhs[1], u, v), rhs))
+            expanded.append(row)
+        elif len(lhs) == 1:
+            x = lhs[0]
             a, b, u, v = range(next_var, next_var + 4)
             next_var += 4
-            eqs.append(Equation.make((a, b, x), eqn.rhs, 1))
-            eqs.append(Equation.make((u, v, a), 0, 1))
-            eqs.append(Equation.make((u, v, b), 0, 1))
-            expanded.append((j, (a, b, u, v)))
+            rows.append(((x, a, b), rhs))
+            rows.append(((a, u, v), 0))
+            rows.append(((b, u, v), 0))
+            expanded.append(row)
         else:
             raise GadgetError(
-                f"arity {eqn.arity} equation cannot be expanded to arity 3"
+                f"arity {len(lhs)} equation cannot be expanded to arity 3"
             )
-    post = LinSystem(next_var, tuple(eqs), system.forced_falsified)
-    step = TraceStep("arity-expand", {"expanded": tuple(expanded)}, system, post)
-    return post, step
+    store.n = next_var
+    store.rows = rows
+    return store.step("arity-expand", {"expanded": tuple(expanded)}, pre)
+
+
+def _expand_arity_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
+    store = _Rows(system, "arity expansion")
+    step = _expand_arity(store)
+    return store.system(), step
 
 
 def expand_arity_to_3(system: LinSystem) -> LinSystem:
@@ -443,49 +550,55 @@ def expand_arity_to_3(system: LinSystem) -> LinSystem:
 # Occurrence exactly three
 
 
-def _enforce_degree_steps(system: LinSystem) -> tuple[LinSystem, list[TraceStep]]:
-    _require_unit_weights(system, "degree enforcement")
-    occ = occurrence_counts(system)
+def _enforce_degree(store: _Rows) -> list[TraceStep]:
+    occ = store.occurrences()
     if any(c > 3 for c in occ):
         raise GadgetError("occurrence above 3; run degree normalization first")
-    if any(e.arity != 3 for e in system.equations):
+    if any(len(lhs) != 3 for lhs, _ in store.rows):
         raise GadgetError("arity must be exactly 3; run arity expansion first")
-    steps: list[TraceStep] = []
     # Equations holding a variable that occurs nowhere else are always
     # satisfiable; drop them (cascading) and log the witnesses.
-    mid, log = prune_singletons(system)
-    steps.append(TraceStep("always-satisfied-removal", {"log": log}, system, mid))
-    occ = occurrence_counts(mid)
-    deg2 = [v for v in range(mid.n) if occ[v] == 2]
+    pre = store.sizes()
+    rows = store.rows
+    deleted = singleton_cascade(store.n, [lhs for lhs, _ in rows])
+    log = PruneLog(tuple(PruneStep(Equation(*rows[j]), w) for j, w in deleted))
+    if deleted:
+        gone = {j for j, _ in deleted}
+        for j in gone:
+            for v in rows[j][0]:
+                occ[v] -= 1
+        store.rows = rows = [row for j, row in enumerate(rows) if j not in gone]
+    steps = [store.step("always-satisfied-removal", {"log": log}, pre)]
+    deg2 = [v for v, c in enumerate(occ) if c == 2]
     if len(deg2) % 3:
         raise ContractViolationError(
             f"{len(deg2)} variables of occurrence 2; expected a multiple of 3"
         )
-    next_var = mid.n
-    eqs = list(mid.equations)
-    triplets: list[tuple[tuple[int, int, int], tuple[int, ...]]] = []
+    pre = store.sizes()
+    next_var = store.n
+    triplets = []
     for i in range(0, len(deg2), 3):
         t1, t2, t3 = deg2[i : i + 3]
         z1, z2, z3, u1, u2, u3, u4, u5, u6 = range(next_var, next_var + 9)
         next_var += 9
-        eqs.extend(
+        rows.extend(
             (
-                Equation.make((t1, t2, u1), 0),
-                Equation.make((u1, u2, z1), 0),
-                Equation.make((u2, u3, z1), 0),
-                Equation.make((u2, u3, z1), 0),
-                Equation.make((u3, u1, z2), 0),
-                Equation.make((t3, u4, z2), 0),
-                Equation.make((u4, u5, z2), 0),
-                Equation.make((u5, u6, z3), 0),
-                Equation.make((u5, u6, z3), 0),
-                Equation.make((u6, u4, z3), 0),
+                ((t1, t2, u1), 0),
+                ((z1, u1, u2), 0),
+                ((z1, u2, u3), 0),
+                ((z1, u2, u3), 0),
+                ((z2, u1, u3), 0),
+                ((t3, z2, u4), 0),
+                ((z2, u4, u5), 0),
+                ((z3, u5, u6), 0),
+                ((z3, u5, u6), 0),
+                ((z3, u4, u6), 0),
             )
         )
-        triplets.append(((t1, t2, t3), (z1, z2, z3, u1, u2, u3, u4, u5, u6)))
-    post = LinSystem(next_var, tuple(eqs), mid.forced_falsified)
-    steps.append(TraceStep("degree2-triplets", {"triplets": tuple(triplets)}, mid, post))
-    return post, steps
+        triplets.append((t1, t2, t3))
+    store.n = next_var
+    steps.append(store.step("degree2-triplets", {"triplets": tuple(triplets)}, pre))
+    return steps
 
 
 def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -496,24 +609,29 @@ def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrac
     ascending-index triplets, each tied to nine fresh variables by ten unit
     equations that any assignment of the triplet can satisfy in full.
     """
-    post, steps = _enforce_degree_steps(system)
-    return post, ReductionTrace(tuple(steps))
+    store = _Rows(system, "degree enforcement")
+    steps = _enforce_degree(store)
+    out = store.system()
+    return out, ReductionTrace(tuple(steps), system, out)
 
 
 # ---------------------------------------------------------------------------
 # Duplicate elimination
 
 
-def _dedup_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
-    _require_unit_weights(system, "deduplication")
-    if any(e.arity != 3 for e in system.equations):
+def _deduplicate(store: _Rows) -> TraceStep:
+    rows = store.rows
+    if any(len(lhs) != 3 for lhs, _ in rows):
         raise GadgetError("deduplication expects arity exactly 3")
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for j, eqn in enumerate(system.equations):
-        groups.setdefault(eqn.lhs, []).append(j)
-    occ = occurrence_counts(system)
-    for lhs, members in groups.items():
-        if len({system.equations[j].rhs for j in members}) > 1:
+    first: dict[tuple[int, ...], int] = {}
+    copies: dict[tuple[int, ...], list[int]] = {}
+    for j, (lhs, _) in enumerate(rows):
+        i = first.setdefault(lhs, j)
+        if i != j:
+            copies.setdefault(lhs, [i]).append(j)
+    occ = store.occurrences() if copies else []
+    for lhs, members in copies.items():
+        if len({rows[j][1] for j in members}) > 1:
             raise ContractViolationError(
                 f"equations with lhs {lhs} disagree on rhs"
             )
@@ -521,54 +639,51 @@ def _dedup_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
             raise ContractViolationError(
                 f"{len(members)} copies of lhs {lhs}; at most 3 possible"
             )
-    next_var = system.n
-    eqs: list[Equation] = []
-    pairs: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-    triples: list[Equation] = []
-    for j, eqn in enumerate(system.equations):
-        members = groups[eqn.lhs]
-        if len(members) == 1:
-            eqs.append(eqn)
+    pre = store.sizes()
+    next_var = store.n
+    out: list = []
+    pairs = []
+    triples = []
+    for j, row in enumerate(rows):
+        lhs, b = row
+        members = copies.get(lhs)
+        if members is None:
+            out.append(row)
             continue
         if j != members[0]:
             continue
         if len(members) == 3:
-            for v in eqn.lhs:
+            for v in lhs:
                 if occ[v] != 3:
                     raise ContractViolationError(
                         f"variable {v} of a triple copy occurs elsewhere"
                     )
-            triples.append(eqn)
+            triples.append(row)
             continue
         # Two copies: replace with eight equations over six fresh variables.
         # Under an assignment satisfying the copied equation all eight hold;
         # otherwise each inconsistent half forces one falsified equation,
         # matching the weight of the two lost copies.
-        x, y, z = eqn.lhs
-        b = eqn.rhs
+        x, y, z = lhs
         a1, b1, c1, a2, b2, c2 = range(next_var, next_var + 6)
         next_var += 6
-        eqs.extend(
+        out.extend(
             (
-                Equation.make((x, y, c1), b),
-                Equation.make((a1, b1, c1), b),
-                Equation.make((a1, b1, z), b),
-                Equation.make((x, y, c2), b),
-                Equation.make((a2, b2, c2), b),
-                Equation.make((a2, b2, z), b),
-                Equation.make((a1, b2, c1), b),
-                Equation.make((a2, b1, c2), b),
+                ((x, y, c1), b),
+                ((a1, b1, c1), b),
+                ((z, a1, b1), b),
+                ((x, y, c2), b),
+                ((a2, b2, c2), b),
+                ((z, a2, b2), b),
+                ((a1, c1, b2), b),
+                ((b1, a2, c2), b),
             )
         )
-        pairs.append((eqn.lhs, b, (a1, b1, c1, a2, b2, c2)))
-    post = LinSystem(next_var, tuple(eqs), system.forced_falsified)
-    step = TraceStep(
-        "deduplicate",
-        {"pairs": tuple(pairs), "triples": tuple(triples)},
-        system,
-        post,
-    )
-    return post, step
+        pairs.append(row)
+    store.n = next_var
+    store.rows = out
+    data = {"pairs": tuple(pairs), "triples": tuple(triples)}
+    return store.step("deduplicate", data, pre)
 
 
 def deduplicate_equations(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -578,8 +693,10 @@ def deduplicate_equations(system: LinSystem) -> tuple[LinSystem, ReductionTrace]
     the copies are always satisfiable and simply removed. Two copies are
     replaced by the eight-equation gadget over six fresh variables.
     """
-    post, step = _dedup_step(system)
-    return post, ReductionTrace((step,))
+    store = _Rows(system, "deduplication")
+    step = _deduplicate(store)
+    out = store.system()
+    return out, ReductionTrace((step,), system, out)
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +716,11 @@ def _resolve_opposing_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
         by_lhs.setdefault(eqn.lhs, []).append(eqn)
     forced = system.forced_falsified
     eqs: list[Equation] = []
-    resolved: list[tuple[int, ...]] = []
     for lhs, members in sorted(by_lhs.items()):
         weights = [0, 0]
         for eqn in members:
             weights[eqn.rhs] += eqn.weight
         if weights[0] and weights[1]:
-            resolved.append(lhs)
             forced += min(weights)
             if weights[0] != weights[1]:
                 heavier = 0 if weights[0] > weights[1] else 1
@@ -613,21 +728,21 @@ def _resolve_opposing_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
         else:
             eqs.extend(members)
     post = LinSystem(system.n, tuple(eqs), forced)
-    return post, TraceStep(
-        "opposing-pairs", {"resolved": tuple(resolved)}, system, post
-    )
+    return post, _sized_step("opposing-pairs", {}, system, post)
 
 
-def _compact_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
-    occ = occurrence_counts(system)
-    kept = tuple(v for v in range(system.n) if occ[v] > 0)
-    remap = {old: new for new, old in enumerate(kept)}
-    eqs = tuple(
-        Equation(tuple(remap[v] for v in e.lhs), e.rhs, e.weight)
-        for e in system.equations
-    )
-    post = LinSystem(len(kept), eqs, system.forced_falsified)
-    return post, TraceStep("compact", {"kept": kept}, system, post)
+def _compact(store: _Rows) -> TraceStep:
+    """Drop unused variable slots; every row has arity 3 by now."""
+    pre = store.sizes()
+    kept = tuple(v for v, c in enumerate(store.occurrences()) if c)
+    remap = [0] * store.n
+    for new, old in enumerate(kept):
+        remap[old] = new
+    store.rows = [
+        ((remap[x], remap[y], remap[z]), rhs) for (x, y, z), rhs in store.rows
+    ]
+    store.n = len(kept)
+    return store.step("compact", {"kept": kept}, pre)
 
 
 def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -637,29 +752,28 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     expand weights to unit copies, cut occurrences down to 3, pad arities up
     to 3, enforce occurrence exactly 3, deduplicate, and finally drop unused
     variable slots. Each stage preserves the minimum falsified weight, so
-    the composition does too.
+    the composition does too. From the degree rules on, the stages rewrite
+    one row store, and the output's equations are built once, at the end.
     """
     if any(e.arity > 3 for e in system.equations):
         raise InstanceClassError("pipeline input must have arity at most 3")
-    steps: list[TraceStep] = []
     s0 = normalize(system)
-    steps.append(TraceStep("normalize", {}, system, s0))
     s1, opposing = _resolve_opposing_step(s0)
-    steps.append(opposing)
     s2 = expand_unit_weights(s1)
-    steps.append(TraceStep("unit-expand", {}, s1, s2))
-    s3, degree_steps = _normalize_max_degree3_steps(s2)
-    steps.extend(degree_steps)
-    s4, arity_step = _expand_arity_step(s3)
-    steps.append(arity_step)
-    s5, enforce_steps = _enforce_degree_steps(s4)
-    steps.extend(enforce_steps)
-    s6, dedup = _dedup_step(s5)
-    steps.append(dedup)
-    s7, compact = _compact_step(s6)
-    steps.append(compact)
-    _check_eq3_eq3(s7)
-    return s7, ReductionTrace(tuple(steps))
+    steps = [
+        _sized_step("normalize", {}, system, s0),
+        opposing,
+        _sized_step("unit-expand", {}, s1, s2),
+    ]
+    store = _Rows(s2, "degree normalization")
+    steps.extend(_normalize_degrees(store))
+    steps.append(_expand_arity(store))
+    steps.extend(_enforce_degree(store))
+    steps.append(_deduplicate(store))
+    steps.append(_compact(store))
+    out = store.system()
+    _check_eq3_eq3(out)
+    return out, ReductionTrace(tuple(steps), system, out)
 
 
 def _check_eq3_eq3(system: LinSystem) -> None:

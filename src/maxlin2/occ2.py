@@ -49,47 +49,57 @@ def _check_occurrence_bound(system: LinSystem) -> None:
         )
 
 
-def prune_singletons(system: LinSystem) -> tuple[LinSystem, PruneLog]:
-    """Exhaustively delete equations that contain a variable occurring once.
+def singleton_cascade(n: int, lhss) -> list[tuple[int, int]]:
+    """Rows deleted by exhaustive singleton pruning, as (row, witness) pairs.
 
-    Such an equation can always be satisfied by choosing that variable last,
-    so the minimum falsified weight is unchanged. Deletions cascade; the
-    lowest-indexed singleton variable is processed first. Occurrence counts
-    are decremented per deletion and the current singletons kept in a
-    min-heap, so the whole cascade costs O(size · log n).
+    `lhss` lists each row's variables. A row holding a variable that occurs
+    in no other live row is deleted, cascading; the lowest-indexed singleton
+    variable is processed first. Occurrence counts are decremented per
+    deletion and the current singletons kept in a min-heap, so the whole
+    cascade costs O(size · log n).
     """
-    eqs = system.equations
-    occ = [0] * system.n
-    # XOR of the indices of the live equations holding each variable: for a
-    # singleton it is the index of its one equation.
-    holder = [0] * system.n
-    for j, eqn in enumerate(eqs):
-        for v in eqn.lhs:
+    occ = [0] * n
+    # XOR of the indices of the live rows holding each variable: for a
+    # singleton it is the index of its one row.
+    holder = [0] * n
+    for j, lhs in enumerate(lhss):
+        for v in lhs:
             occ[v] += 1
             holder[v] ^= j
     # Counts only fall, so each variable enters the heap at most once; an
     # entry whose count has since dropped to 0 is skipped.
-    singletons = [v for v in range(system.n) if occ[v] == 1]
-    alive = [True] * len(eqs)
-    steps: list[PruneStep] = []
+    singletons = [v for v in range(n) if occ[v] == 1]
+    deleted: list[tuple[int, int]] = []
     while singletons:
         witness = heapq.heappop(singletons)
         if occ[witness] != 1:
             continue
         j = holder[witness]
-        alive[j] = False
-        steps.append(PruneStep(eqs[j], witness))
-        for v in eqs[j].lhs:
+        deleted.append((j, witness))
+        for v in lhss[j]:
             occ[v] -= 1
             holder[v] ^= j
             if occ[v] == 1:
                 heapq.heappush(singletons, v)
+    return deleted
+
+
+def prune_singletons(system: LinSystem) -> tuple[LinSystem, PruneLog]:
+    """Exhaustively delete equations that contain a variable occurring once.
+
+    Such an equation can always be satisfied by choosing that variable last,
+    so the minimum falsified weight is unchanged. Deletions cascade in the
+    order of `singleton_cascade`.
+    """
+    eqs = system.equations
+    deleted = singleton_cascade(system.n, [eqn.lhs for eqn in eqs])
+    gone = {j for j, _ in deleted}
     pruned = LinSystem(
         system.n,
-        tuple(eqn for j, eqn in enumerate(eqs) if alive[j]),
+        tuple(eqn for j, eqn in enumerate(eqs) if j not in gone),
         system.forced_falsified,
     )
-    return pruned, PruneLog(tuple(steps))
+    return pruned, PruneLog(tuple(PruneStep(eqs[j], w) for j, w in deleted))
 
 
 def extend_assignment(log: PruneLog, assignment) -> tuple[int, ...]:

@@ -327,6 +327,19 @@ def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
     assert "unit expansion" in capsys.readouterr().err
 
 
+def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
+    # One variable in 300 equations would split into about 10^9 equations.
+    rows = "".join(f"1 0 2 1 {j}\n" for j in range(2, 302))
+    source = _write(tmp_path, "star.lin2", f"p lin2 301 300\n{rows}")
+    started = time.monotonic()
+    for target in ("eq3eq3", "deg3", "arity3"):
+        out_path = tmp_path / f"{target}.lin2"
+        assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
+        assert not out_path.exists()
+    assert time.monotonic() - started < 1
+    assert "degree splitting" in capsys.readouterr().err
+
+
 def test_cli_reduce_emits_reparsable_targets(tmp_path, capsys):
     rng = random.Random(0x909)
     for index, target in enumerate(("deg3", "arity3", "eq3eq3")):

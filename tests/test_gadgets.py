@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlin2 import (
+    CapacityError,
+    DimensionError,
     Equation,
     GadgetError,
     LinSystem,
@@ -31,7 +37,7 @@ from maxlin2 import (
     to_eq3_eq3,
 )
 from maxlin2.core import ContractViolationError
-from maxlin2.gadgets import _reduce_degree5plus_step
+from maxlin2.gadgets import _split_growth, _split_step
 from helpers import (
     near_regular_system,
     oddset_is_yes,
@@ -192,7 +198,7 @@ def test_degree5plus_distribution_example():
     system = LinSystem.build(
         3, [((0, 1), 0, 1)] * 4 + [((0, 2), 1, 1)] * 4
     )
-    out, step = _reduce_degree5plus_step(system, 0)
+    out, step = _split_step(system, 0, "degree5plus")
     clones = step.data["clones"]
     assert step.data["copies"] == 1
     original_occ = [0] * len(clones)
@@ -206,7 +212,7 @@ def test_degree5plus_distribution_example():
 
 def test_degree5_split_of_five():
     system = LinSystem.build(2, [((0, 1), 0, 1)] * 5)
-    out, step = _reduce_degree5plus_step(system, 0)
+    out, step = _split_step(system, 0, "degree5plus")
     clones = step.data["clones"]
     assert step.data["copies"] == 1
     original_occ = [0] * 6
@@ -253,8 +259,8 @@ def test_normalize_max_degree3_terminates_and_decays():
         )
         out, trace = normalize_max_degree3(system)
         assert max(occurrence_counts(out), default=0) <= 3
-        # worst degree never increases along the steps
-        worst = [max(occurrence_counts(s.pre_system)) for s in trace.steps]
+        # the split (worst) degree never increases along the steps
+        worst = [len(s.data["rows"]) for s in trace.steps]
         assert all(a >= b for a, b in zip(worst, worst[1:]))
 
 
@@ -629,8 +635,8 @@ PIPELINE_GOLDEN = (
 )
 
 
-def test_pipeline_golden_digests():
-    rng = random.Random(0x601D)
+def _golden_corpus(rng):
+    """12 seeded arity <= 3 inputs with an opposing row, plus one odd-set encoding."""
     systems = []
     for _ in range(12):
         system = random_system(
@@ -643,6 +649,12 @@ def test_pipeline_golden_digests():
         systems.append(system)
     inst = OddSetInstance(5, ((0, 1), (1, 2, 3), (2, 4), (0, 3, 4)), 1)
     systems.append(oddset_to_lin2(inst).system)
+    return systems
+
+
+def test_pipeline_golden_digests():
+    rng = random.Random(0x601D)
+    systems = _golden_corpus(rng)
     text, forward, back = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for system in systems:
         reduced, trace = to_eq3_eq3(system)
@@ -653,3 +665,110 @@ def test_pipeline_golden_digests():
         back.update(bytes(trace.map_assignment_back(b)) + b"|")
     digests = (text.hexdigest(), forward.hexdigest(), back.hexdigest())
     assert digests == PIPELINE_GOLDEN
+
+
+# Step data that holds equation rows (lhs, rhs); the rest holds variables.
+ROW_DATA = ("rows", "expanded", "pairs", "triples")
+
+
+def test_trace_records_rule_data_and_sizes_only():
+    for system in _golden_corpus(random.Random(0x601D)):
+        out, trace = to_eq3_eq3(system)
+        recorded = 0
+        for step in trace.steps:
+            for field in dataclasses.fields(step):
+                assert not isinstance(getattr(step, field.name), LinSystem)
+            assert not any(isinstance(v, LinSystem) for v in step.data.values())
+            recorded += sum(len(step.data.get(key, ())) for key in ROW_DATA)
+            if "log" in step.data:
+                recorded += len(step.data["log"].steps)
+        # An output pruned away to nothing still leaves a prune log, of at
+        # most the padded rows: three per unit row.
+        unit_m = trace.steps[2].post_m
+        bound = len(out.equations) // 2 if out.equations else 3 * unit_m
+        assert recorded <= bound
+        sizes = [(s.pre_n, s.pre_m, s.post_n, s.post_m) for s in trace.steps]
+        assert sizes[0][:2] == (system.n, len(system.equations))
+        assert sizes[-1][2:] == (out.n, len(out.equations))
+        assert all(a[2:] == b[:2] for a, b in zip(sizes, sizes[1:]))
+
+
+@pytest.mark.parametrize(
+    "degree, growth",
+    [(4, (3, 4)), (5, (20, 29)), (9, (296, 441)), (12, (347, 516)), (20, (2565, 3839))],
+)
+def test_degree_rule_growth_is_predicted(degree, growth):
+    assert _split_growth(degree, {}) == growth
+    star = LinSystem.build(degree + 1, [((0, j), 0, 1) for j in range(1, degree + 1)])
+    triangles = LinSystem.build(
+        2 * degree + 1, [((0, 2 * j - 1, 2 * j), j & 1, 1) for j in range(1, degree + 1)]
+    )
+    for system in (star, triangles):
+        out, _ = normalize_max_degree3(system)
+        assert (out.n - system.n, len(out.equations) - len(system.equations)) == growth
+
+
+def test_degree_rules_refuse_oversize_output_before_building():
+    # Splitting one variable of degree 300 would build about 10^9 equations.
+    star = LinSystem.build(301, [((0, j), 0, 1) for j in range(1, 301)])
+    started = time.monotonic()
+    with pytest.raises(CapacityError):
+        normalize_max_degree3(star)
+    with pytest.raises(CapacityError):
+        to_eq3_eq3(star)
+    assert time.monotonic() - started < 1
+
+
+def test_trace_maps_check_assignment_length():
+    out, trace = to_eq3_eq3(LinSystem.build(2, [((0, 1), 1, 1)] * 4))
+    with pytest.raises(DimensionError):
+        trace.map_assignment_forward((0,))
+    with pytest.raises(DimensionError):
+        trace.map_assignment_back((0,) * (out.n + 1))
+
+
+@st.composite
+def pipeline_systems(draw):
+    """Small arity <= 3 systems on the pipeline's edge cases.
+
+    n = 0 and ledger-only systems, duplicate and opposing rows, weight-2
+    rows, and a hub variable of degree 4 to 8; n stays small enough for the
+    oracle, while the reduced system may be far larger.
+    """
+    n = draw(st.integers(0, 7))
+    bits = st.integers(0, 1)
+    rows = []
+    if n:
+        variables = st.integers(0, n - 1)
+        lhss = st.lists(variables, min_size=1, max_size=3, unique=True)
+        shapes = st.sampled_from(("row", "duplicate", "opposing", "hub"))
+        for shape in draw(st.lists(shapes, max_size=4)):
+            lhs, rhs, weight = draw(lhss), draw(bits), draw(st.integers(1, 2))
+            if shape == "row":
+                rows.append((lhs, rhs, weight))
+            elif shape == "duplicate":
+                rows += [(lhs, rhs, weight)] * 2
+            elif shape == "opposing":
+                rows += [(lhs, rhs, weight), (lhs, 1 - rhs, draw(st.integers(1, 2)))]
+            else:
+                hub = lhs[0]
+                for _ in range(draw(st.integers(4, 8))):
+                    others = draw(st.sets(variables, max_size=2)) - {hub}
+                    rows.append(([hub, *others], draw(bits), 1))
+    rows += [((), 1, w) for w in draw(st.lists(st.integers(1, 2), max_size=2))]
+    return LinSystem.build(n, rows, forced_falsified=draw(st.integers(0, 2)))
+
+
+@given(pipeline_systems(), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_trace_maps_never_cost_more_and_forward_is_tight(system, seed):
+    out, trace = to_eq3_eq3(system)
+    rng = random.Random(seed)
+    a = tuple(rng.randint(0, 1) for _ in range(system.n))
+    assert evaluate(out, trace.map_assignment_forward(a))[1] <= evaluate(system, a)[1]
+    b = tuple(rng.randint(0, 1) for _ in range(out.n))
+    assert evaluate(system, trace.map_assignment_back(b))[1] <= evaluate(out, b)[1]
+    best = brute_force_min_falsified(system)
+    forward = trace.map_assignment_forward(best.assignment)
+    assert evaluate(out, forward)[1] == best.falsified_weight
+    assert evaluate(system, trace.map_assignment_back(forward))[1] == best.falsified_weight
