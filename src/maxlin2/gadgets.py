@@ -444,8 +444,8 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
         raise CapacityError(
             f"degree splitting would build {m} equations, over {MAX_UNIT_EQUATIONS}"
         )
-    # A variable's count changes only when it is split, and then it falls,
-    # so every variable has at most one heap entry and none goes stale.
+    # A variable's count changes only when it is split, which pops its one
+    # heap entry first, so no entry goes stale.
     heap = [(-len(ids), v) for v, ids in enumerate(holders) if len(ids) > 3]
     heapq.heapify(heap)
     steps: list[TraceStep] = []
