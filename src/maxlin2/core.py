@@ -41,7 +41,7 @@ class ContractViolationError(MaxLin2Error):
     """An internal invariant did not hold; indicates a bug or misuse."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equation:
     """One weighted equation: XOR of the lhs variables equals rhs.
 
@@ -55,18 +55,19 @@ class Equation:
     weight: int = 1
 
     def __post_init__(self) -> None:
-        lhs = self.lhs
         if self.rhs not in (0, 1):
             raise ValueError(f"rhs must be 0 or 1, got {self.rhs!r}")
         if self.weight < 1:
             raise ValueError(f"weight must be >= 1, got {self.weight!r}")
-        if lhs and lhs[0] < 0:
-            raise ValueError(f"negative variable index in {lhs}")
-        # A plain loop: any() over a generator costs more, and this runs
-        # for every equation built.
-        for a, b in zip(lhs, lhs[1:]):
-            if b <= a:
-                raise ValueError(f"lhs must be strictly ascending, got {lhs}")
+        # One plain loop checks both the sign and the order: it allocates
+        # nothing, and this runs for every equation built.
+        prev = -1
+        for v in self.lhs:
+            if v <= prev:
+                if prev < 0:
+                    raise ValueError(f"negative variable index in {self.lhs}")
+                raise ValueError(f"lhs must be strictly ascending, got {self.lhs}")
+            prev = v
 
     @classmethod
     def make(cls, variables, rhs: int, weight: int = 1) -> "Equation":
@@ -80,11 +81,8 @@ class Equation:
     def arity(self) -> int:
         return len(self.lhs)
 
-    def key(self) -> tuple[tuple[int, ...], int]:
-        return (self.lhs, self.rhs)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinSystem:
     """A weighted equation system over variables 0..n-1.
 
@@ -209,17 +207,20 @@ def normalize(system: LinSystem) -> LinSystem:
     Equations 0=0 are dropped outright; 0=1 equations move their weight into
     the forced_falsified ledger. Output is sorted by (lhs, rhs).
     """
-    merged: dict[tuple[tuple[int, ...], int], int] = {}
+    kept: dict[tuple[tuple[int, ...], int], Equation] = {}
     forced = system.forced_falsified
     for eqn in system.equations:
         if not eqn.lhs:
             if eqn.rhs == 1:
                 forced += eqn.weight
             continue
-        merged[eqn.key()] = merged.get(eqn.key(), 0) + eqn.weight
-    eqs = tuple(
-        Equation(lhs, rhs, w) for (lhs, rhs), w in sorted(merged.items())
-    )
+        # Keep the input's own object; only a merge builds a new one.
+        key = (eqn.lhs, eqn.rhs)
+        first = kept.get(key)
+        if first is not None:
+            eqn = Equation(eqn.lhs, eqn.rhs, first.weight + eqn.weight)
+        kept[key] = eqn
+    eqs = tuple(kept[key] for key in sorted(kept))
     return LinSystem(system.n, eqs, forced)
 
 

@@ -82,7 +82,10 @@ def parse_lin2(text: str) -> LinSystem:
             continue
         if header is None:
             raise FormatError(lineno, "record before header")
-        values = _ints(lineno, tokens)
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError:
+            values = _ints(lineno, tokens)  # raises, naming the bad token
         if len(values) < 3:
             raise FormatError(lineno, "record needs weight, rhs and arity")
         weight, rhs, arity = values[:3]
@@ -98,10 +101,11 @@ def parse_lin2(text: str) -> LinSystem:
                 raise FormatError(lineno, f"duplicate index {a}")
             if b < a:
                 raise FormatError(lineno, "indices must be strictly ascending")
-        for i in indices:
-            if not 1 <= i <= header[0]:
-                raise FormatError(lineno, f"index {i} out of range 1..{header[0]}")
-        eqs.append(Equation(tuple(i - 1 for i in indices), rhs, weight))
+        # Ascending, so only the ends can be out of range.
+        if indices and (indices[0] < 1 or indices[-1] > header[0]):
+            bad = next(i for i in indices if not 1 <= i <= header[0])
+            raise FormatError(lineno, f"index {bad} out of range 1..{header[0]}")
+        eqs.append(Equation(tuple([i - 1 for i in indices]), rhs, weight))
     if header is None:
         raise FormatError(0, "missing header")
     if len(eqs) != header[1]:
@@ -115,10 +119,13 @@ def emit_lin2(system: LinSystem, comments=()) -> str:
     if system.forced_falsified:
         lines.append(f"c forced-falsified {system.forced_falsified}")
     lines.append(f"p lin2 {system.n} {len(system.equations)}")
+    # name(v) is the 1-based file name of variable v, from a per-call table.
+    name = [str(i) for i in range(1, system.n + 1)].__getitem__
     for eqn in system.equations:
-        indices = " ".join(str(v + 1) for v in eqn.lhs)
-        record = f"{eqn.weight} {eqn.rhs} {eqn.arity}"
-        lines.append(f"{record} {indices}" if indices else record)
+        lhs = eqn.lhs
+        lines.append(
+            " ".join((str(eqn.weight), str(eqn.rhs), str(len(lhs)), *map(name, lhs)))
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,11 @@ the reduced one (and matches it at the optimum).
 
 The rules rewrite one store of (lhs, rhs) rows with a variable-to-rows
 index, so a degree rule touches only its variable's rows and its new tie
-rows, and the output's equations are built once. Reduction and both
+rows. The store keeps every variable's occurrence count current as rows
+come and go, so nothing is recounted. The pipeline's (=3,=3) checks --
+three variables per row, three rows per variable, distinct left-hand sides
+-- run on these rows and counts at the end, around the one pass that
+renumbers the variables and builds the output's equations. Reduction and both
 assignment maps cost O(input + output). The output size of the degree rules
 follows from the degree profile alone, so an output above
 MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
@@ -40,7 +44,6 @@ from .core import (
     MaxLin2Error,
     expand_unit_weights,
     normalize,
-    occurrence_counts,
 )
 from .occ2 import PruneLog, PruneStep, extend_assignment, singleton_cascade
 
@@ -318,7 +321,12 @@ class _Rows:
     """A unit-weight system as (lhs, rhs) rows that the rules rewrite.
 
     Every rule below runs on one store, so no rule rebuilds or re-validates
-    Equation objects; `system()` builds them, with full validation, once.
+    Equation objects. `occ[v]` is the number of rows holding v: it is
+    counted once, from the input, and every rule that adds or drops rows
+    counts their variables in or out, so no rule recounts. The pipeline's
+    (=3,=3) checks run on these rows and counts in `_compact`, which builds
+    the output's equations, with full validation, in the same one pass; the
+    single-rule entry points build theirs with `system()`.
     """
 
     def __init__(self, system: LinSystem, op: str) -> None:
@@ -327,19 +335,26 @@ class _Rows:
         self.n = system.n
         self.rows = [(e.lhs, e.rhs) for e in system.equations]
         self.forced = system.forced_falsified
+        self.occ = [0] * self.n
+        self.count(self.rows, 1)
+
+    def grow(self, n: int) -> None:
+        """Add variable slots up to n; no row holds the new ones yet."""
+        self.occ += [0] * (n - self.n)
+        self.n = n
+
+    def count(self, rows, sign: int) -> None:
+        """Count the variables of rows that were added (+1) or dropped (-1)."""
+        occ = self.occ
+        for lhs, _ in rows:
+            for v in lhs:
+                occ[v] += sign
 
     def sizes(self) -> tuple[int, int]:
         return self.n, len(self.rows)
 
     def step(self, rule: str, data: dict, pre: tuple[int, int]) -> TraceStep:
         return TraceStep(rule, data, *pre, self.n, len(self.rows))
-
-    def occurrences(self) -> list[int]:
-        counts = [0] * self.n
-        for lhs, _ in self.rows:
-            for v in lhs:
-                counts[v] += 1
-        return counts
 
     def holders(self) -> list[list[int]]:
         """Ids of the rows holding each variable, ascending."""
@@ -389,7 +404,7 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
         # occurrence counts sit between floor(d/6) and ceil(d/6).
         order = clones[::-1]
     data["clones"] = clones
-    store.n += len(clones) - 1
+    store.grow(n + len(clones) - 1)
     holders[variable] = []
     holders.extend([] for _ in clones[1:])
     for used, j in enumerate(ids):
@@ -404,6 +419,8 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
             holders[x].append(len(rows))
             holders[y].append(len(rows))
             rows.append(((x, y), 0))
+    for clone in clones:
+        store.occ[clone] = len(holders[clone])
     return store.step(rule, data, pre)
 
 
@@ -503,29 +520,31 @@ def _expand_arity(store: _Rows) -> TraceStep:
     next_var = store.n
     rows: list = []
     expanded = []
+    added: list = []
     for row in store.rows:
         lhs, rhs = row
         if len(lhs) == 3:
             rows.append(row)
-        elif len(lhs) == 2:
+            continue
+        if len(lhs) == 2:
             u, v = next_var, next_var + 1
             next_var += 2
-            rows.append(((lhs[0], u, v), 0))
-            rows.append(((lhs[1], u, v), rhs))
-            expanded.append(row)
+            gadget = (((lhs[0], u, v), 0), ((lhs[1], u, v), rhs))
         elif len(lhs) == 1:
             x = lhs[0]
             a, b, u, v = range(next_var, next_var + 4)
             next_var += 4
-            rows.append(((x, a, b), rhs))
-            rows.append(((a, u, v), 0))
-            rows.append(((b, u, v), 0))
-            expanded.append(row)
+            gadget = (((x, a, b), rhs), ((a, u, v), 0), ((b, u, v), 0))
         else:
             raise GadgetError(
                 f"arity {len(lhs)} equation cannot be expanded to arity 3"
             )
-    store.n = next_var
+        rows.extend(gadget)
+        added.extend(gadget)
+        expanded.append(row)
+    store.grow(next_var)
+    store.count(expanded, -1)
+    store.count(added, 1)
     store.rows = rows
     return store.step("arity-expand", {"expanded": tuple(expanded)}, pre)
 
@@ -551,7 +570,7 @@ def expand_arity_to_3(system: LinSystem) -> LinSystem:
 
 
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
-    occ = store.occurrences()
+    occ = store.occ
     if any(c > 3 for c in occ):
         raise GadgetError("occurrence above 3; run degree normalization first")
     if any(len(lhs) != 3 for lhs, _ in store.rows):
@@ -564,9 +583,7 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
     log = PruneLog(tuple(PruneStep(Equation(*rows[j]), w) for j, w in deleted))
     if deleted:
         gone = {j for j, _ in deleted}
-        for j in gone:
-            for v in rows[j][0]:
-                occ[v] -= 1
+        store.count([rows[j] for j in gone], -1)
         store.rows = rows = [row for j, row in enumerate(rows) if j not in gone]
     steps = [store.step("always-satisfied-removal", {"log": log}, pre)]
     deg2 = [v for v, c in enumerate(occ) if c == 2]
@@ -576,6 +593,7 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
         )
     pre = store.sizes()
     next_var = store.n
+    start = len(rows)
     triplets = []
     for i in range(0, len(deg2), 3):
         t1, t2, t3 = deg2[i : i + 3]
@@ -596,7 +614,8 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
             )
         )
         triplets.append((t1, t2, t3))
-    store.n = next_var
+    store.grow(next_var)
+    store.count(rows[start:], 1)
     steps.append(store.step("degree2-triplets", {"triplets": tuple(triplets)}, pre))
     return steps
 
@@ -629,7 +648,7 @@ def _deduplicate(store: _Rows) -> TraceStep:
         i = first.setdefault(lhs, j)
         if i != j:
             copies.setdefault(lhs, [i]).append(j)
-    occ = store.occurrences() if copies else []
+    occ = store.occ
     for lhs, members in copies.items():
         if len({rows[j][1] for j in members}) > 1:
             raise ContractViolationError(
@@ -639,9 +658,17 @@ def _deduplicate(store: _Rows) -> TraceStep:
             raise ContractViolationError(
                 f"{len(members)} copies of lhs {lhs}; at most 3 possible"
             )
+        if len(members) == 3:
+            for v in lhs:
+                if occ[v] != 3:
+                    raise ContractViolationError(
+                        f"variable {v} of a triple copy occurs elsewhere"
+                    )
     pre = store.sizes()
     next_var = store.n
     out: list = []
+    dropped: list = []
+    added: list = []
     pairs = []
     triples = []
     for j, row in enumerate(rows):
@@ -652,12 +679,8 @@ def _deduplicate(store: _Rows) -> TraceStep:
             continue
         if j != members[0]:
             continue
+        dropped.extend([row] * len(members))
         if len(members) == 3:
-            for v in lhs:
-                if occ[v] != 3:
-                    raise ContractViolationError(
-                        f"variable {v} of a triple copy occurs elsewhere"
-                    )
             triples.append(row)
             continue
         # Two copies: replace with eight equations over six fresh variables.
@@ -667,20 +690,22 @@ def _deduplicate(store: _Rows) -> TraceStep:
         x, y, z = lhs
         a1, b1, c1, a2, b2, c2 = range(next_var, next_var + 6)
         next_var += 6
-        out.extend(
-            (
-                ((x, y, c1), b),
-                ((a1, b1, c1), b),
-                ((z, a1, b1), b),
-                ((x, y, c2), b),
-                ((a2, b2, c2), b),
-                ((z, a2, b2), b),
-                ((a1, c1, b2), b),
-                ((b1, a2, c2), b),
-            )
+        gadget = (
+            ((x, y, c1), b),
+            ((a1, b1, c1), b),
+            ((z, a1, b1), b),
+            ((x, y, c2), b),
+            ((a2, b2, c2), b),
+            ((z, a2, b2), b),
+            ((a1, c1, b2), b),
+            ((b1, a2, c2), b),
         )
+        out.extend(gadget)
+        added.extend(gadget)
         pairs.append(row)
-    store.n = next_var
+    store.grow(next_var)
+    store.count(dropped, -1)
+    store.count(added, 1)
     store.rows = out
     data = {"pairs": tuple(pairs), "triples": tuple(triples)}
     return store.step("deduplicate", data, pre)
@@ -731,18 +756,40 @@ def _resolve_opposing_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
     return post, _sized_step("opposing-pairs", {}, system, post)
 
 
-def _compact(store: _Rows) -> TraceStep:
-    """Drop unused variable slots; every row has arity 3 by now."""
+def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
+    """Drop unused variable slots and build the (=3,=3) output, checked.
+
+    The store's counts show every kept variable occurring exactly three
+    times. One pass over the rows then renumbers them, checks each has
+    three variables (the unpack) and builds the output's equations; the set
+    of their left-hand sides shows that no two coincide.
+    """
     pre = store.sizes()
-    kept = tuple(v for v, c in enumerate(store.occurrences()) if c)
+    occ = store.occ
+    if not set(occ) <= {0, 3}:
+        bad = next(v for v, c in enumerate(occ) if c not in (0, 3))
+        raise ContractViolationError(
+            f"pipeline output has variable {bad} occurring {occ[bad]} times, not 3"
+        )
+    kept = tuple([v for v, c in enumerate(occ) if c])
     remap = [0] * store.n
     for new, old in enumerate(kept):
         remap[old] = new
-    store.rows = [
-        ((remap[x], remap[y], remap[z]), rhs) for (x, y, z), rhs in store.rows
-    ]
-    store.n = len(kept)
-    return store.step("compact", {"kept": kept}, pre)
+    try:
+        eqs = tuple(
+            [
+                Equation((remap[x], remap[y], remap[z]), rhs)
+                for (x, y, z), rhs in store.rows
+            ]
+        )
+    except ValueError as exc:
+        raise ContractViolationError(
+            f"pipeline output row is not a valid arity-3 equation: {exc}"
+        ) from exc
+    if len({e.lhs for e in eqs}) != len(eqs):
+        raise ContractViolationError("pipeline output has duplicate left-hand sides")
+    out = LinSystem(len(kept), eqs, store.forced)
+    return out, TraceStep("compact", {"kept": kept}, *pre, out.n, len(eqs))
 
 
 def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -753,7 +800,8 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     to 3, enforce occurrence exactly 3, deduplicate, and finally drop unused
     variable slots. Each stage preserves the minimum falsified weight, so
     the composition does too. From the degree rules on, the stages rewrite
-    one row store, and the output's equations are built once, at the end.
+    one row store; the last one checks the (=3,=3) shape on the rows and
+    builds the output's equations in the same pass.
     """
     if any(e.arity > 3 for e in system.equations):
         raise InstanceClassError("pipeline input must have arity at most 3")
@@ -770,20 +818,6 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     steps.append(_expand_arity(store))
     steps.extend(_enforce_degree(store))
     steps.append(_deduplicate(store))
-    steps.append(_compact(store))
-    out = store.system()
-    _check_eq3_eq3(out)
+    out, compact = _compact(store)
+    steps.append(compact)
     return out, ReductionTrace(tuple(steps), system, out)
-
-
-def _check_eq3_eq3(system: LinSystem) -> None:
-    if not system.equations:
-        return
-    occ = occurrence_counts(system)
-    if any(e.arity != 3 or e.weight != 1 for e in system.equations):
-        raise ContractViolationError("pipeline output is not unit-weight arity 3")
-    if any(c != 3 for c in occ):
-        raise ContractViolationError("pipeline output has a variable with d != 3")
-    lhss = [e.lhs for e in system.equations]
-    if len(set(lhss)) != len(lhss):
-        raise ContractViolationError("pipeline output has duplicate left-hand sides")

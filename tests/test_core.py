@@ -24,7 +24,7 @@ from maxlin2 import (
     occurrence_counts,
     profile,
 )
-from maxlin2.core import MAX_UNIT_EQUATIONS
+from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
 from helpers import random_system
 
 
@@ -153,6 +153,31 @@ def test_system_range_check():
 def test_total_weight_overflow_check():
     with pytest.raises(OverflowError):
         LinSystem(1, (Equation((0,), 0, 2**63 - 1), Equation((0,), 1, 2)))
+
+
+def test_normalize_merges_to_exactly_the_weight_bound():
+    rows = (Equation((0,), 1, MAX_TOTAL_WEIGHT - 1), Equation((0,), 1, 1))
+    merged = normalize(LinSystem(1, rows))
+    assert merged.equations == (Equation((0,), 1, MAX_TOTAL_WEIGHT),)
+    assert merged.total_weight == MAX_TOTAL_WEIGHT
+    with pytest.raises(OverflowError):
+        LinSystem(1, rows + (Equation((0,), 1, 1),))
+
+
+def test_normalize_keeps_unmerged_equations_as_given():
+    a, b, c = Equation((1,), 0, 2), Equation((0, 1), 1, 3), Equation((0, 1), 1, 4)
+    out = normalize(LinSystem(2, (a, b, c)))
+    assert out.equations == (Equation((0, 1), 1, 7), a)
+    assert out.equations[1] is a
+
+
+def test_equation_and_system_have_no_instance_dict():
+    eqn = Equation((0,), 1)
+    system = LinSystem(1, (eqn,))
+    for value in (eqn, system):
+        assert not hasattr(value, "__dict__")
+    assert eqn == Equation((0,), 1) and hash(eqn) == hash(Equation((0,), 1))
+    assert system == LinSystem(1, (Equation((0,), 1),))
 
 
 # --- randomized invariants -------------------------------------------------

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from maxlin2 import (
+    Equation,
     FormatError,
     LinSystem,
     brute_force_min_falsified,
@@ -21,6 +22,7 @@ from maxlin2 import (
     profile,
 )
 from maxlin2.cli import EXIT_FORMAT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from maxlin2.core import MAX_TOTAL_WEIGHT
 from helpers import random_system
 
 
@@ -75,6 +77,46 @@ def test_lin2_round_trip():
 def test_parse_lin2_rejects_bad_forced_ledger(ledger):
     with pytest.raises(FormatError):
         parse_lin2(ledger + "p lin2 1 0\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        ("c a comment\np lin2 2 1\n1 0 2 1 x\n", 3, "expected an integer, got 'x'"),
+        ("p lin2 5 1\n1 0 2 6 7\n", 2, "index 6 out of range 1..5"),
+        ("p lin2 5 1\n1 0 2 0 3\n", 2, "index 0 out of range 1..5"),
+    ],
+)
+def test_parse_lin2_record_error_messages(text, lineno, message):
+    with pytest.raises(FormatError) as caught:
+        parse_lin2(text)
+    assert caught.value.lineno == lineno
+    assert str(caught.value) == f"line {lineno}: {message}"
+
+
+@pytest.mark.parametrize(
+    "system, comments, text",
+    [
+        (LinSystem(0), (), "p lin2 0 0\n"),
+        (LinSystem(0, (Equation((), 0, 1),)), (), "p lin2 0 1\n1 0 0\n"),
+        (
+            LinSystem(3, (Equation((), 1, 2), Equation((0, 2), 0, 5)), 4),
+            ("a", "b"),
+            "c a\nc b\nc forced-falsified 4\np lin2 3 2\n2 1 0\n5 0 2 1 3\n",
+        ),
+    ],
+)
+def test_emit_lin2_exact_text(system, comments, text):
+    assert emit_lin2(system, comments=comments) == text
+
+
+def test_lin2_round_trip_at_the_weight_bound():
+    system = LinSystem(2, (Equation((0, 1), 1, MAX_TOTAL_WEIGHT),))
+    text = emit_lin2(system)
+    assert text == f"p lin2 2 1\n{MAX_TOTAL_WEIGHT} 1 2 1 2\n"
+    assert parse_lin2(text) == system
+    with pytest.raises(OverflowError):
+        parse_lin2(f"p lin2 2 1\n{MAX_TOTAL_WEIGHT + 1} 1 2 1 2\n")
 
 
 def test_parse_oddset_example():

@@ -5,13 +5,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxlin2
 from maxlin2 import (
     CapacityError,
     DimensionError,
@@ -36,8 +41,18 @@ from maxlin2 import (
     reduce_degree5plus,
     to_eq3_eq3,
 )
-from maxlin2.core import ContractViolationError
-from maxlin2.gadgets import _split_growth, _split_step
+from maxlin2.core import MAX_TOTAL_WEIGHT, ContractViolationError
+from maxlin2.gadgets import (
+    _compact,
+    _deduplicate,
+    _enforce_degree,
+    _expand_arity,
+    _normalize_degrees,
+    _resolve_opposing_step,
+    _Rows,
+    _split_growth,
+    _split_step,
+)
 from helpers import (
     near_regular_system,
     oddset_is_yes,
@@ -717,6 +732,81 @@ def test_degree_rules_refuse_oversize_output_before_building():
     with pytest.raises(CapacityError):
         to_eq3_eq3(star)
     assert time.monotonic() - started < 1
+
+
+def test_pipeline_refuses_a_weight_at_the_bound_promptly():
+    heavy = LinSystem(1, (Equation((0,), 1, MAX_TOTAL_WEIGHT),))
+    started = time.monotonic()
+    with pytest.raises(CapacityError):
+        to_eq3_eq3(heavy)
+    assert time.monotonic() - started < 1
+
+
+# --- the (=3,=3) finish on the row store --------------------------------------
+
+
+def _store(n, rows):
+    return _Rows(LinSystem.build(n, rows), "finish test")
+
+
+def test_store_counts_stay_current_through_every_rule():
+    for system in _golden_corpus(random.Random(0x601D)):
+        staged, _ = _resolve_opposing_step(normalize(system))
+        store = _Rows(expand_unit_weights(staged), "count test")
+        assert store.occ == occurrence_counts(store.system())
+        for rule in (_normalize_degrees, _expand_arity, _enforce_degree, _deduplicate):
+            rule(store)
+            assert store.occ == occurrence_counts(store.system()), rule.__name__
+
+
+def test_compact_finishes_a_valid_store():
+    # Every pair of four variables shares two rows; variable 3 is unused.
+    rows = [((0, 1, 2), 0), ((0, 1, 4), 1), ((0, 2, 4), 0), ((1, 2, 4), 1)]
+    out, step = _compact(_store(5, rows))
+    renamed = [((0, 1, 2), 0), ((0, 1, 3), 1), ((0, 2, 3), 0), ((1, 2, 3), 1)]
+    assert out == LinSystem.build(4, renamed)
+    assert step.data["kept"] == (0, 1, 2, 4)
+    assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (5, 4, 4, 4)
+
+
+# Stores that break one output contract each, with the check that must fire.
+BROKEN_FINISH = {
+    # every variable occurs three times, but three rows have two variables
+    "arity 2": (3, [((0, 1), 0), ((0, 2), 0), ((1, 2), 0), ((0, 1, 2), 1)], "arity-3"),
+    "d = 2": (4, [((0, 1, 2), 0), ((0, 1, 3), 1)], "variable 0 occurring 2 times"),
+    "same lhs": (3, [((0, 1, 2), 1)] * 3, "duplicate left-hand sides"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FINISH))
+def test_compact_rejects_broken_stores(case):
+    n, rows, message = BROKEN_FINISH[case]
+    with pytest.raises(ContractViolationError, match=message):
+        _compact(_store(n, rows))
+
+
+def test_compact_checks_survive_python_O():
+    n, rows, _ = BROKEN_FINISH["d = 2"]
+    script = (
+        "from maxlin2 import LinSystem\n"
+        "from maxlin2.core import ContractViolationError\n"
+        "from maxlin2.gadgets import _Rows, _compact\n"
+        f"store = _Rows(LinSystem.build({n}, {rows!r}), 'test')\n"
+        "try:\n"
+        "    _compact(store)\n"
+        "except ContractViolationError:\n"
+        "    print(__debug__, 'refused')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(maxlin2.__file__).parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False refused\n"
 
 
 def test_trace_maps_check_assignment_length():
