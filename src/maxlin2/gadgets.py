@@ -301,8 +301,7 @@ def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
             values.extend((0, 0, 0, tie, tie, tie, t, t, t))
         return values
     if rule == "deduplicate":
-        for (x, y, z), rhs in step.data["triples"]:
-            values[x] = rhs ^ values[y] ^ values[z]
+        # Triples need nothing: their variables occur in no output row.
         for (x, y, z), rhs in step.data["pairs"]:
             parity = values[x] ^ values[y] ^ values[z]
             c = values[z] if parity == rhs else values[z] ^ 1

@@ -488,6 +488,21 @@ def test_dedup_triple_removal():
     assert len(trace.steps[0].data["triples"]) == 1
 
 
+def test_dedup_triple_path_end_to_end():
+    # The weight-3 row unit-expands to three copies over variables that
+    # occur nowhere else, which dedup drops; only map-back restores them.
+    system = LinSystem.build(6, [((0, 1, 2), 1, 3), ((3, 4, 5), 1, 2)])
+    out, trace = to_eq3_eq3(system)
+    (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
+    assert dedup.data["triples"] == (((0, 1, 2), 1),)
+    rng = random.Random(3)
+    for _ in range(200):
+        back = trace.map_assignment_back(tuple(rng.randint(0, 1) for _ in range(out.n)))
+        assert back[0] ^ back[1] ^ back[2] == 1
+    for a in itertools.product((0, 1), repeat=system.n):
+        assert evaluate(out, trace.map_assignment_forward(a))[1] <= evaluate(system, a)[1]
+
+
 def test_dedup_no_duplicates_identity():
     system = LinSystem.build(4, [((0, 1, 2), 0, 1), ((0, 1, 3), 1, 1)])
     out, _ = deduplicate_equations(system)
