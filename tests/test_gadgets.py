@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -47,6 +48,7 @@ from maxlin2.gadgets import (
     _deduplicate,
     _enforce_degree,
     _expand_arity,
+    _map_forward_step,
     _normalize_degrees,
     _resolve_opposing_step,
     _Rows,
@@ -380,23 +382,42 @@ def test_enforce_fixed_point():
     assert out == system
 
 
+# Three variables of degree 2 (2, 3 and 4), two of degree 3, none of degree 1.
+TRIPLET_ROWS = [((0, 1, 2), 0), ((0, 1, 3), 0), ((0, 1, 4), 1), ((2, 3, 4), 0)]
+
+
 def test_enforce_triplet_shape():
-    # three variables of degree 2, two of degree 3, none of degree 1
-    system = LinSystem.build(
-        5,
-        [
-            ((0, 1, 2), 0, 1),
-            ((0, 1, 3), 0, 1),
-            ((0, 1, 4), 1, 1),
-            ((2, 3, 4), 0, 1),
-        ],
-    )
+    system = LinSystem.build(5, TRIPLET_ROWS)
     occ = occurrence_counts(system)
     assert sorted(occ) == [2, 2, 2, 3, 3]
     out, _ = enforce_degree_exactly3(system)
     assert out.n == system.n + 9
     assert len(out.equations) == len(system.equations) + 10
     assert all(c == 3 for c in occurrence_counts(out))
+
+
+def test_triplet_gadget_exhaustive():
+    store = _store(5, TRIPLET_ROWS)
+    _, step = _enforce_degree(store)
+    (triplet,) = step.data["triplets"]
+    gadget = store.rows[len(TRIPLET_ROWS) :]
+    fresh = range(step.pre_n, step.post_n)
+    held = collections.Counter(v for lhs, _ in gadget for v in lhs)
+    assert held == {**dict.fromkeys(triplet, 1), **dict.fromkeys(fresh, 3)}
+    assert gadget == sorted(set(gadget))
+    assert all(lhs == tuple(sorted(set(lhs))) for lhs, _ in gadget)
+    # No gadget row can equal a row outside the gadget.
+    assert all(lhs[-1] in fresh for lhs, _ in gadget)
+    for bits in itertools.product((0, 1), repeat=3):
+        values = [0] * step.pre_n
+        for t, bit in zip(triplet, bits):
+            values[t] = bit
+        satisfying = []
+        for completion in itertools.product((0, 1), repeat=len(fresh)):
+            full = values + list(completion)
+            if all(sum(full[v] for v in lhs) % 2 == rhs for lhs, rhs in gadget):
+                satisfying.append(completion)
+        assert satisfying == [tuple(_map_forward_step(step, values)[step.pre_n :])]
 
 
 def test_enforce_removes_always_satisfiable():
