@@ -298,7 +298,7 @@ def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
         for t1, t2, t3 in step.data["triplets"]:
             tie = values[t1] ^ values[t2]
             t = values[t3]
-            values.extend((0, 0, 0, tie, tie, tie, t, t, t))
+            values.extend((tie, 0, t, tie, t, tie ^ t))
         return values
     if rule == "deduplicate":
         # Triples need nothing: their variables occur in no output row.
@@ -596,20 +596,17 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
     triplets = []
     for i in range(0, len(deg2), 3):
         t1, t2, t3 = deg2[i : i + 3]
-        z1, z2, z3, u1, u2, u3, u4, u5, u6 = range(next_var, next_var + 9)
-        next_var += 9
+        a, b, c, d, e, f = range(next_var, next_var + 6)
+        next_var += 6
         rows.extend(
             (
-                ((t1, t2, u1), 0),
-                ((z1, u1, u2), 0),
-                ((z1, u2, u3), 0),
-                ((z1, u2, u3), 0),
-                ((z2, u1, u3), 0),
-                ((t3, z2, u4), 0),
-                ((z2, u4, u5), 0),
-                ((z3, u5, u6), 0),
-                ((z3, u5, u6), 0),
-                ((z3, u4, u6), 0),
+                ((t1, t2, a), 0),
+                ((t3, b, c), 0),
+                ((a, b, d), 0),
+                ((a, e, f), 0),
+                ((b, c, e), 0),
+                ((c, d, f), 0),
+                ((d, e, f), 0),
             )
         )
         triplets.append((t1, t2, t3))
@@ -624,8 +621,9 @@ def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrac
 
     Always-satisfiable equations (those with a singly-occurring variable) are
     removed first; the remaining occurrence-2 variables are grouped into
-    ascending-index triplets, each tied to nine fresh variables by ten unit
-    equations that any assignment of the triplet can satisfy in full.
+    ascending-index triplets, each tied to six fresh variables by seven
+    distinct unit equations. Every value of a triplet has exactly one
+    completion satisfying all seven, so the optimum is unchanged.
     """
     store = _Rows(system, "degree enforcement")
     steps = _enforce_degree(store)
@@ -715,7 +713,8 @@ def deduplicate_equations(system: LinSystem) -> tuple[LinSystem, ReductionTrace]
 
     Three identical copies only involve variables occurring nowhere else, so
     the copies are always satisfiable and simply removed. Two copies are
-    replaced by the eight-equation gadget over six fresh variables.
+    replaced by the eight-equation gadget over six fresh variables. In the
+    pipeline the copies come from the input alone: no gadget writes one.
     """
     store = _Rows(system, "deduplication")
     step = _deduplicate(store)

@@ -326,9 +326,9 @@ degree4 variable=0 m:5->9 n:4->7
 degree4 variable=1 m:9->13 n:7->10
 arity-expand m:13->24 n:10->32
 always-satisfied-removal m:24->23 n:32->32
-degree2-triplets m:23->103 n:32->104
-deduplicate m:103->199 n:104->200
-compact m:199->199 n:200->199
+degree2-triplets m:23->79 n:32->80
+deduplicate m:79->79 n:80->80
+compact m:79->79 n:80->79
 """,
 }
 

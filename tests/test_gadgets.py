@@ -391,8 +391,8 @@ def test_enforce_triplet_shape():
     occ = occurrence_counts(system)
     assert sorted(occ) == [2, 2, 2, 3, 3]
     out, _ = enforce_degree_exactly3(system)
-    assert out.n == system.n + 9
-    assert len(out.equations) == len(system.equations) + 10
+    assert out.n == system.n + 6
+    assert len(out.equations) == len(system.equations) + 7
     assert all(c == 3 for c in occurrence_counts(out))
 
 
@@ -509,10 +509,14 @@ def test_dedup_triple_removal():
     assert len(trace.steps[0].data["triples"]) == 1
 
 
+# The weight-3 row unit-expands to three copies over variables that occur
+# nowhere else, and the weight-2 row to a pair: the input's own duplicates.
+INPUT_COPIES = LinSystem.build(6, [((0, 1, 2), 1, 3), ((3, 4, 5), 1, 2)])
+
+
 def test_dedup_triple_path_end_to_end():
-    # The weight-3 row unit-expands to three copies over variables that
-    # occur nowhere else, which dedup drops; only map-back restores them.
-    system = LinSystem.build(6, [((0, 1, 2), 1, 3), ((3, 4, 5), 1, 2)])
+    # Dedup drops the triple copies; only map-back restores their row.
+    system = INPUT_COPIES
     out, trace = to_eq3_eq3(system)
     (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
     assert dedup.data["triples"] == (((0, 1, 2), 1),)
@@ -680,9 +684,9 @@ def test_oddset_through_pipeline_equivalence():
 # the corpus below. Any change to rule order, variable numbering or the
 # prune order of always-satisfied-removal shows up here.
 PIPELINE_GOLDEN = (
-    "0fd45df7fa498783e2332df220e1f53ea279f38c56e36d1474eacd28923bac11",
-    "0ff72011de114b5971ad6c451c1c526a5e3d4bb07d4e5702e4ce609278a8adf5",
-    "80ac1b0d7a104ce89056b794d732ef93ab1dd6cc89349e26b134859a20a76e01",
+    "f6509e2ec6236664149bd28f90af0fdd746469560791d5b1916b1a2faf85a547",
+    "7f62ef588eca91dbd39ec48eba4c97af540c06b3e1f2ed3c32b2d32cecfec7bd",
+    "c137ea93497f9cdcc1c4d646e34e26a1d7f9893896858bfacff97ce7e67eeaa2",
 )
 
 
@@ -742,6 +746,25 @@ def test_trace_records_rule_data_and_sizes_only():
         assert sizes[0][:2] == (system.n, len(system.equations))
         assert sizes[-1][2:] == (out.n, len(out.equations))
         assert all(a[2:] == b[:2] for a, b in zip(sizes, sizes[1:]))
+
+
+def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
+    copies = 0
+    for system in _golden_corpus(random.Random(0x601D)) + [INPUT_COPIES]:
+        _, trace = to_eq3_eq3(system)
+        steps = {step.rule: step for step in trace.steps}
+        dedup = steps["deduplicate"]
+        for lhs, _ in dedup.data["pairs"] + dedup.data["triples"]:
+            assert max(lhs) < steps["degree2-triplets"].pre_n
+            copies += 1
+    assert copies == 2  # both from INPUT_COPIES
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    from workloads import PipelineEq3
+
+    for op in PipelineEq3().build(random.Random(101), maxlin2, tiny=True):
+        _, trace = to_eq3_eq3(maxlin2.parse_lin2(op.text))
+        (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
+        assert dedup.pre_m == dedup.post_m
 
 
 @pytest.mark.parametrize(
