@@ -48,21 +48,16 @@ def brute_force_min_falsified(
     n = system.n
     if n > var_limit:
         raise CapacityError(f"{n} variables exceed the oracle limit {var_limit}")
-    eqs = system.equations
+    rhs, weight = system.rhs, system.weights
     touching: list[list[int]] = [[] for _ in range(n)]
-    parity = []
-    falsified = 0
-    for j, eqn in enumerate(eqs):
-        for v in eqn.lhs:
+    for j, lhs in enumerate(system.lhs):
+        for v in lhs:
             touching[v].append(j)
-        parity.append(0)
-        if eqn.rhs != 0:
-            falsified += eqn.weight
+    parity = [0] * len(rhs)
+    falsified = sum(w for b, w in zip(rhs, weight) if b)
     best_falsified = falsified
     best_value = 0
     current = 0
-    rhs = [e.rhs for e in eqs]
-    weight = [e.weight for e in eqs]
     for step in range(1, 1 << n):
         bit = (step & -step).bit_length() - 1
         var = n - 1 - bit  # bit positions encode variable 0 as the MSB
@@ -90,25 +85,23 @@ def conditional_expectation_assignment(system: LinSystem) -> SolveResult:
     constant equations the result satisfies weight at least total_weight / 2.
     """
     n = system.n
-    eqs = system.equations
+    rhs, weight = system.rhs, system.weights
     touching: list[list[int]] = [[] for _ in range(n)]
-    unassigned = []
-    parity = []
-    for j, eqn in enumerate(eqs):
-        for v in eqn.lhs:
+    for j, lhs in enumerate(system.lhs):
+        for v in lhs:
             touching[v].append(j)
-        unassigned.append(eqn.arity)
-        parity.append(0)
+    unassigned = [len(lhs) for lhs in system.lhs]
+    parity = [0] * len(rhs)
     values = []
     for var in range(n):
         # delta = 2*E[sat | x=1] - 2*E[sat | x=0], over equations decided now
         delta = 0
         for j in touching[var]:
             if unassigned[j] == 1:
-                if parity[j] == eqs[j].rhs:
-                    delta -= 2 * eqs[j].weight
+                if parity[j] == rhs[j]:
+                    delta -= 2 * weight[j]
                 else:
-                    delta += 2 * eqs[j].weight
+                    delta += 2 * weight[j]
         value = 1 if delta > 0 else 0
         values.append(value)
         for j in touching[var]:

@@ -6,10 +6,15 @@ to minimize the total weight of falsified equations, equivalently to maximize
 the satisfied weight.
 
 All types are immutable values; the operations below are pure functions.
+A LinSystem holds its rows as three columns -- lhs tuples, rhs bytes and
+weights -- checked once when it is built. ``system.equations`` is a read-only
+view that builds an Equation only when a row is read, so the operations here
+read the columns and build none.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 # Weights are conceptually bounded machine integers; the total weight of a
@@ -82,9 +87,53 @@ class Equation:
         return len(self.lhs)
 
 
-@dataclass(frozen=True, slots=True)
+class EquationsView(Sequence):
+    """Read-only sequence of a system's rows as Equation objects.
+
+    len and truth read the lhs column. Indexing, slicing and iteration build
+    equal Equation objects on access and keep none of them. The view equals
+    the tuple of those equations, and another view with the same columns.
+    """
+
+    __slots__ = ("_system",)
+
+    def __init__(self, system: "LinSystem") -> None:
+        self._system = system
+
+    def __len__(self) -> int:
+        return len(self._system.lhs)
+
+    def __getitem__(self, index):
+        s = self._system
+        if isinstance(index, slice):
+            return tuple(map(Equation, s.lhs[index], s.rhs[index], s.weights[index]))
+        return Equation(s.lhs[index], s.rhs[index], s.weights[index])
+
+    def __iter__(self):
+        s = self._system
+        return map(Equation, s.lhs, s.rhs, s.weights)
+
+    def __eq__(self, other):
+        if isinstance(other, EquationsView):
+            a, b = self._system, other._system
+            return (a.lhs, a.rhs, a.weights) == (b.lhs, b.rhs, b.weights)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LinSystem:
-    """A weighted equation system over variables 0..n-1.
+    """A weighted equation system over variables 0..n-1, held as columns.
+
+    Row j is ``lhs[j]`` (a tuple of strictly ascending variable indices),
+    ``rhs[j]`` (a byte, 0 or 1) and ``weights[j]`` (an int >= 1). The
+    columns are checked once, when the system is built, with the messages
+    Equation uses; ``equations`` is a read-only view that builds Equation
+    objects only when a row is read.
 
     forced_falsified is a weight ledger for contradictory constant equations
     (empty lhs, rhs 1) removed by normalize(); it counts toward the falsified
@@ -92,24 +141,73 @@ class LinSystem:
     """
 
     n: int
-    equations: tuple[Equation, ...] = ()
-    forced_falsified: int = 0
+    lhs: tuple[tuple[int, ...], ...]
+    rhs: bytes
+    weights: tuple[int, ...]
+    forced_falsified: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "equations", tuple(self.equations))
-        if self.n < 0:
-            raise ValueError(f"variable count must be >= 0, got {self.n}")
-        if self.forced_falsified < 0:
+    def __init__(self, n: int, equations=(), forced_falsified: int = 0) -> None:
+        if isinstance(equations, EquationsView):
+            s = equations._system
+            columns = (s.lhs, s.rhs, s.weights)
+        else:
+            eqs = tuple(equations)
+            columns = (
+                tuple([e.lhs for e in eqs]),
+                bytes([e.rhs for e in eqs]),
+                tuple([e.weight for e in eqs]),
+            )
+        self._set_columns(n, *columns, forced_falsified)
+
+    @classmethod
+    def from_columns(
+        cls, n: int, lhs, rhs, weights, forced_falsified: int = 0
+    ) -> "LinSystem":
+        """Build a system from its columns, checked in one pass.
+
+        Row j is lhs[j], a tuple of strictly ascending indices below n;
+        rhs[j], 0 or 1 (rhs is bytes-like or an iterable of ints); and
+        weights[j], an int >= 1.
+        """
+        system = cls.__new__(cls)
+        system._set_columns(n, lhs, rhs, weights, forced_falsified)
+        return system
+
+    def _set_columns(self, n, lhs, rhs, weights, forced_falsified) -> None:
+        lhs, rhs, weights = tuple(lhs), bytes(rhs), tuple(weights)
+        if n < 0:
+            raise ValueError(f"variable count must be >= 0, got {n}")
+        if forced_falsified < 0:
             raise ValueError("forced_falsified must be >= 0")
-        total = 0
-        for eqn in self.equations:
-            if eqn.lhs and eqn.lhs[-1] >= self.n:
-                raise ValueError(
-                    f"variable {eqn.lhs[-1]} out of range for n={self.n}"
-                )
-            total += eqn.weight
-        if total > MAX_TOTAL_WEIGHT:
+        if not len(lhs) == len(rhs) == len(weights):
+            raise ValueError(
+                f"column lengths differ: {len(lhs)}, {len(rhs)}, {len(weights)}"
+            )
+        bad = rhs.translate(None, b"\x00\x01")
+        if bad:
+            raise ValueError(f"rhs must be 0 or 1, got {bad[0]!r}")
+        if weights and min(weights) < 1:
+            bad = next(w for w in weights if w < 1)
+            raise ValueError(f"weight must be >= 1, got {bad!r}")
+        # One plain loop per row checks sign, order and range: it allocates
+        # nothing, and this runs for every row of every system built.
+        for row in lhs:
+            prev = -1
+            for v in row:
+                if v <= prev:
+                    if prev < 0:
+                        raise ValueError(f"negative variable index in {row}")
+                    raise ValueError(f"lhs must be strictly ascending, got {row}")
+                prev = v
+            if prev >= n:
+                raise ValueError(f"variable {prev} out of range for n={n}")
+        if sum(weights) > MAX_TOTAL_WEIGHT:
             raise OverflowError("total system weight exceeds the supported bound")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "forced_falsified", forced_falsified)
 
     @classmethod
     def build(cls, n: int, rows, forced_falsified: int = 0) -> "LinSystem":
@@ -122,15 +220,19 @@ class LinSystem:
             else:
                 variables, rhs, weight = row
             eqs.append(Equation.make(variables, rhs, weight))
-        return cls(n, tuple(eqs), forced_falsified)
+        return cls(n, eqs, forced_falsified)
+
+    @property
+    def equations(self) -> EquationsView:
+        return EquationsView(self)
 
     @property
     def num_equations(self) -> int:
-        return len(self.equations)
+        return len(self.lhs)
 
     @property
     def total_weight(self) -> int:
-        return sum(e.weight for e in self.equations)
+        return sum(self.weights)
 
 
 @dataclass(frozen=True)
@@ -158,14 +260,13 @@ def evaluate(system: LinSystem, assignment) -> tuple[int, int]:
         )
     satisfied = 0
     falsified = system.forced_falsified
-    for eqn in system.equations:
-        parity = 0
-        for v in eqn.lhs:
+    for lhs, parity, weight in zip(system.lhs, system.rhs, system.weights):
+        for v in lhs:
             parity ^= assignment[v]
-        if parity == eqn.rhs:
-            satisfied += eqn.weight
+        if parity:
+            falsified += weight
         else:
-            falsified += eqn.weight
+            satisfied += weight
     return satisfied, falsified
 
 
@@ -176,11 +277,10 @@ def falsified_indices(system: LinSystem, assignment) -> tuple[int, ...]:
             f"assignment length {len(assignment)} != variable count {system.n}"
         )
     out = []
-    for j, eqn in enumerate(system.equations):
-        parity = 0
-        for v in eqn.lhs:
+    for j, (lhs, parity) in enumerate(zip(system.lhs, system.rhs)):
+        for v in lhs:
             parity ^= assignment[v]
-        if parity != eqn.rhs:
+        if parity:
             out.append(j)
     return tuple(out)
 
@@ -195,10 +295,10 @@ def cap_weights(system: LinSystem, k: int) -> LinSystem:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     cap = k + 1
-    eqs = tuple(
-        Equation(e.lhs, e.rhs, min(e.weight, cap)) for e in system.equations
+    weights = [min(w, cap) for w in system.weights]
+    return LinSystem.from_columns(
+        system.n, system.lhs, system.rhs, weights, system.forced_falsified
     )
-    return LinSystem(system.n, eqs, system.forced_falsified)
 
 
 def normalize(system: LinSystem) -> LinSystem:
@@ -207,21 +307,23 @@ def normalize(system: LinSystem) -> LinSystem:
     Equations 0=0 are dropped outright; 0=1 equations move their weight into
     the forced_falsified ledger. Output is sorted by (lhs, rhs).
     """
-    kept: dict[tuple[tuple[int, ...], int], Equation] = {}
+    kept: dict[tuple[tuple[int, ...], int], int] = {}
     forced = system.forced_falsified
-    for eqn in system.equations:
-        if not eqn.lhs:
-            if eqn.rhs == 1:
-                forced += eqn.weight
+    for lhs, rhs, weight in zip(system.lhs, system.rhs, system.weights):
+        if not lhs:
+            if rhs == 1:
+                forced += weight
             continue
-        # Keep the input's own object; only a merge builds a new one.
-        key = (eqn.lhs, eqn.rhs)
-        first = kept.get(key)
-        if first is not None:
-            eqn = Equation(eqn.lhs, eqn.rhs, first.weight + eqn.weight)
-        kept[key] = eqn
-    eqs = tuple(kept[key] for key in sorted(kept))
-    return LinSystem(system.n, eqs, forced)
+        key = (lhs, rhs)
+        kept[key] = kept.get(key, 0) + weight
+    keys = sorted(kept)
+    return LinSystem.from_columns(
+        system.n,
+        [lhs for lhs, _ in keys],
+        [rhs for _, rhs in keys],
+        [kept[key] for key in keys],
+        forced,
+    )
 
 
 def expand_unit_weights(system: LinSystem) -> LinSystem:
@@ -230,22 +332,27 @@ def expand_unit_weights(system: LinSystem) -> LinSystem:
     Raises CapacityError, before building anything, when the total weight
     exceeds MAX_UNIT_EQUATIONS.
     """
-    if system.total_weight > MAX_UNIT_EQUATIONS:
+    total = system.total_weight
+    if total > MAX_UNIT_EQUATIONS:
         raise CapacityError(
-            f"unit expansion of total weight {system.total_weight} exceeds "
+            f"unit expansion of total weight {total} exceeds "
             f"{MAX_UNIT_EQUATIONS} equations"
         )
-    eqs = []
-    for eqn in system.equations:
-        eqs.extend(Equation(eqn.lhs, eqn.rhs, 1) for _ in range(eqn.weight))
-    return LinSystem(system.n, tuple(eqs), system.forced_falsified)
+    lhs: list[tuple[int, ...]] = []
+    rhs = bytearray()
+    for row, b, weight in zip(system.lhs, system.rhs, system.weights):
+        lhs += [row] * weight
+        rhs += bytes((b,)) * weight
+    return LinSystem.from_columns(
+        system.n, lhs, rhs, (1,) * total, system.forced_falsified
+    )
 
 
 def occurrence_counts(system: LinSystem) -> list[int]:
     """Number of equations containing each variable (copies counted)."""
     counts = [0] * system.n
-    for eqn in system.equations:
-        for v in eqn.lhs:
+    for lhs in system.lhs:
+        for v in lhs:
             counts[v] += 1
     return counts
 
@@ -253,13 +360,13 @@ def occurrence_counts(system: LinSystem) -> list[int]:
 def profile(system: LinSystem) -> InstanceProfile:
     """Compute the arity/occurrence profile and structural flags."""
     occ = occurrence_counts(system)
-    lhss = [e.lhs for e in system.equations]
+    lhs = system.lhs
     return InstanceProfile(
-        max_arity=max((e.arity for e in system.equations), default=0),
+        max_arity=max(map(len, lhs), default=0),
         max_occurrence=max(occ, default=0),
-        num_equations=len(system.equations),
+        num_equations=len(lhs),
         num_variables=system.n,
         total_weight=system.total_weight,
-        unit_weights=all(e.weight == 1 for e in system.equations),
-        distinct_lhs=len(set(lhss)) == len(lhss),
+        unit_weights=all(w == 1 for w in system.weights),
+        distinct_lhs=len(set(lhs)) == len(lhs),
     )

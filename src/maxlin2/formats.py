@@ -8,7 +8,7 @@ files and 0-based in memory.
 from __future__ import annotations
 
 from .bipartize import Edge, Graph, GraphError
-from .core import Equation, LinSystem, MaxLin2Error
+from .core import LinSystem, MaxLin2Error
 from .gadgets import OddSetInstance
 
 
@@ -60,13 +60,26 @@ def _forced_ledger(comments) -> int:
     return forced or 0
 
 
+def _index_fault(indices, n: int) -> str:
+    """Name the first fault of record indices that are not ascending in 1..n."""
+    for a, b in zip(indices, indices[1:]):
+        if b == a:
+            return f"duplicate index {a}"
+        if b < a:
+            return "indices must be strictly ascending"
+    bad = next(i for i in indices if not 1 <= i <= n)
+    return f"index {bad} out of range 1..{n}"
+
+
 def parse_lin2(text: str) -> LinSystem:
     """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`.
 
     A `c forced-falsified <N>` comment line sets the forced ledger.
     """
     header = None
-    eqs: list[Equation] = []
+    lhs: list[tuple[int, ...]] = []
+    rhs_column = bytearray()
+    weights: list[int] = []
     comments: list[tuple[int, str]] = []
     for lineno, line in _content_lines(text, comments):
         tokens = line.split()
@@ -83,7 +96,7 @@ def parse_lin2(text: str) -> LinSystem:
         if header is None:
             raise FormatError(lineno, "record before header")
         try:
-            values = [int(t) for t in tokens]
+            values = list(map(int, tokens))
         except ValueError:
             values = _ints(lineno, tokens)  # raises, naming the bad token
         if len(values) < 3:
@@ -96,21 +109,24 @@ def parse_lin2(text: str) -> LinSystem:
             raise FormatError(lineno, f"rhs must be 0 or 1, got {rhs}")
         if arity < 0 or len(indices) != arity:
             raise FormatError(lineno, f"expected {arity} indices, got {len(indices)}")
-        for a, b in zip(indices, indices[1:]):
-            if b == a:
-                raise FormatError(lineno, f"duplicate index {a}")
-            if b < a:
-                raise FormatError(lineno, "indices must be strictly ascending")
-        # Ascending, so only the ends can be out of range.
-        if indices and (indices[0] < 1 or indices[-1] > header[0]):
-            bad = next(i for i in indices if not 1 <= i <= header[0])
-            raise FormatError(lineno, f"index {bad} out of range 1..{header[0]}")
-        eqs.append(Equation(tuple([i - 1 for i in indices]), rhs, weight))
+        # The indices ascend from 1 on, so the last one is the largest.
+        prev = 0
+        for i in indices:
+            if i <= prev:
+                raise FormatError(lineno, _index_fault(indices, n))
+            prev = i
+        if prev > n:
+            raise FormatError(lineno, _index_fault(indices, n))
+        lhs.append(tuple([i - 1 for i in indices]))
+        rhs_column.append(rhs)
+        weights.append(weight)
     if header is None:
         raise FormatError(0, "missing header")
-    if len(eqs) != header[1]:
-        raise FormatError(0, f"header declares {header[1]} records, found {len(eqs)}")
-    return LinSystem(header[0], tuple(eqs), _forced_ledger(comments))
+    if len(lhs) != header[1]:
+        raise FormatError(0, f"header declares {header[1]} records, found {len(lhs)}")
+    return LinSystem.from_columns(
+        header[0], lhs, rhs_column, weights, _forced_ledger(comments)
+    )
 
 
 def emit_lin2(system: LinSystem, comments=()) -> str:
@@ -118,14 +134,11 @@ def emit_lin2(system: LinSystem, comments=()) -> str:
     lines = [f"c {comment}" for comment in comments]
     if system.forced_falsified:
         lines.append(f"c forced-falsified {system.forced_falsified}")
-    lines.append(f"p lin2 {system.n} {len(system.equations)}")
+    lines.append(f"p lin2 {system.n} {len(system.lhs)}")
     # name(v) is the 1-based file name of variable v, from a per-call table.
     name = [str(i) for i in range(1, system.n + 1)].__getitem__
-    for eqn in system.equations:
-        lhs = eqn.lhs
-        lines.append(
-            " ".join((str(eqn.weight), str(eqn.rhs), str(len(lhs)), *map(name, lhs)))
-        )
+    for lhs, rhs, weight in zip(system.lhs, system.rhs, system.weights):
+        lines.append(" ".join((str(weight), str(rhs), str(len(lhs)), *map(name, lhs))))
     return "\n".join(lines) + "\n"
 
 

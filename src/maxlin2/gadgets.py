@@ -14,13 +14,14 @@ system. Replaying the trace in reverse maps an assignment of the reduced
 instance back to one of the original whose falsified weight never exceeds
 the reduced one (and matches it at the optimum).
 
-The rules rewrite one store of (lhs, rhs) rows with a variable-to-rows
+The rules rewrite one store of lhs and rhs columns with a variable-to-rows
 index, so a degree rule touches only its variable's rows and its new tie
 rows. The store keeps every variable's occurrence count current as rows
 come and go, so nothing is recounted. The pipeline's (=3,=3) checks --
 three variables per row, three rows per variable, distinct left-hand sides
--- run on these rows and counts at the end, around the one pass that
-renumbers the variables and builds the output's equations. Reduction and both
+-- run on these columns and counts at the end, around the one pass that
+renumbers the variables and builds the output's columns; no stage builds an
+Equation per row. Reduction and both
 assignment maps cost O(input + output). The output size of the degree rules
 follows from the degree profile alone, so an output above
 MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 from .core import (
@@ -152,12 +154,12 @@ def chain_block_parity_check(system: LinSystem, block, x_vars) -> int:
     rhs_sum = 0
     ground: set[int] = set()
     for j in block:
-        if not 0 <= j < len(system.equations):
+        if not 0 <= j < len(system.lhs):
             raise GadgetError(f"equation id {j} out of range")
-        eqn = system.equations[j]
-        lhs_sum ^= set(eqn.lhs)
-        rhs_sum ^= eqn.rhs
-        ground |= set(eqn.lhs) & allowed
+        lhs = set(system.lhs[j])
+        lhs_sum ^= lhs
+        rhs_sum ^= system.rhs[j]
+        ground |= lhs & allowed
     return 1 if (lhs_sum == ground and rhs_sum == 1) else 0
 
 
@@ -182,7 +184,7 @@ class TraceStep:
 
 
 def _sized_step(rule: str, data: dict, pre: LinSystem, post: LinSystem) -> TraceStep:
-    return TraceStep(rule, data, pre.n, len(pre.equations), post.n, len(post.equations))
+    return TraceStep(rule, data, pre.n, len(pre.lhs), post.n, len(post.lhs))
 
 
 @dataclass(frozen=True)
@@ -317,55 +319,57 @@ def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
 
 
 class _Rows:
-    """A unit-weight system as (lhs, rhs) rows that the rules rewrite.
+    """A unit-weight system as the lhs and rhs columns the rules rewrite.
 
-    Every rule below runs on one store, so no rule rebuilds or re-validates
-    Equation objects. `occ[v]` is the number of rows holding v: it is
-    counted once, from the input, and every rule that adds or drops rows
-    counts their variables in or out, so no rule recounts. The pipeline's
-    (=3,=3) checks run on these rows and counts in `_compact`, which builds
-    the output's equations, with full validation, in the same one pass; the
-    single-rule entry points build theirs with `system()`.
+    The store starts from the system's own columns, as a list of lhs tuples
+    and a bytearray of rhs bits; row j is (lhs[j], rhs[j]). Every rule below
+    runs on one store and builds no Equation. `occ[v]` is the number of rows
+    holding v: it is counted once, from the input, and every rule that adds
+    or drops rows counts their variables in or out, so no rule recounts. The
+    pipeline's (=3,=3) checks run on these columns and counts in `_compact`,
+    which renumbers the rows and builds the checked output columns in one
+    pass; the single-rule entry points build theirs with `system()`.
     """
 
     def __init__(self, system: LinSystem, op: str) -> None:
-        if any(e.weight != 1 for e in system.equations):
+        if any(w != 1 for w in system.weights):
             raise GadgetError(f"{op} requires unit weights")
         self.n = system.n
-        self.rows = [(e.lhs, e.rhs) for e in system.equations]
+        self.lhs = list(system.lhs)
+        self.rhs = bytearray(system.rhs)
         self.forced = system.forced_falsified
         self.occ = [0] * self.n
-        self.count(self.rows, 1)
+        self.count(self.lhs, 1)
 
     def grow(self, n: int) -> None:
         """Add variable slots up to n; no row holds the new ones yet."""
         self.occ += [0] * (n - self.n)
         self.n = n
 
-    def count(self, rows, sign: int) -> None:
+    def count(self, lhss, sign: int) -> None:
         """Count the variables of rows that were added (+1) or dropped (-1)."""
         occ = self.occ
-        for lhs, _ in rows:
+        for lhs in lhss:
             for v in lhs:
                 occ[v] += sign
 
     def sizes(self) -> tuple[int, int]:
-        return self.n, len(self.rows)
+        return self.n, len(self.lhs)
 
     def step(self, rule: str, data: dict, pre: tuple[int, int]) -> TraceStep:
-        return TraceStep(rule, data, *pre, self.n, len(self.rows))
+        return TraceStep(rule, data, *pre, self.n, len(self.lhs))
 
     def holders(self) -> list[list[int]]:
         """Ids of the rows holding each variable, ascending."""
         holders: list[list[int]] = [[] for _ in range(self.n)]
-        for j, (lhs, _) in enumerate(self.rows):
+        for j, lhs in enumerate(self.lhs):
             for v in lhs:
                 holders[v].append(j)
         return holders
 
     def system(self) -> LinSystem:
-        eqs = tuple(Equation(lhs, rhs) for lhs, rhs in self.rows)
-        return LinSystem(self.n, eqs, self.forced)
+        m = len(self.lhs)
+        return LinSystem.from_columns(self.n, self.lhs, self.rhs, (1,) * m, self.forced)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +389,15 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
     step records the variable's rows as they were before the split, the
     only rows map-back has to evaluate.
     """
-    rows = store.rows
+    lhs_column, rhs_column = store.lhs, store.rhs
     ids = holders[variable]
     degree = len(ids)
     pre = store.sizes()
     n = store.n
-    data: dict = {"variable": variable, "rows": tuple(rows[j] for j in ids)}
+    data: dict = {
+        "variable": variable,
+        "rows": tuple((lhs_column[j], rhs_column[j]) for j in ids),
+    }
     if degree == 4:
         rule, ties, copies = "degree4", _RING, 1
         clones = (variable, n, n + 1, n + 2)
@@ -409,15 +416,16 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
     for used, j in enumerate(ids):
         clone = order[used % len(order)]
         if clone != variable:
-            lhs, rhs = rows[j]
-            rows[j] = (tuple(v for v in lhs if v != variable) + (clone,), rhs)
+            lhs = lhs_column[j]
+            lhs_column[j] = tuple(v for v in lhs if v != variable) + (clone,)
         holders[clone].append(j)
     for a, b in ties:
         x, y = sorted((clones[a], clones[b]))
         for _ in range(copies):
-            holders[x].append(len(rows))
-            holders[y].append(len(rows))
-            rows.append(((x, y), 0))
+            holders[x].append(len(lhs_column))
+            holders[y].append(len(lhs_column))
+            lhs_column.append((x, y))
+            rhs_column.append(0)
     for clone in clones:
         store.occ[clone] = len(holders[clone])
     return store.step(rule, data, pre)
@@ -517,34 +525,38 @@ def normalize_max_degree3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]
 def _expand_arity(store: _Rows) -> TraceStep:
     pre = store.sizes()
     next_var = store.n
-    rows: list = []
+    lhs_column: list = []
+    rhs_column = bytearray()
     expanded = []
     added: list = []
-    for row in store.rows:
-        lhs, rhs = row
+    for lhs, rhs in zip(store.lhs, store.rhs):
         if len(lhs) == 3:
-            rows.append(row)
+            lhs_column.append(lhs)
+            rhs_column.append(rhs)
             continue
         if len(lhs) == 2:
             u, v = next_var, next_var + 1
             next_var += 2
-            gadget = (((lhs[0], u, v), 0), ((lhs[1], u, v), rhs))
+            gadget = ((lhs[0], u, v), (lhs[1], u, v))
+            bits = (0, rhs)
         elif len(lhs) == 1:
             x = lhs[0]
             a, b, u, v = range(next_var, next_var + 4)
             next_var += 4
-            gadget = (((x, a, b), rhs), ((a, u, v), 0), ((b, u, v), 0))
+            gadget = ((x, a, b), (a, u, v), (b, u, v))
+            bits = (rhs, 0, 0)
         else:
             raise GadgetError(
                 f"arity {len(lhs)} equation cannot be expanded to arity 3"
             )
-        rows.extend(gadget)
-        added.extend(gadget)
-        expanded.append(row)
+        lhs_column += gadget
+        rhs_column += bytes(bits)
+        added += gadget
+        expanded.append((lhs, rhs))
     store.grow(next_var)
-    store.count(expanded, -1)
+    store.count([lhs for lhs, _ in expanded], -1)
     store.count(added, 1)
-    store.rows = rows
+    store.lhs, store.rhs = lhs_column, rhs_column
     return store.step("arity-expand", {"expanded": tuple(expanded)}, pre)
 
 
@@ -572,18 +584,22 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
     occ = store.occ
     if any(c > 3 for c in occ):
         raise GadgetError("occurrence above 3; run degree normalization first")
-    if any(len(lhs) != 3 for lhs, _ in store.rows):
+    if set(map(len, store.lhs)) - {3}:
         raise GadgetError("arity must be exactly 3; run arity expansion first")
     # Equations holding a variable that occurs nowhere else are always
     # satisfiable; drop them (cascading) and log the witnesses.
     pre = store.sizes()
-    rows = store.rows
-    deleted = singleton_cascade(store.n, [lhs for lhs, _ in rows])
-    log = PruneLog(tuple(PruneStep(Equation(*rows[j]), w) for j, w in deleted))
+    lhs_column, rhs_column = store.lhs, store.rhs
+    deleted = singleton_cascade(store.n, lhs_column)
+    log = PruneLog(
+        tuple(PruneStep(Equation(lhs_column[j], rhs_column[j]), w) for j, w in deleted)
+    )
     if deleted:
         gone = {j for j, _ in deleted}
-        store.count([rows[j] for j in gone], -1)
-        store.rows = rows = [row for j, row in enumerate(rows) if j not in gone]
+        store.count([lhs_column[j] for j in gone], -1)
+        live = [j not in gone for j in range(len(lhs_column))]
+        store.lhs = lhs_column = list(compress(lhs_column, live))
+        store.rhs = rhs_column = bytearray(compress(rhs_column, live))
     steps = [store.step("always-satisfied-removal", {"log": log}, pre)]
     deg2 = [v for v, c in enumerate(occ) if c == 2]
     if len(deg2) % 3:
@@ -592,26 +608,25 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
         )
     pre = store.sizes()
     next_var = store.n
-    start = len(rows)
+    start = len(lhs_column)
     triplets = []
     for i in range(0, len(deg2), 3):
         t1, t2, t3 = deg2[i : i + 3]
         a, b, c, d, e, f = range(next_var, next_var + 6)
         next_var += 6
-        rows.extend(
-            (
-                ((t1, t2, a), 0),
-                ((t3, b, c), 0),
-                ((a, b, d), 0),
-                ((a, e, f), 0),
-                ((b, c, e), 0),
-                ((c, d, f), 0),
-                ((d, e, f), 0),
-            )
+        lhs_column += (
+            (t1, t2, a),
+            (t3, b, c),
+            (a, b, d),
+            (a, e, f),
+            (b, c, e),
+            (c, d, f),
+            (d, e, f),
         )
         triplets.append((t1, t2, t3))
+    rhs_column += bytes(len(lhs_column) - start)
     store.grow(next_var)
-    store.count(rows[start:], 1)
+    store.count(lhs_column[start:], 1)
     steps.append(store.step("degree2-triplets", {"triplets": tuple(triplets)}, pre))
     return steps
 
@@ -636,18 +651,21 @@ def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrac
 
 
 def _deduplicate(store: _Rows) -> TraceStep:
-    rows = store.rows
-    if any(len(lhs) != 3 for lhs, _ in rows):
+    lhs_column, rhs_column = store.lhs, store.rhs
+    if set(map(len, lhs_column)) - {3}:
         raise GadgetError("deduplication expects arity exactly 3")
+    pre = store.sizes()
+    if len(set(lhs_column)) == len(lhs_column):
+        return store.step("deduplicate", {"pairs": (), "triples": ()}, pre)
     first: dict[tuple[int, ...], int] = {}
     copies: dict[tuple[int, ...], list[int]] = {}
-    for j, (lhs, _) in enumerate(rows):
+    for j, lhs in enumerate(lhs_column):
         i = first.setdefault(lhs, j)
         if i != j:
             copies.setdefault(lhs, [i]).append(j)
     occ = store.occ
     for lhs, members in copies.items():
-        if len({rows[j][1] for j in members}) > 1:
+        if len({rhs_column[j] for j in members}) > 1:
             raise ContractViolationError(
                 f"equations with lhs {lhs} disagree on rhs"
             )
@@ -661,24 +679,24 @@ def _deduplicate(store: _Rows) -> TraceStep:
                     raise ContractViolationError(
                         f"variable {v} of a triple copy occurs elsewhere"
                     )
-    pre = store.sizes()
     next_var = store.n
-    out: list = []
+    out_lhs: list = []
+    out_rhs = bytearray()
     dropped: list = []
     added: list = []
     pairs = []
     triples = []
-    for j, row in enumerate(rows):
-        lhs, b = row
+    for j, (lhs, b) in enumerate(zip(lhs_column, rhs_column)):
         members = copies.get(lhs)
         if members is None:
-            out.append(row)
+            out_lhs.append(lhs)
+            out_rhs.append(b)
             continue
         if j != members[0]:
             continue
-        dropped.extend([row] * len(members))
+        dropped += [lhs] * len(members)
         if len(members) == 3:
-            triples.append(row)
+            triples.append((lhs, b))
             continue
         # Two copies: replace with eight equations over six fresh variables.
         # Under an assignment satisfying the copied equation all eight hold;
@@ -688,22 +706,23 @@ def _deduplicate(store: _Rows) -> TraceStep:
         a1, b1, c1, a2, b2, c2 = range(next_var, next_var + 6)
         next_var += 6
         gadget = (
-            ((x, y, c1), b),
-            ((a1, b1, c1), b),
-            ((z, a1, b1), b),
-            ((x, y, c2), b),
-            ((a2, b2, c2), b),
-            ((z, a2, b2), b),
-            ((a1, c1, b2), b),
-            ((b1, a2, c2), b),
+            (x, y, c1),
+            (a1, b1, c1),
+            (z, a1, b1),
+            (x, y, c2),
+            (a2, b2, c2),
+            (z, a2, b2),
+            (a1, c1, b2),
+            (b1, a2, c2),
         )
-        out.extend(gadget)
-        added.extend(gadget)
-        pairs.append(row)
+        out_lhs += gadget
+        out_rhs += bytes((b,)) * len(gadget)
+        added += gadget
+        pairs.append((lhs, b))
     store.grow(next_var)
     store.count(dropped, -1)
     store.count(added, 1)
-    store.rows = out
+    store.lhs, store.rhs = out_lhs, out_rhs
     data = {"pairs": tuple(pairs), "triples": tuple(triples)}
     return store.step("deduplicate", data, pre)
 
@@ -732,25 +751,24 @@ def _resolve_opposing_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
     Every assignment falsifies exactly one side of such a pair, costing at
     least the lighter weight; what remains is a single equation carrying the
     weight difference. Pointwise exact, so both assignment maps are the
-    identity. Duplicate-elimination later relies on this having run.
+    identity. The input is normalized, so each (lhs, rhs) occurs once.
+    Duplicate-elimination later relies on this having run.
     """
-    by_lhs: dict[tuple[int, ...], list[Equation]] = {}
-    for eqn in system.equations:
-        by_lhs.setdefault(eqn.lhs, []).append(eqn)
+    by_lhs: dict[tuple[int, ...], list[int]] = {}
+    for lhs, rhs, weight in zip(system.lhs, system.rhs, system.weights):
+        by_lhs.setdefault(lhs, [0, 0])[rhs] += weight
     forced = system.forced_falsified
-    eqs: list[Equation] = []
-    for lhs, members in sorted(by_lhs.items()):
-        weights = [0, 0]
-        for eqn in members:
-            weights[eqn.rhs] += eqn.weight
-        if weights[0] and weights[1]:
-            forced += min(weights)
-            if weights[0] != weights[1]:
-                heavier = 0 if weights[0] > weights[1] else 1
-                eqs.append(Equation(lhs, heavier, abs(weights[0] - weights[1])))
-        else:
-            eqs.extend(members)
-    post = LinSystem(system.n, tuple(eqs), forced)
+    lhs_column, rhs_column, weights = [], bytearray(), []
+    for lhs, (w0, w1) in sorted(by_lhs.items()):
+        if w0 and w1:
+            forced += min(w0, w1)
+            w0, w1 = w0 - min(w0, w1), w1 - min(w0, w1)
+        for rhs, weight in ((0, w0), (1, w1)):
+            if weight:
+                lhs_column.append(lhs)
+                rhs_column.append(rhs)
+                weights.append(weight)
+    post = LinSystem.from_columns(system.n, lhs_column, rhs_column, weights, forced)
     return post, _sized_step("opposing-pairs", {}, system, post)
 
 
@@ -758,9 +776,10 @@ def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
     """Drop unused variable slots and build the (=3,=3) output, checked.
 
     The store's counts show every kept variable occurring exactly three
-    times. One pass over the rows then renumbers them, checks each has
-    three variables (the unpack) and builds the output's equations; the set
-    of their left-hand sides shows that no two coincide.
+    times. One pass over the rows then renumbers them and checks each has
+    three variables (the unpack); building the output checks every row's
+    order, range and rhs, and the set of left-hand sides shows that no two
+    coincide.
     """
     pre = store.sizes()
     occ = store.occ
@@ -774,20 +793,17 @@ def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
     for new, old in enumerate(kept):
         remap[old] = new
     try:
-        eqs = tuple(
-            [
-                Equation((remap[x], remap[y], remap[z]), rhs)
-                for (x, y, z), rhs in store.rows
-            ]
+        lhs = tuple([(remap[x], remap[y], remap[z]) for x, y, z in store.lhs])
+        out = LinSystem.from_columns(
+            len(kept), lhs, store.rhs, (1,) * len(lhs), store.forced
         )
     except ValueError as exc:
         raise ContractViolationError(
             f"pipeline output row is not a valid arity-3 equation: {exc}"
         ) from exc
-    if len({e.lhs for e in eqs}) != len(eqs):
+    if len(set(lhs)) != len(lhs):
         raise ContractViolationError("pipeline output has duplicate left-hand sides")
-    out = LinSystem(len(kept), eqs, store.forced)
-    return out, TraceStep("compact", {"kept": kept}, *pre, out.n, len(eqs))
+    return out, TraceStep("compact", {"kept": kept}, *pre, out.n, len(lhs))
 
 
 def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -799,9 +815,9 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     variable slots. Each stage preserves the minimum falsified weight, so
     the composition does too. From the degree rules on, the stages rewrite
     one row store; the last one checks the (=3,=3) shape on the rows and
-    builds the output's equations in the same pass.
+    builds the output's columns in the same pass.
     """
-    if any(e.arity > 3 for e in system.equations):
+    if max(map(len, system.lhs), default=0) > 3:
         raise InstanceClassError("pipeline input must have arity at most 3")
     s0 = normalize(system)
     s1, opposing = _resolve_opposing_step(s0)

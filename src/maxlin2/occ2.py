@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .baseline import SolveResult, _result
 from .core import (
@@ -91,15 +92,21 @@ def prune_singletons(system: LinSystem) -> tuple[LinSystem, PruneLog]:
     so the minimum falsified weight is unchanged. Deletions cascade in the
     order of `singleton_cascade`.
     """
-    eqs = system.equations
-    deleted = singleton_cascade(system.n, [eqn.lhs for eqn in eqs])
+    lhs, rhs, weights = system.lhs, system.rhs, system.weights
+    deleted = singleton_cascade(system.n, lhs)
     gone = {j for j, _ in deleted}
-    pruned = LinSystem(
+    live = [j not in gone for j in range(len(lhs))]
+    pruned = LinSystem.from_columns(
         system.n,
-        tuple(eqn for j, eqn in enumerate(eqs) if j not in gone),
+        compress(lhs, live),
+        compress(rhs, live),
+        compress(weights, live),
         system.forced_falsified,
     )
-    return pruned, PruneLog(tuple(PruneStep(eqs[j], w) for j, w in deleted))
+    log = PruneLog(
+        tuple(PruneStep(Equation(lhs[j], rhs[j], weights[j]), w) for j, w in deleted)
+    )
+    return pruned, log
 
 
 def extend_assignment(log: PruneLog, assignment) -> tuple[int, ...]:
@@ -114,16 +121,16 @@ def extend_assignment(log: PruneLog, assignment) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _bfs(eqs, holders, root: int, seen: list[bool]) -> tuple[list[int], list[int]]:
+def _bfs(lhs, holders, root: int, seen: list[bool]) -> tuple[list[int], list[int]]:
     """Equations reachable from root in BFS order, and the variable linking
-    each to its BFS parent (-1 for the root)."""
+    each to its BFS parent (-1 for the root). lhs is the lhs column."""
     seen[root] = True
     order = [root]
     link = [-1]
     queue = deque([root])
     while queue:
         j = queue.popleft()
-        for v in eqs[j].lhs:
+        for v in lhs[j]:
             for i in holders[v]:
                 if not seen[i]:
                     seen[i] = True
@@ -146,38 +153,38 @@ def solve_occ2(system: LinSystem) -> SolveResult:
     """
     _check_occurrence_bound(system)
     norm = normalize(system)
-    eqs = norm.equations
+    lhs, rhs, weights = norm.lhs, norm.rhs, norm.weights
     holders: list[list[int]] = [[] for _ in range(norm.n)]
-    for j, eqn in enumerate(eqs):
-        for v in eqn.lhs:
+    for j, row in enumerate(lhs):
+        for v in row:
             holders[v].append(j)
     assignment = [0] * system.n
     internal = norm.forced_falsified
-    found = [False] * len(eqs)
-    rooted = [False] * len(eqs)
-    for start in range(len(eqs)):
+    found = [False] * len(lhs)
+    rooted = [False] * len(lhs)
+    for start in range(len(lhs)):
         if found[start]:
             continue
-        members, _ = _bfs(eqs, holders, start, found)
+        members, _ = _bfs(lhs, holders, start, found)
         root, pendant = None, -1
         parity = 0
         for j in members:
-            parity ^= eqs[j].rhs
+            parity ^= rhs[j]
             if root is None:
-                pendant = next((v for v in eqs[j].lhs if len(holders[v]) == 1), -1)
+                pendant = next((v for v in lhs[j] if len(holders[v]) == 1), -1)
                 if pendant >= 0:
                     root = j
         if root is None:
-            root = min(members, key=lambda j: (eqs[j].weight, j)) if parity else start
-        order, link = _bfs(eqs, holders, root, rooted)
+            root = min(members, key=lambda j: (weights[j], j)) if parity else start
+        order, link = _bfs(lhs, holders, root, rooted)
         link[0] = pendant
         if pendant < 0 and parity:
-            internal += eqs[root].weight
+            internal += weights[root]
         for j, var in zip(reversed(order), reversed(link)):
             if var < 0:
                 continue  # a pendant-free root holds by parity or is the loss
-            value = eqs[j].rhs
-            for v in eqs[j].lhs:
+            value = rhs[j]
+            for v in lhs[j]:
                 if v != var:
                     value ^= assignment[v]
             assignment[var] = value
@@ -198,9 +205,9 @@ def solve_occ2_merge(system: LinSystem) -> int:
     """
     _check_occurrence_bound(system)
     norm = normalize(system)
-    rows = [set(eqn.lhs) for eqn in norm.equations]
-    rhs = [eqn.rhs for eqn in norm.equations]
-    weight = [eqn.weight for eqn in norm.equations]
+    rows = [set(lhs) for lhs in norm.lhs]
+    rhs = list(norm.rhs)
+    weight = list(norm.weights)
     row_ids: list[set[int]] = [set() for _ in range(norm.n)]
     for i, row in enumerate(rows):
         for v in row:

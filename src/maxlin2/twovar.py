@@ -26,11 +26,11 @@ def _constraint_graph(system: LinSystem) -> Graph:
     """Signed graph of a normalized system; edge j stands for equation j."""
     anchor = system.n
     edges = []
-    for eqn in system.equations:
-        if eqn.arity == 2:
-            edges.append(Edge(eqn.lhs[0], eqn.lhs[1], eqn.weight, eqn.rhs))
+    for lhs, rhs, weight in zip(system.lhs, system.rhs, system.weights):
+        if len(lhs) == 2:
+            edges.append(Edge(lhs[0], lhs[1], weight, rhs))
         else:
-            edges.append(Edge(eqn.lhs[0], anchor, eqn.weight, 1 - eqn.rhs))
+            edges.append(Edge(lhs[0], anchor, weight, 1 - rhs))
     return Graph(anchor + 1, tuple(edges))
 
 
@@ -42,10 +42,11 @@ def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
     None when the true optimum exceeds k; otherwise the result carries an
     optimal assignment.
     """
-    for eqn in system.equations:
-        if eqn.arity > 2:
+    for j, lhs in enumerate(system.lhs):
+        if len(lhs) > 2:
             raise InstanceClassError(
-                f"equation {eqn} has {eqn.arity} variables; at most 2 allowed"
+                f"equation {system.equations[j]} has {len(lhs)} variables;"
+                " at most 2 allowed"
             )
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")

@@ -168,7 +168,8 @@ def test_normalize_keeps_unmerged_equations_as_given():
     a, b, c = Equation((1,), 0, 2), Equation((0, 1), 1, 3), Equation((0, 1), 1, 4)
     out = normalize(LinSystem(2, (a, b, c)))
     assert out.equations == (Equation((0, 1), 1, 7), a)
-    assert out.equations[1] is a
+    # Columns: the unmerged row keeps the input's own lhs tuple.
+    assert out.lhs[1] is a.lhs
 
 
 def test_equation_and_system_have_no_instance_dict():
@@ -178,6 +179,84 @@ def test_equation_and_system_have_no_instance_dict():
         assert not hasattr(value, "__dict__")
     assert eqn == Equation((0,), 1) and hash(eqn) == hash(Equation((0,), 1))
     assert system == LinSystem(1, (Equation((0,), 1),))
+
+
+# --- columns and the equations view ----------------------------------------
+
+VIEW_ROWS = (Equation((0, 1), 1, 2), Equation((2,), 0, 1), Equation((1, 2), 0, 3))
+
+
+def test_columns_and_equations_build_equal_systems():
+    by_rows = LinSystem(3, VIEW_ROWS, 2)
+    by_columns = LinSystem.from_columns(
+        3,
+        [e.lhs for e in VIEW_ROWS],
+        bytes(e.rhs for e in VIEW_ROWS),
+        [e.weight for e in VIEW_ROWS],
+        2,
+    )
+    assert by_rows == by_columns and hash(by_rows) == hash(by_columns)
+    assert (by_columns.lhs, by_columns.rhs) == (((0, 1), (2,), (1, 2)), b"\x01\x00\x00")
+    assert by_columns.weights == (2, 1, 3)
+    assert by_rows != LinSystem(3, VIEW_ROWS, 1)
+    assert by_rows != LinSystem(3, VIEW_ROWS[::-1], 2)
+    assert by_rows != LinSystem(4, VIEW_ROWS, 2)
+    # The round trip that re-reads a system with another ledger.
+    again = LinSystem(by_columns.n, by_columns.equations, 2)
+    assert again == by_rows and hash(again) == hash(by_rows)
+
+
+def test_equations_view_reads_like_the_tuple(monkeypatch):
+    system = LinSystem(3, VIEW_ROWS)
+    view = system.equations
+    assert view == VIEW_ROWS and VIEW_ROWS == view
+    assert not view != VIEW_ROWS and not VIEW_ROWS != view
+    assert view != VIEW_ROWS[:2] and VIEW_ROWS[:2] != view
+    assert view[0] == VIEW_ROWS[0] and view[-1] == VIEW_ROWS[-1]
+    assert view[1:] == VIEW_ROWS[1:] and view[::-1] == VIEW_ROWS[::-1]
+    assert list(view) == list(VIEW_ROWS)
+    assert VIEW_ROWS[1] in view and Equation((0,), 0, 1) not in view
+    with pytest.raises(IndexError):
+        view[3]
+    # View against view compares the columns.
+    assert view == LinSystem(3, VIEW_ROWS, 5).equations
+    assert view != LinSystem(3, VIEW_ROWS[:2]).equations
+    built = []
+    monkeypatch.setattr(Equation, "__post_init__", lambda self: built.append(self))
+    assert len(view) == 3 and view and not LinSystem(3).equations
+    assert built == []
+
+
+BAD_COLUMNS = {
+    "negative index": (
+        ((-1, 2),), b"\x00", (1,), ValueError, "negative variable index in (-1, 2)"
+    ),
+    "not ascending": (
+        ((2, 1),), b"\x00", (1,), ValueError, "lhs must be strictly ascending, got (2, 1)"
+    ),
+    "rhs 2": (((0,),), b"\x02", (1,), ValueError, "rhs must be 0 or 1, got 2"),
+    "weight 0": (((0,),), b"\x00", (0,), ValueError, "weight must be >= 1, got 0"),
+    "index >= n": (
+        ((0, 3),), b"\x00", (1,), ValueError, "variable 3 out of range for n=3"
+    ),
+    "total weight": (
+        ((0,), (1,)),
+        b"\x00\x01",
+        (MAX_TOTAL_WEIGHT, 1),
+        OverflowError,
+        "total system weight exceeds the supported bound",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COLUMNS))
+def test_bad_columns_give_the_equation_messages(case):
+    lhs, rhs, weights, error, message = BAD_COLUMNS[case]
+    with pytest.raises(error) as by_columns:
+        LinSystem.from_columns(3, lhs, rhs, weights)
+    with pytest.raises(error) as by_rows:
+        LinSystem(3, [Equation(*row) for row in zip(lhs, rhs, weights)])
+    assert str(by_columns.value) == str(by_rows.value) == message
 
 
 # --- randomized invariants -------------------------------------------------

@@ -400,7 +400,7 @@ def test_triplet_gadget_exhaustive():
     store = _store(5, TRIPLET_ROWS)
     _, step = _enforce_degree(store)
     (triplet,) = step.data["triplets"]
-    gadget = store.rows[len(TRIPLET_ROWS) :]
+    gadget = list(zip(store.lhs, store.rhs))[len(TRIPLET_ROWS) :]
     fresh = range(step.pre_n, step.post_n)
     held = collections.Counter(v for lhs, _ in gadget for v in lhs)
     assert held == {**dict.fromkeys(triplet, 1), **dict.fromkeys(fresh, 3)}
@@ -526,6 +526,16 @@ def test_dedup_triple_path_end_to_end():
         assert back[0] ^ back[1] ^ back[2] == 1
     for a in itertools.product((0, 1), repeat=system.n):
         assert evaluate(out, trace.map_assignment_forward(a))[1] <= evaluate(system, a)[1]
+
+
+def test_dedup_weight2_input_row_gets_the_pair_gadget():
+    system = LinSystem.build(3, [((0, 1, 2), 1, 2)])
+    out, trace = to_eq3_eq3(system)
+    (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
+    assert dedup.data == {"pairs": (((0, 1, 2), 1),), "triples": ()}
+    # Two copies out, eight gadget rows over six fresh variables in.
+    assert (dedup.post_n - dedup.pre_n, dedup.post_m - dedup.pre_m) == (6, 6)
+    assert brute_force_min_falsified(out).falsified_weight == 0
 
 
 def test_dedup_no_duplicates_identity():
@@ -765,6 +775,7 @@ def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
         _, trace = to_eq3_eq3(maxlin2.parse_lin2(op.text))
         (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
         assert dedup.pre_m == dedup.post_m
+        assert dedup.data == {"pairs": (), "triples": ()}
 
 
 @pytest.mark.parametrize(
@@ -855,6 +866,10 @@ def test_compact_checks_survive_python_O():
         "    _compact(store)\n"
         "except ContractViolationError:\n"
         "    print(__debug__, 'refused')\n"
+        "try:\n"
+        "    LinSystem.from_columns(3, [(1, 0, 2)], b'\\x00', [1])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(maxlin2.__file__).parent.parent)}
     result = subprocess.run(
@@ -865,7 +880,35 @@ def test_compact_checks_survive_python_O():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False refused\n"
+    assert result.stdout == (
+        "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
+    )
+
+
+def test_pipeline_builds_no_equation_per_row(monkeypatch):
+    # Arity <= 3, weights <= 3, and variable 0 in six rows, so every rule
+    # runs; only the always-satisfied-removal log may hold Equation objects.
+    rng = random.Random(0xC015)
+    rows = [((0, j), rng.randint(0, 1), rng.randint(1, 3)) for j in range(1, 7)]
+    for _ in range(12):
+        lhs = rng.sample(range(1, 9), rng.randint(1, 3))
+        rows.append((lhs, rng.randint(0, 1), rng.randint(1, 3)))
+    system = LinSystem.build(9, rows)
+    built = []
+    post_init = Equation.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Equation, "__post_init__", counted)
+    out, trace = to_eq3_eq3(system)
+    emit_lin2(out)
+    forward = trace.map_assignment_forward([rng.randint(0, 1) for _ in range(system.n)])
+    trace.map_assignment_back(forward)
+    assert len(out.equations) > 100
+    (removal,) = [s for s in trace.steps if s.rule == "always-satisfied-removal"]
+    assert len(built) <= len(removal.data["log"].steps)
 
 
 def test_trace_maps_check_assignment_length():
