@@ -147,17 +147,14 @@ class LinSystem:
     forced_falsified: int
 
     def __init__(self, n: int, equations=(), forced_falsified: int = 0) -> None:
-        if isinstance(equations, EquationsView):
-            s = equations._system
-            columns = (s.lhs, s.rhs, s.weights)
-        else:
-            eqs = tuple(equations)
-            columns = (
-                tuple([e.lhs for e in eqs]),
-                bytes([e.rhs for e in eqs]),
-                tuple([e.weight for e in eqs]),
-            )
-        self._set_columns(n, *columns, forced_falsified)
+        eqs = tuple(equations)
+        self._set_columns(
+            n,
+            tuple([e.lhs for e in eqs]),
+            bytes([e.rhs for e in eqs]),
+            tuple([e.weight for e in eqs]),
+            forced_falsified,
+        )
 
     @classmethod
     def from_columns(

@@ -60,17 +60,6 @@ def _forced_ledger(comments) -> int:
     return forced or 0
 
 
-def _index_fault(indices, n: int) -> str:
-    """Name the first fault of record indices that are not ascending in 1..n."""
-    for a, b in zip(indices, indices[1:]):
-        if b == a:
-            return f"duplicate index {a}"
-        if b < a:
-            return "indices must be strictly ascending"
-    bad = next(i for i in indices if not 1 <= i <= n)
-    return f"index {bad} out of range 1..{n}"
-
-
 def parse_lin2(text: str) -> LinSystem:
     """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`.
 
@@ -109,14 +98,15 @@ def parse_lin2(text: str) -> LinSystem:
             raise FormatError(lineno, f"rhs must be 0 or 1, got {rhs}")
         if arity < 0 or len(indices) != arity:
             raise FormatError(lineno, f"expected {arity} indices, got {len(indices)}")
-        # The indices ascend from 1 on, so the last one is the largest.
-        prev = 0
-        for i in indices:
-            if i <= prev:
-                raise FormatError(lineno, _index_fault(indices, n))
-            prev = i
-        if prev > n:
-            raise FormatError(lineno, _index_fault(indices, n))
+        for a, b in zip(indices, indices[1:]):
+            if b == a:
+                raise FormatError(lineno, f"duplicate index {a}")
+            if b < a:
+                raise FormatError(lineno, "indices must be strictly ascending")
+        # Ascending, so only the ends can be out of range.
+        if indices and (indices[0] < 1 or indices[-1] > header[0]):
+            bad = next(i for i in indices if not 1 <= i <= header[0])
+            raise FormatError(lineno, f"index {bad} out of range 1..{header[0]}")
         lhs.append(tuple([i - 1 for i in indices]))
         rhs_column.append(rhs)
         weights.append(weight)

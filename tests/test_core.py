@@ -164,12 +164,22 @@ def test_normalize_merges_to_exactly_the_weight_bound():
         LinSystem(1, rows + (Equation((0,), 1, 1),))
 
 
-def test_normalize_keeps_unmerged_equations_as_given():
+def test_normalize_keeps_unmerged_equations_as_given(monkeypatch):
     a, b, c = Equation((1,), 0, 2), Equation((0, 1), 1, 3), Equation((0, 1), 1, 4)
-    out = normalize(LinSystem(2, (a, b, c)))
-    assert out.equations == (Equation((0, 1), 1, 7), a)
-    # Columns: the unmerged row keeps the input's own lhs tuple.
+    system = LinSystem(2, (a, b, c))
+    built = []
+    post_init = Equation.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Equation, "__post_init__", counted)
+    out = normalize(system)
+    # Columns: no row is rebuilt, and the unmerged row keeps its lhs tuple.
+    assert built == []
     assert out.lhs[1] is a.lhs
+    assert out.equations == (Equation((0, 1), 1, 7), a)
 
 
 def test_equation_and_system_have_no_instance_dict():
