@@ -134,6 +134,8 @@ def _cmd_verify(args) -> int:
 def _run_reduction(system: LinSystem, target: str):
     if target == "eq3eq3":
         return gadgets.to_eq3_eq3(system)
+    if target == "arity3" and max(map(len, system.lhs), default=0) > 3:
+        raise InstanceClassError("arity3 input must have arity at most 3")
     base = expand_unit_weights(normalize(system))
     mid, trace = gadgets.normalize_max_degree3(base)
     if target == "deg3":
@@ -162,8 +164,7 @@ def _cmd_reduce(args) -> int:
     out.write_text(emit_lin2(reduced, comments=(f"reduced target={args.target}",)))
     trace_path = Path(args.trace) if args.trace else out.with_suffix(out.suffix + ".trace")
     _write_trace(trace_path, trace)
-    prof = profile(reduced)
-    print(f"s REDUCED n={prof.num_variables} m={prof.num_equations}")
+    print(f"s REDUCED n={reduced.n} m={len(reduced.lhs)}")
     return EXIT_OK
 
 

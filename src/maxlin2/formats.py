@@ -7,6 +7,8 @@ files and 0-based in memory.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .bipartize import Edge, Graph, GraphError
 from .core import LinSystem, MaxLin2Error
 from .gadgets import OddSetInstance
@@ -120,16 +122,20 @@ def parse_lin2(text: str) -> LinSystem:
 
 
 def emit_lin2(system: LinSystem, comments=()) -> str:
-    """Serialize a system; a nonzero ledger goes on a forced-falsified line."""
-    lines = [f"c {comment}" for comment in comments]
+    """Serialize a system; a nonzero ledger goes on a forced-falsified line.
+
+    One `%` fills each row's per-call (weight, rhs, arity) template, like "1 0 3 %s %s %s".
+    """
+    lines = [f"c {comment}\n" for comment in comments]
     if system.forced_falsified:
-        lines.append(f"c forced-falsified {system.forced_falsified}")
-    lines.append(f"p lin2 {system.n} {len(system.lhs)}")
-    # name(v) is the 1-based file name of variable v, from a per-call table.
+        lines.append(f"c forced-falsified {system.forced_falsified}\n")
+    lines.append(f"p lin2 {system.n} {len(system.lhs)}\n")
+    keys = list(zip(system.weights, system.rhs, map(len, system.lhs)))
+    template = {key: "%d %d %d" % key + " %s" * key[2] + "\n" for key in set(keys)}
     name = [str(i) for i in range(1, system.n + 1)].__getitem__
-    for lhs, rhs, weight in zip(system.lhs, system.rhs, system.weights):
-        lines.append(" ".join((str(weight), str(rhs), str(len(lhs)), *map(name, lhs))))
-    return "\n".join(lines) + "\n"
+    names = tuple(map(name, chain.from_iterable(system.lhs)))
+    lines.append("".join(map(template.__getitem__, keys)) % names)
+    return "".join(lines)
 
 
 def parse_oddset(text: str) -> OddSetInstance:

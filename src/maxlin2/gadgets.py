@@ -17,22 +17,21 @@ the reduced one (and matches it at the optimum).
 The rules rewrite one store of lhs and rhs columns with a variable-to-rows
 index, so a degree rule touches only its variable's rows and its new tie
 rows. The store keeps every variable's occurrence count current as rows
-come and go, so nothing is recounted. The pipeline's (=3,=3) checks --
+come and go, so nothing is recounted, and a pass they show to be idle (the
+singleton cascade, renumbering the output) is skipped. The (=3,=3) checks --
 three variables per row, three rows per variable, distinct left-hand sides
--- run on these columns and counts at the end, around the one pass that
-renumbers the variables and builds the output's columns; no stage builds an
-Equation per row. Reduction and both
-assignment maps cost O(input + output). The output size of the degree rules
-follows from the degree profile alone, so an output above
-MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
-`maxlin2 reduce`) before it is built.
+-- run on these columns and counts where the output's columns are built; no
+stage builds an Equation per row. Reduction and both assignment maps cost
+O(input + output). The output size of the degree rules follows from the
+degree profile alone, so an output above MAX_UNIT_EQUATIONS equations is
+refused with CapacityError (exit 64 from `maxlin2 reduce`) before it is built.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from typing import NamedTuple
 
 from .core import (
@@ -327,8 +326,8 @@ class _Rows:
     holding v: it is counted once, from the input, and every rule that adds
     or drops rows counts their variables in or out, so no rule recounts. The
     pipeline's (=3,=3) checks run on these columns and counts in `_compact`,
-    which renumbers the rows and builds the checked output columns in one
-    pass; the single-rule entry points build theirs with `system()`.
+    which builds the checked output columns, renumbering only when a slot is
+    empty; the single-rule entry points build theirs with `system()`.
     """
 
     def __init__(self, system: LinSystem, op: str) -> None:
@@ -375,8 +374,9 @@ class _Rows:
 # ---------------------------------------------------------------------------
 # Occurrence (degree) reduction rules
 
-_RING = ((0, 1), (1, 2), (2, 3), (3, 0))
-_RING_AND_CHORDS = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4), (2, 5))
+# Clone slots ascend with their indices, so each tie pair is stored sorted.
+_RING = ((0, 1), (1, 2), (2, 3), (0, 3))
+_RING_AND_CHORDS = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5))
 
 
 def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
@@ -417,10 +417,11 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
         clone = order[used % len(order)]
         if clone != variable:
             lhs = lhs_column[j]
-            lhs_column[j] = tuple(v for v in lhs if v != variable) + (clone,)
+            i = lhs.index(variable)
+            lhs_column[j] = lhs[:i] + lhs[i + 1 :] + (clone,)
         holders[clone].append(j)
     for a, b in ties:
-        x, y = sorted((clones[a], clones[b]))
+        x, y = clones[a], clones[b]
         for _ in range(copies):
             holders[x].append(len(lhs_column))
             holders[y].append(len(lhs_column))
@@ -582,15 +583,15 @@ def expand_arity_to_3(system: LinSystem) -> LinSystem:
 
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
     occ = store.occ
-    if any(c > 3 for c in occ):
+    if max(occ, default=0) > 3:
         raise GadgetError("occurrence above 3; run degree normalization first")
     if set(map(len, store.lhs)) - {3}:
         raise GadgetError("arity must be exactly 3; run arity expansion first")
     # Equations holding a variable that occurs nowhere else are always
-    # satisfiable; drop them (cascading) and log the witnesses.
+    # satisfiable; when a count is 1, drop them (cascading) and log the witnesses.
     pre = store.sizes()
     lhs_column, rhs_column = store.lhs, store.rhs
-    deleted = singleton_cascade(store.n, lhs_column)
+    deleted = singleton_cascade(store.n, lhs_column) if 1 in occ else []
     log = PruneLog(
         tuple(PruneStep(Equation(lhs_column[j], rhs_column[j]), w) for j, w in deleted)
     )
@@ -776,10 +777,10 @@ def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
     """Drop unused variable slots and build the (=3,=3) output, checked.
 
     The store's counts show every kept variable occurring exactly three
-    times. One pass over the rows then renumbers them and checks each has
-    three variables (the unpack); building the output checks every row's
-    order, range and rhs, and the set of left-hand sides shows that no two
-    coincide.
+    times, and the row lengths show every row holding three. The rows are
+    renumbered only when a slot is empty. Building the output checks every
+    row's order, range and rhs, and the set of left-hand sides shows that
+    no two coincide.
     """
     pre = store.sizes()
     occ = store.occ
@@ -788,12 +789,14 @@ def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
         raise ContractViolationError(
             f"pipeline output has variable {bad} occurring {occ[bad]} times, not 3"
         )
-    kept = tuple([v for v, c in enumerate(occ) if c])
-    remap = [0] * store.n
-    for new, old in enumerate(kept):
-        remap[old] = new
+    lhs = store.lhs
+    if set(map(len, lhs)) - {3}:
+        raise ContractViolationError("pipeline output has a row that is not arity-3")
+    kept = tuple(compress(range(store.n), occ))
+    if len(kept) < store.n:
+        remap = list(accumulate(map(bool, occ), initial=0))  # kept slots below v
+        lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
     try:
-        lhs = tuple([(remap[x], remap[y], remap[z]) for x, y, z in store.lhs])
         out = LinSystem.from_columns(
             len(kept), lhs, store.rhs, (1,) * len(lhs), store.forced
         )
@@ -801,7 +804,7 @@ def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
         raise ContractViolationError(
             f"pipeline output row is not a valid arity-3 equation: {exc}"
         ) from exc
-    if len(set(lhs)) != len(lhs):
+    if len(set(out.lhs)) != len(lhs):
         raise ContractViolationError("pipeline output has duplicate left-hand sides")
     return out, TraceStep("compact", {"kept": kept}, *pre, out.n, len(lhs))
 

@@ -6,6 +6,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlin2 import (
     Equation,
@@ -108,6 +110,42 @@ def test_parse_lin2_record_error_messages(text, lineno, message):
 )
 def test_emit_lin2_exact_text(system, comments, text):
     assert emit_lin2(system, comments=comments) == text
+
+
+def _reference_emit_lin2(system: LinSystem, comments=()) -> str:
+    """emit_lin2 as it was before record templates: one join per row."""
+    lines = [f"c {comment}" for comment in comments]
+    if system.forced_falsified:
+        lines.append(f"c forced-falsified {system.forced_falsified}")
+    lines.append(f"p lin2 {system.n} {len(system.lhs)}")
+    for lhs, rhs, weight in zip(system.lhs, system.rhs, system.weights):
+        fields = [weight, rhs, len(lhs)] + [v + 1 for v in lhs]
+        lines.append(" ".join(map(str, fields)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def emit_cases(draw):
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 6))
+    heaviest = MAX_TOTAL_WEIGHT // max(m, 1)
+    rows = []
+    for _ in range(m):
+        arity = draw(st.integers(0, min(5, n)))
+        members = st.sets(st.integers(0, max(n - 1, 0)), min_size=arity, max_size=arity)
+        lhs = tuple(sorted(draw(members)))
+        weight = draw(st.one_of(st.integers(1, 3), st.integers(1, heaviest)))
+        rows.append((lhs, draw(st.integers(0, 1)), weight))
+    ledger = draw(st.one_of(st.just(0), st.integers(0, 2**70)))
+    comments = draw(st.lists(st.text(max_size=8) | st.just("100% %s"), max_size=3))
+    return LinSystem.build(n, rows, ledger), comments
+
+
+@given(emit_cases())
+@settings(max_examples=200, deadline=None)
+def test_emit_lin2_matches_the_per_row_reference(case):
+    system, comments = case
+    assert emit_lin2(system, comments=comments) == _reference_emit_lin2(system, comments)
 
 
 def test_lin2_round_trip_at_the_weight_bound():
@@ -382,6 +420,20 @@ def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
     assert "degree splitting" in capsys.readouterr().err
 
 
+def test_cli_reduce_refuses_arity_above_3_for_arity_targets(tmp_path, capsys):
+    text = "p lin2 4 1\n1 0 4 1 2 3 4\n"
+    source = _write(tmp_path, "wide.lin2", text)
+    for target in ("arity3", "eq3eq3"):
+        out_path = tmp_path / f"{target}.lin2"
+        assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
+        assert not out_path.exists()
+        assert "arity at most 3" in capsys.readouterr().err
+    out_path = tmp_path / "deg3.lin2"
+    assert main(["reduce", source, "--target", "deg3", "-o", str(out_path)]) == EXIT_OK
+    assert capsys.readouterr().out == "s REDUCED n=4 m=1\n"
+    assert parse_lin2(out_path.read_text()) == parse_lin2(text)
+
+
 def test_cli_reduce_emits_reparsable_targets(tmp_path, capsys):
     rng = random.Random(0x909)
     for index, target in enumerate(("deg3", "arity3", "eq3eq3")):
@@ -389,8 +441,9 @@ def test_cli_reduce_emits_reparsable_targets(tmp_path, capsys):
         src = _write(tmp_path, f"s{index}.lin2", emit_lin2(system))
         out_path = tmp_path / f"r{index}.lin2"
         assert main(["reduce", src, "--target", target, "-o", str(out_path)]) == EXIT_OK
-        capsys.readouterr()
         reduced = parse_lin2(out_path.read_text())
+        expected = f"s REDUCED n={reduced.n} m={len(reduced.equations)}\n"
+        assert capsys.readouterr().out == expected
         prof = profile(reduced)
         if target == "deg3":
             assert prof.max_occurrence <= 3

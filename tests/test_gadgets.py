@@ -730,6 +730,16 @@ def test_pipeline_golden_digests():
         back.update(bytes(trace.map_assignment_back(b)) + b"|")
     digests = (text.hexdigest(), forward.hexdigest(), back.hexdigest())
     assert digests == PIPELINE_GOLDEN
+    # The corpus runs both sides of the finish's two early exits: the
+    # singleton cascade runs (and drops rows) only when a variable occurs
+    # once, and compact renumbers only when a slot is empty.
+    cascades = renumbers = 0
+    for system in systems:
+        steps = {step.rule: step for step in to_eq3_eq3(system)[1].steps}
+        removal, compact = steps["always-satisfied-removal"], steps["compact"]
+        cascades += removal.post_m < removal.pre_m
+        renumbers += compact.post_n < compact.pre_n
+    assert (len(systems), cascades, renumbers) == (13, 5, 9)
 
 
 # Step data that holds equation rows (lhs, rhs); the rest holds variables.
@@ -837,6 +847,11 @@ def test_compact_finishes_a_valid_store():
     assert out == LinSystem.build(4, renamed)
     assert step.data["kept"] == (0, 1, 2, 4)
     assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (5, 4, 4, 4)
+    # With no empty slot every variable is kept and no row is renumbered.
+    out, step = _compact(_store(4, renamed))
+    assert out == LinSystem.build(4, renamed)
+    assert step.data["kept"] == (0, 1, 2, 3)
+    assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (4, 4, 4, 4)
 
 
 # Stores that break one output contract each, with the check that must fire.
