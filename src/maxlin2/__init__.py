@@ -58,14 +58,7 @@ from .gadgets import (
     reduce_degree5plus,
     to_eq3_eq3,
 )
-from .occ2 import (
-    PruneLog,
-    PruneStep,
-    extend_assignment,
-    prune_singletons,
-    solve_occ2,
-    solve_occ2_merge,
-)
+from .occ2 import solve_occ2, solve_occ2_merge
 from .twovar import solve_below_W
 
 __version__ = "0.1.0"

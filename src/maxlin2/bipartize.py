@@ -53,9 +53,6 @@ class Edge:
         if self.parity not in (0, 1):
             raise GraphError(f"edge parity must be 0 or 1, got {self.parity!r}")
 
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
 
 @dataclass(frozen=True)
 class Graph:

@@ -24,8 +24,6 @@ from .core import (
     LinSystem,
     MaxLin2Error,
     evaluate,
-    expand_unit_weights,
-    normalize,
     profile,
 )
 from .formats import (
@@ -131,19 +129,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _run_reduction(system: LinSystem, target: str):
-    if target == "eq3eq3":
-        return gadgets.to_eq3_eq3(system)
-    if target == "arity3" and max(map(len, system.lhs), default=0) > 3:
-        raise InstanceClassError("arity3 input must have arity at most 3")
-    base = expand_unit_weights(normalize(system))
-    mid, trace = gadgets.normalize_max_degree3(base)
-    if target == "deg3":
-        return mid, trace
-    out, arity_step = gadgets._expand_arity_step(mid)
-    return out, gadgets.ReductionTrace(trace.steps + (arity_step,), base, out)
-
-
 def _write_trace(path: Path, trace) -> None:
     lines = []
     for step in trace.steps:
@@ -159,7 +144,7 @@ def _write_trace(path: Path, trace) -> None:
 
 def _cmd_reduce(args) -> int:
     system = parse_lin2(_read(args.file))
-    reduced, trace = _run_reduction(system, args.target)
+    reduced, trace = gadgets.reduce_to_target(system, args.target)
     out = Path(args.output)
     out.write_text(emit_lin2(reduced, comments=(f"reduced target={args.target}",)))
     trace_path = Path(args.trace) if args.trace else out.with_suffix(out.suffix + ".trace")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .bipartize import Edge, Graph, GraphError
-from .core import LinSystem, MaxLin2Error
+from .core import MAX_UNIT_EQUATIONS, CapacityError, LinSystem, MaxLin2Error
 from .gadgets import OddSetInstance
 
 
@@ -65,7 +65,8 @@ def _forced_ledger(comments) -> int:
 def parse_lin2(text: str) -> LinSystem:
     """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`.
 
-    A `c forced-falsified <N>` comment line sets the forced ledger.
+    A `c forced-falsified <N>` comment line sets the forced ledger. A header
+    n above MAX_UNIT_EQUATIONS raises CapacityError before anything is sized.
     """
     header = None
     lhs: list[tuple[int, ...]] = []
@@ -82,6 +83,8 @@ def parse_lin2(text: str) -> LinSystem:
             n, m = _ints(lineno, tokens[2:])
             if n < 0 or m < 0:
                 raise FormatError(lineno, "header counts must be nonnegative")
+            if n > MAX_UNIT_EQUATIONS:
+                raise CapacityError(f"line {lineno}: n = {n} is over {MAX_UNIT_EQUATIONS}")
             header = (n, m)
             continue
         if header is None:
@@ -219,14 +222,15 @@ def parse_graph(text: str) -> Graph:
 
 def parse_assignment(text: str, n: int) -> tuple[int, ...]:
     """Parse a single line of n space-separated bits."""
-    lines = [line for _, line in _content_lines(text)]
+    lines = list(_content_lines(text))
     if len(lines) != 1:
         raise FormatError(0, f"expected one assignment line, found {len(lines)}")
-    values = _ints(1, lines[0].split())
+    ((lineno, line),) = lines
+    values = _ints(lineno, line.split())
     if len(values) != n:
-        raise FormatError(1, f"expected {n} bits, got {len(values)}")
+        raise FormatError(lineno, f"expected {n} bits, got {len(values)}")
     if any(b not in (0, 1) for b in values):
-        raise FormatError(1, "assignment entries must be 0 or 1")
+        raise FormatError(lineno, "assignment entries must be 0 or 1")
     return tuple(values)
 
 

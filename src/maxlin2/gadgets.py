@@ -20,11 +20,12 @@ rows. The store keeps every variable's occurrence count current as rows
 come and go, so nothing is recounted, and a pass they show to be idle (the
 singleton cascade, renumbering the output) is skipped. The (=3,=3) checks --
 three variables per row, three rows per variable, distinct left-hand sides
--- run on these columns and counts where the output's columns are built; no
-stage builds an Equation per row. Reduction and both assignment maps cost
-O(input + output). The output size of the degree rules follows from the
-degree profile alone, so an output above MAX_UNIT_EQUATIONS equations is
-refused with CapacityError (exit 64 from `maxlin2 reduce`) before it is built.
+-- run on these columns and counts where the output's columns are built, and
+dropped rows are logged as plain rows: no stage builds an Equation.
+Reduction and both assignment maps cost O(input + output). The output size
+of the degree rules follows from the degree profile alone, so an output
+above MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64
+from `maxlin2 reduce`) before it is built.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .core import (
     expand_unit_weights,
     normalize,
 )
-from .occ2 import PruneLog, PruneStep, extend_assignment, singleton_cascade
 
 
 class GadgetError(MaxLin2Error):
@@ -243,6 +243,18 @@ def _best_uniform_clone_value(step: TraceStep, values) -> int:
     return 1 if falsified[1] < falsified[0] else 0
 
 
+def _satisfy_removed(removed, values: list[int]) -> list[int]:
+    """Replay removed (lhs, rhs, witness) rows in reverse, in place: each
+    witness occurred in no later row, so setting it satisfies its row."""
+    for lhs, rhs, witness in reversed(removed):
+        parity = rhs
+        for v in lhs:
+            if v != witness:
+                parity ^= values[v]
+        values[witness] = parity
+    return values
+
+
 # Both maps rewrite one list in place: a step truncates or extends it by the
 # variables it removed or added, so a whole map costs O(input + output).
 
@@ -261,7 +273,7 @@ def _map_back_step(step: TraceStep, values: list[int]) -> list[int]:
         del values[pre_n:]
         return values
     if rule == "always-satisfied-removal":
-        return list(extend_assignment(step.data["log"], values))
+        return _satisfy_removed(step.data["removed"], values)
     if rule == "deduplicate":
         del values[pre_n:]
         for (x, y, z), rhs in step.data["triples"]:
@@ -270,6 +282,8 @@ def _map_back_step(step: TraceStep, values: list[int]) -> list[int]:
             values[z] = 0
         return values
     if rule == "compact":
+        if step.post_n == pre_n:  # nothing was dropped: kept is the identity
+            return values
         out = [0] * pre_n
         for new_index, old_index in enumerate(step.data["kept"]):
             out[old_index] = values[new_index]
@@ -294,7 +308,7 @@ def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
                 values.extend((0, 0, 0, 0) if values[lhs[0]] == rhs else (1, 0, 0, 0))
         return values
     if rule == "always-satisfied-removal":
-        return list(extend_assignment(step.data["log"], values))
+        return _satisfy_removed(step.data["removed"], values)
     if rule == "degree2-triplets":
         for t1, t2, t3 in step.data["triplets"]:
             tie = values[t1] ^ values[t2]
@@ -309,6 +323,8 @@ def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
             values.extend((values[x], values[y], c, values[x], values[y], c))
         return values
     if rule == "compact":
+        if step.post_n == step.pre_n:
+            return values
         return [values[old] for old in step.data["kept"]]
     raise ContractViolationError(f"unknown trace rule {rule!r}")
 
@@ -369,6 +385,16 @@ class _Rows:
     def system(self) -> LinSystem:
         m = len(self.lhs)
         return LinSystem.from_columns(self.n, self.lhs, self.rhs, (1,) * m, self.forced)
+
+
+def _apply(system: LinSystem, op: str, *rules) -> tuple[LinSystem, ReductionTrace]:
+    """Run store rules in order on one store of the system; trace their steps."""
+    store = _Rows(system, op)
+    steps: list[TraceStep] = []
+    for rule in rules:
+        steps += rule(store)
+    out = store.system()
+    return out, ReductionTrace(tuple(steps), system, out)
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +539,14 @@ def normalize_max_degree3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]
     Raises CapacityError, before building anything, when the output would
     exceed MAX_UNIT_EQUATIONS equations.
     """
-    store = _Rows(system, "degree normalization")
-    steps = _normalize_degrees(store)
-    out = store.system()
-    return out, ReductionTrace(tuple(steps), system, out)
+    return _apply(system, "degree normalization", _normalize_degrees)
 
 
 # ---------------------------------------------------------------------------
 # Arity expansion to exactly three variables per equation
 
 
-def _expand_arity(store: _Rows) -> TraceStep:
+def _expand_arity(store: _Rows) -> list[TraceStep]:
     pre = store.sizes()
     next_var = store.n
     lhs_column: list = []
@@ -558,13 +581,7 @@ def _expand_arity(store: _Rows) -> TraceStep:
     store.count([lhs for lhs, _ in expanded], -1)
     store.count(added, 1)
     store.lhs, store.rhs = lhs_column, rhs_column
-    return store.step("arity-expand", {"expanded": tuple(expanded)}, pre)
-
-
-def _expand_arity_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
-    store = _Rows(system, "arity expansion")
-    step = _expand_arity(store)
-    return store.system(), step
+    return [store.step("arity-expand", {"expanded": tuple(expanded)}, pre)]
 
 
 def expand_arity_to_3(system: LinSystem) -> LinSystem:
@@ -574,11 +591,46 @@ def expand_arity_to_3(system: LinSystem) -> LinSystem:
     falsified one forces exactly one falsified gadget equation, so the
     optimum is preserved.
     """
-    return _expand_arity_step(system)[0]
+    return _apply(system, "arity expansion", _expand_arity)[0]
 
 
 # ---------------------------------------------------------------------------
 # Occurrence exactly three
+
+
+def singleton_cascade(n: int, lhss) -> list[tuple[int, int]]:
+    """Rows deleted by exhaustive singleton pruning, as (row, witness) pairs.
+
+    `lhss` lists each row's variables. A row holding a variable that occurs
+    in no other live row is deleted, cascading; the lowest-indexed singleton
+    variable is processed first. Occurrence counts are decremented per
+    deletion and the current singletons kept in a min-heap, so the whole
+    cascade costs O(size · log n).
+    """
+    occ = [0] * n
+    # XOR of the indices of the live rows holding each variable: for a
+    # singleton it is the index of its one row.
+    holder = [0] * n
+    for j, lhs in enumerate(lhss):
+        for v in lhs:
+            occ[v] += 1
+            holder[v] ^= j
+    # Counts only fall, so each variable enters the heap at most once; an
+    # entry whose count has since dropped to 0 is skipped.
+    singletons = [v for v in range(n) if occ[v] == 1]
+    deleted: list[tuple[int, int]] = []
+    while singletons:
+        witness = heapq.heappop(singletons)
+        if occ[witness] != 1:
+            continue
+        j = holder[witness]
+        deleted.append((j, witness))
+        for v in lhss[j]:
+            occ[v] -= 1
+            holder[v] ^= j
+            if occ[v] == 1:
+                heapq.heappush(singletons, v)
+    return deleted
 
 
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
@@ -588,20 +640,18 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
     if set(map(len, store.lhs)) - {3}:
         raise GadgetError("arity must be exactly 3; run arity expansion first")
     # Equations holding a variable that occurs nowhere else are always
-    # satisfiable; when a count is 1, drop them (cascading) and log the witnesses.
+    # satisfiable; when a count is 1, drop them (cascading) and log them with witnesses.
     pre = store.sizes()
     lhs_column, rhs_column = store.lhs, store.rhs
     deleted = singleton_cascade(store.n, lhs_column) if 1 in occ else []
-    log = PruneLog(
-        tuple(PruneStep(Equation(lhs_column[j], rhs_column[j]), w) for j, w in deleted)
-    )
+    removed = tuple((lhs_column[j], rhs_column[j], w) for j, w in deleted)
     if deleted:
         gone = {j for j, _ in deleted}
         store.count([lhs_column[j] for j in gone], -1)
         live = [j not in gone for j in range(len(lhs_column))]
         store.lhs = lhs_column = list(compress(lhs_column, live))
         store.rhs = rhs_column = bytearray(compress(rhs_column, live))
-    steps = [store.step("always-satisfied-removal", {"log": log}, pre)]
+    steps = [store.step("always-satisfied-removal", {"removed": removed}, pre)]
     deg2 = [v for v, c in enumerate(occ) if c == 2]
     if len(deg2) % 3:
         raise ContractViolationError(
@@ -641,23 +691,20 @@ def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrac
     distinct unit equations. Every value of a triplet has exactly one
     completion satisfying all seven, so the optimum is unchanged.
     """
-    store = _Rows(system, "degree enforcement")
-    steps = _enforce_degree(store)
-    out = store.system()
-    return out, ReductionTrace(tuple(steps), system, out)
+    return _apply(system, "degree enforcement", _enforce_degree)
 
 
 # ---------------------------------------------------------------------------
 # Duplicate elimination
 
 
-def _deduplicate(store: _Rows) -> TraceStep:
+def _deduplicate(store: _Rows) -> list[TraceStep]:
     lhs_column, rhs_column = store.lhs, store.rhs
     if set(map(len, lhs_column)) - {3}:
         raise GadgetError("deduplication expects arity exactly 3")
     pre = store.sizes()
     if len(set(lhs_column)) == len(lhs_column):
-        return store.step("deduplicate", {"pairs": (), "triples": ()}, pre)
+        return [store.step("deduplicate", {"pairs": (), "triples": ()}, pre)]
     first: dict[tuple[int, ...], int] = {}
     copies: dict[tuple[int, ...], list[int]] = {}
     for j, lhs in enumerate(lhs_column):
@@ -725,7 +772,7 @@ def _deduplicate(store: _Rows) -> TraceStep:
     store.count(added, 1)
     store.lhs, store.rhs = out_lhs, out_rhs
     data = {"pairs": tuple(pairs), "triples": tuple(triples)}
-    return store.step("deduplicate", data, pre)
+    return [store.step("deduplicate", data, pre)]
 
 
 def deduplicate_equations(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -736,10 +783,7 @@ def deduplicate_equations(system: LinSystem) -> tuple[LinSystem, ReductionTrace]
     replaced by the eight-equation gadget over six fresh variables. In the
     pipeline the copies come from the input alone: no gadget writes one.
     """
-    store = _Rows(system, "deduplication")
-    step = _deduplicate(store)
-    out = store.system()
-    return out, ReductionTrace((step,), system, out)
+    return _apply(system, "deduplication", _deduplicate)
 
 
 # ---------------------------------------------------------------------------
@@ -831,10 +875,24 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
         _sized_step("unit-expand", {}, s1, s2),
     ]
     store = _Rows(s2, "degree normalization")
-    steps.extend(_normalize_degrees(store))
-    steps.append(_expand_arity(store))
-    steps.extend(_enforce_degree(store))
-    steps.append(_deduplicate(store))
+    for rule in (_normalize_degrees, _expand_arity, _enforce_degree, _deduplicate):
+        steps += rule(store)
     out, compact = _compact(store)
     steps.append(compact)
     return out, ReductionTrace(tuple(steps), system, out)
+
+
+def reduce_to_target(system: LinSystem, target: str) -> tuple[LinSystem, ReductionTrace]:
+    """The reduction of `maxlin2 reduce --target`.
+
+    "eq3eq3" is `to_eq3_eq3`. "deg3" cuts occurrences down to 3 and "arity3"
+    then pads arities up to 3, both on the normalized, unit-expanded input,
+    which is where their trace starts.
+    """
+    if target == "eq3eq3":
+        return to_eq3_eq3(system)
+    rules = {"deg3": (_normalize_degrees,), "arity3": (_normalize_degrees, _expand_arity)}[target]
+    if target == "arity3" and max(map(len, system.lhs), default=0) > 3:
+        raise InstanceClassError("arity3 input must have arity at most 3")
+    base = expand_unit_weights(normalize(system))
+    return _apply(base, "degree normalization", *rules)

@@ -7,38 +7,22 @@ A component without pendant edges has every variable twice, so its rows sum
 to zero: it is satisfiable iff its rhs bits XOR to 0, and otherwise exactly
 its lightest equation is lost. `solve_occ2` realises this with one peel of a
 spanning tree per component; `solve_occ2_merge` is an independent
-cross-check that only reports the optimal value.
+cross-check that only reports the optimal value. Neither prunes rows first;
+the singleton cascade of the (=3,=3) pipeline lives in `gadgets`.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass
-from itertools import compress
 
 from .baseline import SolveResult, _result
 from .core import (
     ContractViolationError,
-    Equation,
     InstanceClassError,
     LinSystem,
     normalize,
     occurrence_counts,
 )
-
-
-@dataclass(frozen=True)
-class PruneStep:
-    """One singleton deletion: the removed equation and its witness variable."""
-
-    equation: Equation
-    witness: int
-
-
-@dataclass(frozen=True)
-class PruneLog:
-    steps: tuple[PruneStep, ...]
 
 
 def _check_occurrence_bound(system: LinSystem) -> None:
@@ -48,77 +32,6 @@ def _check_occurrence_bound(system: LinSystem) -> None:
         raise InstanceClassError(
             f"variable {worst} occurs {occ[worst]} times; at most 2 allowed"
         )
-
-
-def singleton_cascade(n: int, lhss) -> list[tuple[int, int]]:
-    """Rows deleted by exhaustive singleton pruning, as (row, witness) pairs.
-
-    `lhss` lists each row's variables. A row holding a variable that occurs
-    in no other live row is deleted, cascading; the lowest-indexed singleton
-    variable is processed first. Occurrence counts are decremented per
-    deletion and the current singletons kept in a min-heap, so the whole
-    cascade costs O(size · log n).
-    """
-    occ = [0] * n
-    # XOR of the indices of the live rows holding each variable: for a
-    # singleton it is the index of its one row.
-    holder = [0] * n
-    for j, lhs in enumerate(lhss):
-        for v in lhs:
-            occ[v] += 1
-            holder[v] ^= j
-    # Counts only fall, so each variable enters the heap at most once; an
-    # entry whose count has since dropped to 0 is skipped.
-    singletons = [v for v in range(n) if occ[v] == 1]
-    deleted: list[tuple[int, int]] = []
-    while singletons:
-        witness = heapq.heappop(singletons)
-        if occ[witness] != 1:
-            continue
-        j = holder[witness]
-        deleted.append((j, witness))
-        for v in lhss[j]:
-            occ[v] -= 1
-            holder[v] ^= j
-            if occ[v] == 1:
-                heapq.heappush(singletons, v)
-    return deleted
-
-
-def prune_singletons(system: LinSystem) -> tuple[LinSystem, PruneLog]:
-    """Exhaustively delete equations that contain a variable occurring once.
-
-    Such an equation can always be satisfied by choosing that variable last,
-    so the minimum falsified weight is unchanged. Deletions cascade in the
-    order of `singleton_cascade`.
-    """
-    lhs, rhs, weights = system.lhs, system.rhs, system.weights
-    deleted = singleton_cascade(system.n, lhs)
-    gone = {j for j, _ in deleted}
-    live = [j not in gone for j in range(len(lhs))]
-    pruned = LinSystem.from_columns(
-        system.n,
-        compress(lhs, live),
-        compress(rhs, live),
-        compress(weights, live),
-        system.forced_falsified,
-    )
-    log = PruneLog(
-        tuple(PruneStep(Equation(lhs[j], rhs[j], weights[j]), w) for j, w in deleted)
-    )
-    return pruned, log
-
-
-def extend_assignment(log: PruneLog, assignment) -> tuple[int, ...]:
-    """Replay a prune log in reverse, fixing each witness to satisfy its equation."""
-    values = list(assignment)
-    for step in reversed(log.steps):
-        parity = 0
-        for v in step.equation.lhs:
-            if v != step.witness:
-                parity ^= values[v]
-        values[step.witness] = parity ^ step.equation.rhs
-    return tuple(values)
 
 
 def _bfs(lhs, holders, root: int, seen: list[bool]) -> tuple[list[int], list[int]]:

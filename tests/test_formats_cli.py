@@ -24,7 +24,7 @@ from maxlin2 import (
     profile,
 )
 from maxlin2.cli import EXIT_FORMAT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from maxlin2.core import MAX_TOTAL_WEIGHT
+from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
 from helpers import random_system
 
 
@@ -195,6 +195,20 @@ def test_parse_assignment_round_trip():
         parse_assignment("1 0\n", 3)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("c note\n1 x 0\n", "line 2: expected an integer, got 'x'"),
+        ("\nc note\n1 0\n", "line 3: expected 3 bits, got 2"),
+        ("c a\nc b\n\n1 2 0\n", "line 4: assignment entries must be 0 or 1"),
+    ],
+)
+def test_parse_assignment_reports_the_line_it_read(text, message):
+    with pytest.raises(FormatError) as error:
+        parse_assignment(text, 3)
+    assert str(error.value) == message
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -289,6 +303,27 @@ def test_cli_verify_oracle_witness(tmp_path, capsys):
 def test_cli_malformed_input(tmp_path, capsys):
     path = _write(tmp_path, "bad.lin2", "p lin2 1 1\n1 5 1 1\n")
     assert main(["solve", path]) == EXIT_FORMAT
+
+
+def test_cli_verify_names_the_assignment_line(tmp_path, capsys):
+    system = _write(tmp_path, "a.lin2", "p lin2 3 1\n1 0 1 1\n")
+    assignment = _write(tmp_path, "a.sol", "c note\n1 x 0\n")
+    assert main(["verify", system, assignment]) == EXIT_FORMAT
+    assert capsys.readouterr().err == "error: line 2: expected an integer, got 'x'\n"
+
+
+def test_cli_refuses_a_huge_header_n_before_allocating(tmp_path, capsys):
+    # One row, but n one past the bound: refused before any per-variable
+    # table of size n is built, so each command returns at once.
+    source = _write(tmp_path, "wide.lin2", f"p lin2 {MAX_UNIT_EQUATIONS + 1} 1\n1 0 1 1\n")
+    out_path = tmp_path / "out.lin2"
+    started = time.monotonic()
+    assert main(["solve", source]) == EXIT_USAGE
+    assert main(["reduce", source, "--target", "eq3eq3", "-o", str(out_path)]) == EXIT_USAGE
+    assert time.monotonic() - started < 1
+    assert not out_path.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: line 1: n = {MAX_UNIT_EQUATIONS + 1} is over {MAX_UNIT_EQUATIONS}"] * 2
 
 
 def test_cli_usage_error():

@@ -424,8 +424,8 @@ def test_enforce_removes_always_satisfiable():
     system = LinSystem.build(3, [((0, 1, 2), 1, 1)])
     out, trace = enforce_degree_exactly3(system)
     assert out.equations == ()
-    log = trace.steps[0].data["log"]
-    assert len(log.steps) == 1
+    # The row is logged as it was, with its lowest singleton as the witness.
+    assert trace.steps[0].data["removed"] == (((0, 1, 2), 1, 0),)
 
 
 def test_enforce_preserves_optimum():
@@ -742,8 +742,9 @@ def test_pipeline_golden_digests():
     assert (len(systems), cascades, renumbers) == (13, 5, 9)
 
 
-# Step data that holds equation rows (lhs, rhs); the rest holds variables.
-ROW_DATA = ("rows", "expanded", "pairs", "triples")
+# Step data that holds equation rows (lhs, rhs), or (lhs, rhs, witness) for
+# "removed"; the rest holds variables.
+ROW_DATA = ("rows", "expanded", "pairs", "triples", "removed")
 
 
 def test_trace_records_rule_data_and_sizes_only():
@@ -755,9 +756,7 @@ def test_trace_records_rule_data_and_sizes_only():
                 assert not isinstance(getattr(step, field.name), LinSystem)
             assert not any(isinstance(v, LinSystem) for v in step.data.values())
             recorded += sum(len(step.data.get(key, ())) for key in ROW_DATA)
-            if "log" in step.data:
-                recorded += len(step.data["log"].steps)
-        # An output pruned away to nothing still leaves a prune log, of at
+        # An output pruned away to nothing still logs the removed rows, at
         # most the padded rows: three per unit row.
         unit_m = trace.steps[2].post_m
         bound = len(out.equations) // 2 if out.equations else 3 * unit_m
@@ -902,13 +901,14 @@ def test_compact_checks_survive_python_O():
 
 def test_pipeline_builds_no_equation_per_row(monkeypatch):
     # Arity <= 3, weights <= 3, and variable 0 in six rows, so every rule
-    # runs; only the always-satisfied-removal log may hold Equation objects.
+    # runs; variable 9 occurs once, so the singleton cascade drops a row.
     rng = random.Random(0xC015)
     rows = [((0, j), rng.randint(0, 1), rng.randint(1, 3)) for j in range(1, 7)]
     for _ in range(12):
         lhs = rng.sample(range(1, 9), rng.randint(1, 3))
         rows.append((lhs, rng.randint(0, 1), rng.randint(1, 3)))
-    system = LinSystem.build(9, rows)
+    rows.append(((1, 2, 9), 1, 1))
+    system = LinSystem.build(10, rows)
     built = []
     post_init = Equation.__post_init__
 
@@ -921,9 +921,10 @@ def test_pipeline_builds_no_equation_per_row(monkeypatch):
     emit_lin2(out)
     forward = trace.map_assignment_forward([rng.randint(0, 1) for _ in range(system.n)])
     trace.map_assignment_back(forward)
-    assert len(out.equations) > 100
+    assert len(out.lhs) > 100
+    assert built == []
     (removal,) = [s for s in trace.steps if s.rule == "always-satisfied-removal"]
-    assert len(built) <= len(removal.data["log"].steps)
+    assert removal.post_m < removal.pre_m
 
 
 def test_trace_maps_check_assignment_length():

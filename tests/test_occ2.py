@@ -1,4 +1,5 @@
-"""Exact solver for occurrence-at-most-2 systems, both routes."""
+"""Exact solver for occurrence-at-most-2 systems, both routes, and the
+singleton cascade that drops always-satisfiable rows."""
 
 from __future__ import annotations
 
@@ -14,40 +15,41 @@ from maxlin2 import (
     LinSystem,
     brute_force_min_falsified,
     evaluate,
-    extend_assignment,
     normalize,
     occurrence_counts,
-    prune_singletons,
     solve_below_W,
     solve_occ2,
     solve_occ2_merge,
 )
+from maxlin2.gadgets import _satisfy_removed, singleton_cascade
 from helpers import random_system
+
+
+def _without(system: LinSystem, rows) -> LinSystem:
+    """The system with the given rows deleted."""
+    gone = set(rows)
+    kept = (e for j, e in enumerate(system.equations) if j not in gone)
+    return LinSystem(system.n, tuple(kept), system.forced_falsified)
 
 
 def test_prune_cascade():
     system = LinSystem.build(3, [((0, 1), 1, 1), ((1, 2), 0, 1), ((2,), 1, 1)])
-    pruned, log = prune_singletons(system)
-    assert pruned.equations == ()
-    assert len(log.steps) == 3
-    extended = extend_assignment(log, (0, 0, 0))
+    deleted = singleton_cascade(system.n, system.lhs)
+    assert sorted(j for j, _ in deleted) == [0, 1, 2]
+    removed = [(system.lhs[j], system.rhs[j], w) for j, w in deleted]
+    extended = _satisfy_removed(removed, [0, 0, 0])
     assert evaluate(system, extended)[1] == 0
 
 
 def test_prune_no_singleton():
     system = LinSystem.build(2, [((0, 1), 0, 1), ((0, 1), 1, 1)])
-    pruned, log = prune_singletons(system)
-    assert pruned == system
-    assert log.steps == ()
+    assert singleton_cascade(system.n, system.lhs) == []
 
 
 def test_prune_single_equation():
     system = LinSystem.build(1, [((0,), 1, 5)])
-    pruned, log = prune_singletons(system)
-    assert pruned.equations == ()
-    assert len(log.steps) == 1
-    assert log.steps[0].witness == 0
-    assert log.steps[0].equation == Equation((0,), 1, 5)
+    assert singleton_cascade(system.n, system.lhs) == [(0, 0)]
+    assert _satisfy_removed([((0,), 1, 0)], [0]) == [1]
 
 
 def test_prune_log_takes_lowest_singleton_first():
@@ -56,15 +58,15 @@ def test_prune_log_takes_lowest_singleton_first():
         system = random_system(
             rng, max_vars=9, max_eqs=12, max_weight=3, max_arity=3, max_occurrence=3
         )
-        pruned, log = prune_singletons(system)
-        remaining = list(system.equations)
-        for step in log.steps:
-            occ = occurrence_counts(LinSystem(system.n, tuple(remaining)))
-            assert step.witness == occ.index(1)
-            assert step.witness in step.equation.lhs
-            remaining.remove(step.equation)
-        assert tuple(remaining) == pruned.equations
-        assert 1 not in occurrence_counts(pruned)
+        deleted = singleton_cascade(system.n, system.lhs)
+        gone: list[int] = []
+        for j, witness in deleted:
+            occ = occurrence_counts(_without(system, gone))
+            assert witness == occ.index(1)
+            assert witness in system.lhs[j]
+            assert j not in gone
+            gone.append(j)
+        assert 1 not in occurrence_counts(_without(system, gone))
 
 
 def test_split_disjoint():
@@ -177,7 +179,9 @@ def test_rank_structure_of_pruned_components():
         system = random_system(
             rng, max_vars=9, max_eqs=12, max_weight=4, max_occurrence=2
         )
-        pruned, _ = prune_singletons(normalize(system))
+        system = normalize(system)
+        deleted = singleton_cascade(system.n, system.lhs)
+        pruned = _without(system, [j for j, _ in deleted])
         assert set(occurrence_counts(pruned)) <= {0, 2}
         for component in _components(pruned):
             eqs = component.equations
@@ -211,11 +215,14 @@ def test_prune_preserves_optimum():
         system = random_system(
             rng, max_vars=8, max_eqs=10, max_weight=4, max_occurrence=2
         )
-        pruned, _ = prune_singletons(system)
-        assert (
-            brute_force_min_falsified(pruned).falsified_weight
-            == brute_force_min_falsified(system).falsified_weight
-        )
+        deleted = singleton_cascade(system.n, system.lhs)
+        pruned = _without(system, [j for j, _ in deleted])
+        best = brute_force_min_falsified(pruned)
+        assert best.falsified_weight == brute_force_min_falsified(system).falsified_weight
+        # Replaying the witnesses satisfies every dropped row.
+        removed = [(system.lhs[j], system.rhs[j], w) for j, w in deleted]
+        extended = _satisfy_removed(removed, list(best.assignment))
+        assert evaluate(system, extended)[1] == best.falsified_weight
 
 
 @st.composite
