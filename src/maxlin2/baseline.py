@@ -13,6 +13,7 @@ from .core import (
     LinSystem,
     evaluate,
     falsified_indices,
+    variable_rows,
 )
 
 DEFAULT_VAR_LIMIT = 24
@@ -49,10 +50,7 @@ def brute_force_min_falsified(
     if n > var_limit:
         raise CapacityError(f"{n} variables exceed the oracle limit {var_limit}")
     rhs, weight = system.rhs, system.weights
-    touching: list[list[int]] = [[] for _ in range(n)]
-    for j, lhs in enumerate(system.lhs):
-        for v in lhs:
-            touching[v].append(j)
+    touching = variable_rows(n, system.lhs)
     parity = [0] * len(rhs)
     falsified = sum(w for b, w in zip(rhs, weight) if b)
     best_falsified = falsified
@@ -86,10 +84,7 @@ def conditional_expectation_assignment(system: LinSystem) -> SolveResult:
     """
     n = system.n
     rhs, weight = system.rhs, system.weights
-    touching: list[list[int]] = [[] for _ in range(n)]
-    for j, lhs in enumerate(system.lhs):
-        for v in lhs:
-            touching[v].append(j)
+    touching = variable_rows(n, system.lhs)
     unassigned = [len(lhs) for lhs in system.lhs]
     parity = [0] * len(rhs)
     values = []

@@ -214,8 +214,7 @@ def _min_cut(num_vertices, edges, source, sink, bound, stats):
             node = u
         push = min(edges[j][2] - sign * flow[j] for j, sign in path)
         value += push
-        if stats is not None:
-            stats.flow_augmentations += 1
+        stats.flow_augmentations += 1
         if value > bound:
             return None
         for j, sign in path:
@@ -246,8 +245,7 @@ def _compress(g: Graph, forest: _ParityForest, active: int, candidate, floor, st
     No deletion set is lighter than floor, the optimum before the insertion,
     so a cut of that value ends the search.
     """
-    if stats is not None:
-        stats.compressions += 1
+    stats.compressions += 1
     n = g.num_vertices
     source, sink = n, n + 1
     phi = forest.sides()
@@ -261,8 +259,7 @@ def _compress(g: Graph, forest: _ParityForest, active: int, candidate, floor, st
     bound = sum(g.edges[eid].weight for eid in candidate) - 1
     # the last candidate edge keeps guess bit 0; its complement is the same cut
     for guess in range(1 << (len(candidate) - 1)):
-        if stats is not None:
-            stats.guesses += 1
+        stats.guesses += 1
         terminals = []
         for i, eid in enumerate(candidate):
             e = g.edges[eid]
@@ -286,10 +283,13 @@ def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
     Returns a Bipartition whose deleted_edges is a deletion set of minimum
     total weight, or None when every deletion set weighs more than k.
     Deterministic: edges are inserted in input order, and on unit-weight
-    graphs the first improving guess is taken.
+    graphs the first improving guess is taken. The search counts its work
+    into stats, a fresh SearchStats when none is given.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if stats is None:
+        stats = SearchStats()
     forest = _ParityForest(g.num_vertices)
     solution: list[int] = []
     weight = 0

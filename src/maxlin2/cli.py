@@ -54,9 +54,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(lineno, f"{path} is not UTF-8 text") from None
+
+
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _print_assignment(assignment) -> None:
@@ -139,14 +151,14 @@ def _write_trace(path: Path, trace) -> None:
             f"{step.rule}{detail}"
             f" m:{step.pre_m}->{step.post_m} n:{step.pre_n}->{step.post_n}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _cmd_reduce(args) -> int:
     system = parse_lin2(_read(args.file))
     reduced, trace = gadgets.reduce_to_target(system, args.target)
     out = Path(args.output)
-    out.write_text(emit_lin2(reduced, comments=(f"reduced target={args.target}",)))
+    _write(out, emit_lin2(reduced, comments=(f"reduced target={args.target}",)))
     trace_path = Path(args.trace) if args.trace else out.with_suffix(out.suffix + ".trace")
     _write_trace(trace_path, trace)
     print(f"s REDUCED n={reduced.n} m={len(reduced.lhs)}")
@@ -156,9 +168,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_from_oddset(args) -> int:
     instance = parse_oddset(_read(args.file))
     reduction = gadgets.oddset_to_lin2(instance)
-    Path(args.output).write_text(
-        emit_lin2(reduction.system, comments=(f"k {reduction.budget}",))
-    )
+    _write(args.output, emit_lin2(reduction.system, comments=(f"k {reduction.budget}",)))
     print(f"s K {reduction.budget}")
     return EXIT_OK
 
@@ -234,7 +244,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (UsageError, InstanceClassError, CapacityError, ValueError) as exc:
+    except (UsageError, InstanceClassError, CapacityError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

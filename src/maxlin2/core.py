@@ -14,6 +14,7 @@ read the columns and build none.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -46,6 +47,29 @@ class ContractViolationError(MaxLin2Error):
     """An internal invariant did not hold; indicates a bug or misuse."""
 
 
+def _check_rows(lhs, rhs, weights, n: float = math.inf) -> None:
+    """Raise ValueError unless every rhs is 0 or 1, every weight >= 1 and
+    every lhs strictly ascending, nonnegative and below n."""
+    if rhs.count(0) + rhs.count(1) != len(rhs):
+        bad = next(b for b in rhs if b not in (0, 1))
+        raise ValueError(f"rhs must be 0 or 1, got {bad!r}")
+    if weights and min(weights) < 1:
+        bad = next(w for w in weights if w < 1)
+        raise ValueError(f"weight must be >= 1, got {bad!r}")
+    # One plain loop per row checks sign, order and range: it allocates
+    # nothing, and this runs for every row of every system built.
+    for row in lhs:
+        prev = -1
+        for v in row:
+            if v <= prev:
+                if prev < 0:
+                    raise ValueError(f"negative variable index in {row}")
+                raise ValueError(f"lhs must be strictly ascending, got {row}")
+            prev = v
+        if prev >= n:
+            raise ValueError(f"variable {prev} out of range for n={n}")
+
+
 @dataclass(frozen=True, slots=True)
 class Equation:
     """One weighted equation: XOR of the lhs variables equals rhs.
@@ -60,19 +84,7 @@ class Equation:
     weight: int = 1
 
     def __post_init__(self) -> None:
-        if self.rhs not in (0, 1):
-            raise ValueError(f"rhs must be 0 or 1, got {self.rhs!r}")
-        if self.weight < 1:
-            raise ValueError(f"weight must be >= 1, got {self.weight!r}")
-        # One plain loop checks both the sign and the order: it allocates
-        # nothing, and this runs for every equation built.
-        prev = -1
-        for v in self.lhs:
-            if v <= prev:
-                if prev < 0:
-                    raise ValueError(f"negative variable index in {self.lhs}")
-                raise ValueError(f"lhs must be strictly ascending, got {self.lhs}")
-            prev = v
+        _check_rows((self.lhs,), (self.rhs,), (self.weight,))
 
     @classmethod
     def make(cls, variables, rhs: int, weight: int = 1) -> "Equation":
@@ -131,8 +143,8 @@ class LinSystem:
 
     Row j is ``lhs[j]`` (a tuple of strictly ascending variable indices),
     ``rhs[j]`` (a byte, 0 or 1) and ``weights[j]`` (an int >= 1). The
-    columns are checked once, when the system is built, with the messages
-    Equation uses; ``equations`` is a read-only view that builds Equation
+    columns are checked once, when the system is built, by _check_rows, as
+    Equation checks itself; ``equations`` is a read-only view that builds Equation
     objects only when a row is read.
 
     forced_falsified is a weight ledger for contradictory constant equations
@@ -180,24 +192,7 @@ class LinSystem:
             raise ValueError(
                 f"column lengths differ: {len(lhs)}, {len(rhs)}, {len(weights)}"
             )
-        bad = rhs.translate(None, b"\x00\x01")
-        if bad:
-            raise ValueError(f"rhs must be 0 or 1, got {bad[0]!r}")
-        if weights and min(weights) < 1:
-            bad = next(w for w in weights if w < 1)
-            raise ValueError(f"weight must be >= 1, got {bad!r}")
-        # One plain loop per row checks sign, order and range: it allocates
-        # nothing, and this runs for every row of every system built.
-        for row in lhs:
-            prev = -1
-            for v in row:
-                if v <= prev:
-                    if prev < 0:
-                        raise ValueError(f"negative variable index in {row}")
-                    raise ValueError(f"lhs must be strictly ascending, got {row}")
-                prev = v
-            if prev >= n:
-                raise ValueError(f"variable {prev} out of range for n={n}")
+        _check_rows(lhs, rhs, weights, n)
         if sum(weights) > MAX_TOTAL_WEIGHT:
             raise OverflowError("total system weight exceeds the supported bound")
         object.__setattr__(self, "n", n)
@@ -352,6 +347,15 @@ def occurrence_counts(system: LinSystem) -> list[int]:
         for v in lhs:
             counts[v] += 1
     return counts
+
+
+def variable_rows(n: int, lhs) -> list[list[int]]:
+    """Ids of the rows holding each variable 0..n-1, ascending, given the lhs column."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for j, row in enumerate(lhs):
+        for v in row:
+            rows[v].append(j)
+    return rows
 
 
 def profile(system: LinSystem) -> InstanceProfile:

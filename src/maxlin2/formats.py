@@ -2,7 +2,10 @@
 
 All formats follow the DIMACS convention: `c` comment lines, one `p` header
 line, then one record per line. Variable and vertex indices are 1-based in
-files and 0-based in memory.
+files and 0-based in memory. One reader, `_records`, owns the header and the
+integer record tokens for all three input formats: it refuses a header n
+above MAX_UNIT_EQUATIONS and checks the declared record count, and each
+parser checks only its own records.
 """
 
 from __future__ import annotations
@@ -36,14 +39,16 @@ def _content_lines(text: str, comments: list | None = None):
             yield lineno, line
 
 
-def _ints(lineno: int, tokens) -> list[int]:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise FormatError(lineno, f"expected an integer, got {tok!r}") from None
-    return out
+def _ints(lineno: int, tokens: list[str]) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:  # find the bad token to name it
+            try:
+                int(tok)
+            except ValueError:
+                raise FormatError(lineno, f"expected an integer, got {tok!r}") from None
+        raise
 
 
 def _forced_ledger(comments) -> int:
@@ -62,37 +67,54 @@ def _forced_ledger(comments) -> int:
     return forced or 0
 
 
+def _records(text: str, header: str, noun: str, comments: list | None = None):
+    """Yield the counts of the one `p` header, then (lineno, values) per record.
+
+    header is the usage text, like "p lin2 <n> <m>", and gives the header's
+    kind and length. A header n above MAX_UNIT_EQUATIONS raises CapacityError
+    before anything is sized by it; the record count must be the header's m.
+    """
+    shape = header.split()
+    counts = None
+    found = 0
+    for lineno, line in _content_lines(text, comments):
+        tokens = line.split()
+        if tokens[0] == "p":
+            if counts is not None:
+                raise FormatError(lineno, "duplicate header")
+            if len(tokens) != len(shape) or tokens[1] != shape[1]:
+                raise FormatError(lineno, f"header must be '{header}'")
+            counts = _ints(lineno, tokens[2:])
+            if min(counts) < 0:
+                raise FormatError(lineno, "header counts must be nonnegative")
+            if counts[0] > MAX_UNIT_EQUATIONS:
+                raise CapacityError(
+                    f"line {lineno}: n = {counts[0]} is over {MAX_UNIT_EQUATIONS}"
+                )
+            yield counts
+            continue
+        if counts is None:
+            raise FormatError(lineno, "record before header")
+        found += 1
+        yield lineno, _ints(lineno, tokens)
+    if counts is None:
+        raise FormatError(0, "missing header")
+    if found != counts[1]:
+        raise FormatError(0, f"header declares {counts[1]} {noun}, found {found}")
+
+
 def parse_lin2(text: str) -> LinSystem:
     """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`.
 
-    A `c forced-falsified <N>` comment line sets the forced ledger. A header
-    n above MAX_UNIT_EQUATIONS raises CapacityError before anything is sized.
+    A `c forced-falsified <N>` comment line sets the forced ledger.
     """
-    header = None
     lhs: list[tuple[int, ...]] = []
     rhs_column = bytearray()
     weights: list[int] = []
     comments: list[tuple[int, str]] = []
-    for lineno, line in _content_lines(text, comments):
-        tokens = line.split()
-        if tokens[0] == "p":
-            if header is not None:
-                raise FormatError(lineno, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "lin2":
-                raise FormatError(lineno, "header must be 'p lin2 <n> <m>'")
-            n, m = _ints(lineno, tokens[2:])
-            if n < 0 or m < 0:
-                raise FormatError(lineno, "header counts must be nonnegative")
-            if n > MAX_UNIT_EQUATIONS:
-                raise CapacityError(f"line {lineno}: n = {n} is over {MAX_UNIT_EQUATIONS}")
-            header = (n, m)
-            continue
-        if header is None:
-            raise FormatError(lineno, "record before header")
-        try:
-            values = list(map(int, tokens))
-        except ValueError:
-            values = _ints(lineno, tokens)  # raises, naming the bad token
+    records = _records(text, "p lin2 <n> <m>", "records", comments)
+    n = next(records)[0]
+    for lineno, values in records:
         if len(values) < 3:
             raise FormatError(lineno, "record needs weight, rhs and arity")
         weight, rhs, arity = values[:3]
@@ -109,19 +131,13 @@ def parse_lin2(text: str) -> LinSystem:
             if b < a:
                 raise FormatError(lineno, "indices must be strictly ascending")
         # Ascending, so only the ends can be out of range.
-        if indices and (indices[0] < 1 or indices[-1] > header[0]):
-            bad = next(i for i in indices if not 1 <= i <= header[0])
-            raise FormatError(lineno, f"index {bad} out of range 1..{header[0]}")
+        if indices and (indices[0] < 1 or indices[-1] > n):
+            bad = next(i for i in indices if not 1 <= i <= n)
+            raise FormatError(lineno, f"index {bad} out of range 1..{n}")
         lhs.append(tuple([i - 1 for i in indices]))
         rhs_column.append(rhs)
         weights.append(weight)
-    if header is None:
-        raise FormatError(0, "missing header")
-    if len(lhs) != header[1]:
-        raise FormatError(0, f"header declares {header[1]} records, found {len(lhs)}")
-    return LinSystem.from_columns(
-        header[0], lhs, rhs_column, weights, _forced_ledger(comments)
-    )
+    return LinSystem.from_columns(n, lhs, rhs_column, weights, _forced_ledger(comments))
 
 
 def emit_lin2(system: LinSystem, comments=()) -> str:
@@ -143,24 +159,11 @@ def emit_lin2(system: LinSystem, comments=()) -> str:
 
 def parse_oddset(text: str) -> OddSetInstance:
     """Parse `p ods <n> <m> <k>` plus m records `<r> <j1> ... <jr>`."""
-    header = None
     sets: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for lineno, line in _content_lines(text):
-        tokens = line.split()
-        if tokens[0] == "p":
-            if header is not None:
-                raise FormatError(lineno, "duplicate header")
-            if len(tokens) != 5 or tokens[1] != "ods":
-                raise FormatError(lineno, "header must be 'p ods <n> <m> <k>'")
-            n, m, k = _ints(lineno, tokens[2:])
-            if n < 0 or m < 0 or k < 0:
-                raise FormatError(lineno, "header counts must be nonnegative")
-            header = (n, m, k)
-            continue
-        if header is None:
-            raise FormatError(lineno, "record before header")
-        values = _ints(lineno, tokens)
+    records = _records(text, "p ods <n> <m> <k>", "sets")
+    n, _, k = next(records)
+    for lineno, values in records:
         size = values[0]
         members = values[1:]
         if size < 1:
@@ -170,54 +173,33 @@ def parse_oddset(text: str) -> OddSetInstance:
         if len(set(members)) != size:
             raise FormatError(lineno, "repeated element in set")
         for j in members:
-            if not 1 <= j <= header[0]:
-                raise FormatError(lineno, f"element {j} out of range 1..{header[0]}")
+            if not 1 <= j <= n:
+                raise FormatError(lineno, f"element {j} out of range 1..{n}")
         canonical = tuple(sorted(j - 1 for j in members))
         if canonical in seen:
             raise FormatError(lineno, "duplicate set")
         seen.add(canonical)
         sets.append(canonical)
-    if header is None:
-        raise FormatError(0, "missing header")
-    if len(sets) != header[1]:
-        raise FormatError(0, f"header declares {header[1]} sets, found {len(sets)}")
-    return OddSetInstance(header[0], tuple(sets), header[2])
+    return OddSetInstance(n, tuple(sets), k)
 
 
 def parse_graph(text: str) -> Graph:
     """Parse `p graph <n> <m>` plus m edge records `<u> <v>`."""
-    header = None
     edges: list[Edge] = []
-    for lineno, line in _content_lines(text):
-        tokens = line.split()
-        if tokens[0] == "p":
-            if header is not None:
-                raise FormatError(lineno, "duplicate header")
-            if len(tokens) != 4 or tokens[1] != "graph":
-                raise FormatError(lineno, "header must be 'p graph <n> <m>'")
-            n, m = _ints(lineno, tokens[2:])
-            if n < 0 or m < 0:
-                raise FormatError(lineno, "header counts must be nonnegative")
-            header = (n, m)
-            continue
-        if header is None:
-            raise FormatError(lineno, "record before header")
-        values = _ints(lineno, tokens)
+    records = _records(text, "p graph <n> <m>", "edges")
+    n = next(records)[0]
+    for lineno, values in records:
         if len(values) != 2:
             raise FormatError(lineno, "edge record must be '<u> <v>'")
         u, v = values
         for x in (u, v):
-            if not 1 <= x <= header[0]:
-                raise FormatError(lineno, f"vertex {x} out of range 1..{header[0]}")
+            if not 1 <= x <= n:
+                raise FormatError(lineno, f"vertex {x} out of range 1..{n}")
         try:
             edges.append(Edge(u - 1, v - 1))
         except GraphError as exc:
             raise FormatError(lineno, str(exc)) from None
-    if header is None:
-        raise FormatError(0, "missing header")
-    if len(edges) != header[1]:
-        raise FormatError(0, f"header declares {header[1]} edges, found {len(edges)}")
-    return Graph(header[0], tuple(edges))
+    return Graph(n, tuple(edges))
 
 
 def parse_assignment(text: str, n: int) -> tuple[int, ...]:

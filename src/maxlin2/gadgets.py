@@ -46,6 +46,8 @@ from .core import (
     MaxLin2Error,
     expand_unit_weights,
     normalize,
+    occurrence_counts,
+    variable_rows,
 )
 
 
@@ -353,8 +355,7 @@ class _Rows:
         self.lhs = list(system.lhs)
         self.rhs = bytearray(system.rhs)
         self.forced = system.forced_falsified
-        self.occ = [0] * self.n
-        self.count(self.lhs, 1)
+        self.occ = occurrence_counts(system)
 
     def grow(self, n: int) -> None:
         """Add variable slots up to n; no row holds the new ones yet."""
@@ -373,14 +374,6 @@ class _Rows:
 
     def step(self, rule: str, data: dict, pre: tuple[int, int]) -> TraceStep:
         return TraceStep(rule, data, *pre, self.n, len(self.lhs))
-
-    def holders(self) -> list[list[int]]:
-        """Ids of the rows holding each variable, ascending."""
-        holders: list[list[int]] = [[] for _ in range(self.n)]
-        for j, lhs in enumerate(self.lhs):
-            for v in lhs:
-                holders[v].append(j)
-        return holders
 
     def system(self) -> LinSystem:
         m = len(self.lhs)
@@ -484,7 +477,7 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
     before any row is built: a prediction above MAX_UNIT_EQUATIONS rows is
     refused with CapacityError, and a build that misses it is a bug.
     """
-    holders = store.holders()
+    holders = variable_rows(store.n, store.lhs)
     memo: dict = {}
     n, m = store.sizes()
     for ids in holders:
@@ -515,7 +508,7 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
 
 def _split_step(system: LinSystem, variable: int, rule: str) -> tuple[LinSystem, TraceStep]:
     store = _Rows(system, f"{rule} rule")
-    holders = store.holders()
+    holders = variable_rows(store.n, store.lhs)
     degree = len(holders[variable])
     if (degree != 4) if rule == "degree4" else (degree < 5):
         raise GadgetError(f"variable {variable} occurs {degree} times; {rule} does not apply")

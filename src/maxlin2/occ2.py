@@ -22,6 +22,7 @@ from .core import (
     LinSystem,
     normalize,
     occurrence_counts,
+    variable_rows,
 )
 
 
@@ -67,10 +68,7 @@ def solve_occ2(system: LinSystem) -> SolveResult:
     _check_occurrence_bound(system)
     norm = normalize(system)
     lhs, rhs, weights = norm.lhs, norm.rhs, norm.weights
-    holders: list[list[int]] = [[] for _ in range(norm.n)]
-    for j, row in enumerate(lhs):
-        for v in row:
-            holders[v].append(j)
+    holders = variable_rows(norm.n, lhs)
     assignment = [0] * system.n
     internal = norm.forced_falsified
     found = [False] * len(lhs)
@@ -121,10 +119,7 @@ def solve_occ2_merge(system: LinSystem) -> int:
     rows = [set(lhs) for lhs in norm.lhs]
     rhs = list(norm.rhs)
     weight = list(norm.weights)
-    row_ids: list[set[int]] = [set() for _ in range(norm.n)]
-    for i, row in enumerate(rows):
-        for v in row:
-            row_ids[v].add(i)
+    row_ids = list(map(set, variable_rows(norm.n, norm.lhs)))
     for var in range(norm.n):
         if len(row_ids[var]) != 2:
             continue

@@ -96,6 +96,44 @@ def test_parse_lin2_record_error_messages(text, lineno, message):
     assert str(caught.value) == f"line {lineno}: {message}"
 
 
+# (parser, header usage, a header with n = 2 and m = 1, one valid record, record noun)
+READER_FORMATS = (
+    (parse_lin2, "p lin2 <n> <m>", "p lin2 2 1", "1 0 1 1", "records"),
+    (parse_oddset, "p ods <n> <m> <k>", "p ods 2 1 0", "1 1", "sets"),
+    (parse_graph, "p graph <n> <m>", "p graph 2 1", "1 2", "edges"),
+)
+
+
+def _reader_errors():
+    """(parser, text, lineno, message) rows, the same cases for each format."""
+    for parse, usage, header, record, noun in READER_FORMATS:
+        kind = usage.split()[1]
+        for case, text, lineno, message in (
+            ("duplicate header", f"{header}\n{header}\n{record}\n", 2, "duplicate header"),
+            ("extra count", f"{header} 9\n{record}\n", 1, f"header must be '{usage}'"),
+            ("wrong kind", f"p other{header[header.index(' ', 2):]}\n{record}\n", 1,
+             f"header must be '{usage}'"),
+            ("negative count", f"{header.replace(' 2 ', ' -2 ')}\n{record}\n", 1,
+             "header counts must be nonnegative"),
+            ("bad header token", f"{header.replace(' 2 ', ' x ')}\n{record}\n", 1,
+             "expected an integer, got 'x'"),
+            ("record before header", f"{record}\n{header}\n", 1, "record before header"),
+            ("missing header", "c no header\n", 0, "missing header"),
+            ("record count", f"{header}\n", 0, f"header declares 1 {noun}, found 0"),
+            ("bad record token", f"c note\n{header}\n{record} y\n", 3,
+             "expected an integer, got 'y'"),
+        ):
+            yield pytest.param(parse, text, lineno, message, id=f"{kind}-{case}")
+
+
+@pytest.mark.parametrize("parse, text, lineno, message", _reader_errors())
+def test_every_format_reads_its_header_and_tokens_alike(parse, text, lineno, message):
+    with pytest.raises(FormatError) as caught:
+        parse(text)
+    assert caught.value.lineno == lineno
+    assert str(caught.value) == f"line {lineno}: {message}"
+
+
 @pytest.mark.parametrize(
     "system, comments, text",
     [
@@ -324,6 +362,65 @@ def test_cli_refuses_a_huge_header_n_before_allocating(tmp_path, capsys):
     assert not out_path.exists()
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: line 1: n = {MAX_UNIT_EQUATIONS + 1} is over {MAX_UNIT_EQUATIONS}"] * 2
+    # The other two formats share the header reader and its bound.
+    for command, text in (
+        (["from-oddset", "-o", str(out_path)], "p ods 100000000 0 0\n"),
+        (["bipartize", "-k", "0"], "p graph 100000000 0\n"),
+    ):
+        source = _write(tmp_path, "wide.txt", text)
+        started = time.monotonic()
+        assert main([command[0], source, *command[1:]]) == EXIT_USAGE
+        assert time.monotonic() - started < 1
+        assert not out_path.exists()
+        assert capsys.readouterr().err == (
+            f"error: line 1: n = 100000000 is over {MAX_UNIT_EQUATIONS}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["solve"], f"p lin2 2 2\n{MAX_TOTAL_WEIGHT} 1 2 1 2\n1 0 1 1\n"),
+        (["stats"], f"p lin2 2 2\n{MAX_TOTAL_WEIGHT} 1 2 1 2\n1 0 1 1\n"),
+        (["from-oddset", "-o", "out.lin2"], "p ods 2 1 99999999999999999999\n1 1\n"),
+    ],
+    ids=["solve", "stats", "from-oddset"],
+)
+def test_cli_refuses_total_weight_above_the_bound(tmp_path, capsys, monkeypatch, command, text):
+    monkeypatch.chdir(tmp_path)
+    source = _write(tmp_path, "heavy.txt", text)
+    assert main([command[0], source, *command[1:]]) == EXIT_USAGE
+    assert not (tmp_path / "out.lin2").exists()
+    assert capsys.readouterr().err == "error: total system weight exceeds the supported bound\n"
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        (["reduce", "--target", "eq3eq3", "-o", "missing/x.lin2"], "missing/x.lin2"),
+        (["reduce", "--target", "eq3eq3", "-o", "x.lin2", "--trace", "missing/t"], "missing/t"),
+        (["from-oddset", "-o", "missing/x"], "missing/x"),
+    ],
+    ids=["reduce-output", "reduce-trace", "from-oddset-output"],
+)
+def test_cli_names_the_path_it_cannot_write(tmp_path, capsys, monkeypatch, command, bad):
+    monkeypatch.chdir(tmp_path)
+    text = "p ods 2 1 1\n2 1 2\n" if command[0] == "from-oddset" else CONTRADICTION
+    source = _write(tmp_path, "in.txt", text)
+    assert main([command[0], source, *command[1:]]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+
+@pytest.mark.parametrize(
+    "data, lineno",
+    [(b"\xff\xfe", 1), (b"c note\np lin2 1 0\nc \xff\n", 3)],
+    ids=["first-line", "third-line"],
+)
+def test_cli_input_that_is_not_utf8_is_malformed(tmp_path, capsys, data, lineno):
+    path = tmp_path / "bad.lin2"
+    path.write_bytes(data)
+    assert main(["stats", str(path)]) == EXIT_FORMAT
+    assert capsys.readouterr().err == f"error: line {lineno}: {path} is not UTF-8 text\n"
 
 
 def test_cli_usage_error():
