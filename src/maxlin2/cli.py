@@ -141,7 +141,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _write_trace(path: Path, trace) -> None:
+def _trace_text(trace) -> str:
     lines = []
     for step in trace.steps:
         detail = ""
@@ -151,16 +151,23 @@ def _write_trace(path: Path, trace) -> None:
             f"{step.rule}{detail}"
             f" m:{step.pre_m}->{step.post_m} n:{step.pre_n}->{step.post_n}"
         )
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_reduce(args) -> int:
+    """Write the reduced system and its trace, both or neither."""
     system = parse_lin2(_read(args.file))
     reduced, trace = gadgets.reduce_to_target(system, args.target)
     out = Path(args.output)
-    _write(out, emit_lin2(reduced, comments=(f"reduced target={args.target}",)))
+    text = emit_lin2(reduced, comments=(f"reduced target={args.target}",))
+    trace_text = _trace_text(trace)
     trace_path = Path(args.trace) if args.trace else out.with_suffix(out.suffix + ".trace")
-    _write_trace(trace_path, trace)
+    _write(out, text)
+    try:
+        _write(trace_path, trace_text)
+    except UsageError:
+        out.unlink(missing_ok=True)
+        raise
     print(f"s REDUCED n={reduced.n} m={len(reduced.lhs)}")
     return EXIT_OK
 

@@ -22,15 +22,18 @@ singleton cascade, renumbering the output) is skipped. The (=3,=3) checks --
 three variables per row, three rows per variable, distinct left-hand sides
 -- run on these columns and counts where the output's columns are built, and
 dropped rows are logged as plain rows: no stage builds an Equation.
-Reduction and both assignment maps cost O(input + output). The output size
-of the degree rules follows from the degree profile alone, so an output
-above MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64
-from `maxlin2 reduce`) before it is built.
+Reduction and both assignment maps cost O(input + output). A variable of
+degree d >= 4 splits into clones tied by the edges of a ceil(log2 d)-cube,
+so it costs O(d log d) rows. The output size follows from the weighted
+degree profile alone, so a stage above MAX_UNIT_EQUATIONS equations is
+refused with CapacityError (exit 64 from `maxlin2 reduce`) before unit
+expansion builds anything.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import NamedTuple
@@ -231,8 +234,8 @@ def _best_uniform_clone_value(step: TraceStep, values) -> int:
     """Pick the clone value whose uniform assignment falsifies least.
 
     Only the rows that held the split variable tell the two values apart:
-    the ring and chord rows hold under any uniform value, and every other
-    row is the same under both. Ties go to 0.
+    the cube's tie rows hold under any uniform value, and every other row is
+    the same under both. Ties go to 0.
     """
     variable = step.data["variable"]
     falsified = [0, 0]
@@ -393,81 +396,90 @@ def _apply(system: LinSystem, op: str, *rules) -> tuple[LinSystem, ReductionTrac
 # ---------------------------------------------------------------------------
 # Occurrence (degree) reduction rules
 
-# Clone slots ascend with their indices, so each tie pair is stored sorted.
-_RING = ((0, 1), (1, 2), (2, 3), (0, 3))
-_RING_AND_CHORDS = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5))
+
+def _cube_ties(t: int) -> list[tuple[int, int]]:
+    """The t * 2^(t-1) edges of the t-cube Q_t on slots 0..2^t - 1, each pair sorted."""
+    return [(i, i | 1 << b) for i in range(1 << t) for b in range(t) if not i >> b & 1]
 
 
 def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
-    """Split one variable of degree d >= 4 into tied clones, in place.
+    """Split one variable of degree d >= 4 into clones tied by a hypercube, in place.
 
-    d = 4: the four occurrences go to a 4-cycle of clones. d >= 5: they go
-    round robin to six clones tied by a ring and three chords, each tie
-    repeated ceil((d-2)/6) times. Only the variable's rows and the new tie
-    rows are touched; each clone is fresh, so it sorts last in its row. The
-    step records the variable's rows as they were before the split, the
-    only rows map-back has to evaluate.
+    With t = ceil(log2 d), the variable and 2^t - 1 fresh clones sit on the
+    vertices of the t-cube Q_t, each edge an rhs-0 tie row, and occurrence i
+    goes to clone i. Each clone then has degree t or t + 1; for d = 4 this is
+    a 4-cycle with every clone at degree 3. Q_t has edge expansion 1 (Harper),
+    so a uniform clone value stays optimal. Only the variable's rows and the
+    new tie rows are touched; each clone is fresh, so it sorts last in its
+    row. The step records the variable's rows as they were before the split,
+    the only rows map-back has to evaluate.
     """
     lhs_column, rhs_column = store.lhs, store.rhs
     ids = holders[variable]
     degree = len(ids)
+    t = (degree - 1).bit_length()
     pre = store.sizes()
     n = store.n
-    data: dict = {
+    clones = (variable, *range(n, n + (1 << t) - 1))
+    data = {
         "variable": variable,
         "rows": tuple((lhs_column[j], rhs_column[j]) for j in ids),
+        "clones": clones,
     }
-    if degree == 4:
-        rule, ties, copies = "degree4", _RING, 1
-        clones = (variable, n, n + 1, n + 2)
-        order = clones
-    else:
-        rule, ties, copies = "degree5plus", _RING_AND_CHORDS, -((degree - 2) // -6)
-        clones = (variable,) + tuple(range(n, n + 5))
-        data["copies"] = copies
-        # Fill the last clone first, round robin, so the sorted original
-        # occurrence counts sit between floor(d/6) and ceil(d/6).
-        order = clones[::-1]
-    data["clones"] = clones
     store.grow(n + len(clones) - 1)
     holders[variable] = []
     holders.extend([] for _ in clones[1:])
-    for used, j in enumerate(ids):
-        clone = order[used % len(order)]
+    for clone, j in zip(clones, ids):
         if clone != variable:
             lhs = lhs_column[j]
             i = lhs.index(variable)
             lhs_column[j] = lhs[:i] + lhs[i + 1 :] + (clone,)
         holders[clone].append(j)
-    for a, b in ties:
+    # Clones ascend with their slots, so each tie pair is stored sorted.
+    for a, b in _cube_ties(t):
         x, y = clones[a], clones[b]
-        for _ in range(copies):
-            holders[x].append(len(lhs_column))
-            holders[y].append(len(lhs_column))
-            lhs_column.append((x, y))
-            rhs_column.append(0)
+        holders[x].append(len(lhs_column))
+        holders[y].append(len(lhs_column))
+        lhs_column.append((x, y))
+        rhs_column.append(0)
     for clone in clones:
         store.occ[clone] = len(holders[clone])
-    return store.step(rule, data, pre)
+    return store.step("degree4" if degree == 4 else "degree5plus", data, pre)
 
 
-def _split_growth(degree: int, memo: dict) -> tuple[int, int]:
-    """Variables and rows the degree rules add to bring one variable to <= 3."""
+def _split_growth(degree: int) -> tuple[int, int]:
+    """Variables and rows the degree rules add to bring one variable to <= 3.
+
+    A split of degree d adds 2^t - 1 clones and t * 2^(t-1) tie rows, then
+    d clones of degree t + 1 and 2^t - d of degree t grow in turn.
+    """
     if degree <= 3:
         return 0, 0
-    if degree == 4:
-        return 3, 4
-    if degree not in memo:
-        copies = -((degree - 2) // -6)
-        n, m = 5, 9 * copies
-        for r in range(6):
-            # The clone filled r-th takes occurrences r, r + 6, ... plus its
-            # three kinds of tie rows.
-            dn, dm = _split_growth(-((degree - r) // -6) + 3 * copies, memo)
-            n += dn
-            m += dm
-        memo[degree] = n, m
-    return memo[degree]
+    t = (degree - 1).bit_length()
+    size = 1 << t
+    held_n, held_m = _split_growth(t + 1)
+    bare_n, bare_m = _split_growth(t)
+    return (
+        size - 1 + degree * held_n + (size - degree) * bare_n,
+        t * size // 2 + degree * held_m + (size - degree) * bare_m,
+    )
+
+
+def _degree_growth(profile: Counter) -> tuple[int, int]:
+    """Variables and rows the degree rules add, given how many variables have each degree."""
+    n = m = 0
+    for degree, count in profile.items():
+        dn, dm = _split_growth(degree)
+        n += count * dn
+        m += count * dm
+    return n, m
+
+
+def _refuse_oversize(stage: str, m: int) -> None:
+    if m > MAX_UNIT_EQUATIONS:
+        raise CapacityError(
+            f"{stage} would build {m} equations, over {MAX_UNIT_EQUATIONS}"
+        )
 
 
 def _normalize_degrees(store: _Rows) -> list[TraceStep]:
@@ -478,16 +490,9 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
     refused with CapacityError, and a build that misses it is a bug.
     """
     holders = variable_rows(store.n, store.lhs)
-    memo: dict = {}
-    n, m = store.sizes()
-    for ids in holders:
-        dn, dm = _split_growth(len(ids), memo)
-        n += dn
-        m += dm
-    if m > MAX_UNIT_EQUATIONS:
-        raise CapacityError(
-            f"degree splitting would build {m} equations, over {MAX_UNIT_EQUATIONS}"
-        )
+    dn, dm = _degree_growth(Counter(map(len, holders)))
+    n, m = store.n + dn, len(store.lhs) + dm
+    _refuse_oversize("degree splitting", m)
     # A variable's count changes only when it is split, which pops its one
     # heap entry first, so no entry goes stale.
     heap = [(-len(ids), v) for v, ids in enumerate(holders) if len(ids) > 3]
@@ -522,7 +527,14 @@ def reduce_degree4(system: LinSystem, variable: int) -> LinSystem:
 
 
 def reduce_degree5plus(system: LinSystem, variable: int) -> LinSystem:
-    """Split a variable occurring 5+ times into 6 ring-and-chord-tied clones."""
+    """Split a variable occurring d >= 5 times into 2^t clones tied by Q_t.
+
+    With t = ceil(log2 d), each clone holds at most one occurrence. By
+    Harper's edge-isoperimetric inequality every set S of at most half the
+    clones has at least |S| ties leaving it, so flipping the smaller side of
+    a disagreeing assignment gains at least as many ties as the at most |S|
+    rows it can break: some uniform clone value is optimal.
+    """
     return _split_step(system, variable, "degree5plus")[0]
 
 
@@ -846,6 +858,59 @@ def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
     return out, TraceStep("compact", {"kept": kept}, *pre, out.n, len(lhs))
 
 
+# The stages `_predict_sizes` sizes, in pipeline order.
+_STAGES = ("unit expansion", "degree splitting", "arity expansion", "the (=3,=3) finish")
+
+
+def _predict_sizes(system: LinSystem, stages: int) -> tuple[tuple[int, int], bool]:
+    """(n, m) after the first `stages` stages, and whether it is exact.
+
+    The stages are unit expansion, the degree rules, arity expansion and the
+    (=3,=3) finish (cascade, triplets, deduplication, compaction). A stage
+    predicted above MAX_UNIT_EQUATIONS rows raises CapacityError. `system`
+    is normalized, and its weighted degree profile gives every size:
+    - every clone ends at occurrence 3 and every fresh variable of arity
+      expansion at 2, so the occurrence-2 variables are known;
+    - with no occurrence-1 variable the cascade drops nothing, and the
+      triplets cost exactly 7 rows per 3 of them; otherwise the cascade may
+      turn occurrence 3 into 2, and 7 rows per 3 variables of occurrence 2
+      or 3 bound them (the only inexact case);
+    - a copied row reaches deduplication iff none of its variables is split;
+    - a (=3,=3) output has as many variables as rows.
+    """
+    degree = [0] * system.n
+    arity_weight: Counter = Counter()
+    for lhs, weight in zip(system.lhs, system.weights):
+        arity_weight[len(lhs)] += weight
+        for v in lhs:
+            degree[v] += weight
+    profile = Counter(degree)
+    dn, dm = _degree_growth(profile)
+    n, m = system.n, system.total_weight
+    sizes = [(n, m), (n + dn, m + dm)]
+    arity1, arity2 = arity_weight[1], arity_weight[2] + dm  # every tie has arity 2
+    n, m = n + dn + 2 * arity2 + 4 * arity1, m + dm + arity2 + 2 * arity1
+    sizes.append((n, m))
+    occ2 = profile[2] + 2 * arity2 + 4 * arity1
+    exact = not profile[1]
+    if not exact:
+        occ2 += profile[3] + sum(c for d, c in profile.items() if d > 3) + dn
+    m += 7 * (occ2 // 3)
+    for lhs, weight in zip(system.lhs, system.weights):
+        if len(lhs) == 3 and weight in (2, 3) and max(degree[v] for v in lhs) <= 3:
+            m += 6 if weight == 2 else -3
+    sizes.append((m, m))
+    for stage, (_, rows) in zip(_STAGES, sizes[:stages]):
+        _refuse_oversize(stage, rows)
+    return sizes[stages - 1], exact or stages < len(_STAGES)
+
+
+def _check_built(out: LinSystem, predicted: tuple[int, int], exact: bool) -> None:
+    built = (out.n, len(out.lhs))
+    if built != predicted if exact else built[1] > predicted[1]:
+        raise ContractViolationError(f"the pipeline built {built}, predicted {predicted}")
+
+
 def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     """Full pipeline to a unit-weight (=3,=3) system with distinct lhs.
 
@@ -855,12 +920,14 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     variable slots. Each stage preserves the minimum falsified weight, so
     the composition does too. From the degree rules on, the stages rewrite
     one row store; the last one checks the (=3,=3) shape on the rows and
-    builds the output's columns in the same pass.
+    builds the output's columns in the same pass. The output is sized before
+    unit expansion: one above MAX_UNIT_EQUATIONS rows raises CapacityError.
     """
     if max(map(len, system.lhs), default=0) > 3:
         raise InstanceClassError("pipeline input must have arity at most 3")
     s0 = normalize(system)
     s1, opposing = _resolve_opposing_step(s0)
+    predicted, exact = _predict_sizes(s1, len(_STAGES))
     s2 = expand_unit_weights(s1)
     steps = [
         _sized_step("normalize", {}, system, s0),
@@ -872,6 +939,7 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
         steps += rule(store)
     out, compact = _compact(store)
     steps.append(compact)
+    _check_built(out, predicted, exact)
     return out, ReductionTrace(tuple(steps), system, out)
 
 
@@ -880,12 +948,16 @@ def reduce_to_target(system: LinSystem, target: str) -> tuple[LinSystem, Reducti
 
     "eq3eq3" is `to_eq3_eq3`. "deg3" cuts occurrences down to 3 and "arity3"
     then pads arities up to 3, both on the normalized, unit-expanded input,
-    which is where their trace starts.
+    which is where their trace starts. Each output is sized before unit
+    expansion: one above MAX_UNIT_EQUATIONS rows raises CapacityError.
     """
     if target == "eq3eq3":
         return to_eq3_eq3(system)
     rules = {"deg3": (_normalize_degrees,), "arity3": (_normalize_degrees, _expand_arity)}[target]
     if target == "arity3" and max(map(len, system.lhs), default=0) > 3:
         raise InstanceClassError("arity3 input must have arity at most 3")
-    base = expand_unit_weights(normalize(system))
-    return _apply(base, "degree normalization", *rules)
+    s0 = normalize(system)
+    predicted, exact = _predict_sizes(s0, 1 + len(rules))
+    out, trace = _apply(expand_unit_weights(s0), "degree normalization", *rules)
+    _check_built(out, predicted, exact)
+    return out, trace

@@ -473,21 +473,21 @@ def test_cli_reduce_eq3eq3_then_stats(tmp_path, capsys):
 
 
 DEG3_TRACE = """\
-degree5plus variable=0 m:7->16 n:4->9
-degree4 variable=0 m:16->20 n:9->12
-degree4 variable=1 m:20->24 n:12->15
-degree4 variable=4 m:24->28 n:15->18
-degree4 variable=5 m:28->32 n:18->21
-degree4 variable=6 m:32->36 n:21->24
-degree4 variable=7 m:36->40 n:24->27
-degree4 variable=8 m:40->44 n:27->30
+degree5plus variable=0 m:7->19 n:4->11
+degree4 variable=0 m:19->23 n:11->14
+degree4 variable=1 m:23->27 n:14->17
+degree4 variable=4 m:27->31 n:17->20
+degree4 variable=5 m:31->35 n:20->23
+degree4 variable=6 m:35->39 n:23->26
+degree4 variable=7 m:39->43 n:26->29
+degree4 variable=8 m:43->47 n:29->32
 """
 
 # The exact .trace text of each target on one input with a weight-2 row, an
 # opposing unary pair and a variable of degree 5 (after unit expansion).
 REDUCE_TRACES = {
     "deg3": DEG3_TRACE,
-    "arity3": DEG3_TRACE + "arity-expand m:44->88 n:30->118\n",
+    "arity3": DEG3_TRACE + "arity-expand m:47->94 n:32->126\n",
     "eq3eq3": """\
 normalize m:6->6 n:4->4
 opposing-pairs m:6->4 n:4->4
@@ -540,8 +540,9 @@ def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
 
 
 def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
-    # One variable in 300 equations would split into about 10^9 equations.
-    rows = "".join(f"1 0 2 1 {j}\n" for j in range(2, 302))
+    # One variable in 300 equations of weight 60 occurs 18,000 times once
+    # unit-expanded, and would split into about 1.8 * 10^7 equations.
+    rows = "".join(f"60 0 2 1 {j}\n" for j in range(2, 302))
     source = _write(tmp_path, "star.lin2", f"p lin2 301 300\n{rows}")
     started = time.monotonic()
     for target in ("eq3eq3", "deg3", "arity3"):
@@ -549,7 +550,39 @@ def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
         assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
         assert not out_path.exists()
     assert time.monotonic() - started < 1
-    assert "degree splitting" in capsys.readouterr().err
+    assert "degree splitting would build" in capsys.readouterr().err
+
+
+def test_cli_reduce_refuses_an_oversize_output_before_building(tmp_path, capsys):
+    # A heavy row whose unit copies fit but whose splits do not, and a star
+    # whose splits fit but whose (=3,=3) output does not.
+    heavy = _write(tmp_path, "heavy.lin2", "p lin2 2 1\n5000000 0 2 1 2\n")
+    rows = "".join(f"2 0 2 1 {j}\n" for j in range(2, 2502))
+    star = _write(tmp_path, "star.lin2", f"p lin2 2501 2500\n{rows}")
+    started = time.monotonic()
+    for source, target, stage in (
+        (heavy, "eq3eq3", "degree splitting"),
+        (heavy, "deg3", "degree splitting"),
+        (heavy, "arity3", "degree splitting"),
+        (star, "eq3eq3", "the (=3,=3) finish"),
+    ):
+        out_path = tmp_path / "out.lin2"
+        assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
+        assert not out_path.exists()
+        assert not (tmp_path / "out.lin2.trace").exists()
+        assert f"error: {stage} would build" in capsys.readouterr().err
+    assert time.monotonic() - started < 1
+
+
+def test_cli_reduce_writes_both_files_or_neither(tmp_path, capsys):
+    source = _write(tmp_path, "src.lin2", "p lin2 3 1\n1 1 3 1 2 3\n")
+    out_path = tmp_path / "x.lin2"
+    args = ["reduce", source, "--target", "eq3eq3", "-o", str(out_path)]
+    assert main(args + ["--trace", str(tmp_path / "missing" / "t")]) == EXIT_USAGE
+    assert "cannot write" in capsys.readouterr().err
+    assert not out_path.exists()
+    assert main(args) == EXIT_OK
+    assert out_path.exists() and (tmp_path / "x.lin2.trace").exists()
 
 
 def test_cli_reduce_refuses_arity_above_3_for_arity_targets(tmp_path, capsys):

@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -42,14 +43,16 @@ from maxlin2 import (
     reduce_degree5plus,
     to_eq3_eq3,
 )
-from maxlin2.core import MAX_TOTAL_WEIGHT, ContractViolationError
+from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS, ContractViolationError
 from maxlin2.gadgets import (
     _compact,
+    _cube_ties,
     _deduplicate,
     _enforce_degree,
     _expand_arity,
     _map_forward_step,
     _normalize_degrees,
+    _predict_sizes,
     _resolve_opposing_step,
     _Rows,
     _split_growth,
@@ -209,46 +212,78 @@ def test_degree4_preserves_optimum():
         )
 
 
+def _original_occurrences(system, out, clones):
+    """How many of the system's own rows each clone holds after a split."""
+    return [sum(c in lhs for lhs in out.lhs[: len(system.lhs)]) for c in clones]
+
+
 def test_degree5plus_distribution_example():
-    # All eight occurrences on one variable: sorted original-occurrence
-    # degrees must be (1,1,1,1,2,2) with one copy of each tie equation.
+    # Eight occurrences on one variable: t = 3, so each of the 8 clones of
+    # Q_3 holds one of them, and the 12 cube edges are the only new rows.
     system = LinSystem.build(
         3, [((0, 1), 0, 1)] * 4 + [((0, 2), 1, 1)] * 4
     )
     out, step = _split_step(system, 0, "degree5plus")
     clones = step.data["clones"]
-    assert step.data["copies"] == 1
-    original_occ = [0] * len(clones)
-    for eqn in out.equations[: len(system.equations)]:
-        for i, c in enumerate(clones):
-            if c in eqn.lhs:
-                original_occ[i] += 1
-    assert original_occ == [1, 1, 1, 1, 2, 2]
-    assert len(out.equations) == len(system.equations) + 9
+    assert clones == (0, *range(3, 10))
+    assert set(step.data) == {"variable", "rows", "clones"}
+    assert _original_occurrences(system, out, clones) == [1] * 8
+    ties = [(clones[a], clones[b]) for a, b in _cube_ties(3)]
+    assert list(out.lhs[len(system.lhs) :]) == ties
+    assert not any(out.rhs[len(system.lhs) :])
 
 
 def test_degree5_split_of_five():
     system = LinSystem.build(2, [((0, 1), 0, 1)] * 5)
     out, step = _split_step(system, 0, "degree5plus")
     clones = step.data["clones"]
-    assert step.data["copies"] == 1
-    original_occ = [0] * 6
-    for eqn in out.equations[:5]:
-        for i, c in enumerate(clones):
-            if c in eqn.lhs:
-                original_occ[i] += 1
-    assert original_occ == [0, 1, 1, 1, 1, 1]
-    # fresh-variable total degree = original occurrences + 3 * copies
+    assert len(clones) == 8
+    original_occ = _original_occurrences(system, out, clones)
+    assert original_occ == [1, 1, 1, 1, 1, 0, 0, 0]
+    # every clone of Q_3 holds three ties besides its original occurrence
     occ = occurrence_counts(out)
     for i, c in enumerate(clones):
         assert occ[c] == original_occ[i] + 3
 
 
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_cube_ties_meet_the_edge_isoperimetric_bound(t):
+    # Harper: every set S of at most half the vertices of Q_t has
+    # |boundary(S)| >= |S| (t - log2 |S|) >= |S|. Checked on every subset.
+    ties = _cube_ties(t)
+    size = 1 << t
+    assert len(ties) == t * size // 2 == len(set(ties))
+    assert all(a < b and (a ^ b).bit_count() == 1 for a, b in ties)
+    neighbours = [0] * size
+    for a, b in ties:
+        neighbours[a] |= 1 << b
+        neighbours[b] |= 1 << a
+    boundary = [0] * (1 << size)
+    for subset in range(1, 1 << size):
+        v = (subset & -subset).bit_length() - 1
+        rest = subset ^ (1 << v)
+        boundary[subset] = boundary[rest] + t - 2 * (rest & neighbours[v]).bit_count()
+        members = subset.bit_count()
+        if members <= size // 2:
+            assert boundary[subset] >= members * (t - math.log2(members)) - 1e-9
+            assert boundary[subset] >= members
+
+
 def test_degree5plus_preserves_optimum():
     rng = random.Random(4)
     for _ in range(50):
-        system = _planted(rng, rng.randint(5, 7), max_vars=4)
+        system = _planted(rng, rng.randint(5, 8), max_vars=4)
         out = reduce_degree5plus(system, 0)
+        assert (
+            brute_force_min_falsified(out).falsified_weight
+            == brute_force_min_falsified(system).falsified_weight
+        )
+    # Degrees 9..12 split into the 16 clones of Q_4: 15 fresh variables, so
+    # the rows reuse two other variables and the oracle scans 2^18.
+    for degree in range(9, 13):
+        system = _planted(rng, degree, max_vars=3)
+        out = reduce_degree5plus(system, 0)
+        assert out.n <= 18
         assert (
             brute_force_min_falsified(out).falsified_weight
             == brute_force_min_falsified(system).falsified_weight
@@ -694,9 +729,9 @@ def test_oddset_through_pipeline_equivalence():
 # the corpus below. Any change to rule order, variable numbering or the
 # prune order of always-satisfied-removal shows up here.
 PIPELINE_GOLDEN = (
-    "f6509e2ec6236664149bd28f90af0fdd746469560791d5b1916b1a2faf85a547",
-    "7f62ef588eca91dbd39ec48eba4c97af540c06b3e1f2ed3c32b2d32cecfec7bd",
-    "c137ea93497f9cdcc1c4d646e34e26a1d7f9893896858bfacff97ce7e67eeaa2",
+    "f294546b6ea4378c7c1bad1385d3168b901a225743cbe13b39eed62a39b98bf9",
+    "fec197b0bb74f52d60a9ef0ffd0c6b1f2183e487af2fd378fc10624894c19435",
+    "1ce1c19241600b8b2475013553a2fa78b5a681efa6c4fbf09d81e52525f60c16",
 )
 
 
@@ -789,10 +824,10 @@ def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
 
 @pytest.mark.parametrize(
     "degree, growth",
-    [(4, (3, 4)), (5, (20, 29)), (9, (296, 441)), (12, (347, 516)), (20, (2565, 3839))],
+    [(4, (3, 4)), (5, (22, 32)), (9, (234, 348)), (12, (291, 432)), (20, (795, 1184))],
 )
 def test_degree_rule_growth_is_predicted(degree, growth):
-    assert _split_growth(degree, {}) == growth
+    assert _split_growth(degree) == growth
     star = LinSystem.build(degree + 1, [((0, j), 0, 1) for j in range(1, degree + 1)])
     triangles = LinSystem.build(
         2 * degree + 1, [((0, 2 * j - 1, 2 * j), j & 1, 1) for j in range(1, degree + 1)]
@@ -803,14 +838,31 @@ def test_degree_rule_growth_is_predicted(degree, growth):
 
 
 def test_degree_rules_refuse_oversize_output_before_building():
-    # Splitting one variable of degree 300 would build about 10^9 equations.
-    star = LinSystem.build(301, [((0, j), 0, 1) for j in range(1, 301)])
+    # Splitting one variable of degree 20,000 would build about 1.8 * 10^7 equations.
+    star = LinSystem.build(20001, [((0, j), 0, 1) for j in range(1, 20001)])
     started = time.monotonic()
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="degree splitting would build 17734048"):
         normalize_max_degree3(star)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="degree splitting would build 17734048"):
         to_eq3_eq3(star)
     assert time.monotonic() - started < 1
+
+
+def test_pipeline_sizes_its_output_before_building():
+    # Without a variable of occurrence 1 the prediction is the output's
+    # exact size; with one, the cascade can only keep it under the bound.
+    exact = bounded = 0
+    for system in _golden_corpus(random.Random(0x601D)) + [INPUT_COPIES]:
+        staged, _ = _resolve_opposing_step(normalize(system))
+        (n, m), is_exact = _predict_sizes(staged, 4)
+        out, _ = to_eq3_eq3(system)
+        assert n == m >= len(out.lhs) == out.n
+        if is_exact:
+            assert len(out.lhs) == m
+        assert is_exact == (1 not in occurrence_counts(expand_unit_weights(staged)))
+        exact += is_exact
+        bounded += not is_exact
+    assert exact and bounded
 
 
 def test_pipeline_refuses_a_weight_at_the_bound_promptly():
@@ -870,10 +922,12 @@ def test_compact_rejects_broken_stores(case):
 
 
 def test_compact_checks_survive_python_O():
+    # Also the size checks: the whole-output refusal, and the built ==
+    # predicted checks of the degree rules and of the pipeline.
     n, rows, _ = BROKEN_FINISH["d = 2"]
     script = (
-        "from maxlin2 import LinSystem\n"
-        "from maxlin2.core import ContractViolationError\n"
+        "from maxlin2 import LinSystem, gadgets\n"
+        "from maxlin2.core import CapacityError, ContractViolationError\n"
         "from maxlin2.gadgets import _Rows, _compact\n"
         f"store = _Rows(LinSystem.build({n}, {rows!r}), 'test')\n"
         "try:\n"
@@ -884,6 +938,20 @@ def test_compact_checks_survive_python_O():
         "    LinSystem.from_columns(3, [(1, 0, 2)], b'\\x00', [1])\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
+        "star = LinSystem.build(2501, [((0, j), 0, 2) for j in range(1, 2501)])\n"
+        "try:\n"
+        "    gadgets.to_eq3_eq3(star)\n"
+        "except CapacityError as exc:\n"
+        "    print(exc)\n"
+        "gadgets._split_growth = lambda degree: (0, 0)\n"
+        "for check in (\n"
+        "    lambda: gadgets.normalize_max_degree3(LinSystem.build(2, [((0, 1), 0, 1)] * 5)),\n"
+        "    lambda: gadgets._check_built(LinSystem.build(1, []), (1, 1), True),\n"
+        "):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except ContractViolationError as exc:\n"
+        "        print(exc)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(maxlin2.__file__).parent.parent)}
     result = subprocess.run(
@@ -896,6 +964,9 @@ def test_compact_checks_survive_python_O():
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
         "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
+        f"the (=3,=3) finish would build 26449620 equations, over {MAX_UNIT_EQUATIONS}\n"
+        "degree splitting built (46, 69), predicted (2, 5)\n"
+        "the pipeline built (1, 0), predicted (1, 1)\n"
     )
 
 
