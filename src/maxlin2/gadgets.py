@@ -14,20 +14,21 @@ system. Replaying the trace in reverse maps an assignment of the reduced
 instance back to one of the original whose falsified weight never exceeds
 the reduced one (and matches it at the optimum).
 
-The rules rewrite one store of lhs and rhs columns with a variable-to-rows
-index, so a degree rule touches only its variable's rows and its new tie
-rows. The store keeps every variable's occurrence count current as rows
-come and go, so nothing is recounted, and a pass they show to be idle (the
-singleton cascade, renumbering the output) is skipped. The (=3,=3) checks --
+Rows holding a variable no other row holds are always satisfiable: they
+are dropped once, cascading, on the weighted rows, and logged as plain
+rows. From unit expansion on, the rules rewrite one store of lhs and rhs
+columns with a variable-to-rows index, so a degree rule touches only its
+variable's rows and its new tie rows. The store keeps every variable's
+occurrence count current, so nothing is recounted. The (=3,=3) checks --
 three variables per row, three rows per variable, distinct left-hand sides
--- run on these columns and counts where the output's columns are built, and
-dropped rows are logged as plain rows: no stage builds an Equation.
-Reduction and both assignment maps cost O(input + output). A variable of
-degree d >= 4 splits into clones tied by the edges of a ceil(log2 d)-cube,
-so it costs O(d log d) rows. The output size follows from the weighted
-degree profile alone, so a stage above MAX_UNIT_EQUATIONS equations is
-refused with CapacityError (exit 64 from `maxlin2 reduce`) before unit
-expansion builds anything.
+-- run on these columns and counts where the output's columns are built:
+no stage builds an Equation. Reduction and both assignment maps cost
+O(input + output). A variable of degree d >= 4 splits into clones tied by
+the edges of a ceil(log2 d)-cube, so it costs O(d log d) rows. No rule
+brings a variable down to one occurrence, so the output size follows
+exactly from the weighted degree profile, and a stage above
+MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
+`maxlin2 reduce`) before unit expansion builds anything.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .core import (
     CapacityError,
     ContractViolationError,
     DimensionError,
-    Equation,
     InstanceClassError,
     LinSystem,
     MaxLin2Error,
@@ -114,33 +114,23 @@ def oddset_to_lin2(inst: OddSetInstance) -> OddSetReduction:
     number of elements from every subset. A single-element subset collapses
     to the telescoped constraint x = 1 directly.
     """
-    heavy = inst.budget + 1
-    eqs: list[Equation] = [
-        Equation((i,), 0, 1) for i in range(inst.num_elements)
-    ]
+    ground = inst.num_elements
+    lhs_column: list[tuple[int, ...]] = [(i,) for i in range(ground)]
+    rhs_column = bytearray(ground)
     blocks: list[tuple[int, ...]] = []
-    next_var = inst.num_elements
+    next_var = ground
     for members in inst.sets:
-        ids: list[int] = []
-        size = len(members)
-        if size == 1:
-            ids.append(len(eqs))
-            eqs.append(Equation((members[0],), 1, heavy))
-        else:
-            chain = list(range(next_var, next_var + size - 1))
-            next_var += size - 1
-            ids.append(len(eqs))
-            eqs.append(Equation.make((chain[0], members[0]), 0, heavy))
-            for r in range(1, size - 1):
-                ids.append(len(eqs))
-                eqs.append(
-                    Equation.make((chain[r - 1], chain[r], members[r]), 0, heavy)
-                )
-            ids.append(len(eqs))
-            eqs.append(Equation.make((chain[-1], members[-1]), 1, heavy))
-        blocks.append(tuple(ids))
-    system = LinSystem(next_var, tuple(eqs))
-    return OddSetReduction(system, inst.budget, tuple(blocks), inst.num_elements)
+        start = len(lhs_column)
+        # Row r holds member r and chain variables r - 1 and r where they
+        # exist; chain variables follow every ground element, so rows stay sorted.
+        chain = range(next_var, next_var + len(members) - 1)
+        next_var = chain.stop
+        lhs_column += ((x, *chain[max(r - 1, 0) : r + 1]) for r, x in enumerate(members))
+        rhs_column += bytes(len(chain)) + b"\x01"
+        blocks.append(tuple(range(start, len(lhs_column))))
+    weights = [1] * ground + [inst.budget + 1] * (len(lhs_column) - ground)
+    system = LinSystem.from_columns(next_var, lhs_column, rhs_column, weights)
+    return OddSetReduction(system, inst.budget, tuple(blocks), ground)
 
 
 def chain_block_parity_check(system: LinSystem, block, x_vars) -> int:
@@ -638,31 +628,35 @@ def singleton_cascade(n: int, lhss) -> list[tuple[int, int]]:
     return deleted
 
 
-def _enforce_degree(store: _Rows) -> list[TraceStep]:
-    occ = store.occ
-    if max(occ, default=0) > 3:
-        raise GadgetError("occurrence above 3; run degree normalization first")
-    if set(map(len, store.lhs)) - {3}:
-        raise GadgetError("arity must be exactly 3; run arity expansion first")
-    # Equations holding a variable that occurs nowhere else are always
-    # satisfiable; when a count is 1, drop them (cascading) and log them with witnesses.
-    pre = store.sizes()
-    lhs_column, rhs_column = store.lhs, store.rhs
-    deleted = singleton_cascade(store.n, lhs_column) if 1 in occ else []
+def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
+    """Drop the rows `singleton_cascade` finds, whatever their weights.
+
+    Setting its witness last satisfies each one. They are logged as (lhs,
+    rhs, witness) rows; with none, the input is returned as it is. After
+    this every variable occurs in 0 or at least 2 rows.
+    """
+    lhs_column, rhs_column = system.lhs, system.rhs
+    deleted = singleton_cascade(system.n, lhs_column)
     removed = tuple((lhs_column[j], rhs_column[j], w) for j, w in deleted)
+    post = system
     if deleted:
-        gone = {j for j, _ in deleted}
-        store.count([lhs_column[j] for j in gone], -1)
-        live = [j not in gone for j in range(len(lhs_column))]
-        store.lhs = lhs_column = list(compress(lhs_column, live))
-        store.rhs = rhs_column = bytearray(compress(rhs_column, live))
-    steps = [store.step("always-satisfied-removal", {"removed": removed}, pre)]
-    deg2 = [v for v, c in enumerate(occ) if c == 2]
+        live = [True] * len(lhs_column)
+        for j, _ in deleted:
+            live[j] = False
+        columns = (compress(c, live) for c in (lhs_column, rhs_column, system.weights))
+        post = LinSystem.from_columns(system.n, *columns, system.forced_falsified)
+    return post, _sized_step("always-satisfied-removal", {"removed": removed}, system, post)
+
+
+def _enforce_degree(store: _Rows) -> list[TraceStep]:
+    """Tie the occurrence-2 variables, in ascending triplets, to seven-row gadgets."""
+    deg2 = [v for v, c in enumerate(store.occ) if c == 2]
     if len(deg2) % 3:
         raise ContractViolationError(
             f"{len(deg2)} variables of occurrence 2; expected a multiple of 3"
         )
     pre = store.sizes()
+    lhs_column, rhs_column = store.lhs, store.rhs
     next_var = store.n
     start = len(lhs_column)
     triplets = []
@@ -683,20 +677,26 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
     rhs_column += bytes(len(lhs_column) - start)
     store.grow(next_var)
     store.count(lhs_column[start:], 1)
-    steps.append(store.step("degree2-triplets", {"triplets": tuple(triplets)}, pre))
-    return steps
+    return [store.step("degree2-triplets", {"triplets": tuple(triplets)}, pre)]
 
 
 def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     """Make every used variable occur exactly three times.
 
-    Always-satisfiable equations (those with a singly-occurring variable) are
-    removed first; the remaining occurrence-2 variables are grouped into
+    The input has arity exactly 3 and occurrence at most 3. Always-satisfiable
+    equations (those with a singly-occurring variable) are removed first, as
+    in `to_eq3_eq3`; the remaining occurrence-2 variables are grouped into
     ascending-index triplets, each tied to six fresh variables by seven
     distinct unit equations. Every value of a triplet has exactly one
     completion satisfying all seven, so the optimum is unchanged.
     """
-    return _apply(system, "degree enforcement", _enforce_degree)
+    if set(map(len, system.lhs)) - {3}:
+        raise GadgetError("arity must be exactly 3; run arity expansion first")
+    if max(occurrence_counts(system), default=0) > 3:
+        raise GadgetError("occurrence above 3; run degree normalization first")
+    pruned, removal = _remove_always_satisfied_step(system)
+    out, trace = _apply(pruned, "degree enforcement", _enforce_degree)
+    return out, ReductionTrace((removal, *trace.steps), system, out)
 
 
 # ---------------------------------------------------------------------------
@@ -862,20 +862,19 @@ def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
 _STAGES = ("unit expansion", "degree splitting", "arity expansion", "the (=3,=3) finish")
 
 
-def _predict_sizes(system: LinSystem, stages: int) -> tuple[tuple[int, int], bool]:
-    """(n, m) after the first `stages` stages, and whether it is exact.
+def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
+    """(n, m) after the first `stages` stages, exactly.
 
     The stages are unit expansion, the degree rules, arity expansion and the
-    (=3,=3) finish (cascade, triplets, deduplication, compaction). A stage
-    predicted above MAX_UNIT_EQUATIONS rows raises CapacityError. `system`
-    is normalized, and its weighted degree profile gives every size:
-    - every clone ends at occurrence 3 and every fresh variable of arity
-      expansion at 2, so the occurrence-2 variables are known;
-    - with no occurrence-1 variable the cascade drops nothing, and the
-      triplets cost exactly 7 rows per 3 of them; otherwise the cascade may
-      turn occurrence 3 into 2, and 7 rows per 3 variables of occurrence 2
-      or 3 bound them (the only inexact case);
-    - a copied row reaches deduplication iff none of its variables is split;
+    (=3,=3) finish (triplets, deduplication, compaction). A stage predicted
+    above MAX_UNIT_EQUATIONS rows raises CapacityError. `system` is
+    normalized, and for the finish it has been through
+    always-satisfied-removal. Its weighted degree profile gives every size:
+    - every clone ends at occurrence 3, every fresh variable of arity
+      expansion at 2 and no variable at 1, so the triplets cost 7 rows per
+      3 variables of occurrence 2;
+    - a copied row reaches deduplication iff it has weight 2 and none of its
+      variables is split (a weight-3 one would have been removed);
     - a (=3,=3) output has as many variables as rows.
     """
     degree = [0] * system.n
@@ -891,23 +890,19 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[tuple[int, int], boo
     arity1, arity2 = arity_weight[1], arity_weight[2] + dm  # every tie has arity 2
     n, m = n + dn + 2 * arity2 + 4 * arity1, m + dm + arity2 + 2 * arity1
     sizes.append((n, m))
-    occ2 = profile[2] + 2 * arity2 + 4 * arity1
-    exact = not profile[1]
-    if not exact:
-        occ2 += profile[3] + sum(c for d, c in profile.items() if d > 3) + dn
-    m += 7 * (occ2 // 3)
+    m += 7 * ((profile[2] + 2 * arity2 + 4 * arity1) // 3)
     for lhs, weight in zip(system.lhs, system.weights):
-        if len(lhs) == 3 and weight in (2, 3) and max(degree[v] for v in lhs) <= 3:
-            m += 6 if weight == 2 else -3
+        if len(lhs) == 3 and weight == 2 and max(degree[v] for v in lhs) <= 3:
+            m += 6
     sizes.append((m, m))
     for stage, (_, rows) in zip(_STAGES, sizes[:stages]):
         _refuse_oversize(stage, rows)
-    return sizes[stages - 1], exact or stages < len(_STAGES)
+    return sizes[stages - 1]
 
 
-def _check_built(out: LinSystem, predicted: tuple[int, int], exact: bool) -> None:
+def _check_built(out: LinSystem, predicted: tuple[int, int]) -> None:
     built = (out.n, len(out.lhs))
-    if built != predicted if exact else built[1] > predicted[1]:
+    if built != predicted:
         raise ContractViolationError(f"the pipeline built {built}, predicted {predicted}")
 
 
@@ -915,31 +910,34 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     """Full pipeline to a unit-weight (=3,=3) system with distinct lhs.
 
     Stages: normalize, fold opposing same-lhs pairs into the forced ledger,
-    expand weights to unit copies, cut occurrences down to 3, pad arities up
-    to 3, enforce occurrence exactly 3, deduplicate, and finally drop unused
-    variable slots. Each stage preserves the minimum falsified weight, so
-    the composition does too. From the degree rules on, the stages rewrite
-    one row store; the last one checks the (=3,=3) shape on the rows and
-    builds the output's columns in the same pass. The output is sized before
-    unit expansion: one above MAX_UNIT_EQUATIONS rows raises CapacityError.
+    drop always-satisfiable rows, expand weights to unit copies, cut
+    occurrences down to 3, pad arities up to 3, enforce occurrence exactly
+    3, deduplicate, and finally drop unused variable slots. Each stage
+    preserves the minimum falsified weight, so the composition does too.
+    From the degree rules on, the stages rewrite one row store; the last
+    one checks the (=3,=3) shape and builds the output's columns in the
+    same pass. The output is sized exactly before unit expansion: one above
+    MAX_UNIT_EQUATIONS rows raises CapacityError.
     """
     if max(map(len, system.lhs), default=0) > 3:
         raise InstanceClassError("pipeline input must have arity at most 3")
     s0 = normalize(system)
     s1, opposing = _resolve_opposing_step(s0)
-    predicted, exact = _predict_sizes(s1, len(_STAGES))
-    s2 = expand_unit_weights(s1)
+    s2, removal = _remove_always_satisfied_step(s1)
+    predicted = _predict_sizes(s2, len(_STAGES))
+    s3 = expand_unit_weights(s2)
     steps = [
         _sized_step("normalize", {}, system, s0),
         opposing,
-        _sized_step("unit-expand", {}, s1, s2),
+        removal,
+        _sized_step("unit-expand", {}, s2, s3),
     ]
-    store = _Rows(s2, "degree normalization")
+    store = _Rows(s3, "degree normalization")
     for rule in (_normalize_degrees, _expand_arity, _enforce_degree, _deduplicate):
         steps += rule(store)
     out, compact = _compact(store)
     steps.append(compact)
-    _check_built(out, predicted, exact)
+    _check_built(out, predicted)
     return out, ReductionTrace(tuple(steps), system, out)
 
 
@@ -957,7 +955,7 @@ def reduce_to_target(system: LinSystem, target: str) -> tuple[LinSystem, Reducti
     if target == "arity3" and max(map(len, system.lhs), default=0) > 3:
         raise InstanceClassError("arity3 input must have arity at most 3")
     s0 = normalize(system)
-    predicted, exact = _predict_sizes(s0, 1 + len(rules))
+    predicted = _predict_sizes(s0, 1 + len(rules))
     out, trace = _apply(expand_unit_weights(s0), "degree normalization", *rules)
-    _check_built(out, predicted, exact)
+    _check_built(out, predicted)
     return out, trace

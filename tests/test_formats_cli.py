@@ -491,14 +491,13 @@ REDUCE_TRACES = {
     "eq3eq3": """\
 normalize m:6->6 n:4->4
 opposing-pairs m:6->4 n:4->4
-unit-expand m:4->5 n:4->4
-degree4 variable=0 m:5->9 n:4->7
-degree4 variable=1 m:9->13 n:7->10
-arity-expand m:13->24 n:10->32
-always-satisfied-removal m:24->23 n:32->32
-degree2-triplets m:23->79 n:32->80
-deduplicate m:79->79 n:80->80
-compact m:79->79 n:80->79
+always-satisfied-removal m:4->3 n:4->4
+unit-expand m:3->4 n:4->4
+degree4 variable=0 m:4->8 n:4->7
+arity-expand m:8->15 n:7->21
+degree2-triplets m:15->50 n:21->51
+deduplicate m:50->50 n:51->51
+compact m:50->50 n:51->50
 """,
 }
 
@@ -528,50 +527,88 @@ def test_cli_reduce_then_solve_keeps_forced_ledger(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "s OPTIMUM 2"
 
 
-def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
-    source = _write(tmp_path, "big.lin2", "p lin2 1 1\n1000000000 1 1 1\n")
+def _assert_refused(source, target, out_path, capsys) -> str:
+    """Run `reduce`, expect exit 64 and no output or trace file; return stderr."""
+    assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
+    assert not out_path.exists()
+    assert not out_path.with_name(out_path.name + ".trace").exists()
+    return capsys.readouterr().err
+
+
+def _assert_eq3eq3_drops_it_all(source, out_path, capsys) -> None:
+    """An input whose every row holds a variable of no other row, however
+    heavy, is always satisfiable: eq3eq3 writes an empty system at once."""
     started = time.monotonic()
-    for target in ("eq3eq3", "deg3", "arity3"):
-        out_path = tmp_path / f"{target}.lin2"
-        assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
-        assert not out_path.exists()
+    assert main(["reduce", source, "--target", "eq3eq3", "-o", str(out_path)]) == EXIT_OK
+    assert time.monotonic() - started < 1
+    assert capsys.readouterr().out == "s REDUCED n=0 m=0\n"
+    assert parse_lin2(out_path.read_text()).lhs == ()
+
+
+def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
+    # x1 = 1 of weight 10^9 on a cycle of unit rows, so no row can be dropped.
+    kept = _write(tmp_path, "big.lin2", "p lin2 2 3\n1000000000 1 1 1\n1 0 2 1 2\n1 1 1 2\n")
+    alone = _write(tmp_path, "alone.lin2", "p lin2 1 1\n1000000000 1 1 1\n")
+    started = time.monotonic()
+    for source, target, m in (
+        (kept, "eq3eq3", 1000000002),
+        (kept, "deg3", 1000000002),
+        (kept, "arity3", 1000000002),
+        (alone, "deg3", 1000000000),
+        (alone, "arity3", 1000000000),
+    ):
+        err = _assert_refused(source, target, tmp_path / f"{target}.lin2", capsys)
+        assert f"unit expansion would build {m}" in err
     assert time.monotonic() - started < 5
-    assert "unit expansion" in capsys.readouterr().err
+    _assert_eq3eq3_drops_it_all(alone, tmp_path / "alone.out.lin2", capsys)
 
 
 def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
     # One variable in 300 equations of weight 60 occurs 18,000 times once
-    # unit-expanded, and would split into about 1.8 * 10^7 equations.
+    # unit-expanded, and would split into about 1.8 * 10^7 equations. A unit
+    # row on each leaf keeps the star's rows from being dropped.
     rows = "".join(f"60 0 2 1 {j}\n" for j in range(2, 302))
-    source = _write(tmp_path, "star.lin2", f"p lin2 301 300\n{rows}")
+    leaves = "".join(f"1 0 1 {j}\n" for j in range(2, 302))
+    kept = _write(tmp_path, "star.lin2", f"p lin2 301 600\n{rows}{leaves}")
+    bare = _write(tmp_path, "bare.lin2", f"p lin2 301 300\n{rows}")
     started = time.monotonic()
-    for target in ("eq3eq3", "deg3", "arity3"):
-        out_path = tmp_path / f"{target}.lin2"
-        assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
-        assert not out_path.exists()
+    for source, target, m in (
+        (kept, "eq3eq3", 18498348),
+        (kept, "deg3", 18498348),
+        (kept, "arity3", 18498348),
+        (bare, "deg3", 18496848),
+        (bare, "arity3", 18496848),
+    ):
+        err = _assert_refused(source, target, tmp_path / f"{target}.lin2", capsys)
+        assert f"degree splitting would build {m}" in err
     assert time.monotonic() - started < 1
-    assert "degree splitting would build" in capsys.readouterr().err
+    _assert_eq3eq3_drops_it_all(bare, tmp_path / "bare.out.lin2", capsys)
 
 
 def test_cli_reduce_refuses_an_oversize_output_before_building(tmp_path, capsys):
     # A heavy row whose unit copies fit but whose splits do not, and a star
-    # whose splits fit but whose (=3,=3) output does not.
-    heavy = _write(tmp_path, "heavy.lin2", "p lin2 2 1\n5000000 0 2 1 2\n")
+    # whose splits fit but whose (=3,=3) output does not. A unit row on each
+    # endpoint keeps their rows from being dropped as always satisfiable.
+    bare_heavy = _write(tmp_path, "bare_heavy.lin2", "p lin2 2 1\n5000000 0 2 1 2\n")
+    heavy = _write(tmp_path, "heavy.lin2", "p lin2 2 3\n5000000 0 2 1 2\n1 0 1 1\n1 0 1 2\n")
     rows = "".join(f"2 0 2 1 {j}\n" for j in range(2, 2502))
-    star = _write(tmp_path, "star.lin2", f"p lin2 2501 2500\n{rows}")
+    leaves = "".join(f"1 0 1 {j}\n" for j in range(2, 2502))
+    bare_star = _write(tmp_path, "bare_star.lin2", f"p lin2 2501 2500\n{rows}")
+    star = _write(tmp_path, "star.lin2", f"p lin2 2501 5000\n{rows}{leaves}")
     started = time.monotonic()
     for source, target, stage in (
         (heavy, "eq3eq3", "degree splitting"),
         (heavy, "deg3", "degree splitting"),
         (heavy, "arity3", "degree splitting"),
+        (bare_heavy, "deg3", "degree splitting"),
+        (bare_heavy, "arity3", "degree splitting"),
         (star, "eq3eq3", "the (=3,=3) finish"),
     ):
-        out_path = tmp_path / "out.lin2"
-        assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_USAGE
-        assert not out_path.exists()
-        assert not (tmp_path / "out.lin2.trace").exists()
-        assert f"error: {stage} would build" in capsys.readouterr().err
+        err = _assert_refused(source, target, tmp_path / "out.lin2", capsys)
+        assert f"error: {stage} would build" in err
     assert time.monotonic() - started < 1
+    _assert_eq3eq3_drops_it_all(bare_heavy, tmp_path / "heavy.out.lin2", capsys)
+    _assert_eq3eq3_drops_it_all(bare_star, tmp_path / "star.out.lin2", capsys)
 
 
 def test_cli_reduce_writes_both_files_or_neither(tmp_path, capsys):

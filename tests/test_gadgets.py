@@ -53,10 +53,12 @@ from maxlin2.gadgets import (
     _map_forward_step,
     _normalize_degrees,
     _predict_sizes,
+    _remove_always_satisfied_step,
     _resolve_opposing_step,
     _Rows,
     _split_growth,
     _split_step,
+    reduce_to_target,
 )
 from helpers import (
     near_regular_system,
@@ -433,7 +435,7 @@ def test_enforce_triplet_shape():
 
 def test_triplet_gadget_exhaustive():
     store = _store(5, TRIPLET_ROWS)
-    _, step = _enforce_degree(store)
+    (step,) = _enforce_degree(store)
     (triplet,) = step.data["triplets"]
     gadget = list(zip(store.lhs, store.rhs))[len(TRIPLET_ROWS) :]
     fresh = range(step.pre_n, step.post_n)
@@ -544,17 +546,29 @@ def test_dedup_triple_removal():
     assert len(trace.steps[0].data["triples"]) == 1
 
 
-# The weight-3 row unit-expands to three copies over variables that occur
-# nowhere else, and the weight-2 row to a pair: the input's own duplicates.
-INPUT_COPIES = LinSystem.build(6, [((0, 1, 2), 1, 3), ((3, 4, 5), 1, 2)])
+# The weight-3 row holds variables that occur nowhere else, so it is always
+# satisfiable and never unit-expanded. The weight-2 row's variables each
+# occur once more, so it unit-expands to the input's one pair of copies.
+INPUT_COPIES = LinSystem.build(
+    9,
+    [
+        ((0, 1, 2), 1, 3),
+        ((3, 4, 5), 1, 2),
+        ((3, 6, 7), 0, 1),
+        ((4, 6, 8), 0, 1),
+        ((5, 7, 8), 0, 1),
+    ],
+)
 
 
 def test_dedup_triple_path_end_to_end():
-    # Dedup drops the triple copies; only map-back restores their row.
+    # The removal step drops the weight-3 row before unit expansion, so no
+    # triple copies reach dedup; only map-back restores the row.
     system = INPUT_COPIES
     out, trace = to_eq3_eq3(system)
-    (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
-    assert dedup.data["triples"] == (((0, 1, 2), 1),)
+    steps = {step.rule: step for step in trace.steps}
+    assert steps["always-satisfied-removal"].data["removed"] == (((0, 1, 2), 1, 0),)
+    assert steps["deduplicate"].data["triples"] == ()
     rng = random.Random(3)
     for _ in range(200):
         back = trace.map_assignment_back(tuple(rng.randint(0, 1) for _ in range(out.n)))
@@ -564,10 +578,14 @@ def test_dedup_triple_path_end_to_end():
 
 
 def test_dedup_weight2_input_row_gets_the_pair_gadget():
-    system = LinSystem.build(3, [((0, 1, 2), 1, 2)])
+    # As in _pair_context, x, y and z each occur once more, so the row is
+    # not always satisfiable and its two unit copies reach dedup.
+    system = LinSystem.build(
+        6, [((0, 1, 2), 0, 2), ((0, 3, 4), 0, 1), ((1, 3, 5), 0, 1), ((2, 4, 5), 0, 1)]
+    )
     out, trace = to_eq3_eq3(system)
     (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
-    assert dedup.data == {"pairs": (((0, 1, 2), 1),), "triples": ()}
+    assert dedup.data == {"pairs": (((0, 1, 2), 0),), "triples": ()}
     # Two copies out, eight gadget rows over six fresh variables in.
     assert (dedup.post_n - dedup.pre_n, dedup.post_m - dedup.pre_m) == (6, 6)
     assert brute_force_min_falsified(out).falsified_weight == 0
@@ -729,9 +747,9 @@ def test_oddset_through_pipeline_equivalence():
 # the corpus below. Any change to rule order, variable numbering or the
 # prune order of always-satisfied-removal shows up here.
 PIPELINE_GOLDEN = (
-    "f294546b6ea4378c7c1bad1385d3168b901a225743cbe13b39eed62a39b98bf9",
-    "fec197b0bb74f52d60a9ef0ffd0c6b1f2183e487af2fd378fc10624894c19435",
-    "1ce1c19241600b8b2475013553a2fa78b5a681efa6c4fbf09d81e52525f60c16",
+    "3c07829335fb778b483a1e18155793710f3526a2ab8bb2e45613ec3b733eb17e",
+    "517387c2e7e23d4532485de8571f7fcc196d8ba1a8b3cb9684b56b51f92b85bd",
+    "f6fe4b5dabebcf97a5a97b076c5a35006aa178206b07e262dd2a97f7c4fa019d",
 )
 
 
@@ -765,16 +783,16 @@ def test_pipeline_golden_digests():
         back.update(bytes(trace.map_assignment_back(b)) + b"|")
     digests = (text.hexdigest(), forward.hexdigest(), back.hexdigest())
     assert digests == PIPELINE_GOLDEN
-    # The corpus runs both sides of the finish's two early exits: the
-    # singleton cascade runs (and drops rows) only when a variable occurs
-    # once, and compact renumbers only when a slot is empty.
+    # The corpus runs both sides of the pipeline's two early exits:
+    # always-satisfied-removal rebuilds the rows only when a variable
+    # occurs once, and compact renumbers only when a slot is empty.
     cascades = renumbers = 0
     for system in systems:
         steps = {step.rule: step for step in to_eq3_eq3(system)[1].steps}
         removal, compact = steps["always-satisfied-removal"], steps["compact"]
         cascades += removal.post_m < removal.pre_m
         renumbers += compact.post_n < compact.pre_n
-    assert (len(systems), cascades, renumbers) == (13, 5, 9)
+    assert (len(systems), cascades, renumbers) == (13, 6, 9)
 
 
 # Step data that holds equation rows (lhs, rhs), or (lhs, rhs, witness) for
@@ -791,10 +809,13 @@ def test_trace_records_rule_data_and_sizes_only():
                 assert not isinstance(getattr(step, field.name), LinSystem)
             assert not any(isinstance(v, LinSystem) for v in step.data.values())
             recorded += sum(len(step.data.get(key, ())) for key in ROW_DATA)
-        # An output pruned away to nothing still logs the removed rows, at
-        # most the padded rows: three per unit row.
-        unit_m = trace.steps[2].post_m
-        bound = len(out.equations) // 2 if out.equations else 3 * unit_m
+        # An output pruned away to nothing was pruned before unit expansion,
+        # and logs at most the weighted rows it removed.
+        rules = [step.rule for step in trace.steps]
+        assert rules[1:4] == ["opposing-pairs", "always-satisfied-removal", "unit-expand"]
+        assert rules.count("always-satisfied-removal") == 1
+        removal = trace.steps[2]
+        bound = len(out.equations) // 2 if out.equations else removal.pre_m
         assert recorded <= bound
         sizes = [(s.pre_n, s.pre_m, s.post_n, s.post_m) for s in trace.steps]
         assert sizes[0][:2] == (system.n, len(system.equations))
@@ -811,7 +832,7 @@ def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
         for lhs, _ in dedup.data["pairs"] + dedup.data["triples"]:
             assert max(lhs) < steps["degree2-triplets"].pre_n
             copies += 1
-    assert copies == 2  # both from INPUT_COPIES
+    assert copies == 1  # the pair of INPUT_COPIES
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
     from workloads import PipelineEq3
 
@@ -838,38 +859,59 @@ def test_degree_rule_growth_is_predicted(degree, growth):
 
 
 def test_degree_rules_refuse_oversize_output_before_building():
-    # Splitting one variable of degree 20,000 would build about 1.8 * 10^7 equations.
-    star = LinSystem.build(20001, [((0, j), 0, 1) for j in range(1, 20001)])
+    # Splitting one variable of degree 20,000 would build about 1.8 * 10^7
+    # equations. Every row of the bare star holds a leaf that occurs nowhere
+    # else, so the pipeline drops it whole; a unit row on each leaf keeps it.
+    rows = [((0, j), 0, 1) for j in range(1, 20001)]
+    star = LinSystem.build(20001, rows)
+    kept = LinSystem.build(20001, rows + [((j,), 0, 1) for j in range(1, 20001)])
     started = time.monotonic()
     with pytest.raises(CapacityError, match="degree splitting would build 17734048"):
         normalize_max_degree3(star)
-    with pytest.raises(CapacityError, match="degree splitting would build 17734048"):
-        to_eq3_eq3(star)
+    with pytest.raises(CapacityError, match="degree splitting would build 17754048"):
+        to_eq3_eq3(kept)
+    assert to_eq3_eq3(star)[0].lhs == ()
     assert time.monotonic() - started < 1
 
 
 def test_pipeline_sizes_its_output_before_building():
-    # Without a variable of occurrence 1 the prediction is the output's
-    # exact size; with one, the cascade can only keep it under the bound.
-    exact = bounded = 0
-    for system in _golden_corpus(random.Random(0x601D)) + [INPUT_COPIES]:
+    # After always-satisfied-removal no variable occurs once, so the
+    # prediction is the output's exact size on every input.
+    rng = random.Random(0x5123)
+    sweep = [
+        random_system(rng, max_vars=10, max_eqs=12, max_weight=3, max_arity=3)
+        for _ in range(300)
+    ]
+    # The chain x_i + x_{i+1} + x_{i+2} = b cascades away whole.
+    chain = LinSystem.from_columns(
+        1002, [(i, i + 1, i + 2) for i in range(1000)], [i & 1 for i in range(1000)], [1] * 1000
+    )
+    started = time.monotonic()
+    for system in _golden_corpus(random.Random(0x601D)) + [INPUT_COPIES, *sweep, chain]:
         staged, _ = _resolve_opposing_step(normalize(system))
-        (n, m), is_exact = _predict_sizes(staged, 4)
+        staged, _ = _remove_always_satisfied_step(staged)
+        predicted = _predict_sizes(staged, 4)
         out, _ = to_eq3_eq3(system)
-        assert n == m >= len(out.lhs) == out.n
-        if is_exact:
-            assert len(out.lhs) == m
-        assert is_exact == (1 not in occurrence_counts(expand_unit_weights(staged)))
-        exact += is_exact
-        bounded += not is_exact
-    assert exact and bounded
+        assert (out.n, len(out.lhs)) == predicted
+    assert time.monotonic() - started < 2
+    assert predicted == (0, 0)  # the chain's, the last input
 
 
 def test_pipeline_refuses_a_weight_at_the_bound_promptly():
-    heavy = LinSystem(1, (Equation((0,), 1, MAX_TOTAL_WEIGHT),))
+    # Total weight at the bound, on a cycle that keeps every row. A lone
+    # row of that weight is always satisfiable: the pipeline drops it, and
+    # only the targets without the removal step refuse it.
+    heavy = LinSystem.build(
+        2, [((0,), 1, MAX_TOTAL_WEIGHT - 2), ((0, 1), 0, 1), ((1,), 0, 1)]
+    )
+    alone = LinSystem(1, (Equation((0,), 1, MAX_TOTAL_WEIGHT),))
     started = time.monotonic()
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=f"unit expansion would build {MAX_TOTAL_WEIGHT}"):
         to_eq3_eq3(heavy)
+    assert to_eq3_eq3(alone)[0].lhs == ()
+    for target in ("deg3", "arity3"):
+        with pytest.raises(CapacityError, match=f"unit expansion would build {MAX_TOTAL_WEIGHT}"):
+            reduce_to_target(alone, target)
     assert time.monotonic() - started < 1
 
 
@@ -883,6 +925,7 @@ def _store(n, rows):
 def test_store_counts_stay_current_through_every_rule():
     for system in _golden_corpus(random.Random(0x601D)):
         staged, _ = _resolve_opposing_step(normalize(system))
+        staged, _ = _remove_always_satisfied_step(staged)
         store = _Rows(expand_unit_weights(staged), "count test")
         assert store.occ == occurrence_counts(store.system())
         for rule in (_normalize_degrees, _expand_arity, _enforce_degree, _deduplicate):
@@ -938,7 +981,9 @@ def test_compact_checks_survive_python_O():
         "    LinSystem.from_columns(3, [(1, 0, 2)], b'\\x00', [1])\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
-        "star = LinSystem.build(2501, [((0, j), 0, 2) for j in range(1, 2501)])\n"
+        "rows = [((0, j), 0, 2) for j in range(1, 2501)]\n"
+        "print(len(gadgets.to_eq3_eq3(LinSystem.build(2501, rows))[0].lhs))\n"
+        "star = LinSystem.build(2501, rows + [((j,), 0, 1) for j in range(1, 2501)])\n"
         "try:\n"
         "    gadgets.to_eq3_eq3(star)\n"
         "except CapacityError as exc:\n"
@@ -946,7 +991,7 @@ def test_compact_checks_survive_python_O():
         "gadgets._split_growth = lambda degree: (0, 0)\n"
         "for check in (\n"
         "    lambda: gadgets.normalize_max_degree3(LinSystem.build(2, [((0, 1), 0, 1)] * 5)),\n"
-        "    lambda: gadgets._check_built(LinSystem.build(1, []), (1, 1), True),\n"
+        "    lambda: gadgets._check_built(LinSystem.build(1, []), (1, 1)),\n"
         "):\n"
         "    try:\n"
         "        check()\n"
@@ -964,7 +1009,8 @@ def test_compact_checks_survive_python_O():
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
         "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
-        f"the (=3,=3) finish would build 26449620 equations, over {MAX_UNIT_EQUATIONS}\n"
+        "0\n"
+        f"the (=3,=3) finish would build 26474620 equations, over {MAX_UNIT_EQUATIONS}\n"
         "degree splitting built (46, 69), predicted (2, 5)\n"
         "the pipeline built (1, 0), predicted (1, 1)\n"
     )
