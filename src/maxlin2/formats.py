@@ -151,7 +151,12 @@ def emit_lin2(system: LinSystem, comments=()) -> str:
     lines.append(f"p lin2 {system.n} {len(system.lhs)}\n")
     keys = list(zip(system.weights, system.rhs, map(len, system.lhs)))
     template = {key: "%d %d %d" % key + " %s" * key[2] + "\n" for key in set(keys)}
-    name = [str(i) for i in range(1, system.n + 1)].__getitem__
+    # Name each variable up to the largest a row holds. With n above the row
+    # count one pass finds that bound; otherwise n names cost no more than the rows.
+    used = system.n
+    if used > len(keys):
+        used = max(chain.from_iterable(system.lhs), default=-1) + 1
+    name = [str(i) for i in range(1, used + 1)].__getitem__
     names = tuple(map(name, chain.from_iterable(system.lhs)))
     lines.append("".join(map(template.__getitem__, keys)) % names)
     return "".join(lines)

@@ -14,15 +14,16 @@ system. Replaying the trace in reverse maps an assignment of the reduced
 instance back to one of the original whose falsified weight never exceeds
 the reduced one (and matches it at the optimum).
 
-Rows holding a variable no other row holds are always satisfiable: they
-are dropped once, cascading, on the weighted rows, and logged as plain
-rows. From unit expansion on, the rules rewrite one store of lhs and rhs
-columns with a variable-to-rows index, so a degree rule touches only its
-variable's rows and its new tie rows. The store keeps every variable's
-occurrence count current, so nothing is recounted. The (=3,=3) checks --
-three variables per row, three rows per variable, distinct left-hand sides
--- run on these columns and counts where the output's columns are built:
-no stage builds an Equation. Reduction and both assignment maps cost
+Every `maxlin2 reduce` target runs one pipeline, `reduce_to_target`, and
+stops after a prefix of its stages. Rows holding a variable no other row
+holds are always satisfiable: they are dropped once, cascading, on the
+weighted rows, and logged as plain rows. From unit expansion on, the rules
+rewrite one store that holds only the lhs and rhs columns; the degree rules
+index its rows by variable only when some variable must split, and a rule
+that needs occurrence counts takes them from the rows. The (=3,=3) checks
+-- three variables per row, three rows per variable, distinct left-hand
+sides -- run on these columns where the output's columns are built: no
+stage builds an Equation. Reduction and both assignment maps cost
 O(input + output). A variable of degree d >= 4 splits into clones tied by
 the edges of a ceil(log2 d)-cube, so it costs O(d log d) rows. No rule
 brings a variable down to one occurrence, so the output size follows
@@ -37,6 +38,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, compress
+from operator import eq
 from typing import NamedTuple
 
 from .core import (
@@ -333,12 +335,11 @@ class _Rows:
 
     The store starts from the system's own columns, as a list of lhs tuples
     and a bytearray of rhs bits; row j is (lhs[j], rhs[j]). Every rule below
-    runs on one store and builds no Equation. `occ[v]` is the number of rows
-    holding v: it is counted once, from the input, and every rule that adds
-    or drops rows counts their variables in or out, so no rule recounts. The
-    pipeline's (=3,=3) checks run on these columns and counts in `_compact`,
-    which builds the checked output columns, renumbering only when a slot is
-    empty; the single-rule entry points build theirs with `system()`.
+    runs on one store, sets `n` itself when it adds variables, and builds no
+    Equation. The rules that need occurrence counts take them from the rows
+    with `occurrences()`. The pipeline's (=3,=3) checks run on these columns
+    in `_compact`, which renumbers only when a slot is empty; `system()`
+    builds the output columns and checks every row.
     """
 
     def __init__(self, system: LinSystem, op: str) -> None:
@@ -348,19 +349,10 @@ class _Rows:
         self.lhs = list(system.lhs)
         self.rhs = bytearray(system.rhs)
         self.forced = system.forced_falsified
-        self.occ = occurrence_counts(system)
 
-    def grow(self, n: int) -> None:
-        """Add variable slots up to n; no row holds the new ones yet."""
-        self.occ += [0] * (n - self.n)
-        self.n = n
-
-    def count(self, lhss, sign: int) -> None:
-        """Count the variables of rows that were added (+1) or dropped (-1)."""
-        occ = self.occ
-        for lhs in lhss:
-            for v in lhs:
-                occ[v] += sign
+    def occurrences(self) -> list[int]:
+        """The number of rows holding each variable, counted from the rows."""
+        return occurrence_counts(self)
 
     def sizes(self) -> tuple[int, int]:
         return self.n, len(self.lhs)
@@ -369,8 +361,12 @@ class _Rows:
         return TraceStep(rule, data, *pre, self.n, len(self.lhs))
 
     def system(self) -> LinSystem:
+        """The store as a unit-weight system; a rule that built a bad row is a bug."""
         m = len(self.lhs)
-        return LinSystem.from_columns(self.n, self.lhs, self.rhs, (1,) * m, self.forced)
+        try:
+            return LinSystem.from_columns(self.n, self.lhs, self.rhs, (1,) * m, self.forced)
+        except ValueError as exc:
+            raise ContractViolationError(f"a rule built an invalid row: {exc}") from exc
 
 
 def _apply(system: LinSystem, op: str, *rules) -> tuple[LinSystem, ReductionTrace]:
@@ -416,7 +412,7 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
         "rows": tuple((lhs_column[j], rhs_column[j]) for j in ids),
         "clones": clones,
     }
-    store.grow(n + len(clones) - 1)
+    store.n = n + len(clones) - 1
     holders[variable] = []
     holders.extend([] for _ in clones[1:])
     for clone, j in zip(clones, ids):
@@ -432,8 +428,6 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
         holders[y].append(len(lhs_column))
         lhs_column.append((x, y))
         rhs_column.append(0)
-    for clone in clones:
-        store.occ[clone] = len(holders[clone])
     return store.step("degree4" if degree == 4 else "degree5plus", data, pre)
 
 
@@ -465,24 +459,14 @@ def _degree_growth(profile: Counter) -> tuple[int, int]:
     return n, m
 
 
-def _refuse_oversize(stage: str, m: int) -> None:
-    if m > MAX_UNIT_EQUATIONS:
-        raise CapacityError(
-            f"{stage} would build {m} equations, over {MAX_UNIT_EQUATIONS}"
-        )
-
-
 def _normalize_degrees(store: _Rows) -> list[TraceStep]:
     """Split the worst variable, lowest index first, until every d(x) <= 3.
 
-    The output size depends only on the degree profile, so it is predicted
-    before any row is built: a prediction above MAX_UNIT_EQUATIONS rows is
-    refused with CapacityError, and a build that misses it is a bug.
+    The rows are indexed by variable only when some variable must split.
     """
+    if max(store.occurrences(), default=0) <= 3:
+        return []
     holders = variable_rows(store.n, store.lhs)
-    dn, dm = _degree_growth(Counter(map(len, holders)))
-    n, m = store.n + dn, len(store.lhs) + dm
-    _refuse_oversize("degree splitting", m)
     # A variable's count changes only when it is split, which pops its one
     # heap entry first, so no entry goes stale.
     heap = [(-len(ids), v) for v, ids in enumerate(holders) if len(ids) > 3]
@@ -494,10 +478,6 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
         for c in step.data["clones"]:
             if len(holders[c]) > 3:
                 heapq.heappush(heap, (-len(holders[c]), c))
-    if store.sizes() != (n, m):
-        raise ContractViolationError(
-            f"degree splitting built {store.sizes()}, predicted {(n, m)}"
-        )
     return steps
 
 
@@ -534,7 +514,10 @@ def normalize_max_degree3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]
     Raises CapacityError, before building anything, when the output would
     exceed MAX_UNIT_EQUATIONS equations.
     """
-    return _apply(system, "degree normalization", _normalize_degrees)
+    predicted = _predict_sizes(system, 2)
+    out, trace = _apply(system, "degree normalization", _normalize_degrees)
+    _check_built(out, predicted)
+    return out, trace
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +530,6 @@ def _expand_arity(store: _Rows) -> list[TraceStep]:
     lhs_column: list = []
     rhs_column = bytearray()
     expanded = []
-    added: list = []
     for lhs, rhs in zip(store.lhs, store.rhs):
         if len(lhs) == 3:
             lhs_column.append(lhs)
@@ -570,11 +552,8 @@ def _expand_arity(store: _Rows) -> list[TraceStep]:
             )
         lhs_column += gadget
         rhs_column += bytes(bits)
-        added += gadget
         expanded.append((lhs, rhs))
-    store.grow(next_var)
-    store.count([lhs for lhs, _ in expanded], -1)
-    store.count(added, 1)
+    store.n = next_var
     store.lhs, store.rhs = lhs_column, rhs_column
     return [store.step("arity-expand", {"expanded": tuple(expanded)}, pre)]
 
@@ -650,7 +629,7 @@ def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceSt
 
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
     """Tie the occurrence-2 variables, in ascending triplets, to seven-row gadgets."""
-    deg2 = [v for v, c in enumerate(store.occ) if c == 2]
+    deg2 = [v for v, c in enumerate(store.occurrences()) if c == 2]
     if len(deg2) % 3:
         raise ContractViolationError(
             f"{len(deg2)} variables of occurrence 2; expected a multiple of 3"
@@ -675,8 +654,7 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
         )
         triplets.append((t1, t2, t3))
     rhs_column += bytes(len(lhs_column) - start)
-    store.grow(next_var)
-    store.count(lhs_column[start:], 1)
+    store.n = next_var
     return [store.step("degree2-triplets", {"triplets": tuple(triplets)}, pre)]
 
 
@@ -716,7 +694,7 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
         i = first.setdefault(lhs, j)
         if i != j:
             copies.setdefault(lhs, [i]).append(j)
-    occ = store.occ
+    occ = store.occurrences()
     for lhs, members in copies.items():
         if len({rhs_column[j] for j in members}) > 1:
             raise ContractViolationError(
@@ -735,8 +713,6 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
     next_var = store.n
     out_lhs: list = []
     out_rhs = bytearray()
-    dropped: list = []
-    added: list = []
     pairs = []
     triples = []
     for j, (lhs, b) in enumerate(zip(lhs_column, rhs_column)):
@@ -747,7 +723,6 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
             continue
         if j != members[0]:
             continue
-        dropped += [lhs] * len(members)
         if len(members) == 3:
             triples.append((lhs, b))
             continue
@@ -770,11 +745,8 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
         )
         out_lhs += gadget
         out_rhs += bytes((b,)) * len(gadget)
-        added += gadget
         pairs.append((lhs, b))
-    store.grow(next_var)
-    store.count(dropped, -1)
-    store.count(added, 1)
+    store.n = next_var
     store.lhs, store.rhs = out_lhs, out_rhs
     data = {"pairs": tuple(pairs), "triples": tuple(triples)}
     return [store.step("deduplicate", data, pre)]
@@ -801,38 +773,38 @@ def _resolve_opposing_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
     Every assignment falsifies exactly one side of such a pair, costing at
     least the lighter weight; what remains is a single equation carrying the
     weight difference. Pointwise exact, so both assignment maps are the
-    identity. The input is normalized, so each (lhs, rhs) occurs once.
-    Duplicate-elimination later relies on this having run.
+    identity. The input is normalized: each (lhs, rhs) occurs once and the
+    rows are sorted, so a pair is two adjacent rows. With no pair, the input
+    is returned as it is. Duplicate-elimination later relies on this having
+    run.
     """
-    by_lhs: dict[tuple[int, ...], list[int]] = {}
-    for lhs, rhs, weight in zip(system.lhs, system.rhs, system.weights):
-        by_lhs.setdefault(lhs, [0, 0])[rhs] += weight
-    forced = system.forced_falsified
-    lhs_column, rhs_column, weights = [], bytearray(), []
-    for lhs, (w0, w1) in sorted(by_lhs.items()):
-        if w0 and w1:
-            forced += min(w0, w1)
-            w0, w1 = w0 - min(w0, w1), w1 - min(w0, w1)
-        for rhs, weight in ((0, w0), (1, w1)):
-            if weight:
-                lhs_column.append(lhs)
-                rhs_column.append(rhs)
-                weights.append(weight)
-    post = LinSystem.from_columns(system.n, lhs_column, rhs_column, weights, forced)
+    lhs_column = system.lhs
+    pairs = list(compress(range(len(lhs_column)), map(eq, lhs_column, lhs_column[1:])))
+    post = system
+    if pairs:
+        weights = list(system.weights)
+        forced = system.forced_falsified
+        for j in pairs:
+            lighter = min(weights[j], weights[j + 1])
+            forced += lighter
+            weights[j] -= lighter
+            weights[j + 1] -= lighter
+        columns = (compress(c, weights) for c in (lhs_column, system.rhs, weights))
+        post = LinSystem.from_columns(system.n, *columns, forced)
     return post, _sized_step("opposing-pairs", {}, system, post)
 
 
-def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
-    """Drop unused variable slots and build the (=3,=3) output, checked.
+def _compact(store: _Rows) -> list[TraceStep]:
+    """Check the (=3,=3) shape and drop unused variable slots.
 
-    The store's counts show every kept variable occurring exactly three
-    times, and the row lengths show every row holding three. The rows are
-    renumbered only when a slot is empty. Building the output checks every
-    row's order, range and rhs, and the set of left-hand sides shows that
-    no two coincide.
+    Counts taken from the rows show every kept variable occurring exactly
+    three times, the row lengths show every row holding three, and the set
+    of left-hand sides shows that no two coincide. The rows are renumbered
+    only when a slot is empty; building the output checks every row's
+    order, range and rhs.
     """
     pre = store.sizes()
-    occ = store.occ
+    occ = store.occurrences()
     if not set(occ) <= {0, 3}:
         bad = next(v for v, c in enumerate(occ) if c not in (0, 3))
         raise ContractViolationError(
@@ -841,35 +813,39 @@ def _compact(store: _Rows) -> tuple[LinSystem, TraceStep]:
     lhs = store.lhs
     if set(map(len, lhs)) - {3}:
         raise ContractViolationError("pipeline output has a row that is not arity-3")
+    if len(set(lhs)) != len(lhs):
+        raise ContractViolationError("pipeline output has duplicate left-hand sides")
     kept = tuple(compress(range(store.n), occ))
     if len(kept) < store.n:
         remap = list(accumulate(map(bool, occ), initial=0))  # kept slots below v
-        lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
-    try:
-        out = LinSystem.from_columns(
-            len(kept), lhs, store.rhs, (1,) * len(lhs), store.forced
-        )
-    except ValueError as exc:
-        raise ContractViolationError(
-            f"pipeline output row is not a valid arity-3 equation: {exc}"
-        ) from exc
-    if len(set(out.lhs)) != len(lhs):
-        raise ContractViolationError("pipeline output has duplicate left-hand sides")
-    return out, TraceStep("compact", {"kept": kept}, *pre, out.n, len(lhs))
+        store.lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
+    store.n = len(kept)
+    return [store.step("compact", {"kept": kept}, pre)]
 
 
-# The stages `_predict_sizes` sizes, in pipeline order.
-_STAGES = ("unit expansion", "degree splitting", "arity expansion", "the (=3,=3) finish")
+# The stages after normalization, in pipeline order, with the store rules
+# that build each; `_predict_sizes` sizes them, and a target runs a prefix.
+_STAGES = (
+    ("unit expansion", ()),
+    ("degree splitting", (_normalize_degrees,)),
+    ("arity expansion", (_expand_arity,)),
+    ("the (=3,=3) finish", (_enforce_degree, _deduplicate, _compact)),
+)
+
+# The number of stages each `maxlin2 reduce --target` runs.
+_TARGET_STAGES = {"deg3": 2, "arity3": 3, "eq3eq3": 4}
 
 
 def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
-    """(n, m) after the first `stages` stages, exactly.
+    """(n, m) after the first `stages` of `_STAGES`, exactly.
 
-    The stages are unit expansion, the degree rules, arity expansion and the
-    (=3,=3) finish (triplets, deduplication, compaction). A stage predicted
-    above MAX_UNIT_EQUATIONS rows raises CapacityError. `system` is
-    normalized, and for the finish it has been through
-    always-satisfied-removal. Its weighted degree profile gives every size:
+    This is the one size prediction: the runner and `normalize_max_degree3`
+    check what they build against it. A stage predicted above
+    MAX_UNIT_EQUATIONS rows raises CapacityError. The weighted degree
+    profile of `system`, counted over its rows only, gives every size. The
+    first three stages are exact on any input they accept; the finish needs
+    `system` normalized and through always-satisfied-removal, as the
+    pipeline runs it:
     - every clone ends at occurrence 3, every fresh variable of arity
       expansion at 2 and no variable at 1, so the triplets cost 7 rows per
       3 variables of occurrence 2;
@@ -877,13 +853,13 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
       variables is split (a weight-3 one would have been removed);
     - a (=3,=3) output has as many variables as rows.
     """
-    degree = [0] * system.n
+    degree: Counter = Counter()
     arity_weight: Counter = Counter()
     for lhs, weight in zip(system.lhs, system.weights):
         arity_weight[len(lhs)] += weight
         for v in lhs:
             degree[v] += weight
-    profile = Counter(degree)
+    profile = Counter(degree.values())
     dn, dm = _degree_growth(profile)
     n, m = system.n, system.total_weight
     sizes = [(n, m), (n + dn, m + dm)]
@@ -895,8 +871,11 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
         if len(lhs) == 3 and weight == 2 and max(degree[v] for v in lhs) <= 3:
             m += 6
     sizes.append((m, m))
-    for stage, (_, rows) in zip(_STAGES, sizes[:stages]):
-        _refuse_oversize(stage, rows)
+    for (stage, _), (_, rows) in zip(_STAGES, sizes[:stages]):
+        if rows > MAX_UNIT_EQUATIONS:
+            raise CapacityError(
+                f"{stage} would build {rows} equations, over {MAX_UNIT_EQUATIONS}"
+            )
     return sizes[stages - 1]
 
 
@@ -915,47 +894,41 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     3, deduplicate, and finally drop unused variable slots. Each stage
     preserves the minimum falsified weight, so the composition does too.
     From the degree rules on, the stages rewrite one row store; the last
-    one checks the (=3,=3) shape and builds the output's columns in the
-    same pass. The output is sized exactly before unit expansion: one above
-    MAX_UNIT_EQUATIONS rows raises CapacityError.
+    one checks the (=3,=3) shape before the output's columns are built.
+    The output is sized exactly before unit expansion: one above
+    MAX_UNIT_EQUATIONS rows raises CapacityError. This is
+    `reduce_to_target(system, "eq3eq3")`.
     """
-    if max(map(len, system.lhs), default=0) > 3:
-        raise InstanceClassError("pipeline input must have arity at most 3")
+    return reduce_to_target(system, "eq3eq3")
+
+
+def reduce_to_target(system: LinSystem, target: str) -> tuple[LinSystem, ReductionTrace]:
+    """The reduction of `maxlin2 reduce --target`, one pipeline for every target.
+
+    Every target normalizes, folds opposing pairs, drops always-satisfiable
+    rows, sizes its output and expands weights to unit copies, and its trace
+    starts at the caller's input. Then "deg3" cuts occurrences down to 3,
+    "arity3" also pads arities up to 3, and "eq3eq3" (`to_eq3_eq3`) also
+    finishes the (=3,=3) shape. Only "deg3" accepts arity above 3. An output
+    predicted above MAX_UNIT_EQUATIONS rows raises CapacityError before unit
+    expansion.
+    """
+    stages = _STAGES[: _TARGET_STAGES[target]]
+    if target != "deg3" and max(map(len, system.lhs), default=0) > 3:
+        raise InstanceClassError(f"{target} input must have arity at most 3")
     s0 = normalize(system)
     s1, opposing = _resolve_opposing_step(s0)
     s2, removal = _remove_always_satisfied_step(s1)
-    predicted = _predict_sizes(s2, len(_STAGES))
+    predicted = _predict_sizes(s2, len(stages))
     s3 = expand_unit_weights(s2)
-    steps = [
+    rules = [rule for _, stage_rules in stages for rule in stage_rules]
+    out, trace = _apply(s3, "the unit-expanded input", *rules)
+    _check_built(out, predicted)
+    steps = (
         _sized_step("normalize", {}, system, s0),
         opposing,
         removal,
         _sized_step("unit-expand", {}, s2, s3),
-    ]
-    store = _Rows(s3, "degree normalization")
-    for rule in (_normalize_degrees, _expand_arity, _enforce_degree, _deduplicate):
-        steps += rule(store)
-    out, compact = _compact(store)
-    steps.append(compact)
-    _check_built(out, predicted)
-    return out, ReductionTrace(tuple(steps), system, out)
-
-
-def reduce_to_target(system: LinSystem, target: str) -> tuple[LinSystem, ReductionTrace]:
-    """The reduction of `maxlin2 reduce --target`.
-
-    "eq3eq3" is `to_eq3_eq3`. "deg3" cuts occurrences down to 3 and "arity3"
-    then pads arities up to 3, both on the normalized, unit-expanded input,
-    which is where their trace starts. Each output is sized before unit
-    expansion: one above MAX_UNIT_EQUATIONS rows raises CapacityError.
-    """
-    if target == "eq3eq3":
-        return to_eq3_eq3(system)
-    rules = {"deg3": (_normalize_degrees,), "arity3": (_normalize_degrees, _expand_arity)}[target]
-    if target == "arity3" and max(map(len, system.lhs), default=0) > 3:
-        raise InstanceClassError("arity3 input must have arity at most 3")
-    s0 = normalize(system)
-    predicted = _predict_sizes(s0, 1 + len(rules))
-    out, trace = _apply(expand_unit_weights(s0), "degree normalization", *rules)
-    _check_built(out, predicted)
-    return out, trace
+        *trace.steps,
+    )
+    return out, ReductionTrace(steps, system, out)

@@ -254,6 +254,7 @@ def _write(tmp_path, name, text):
 
 
 CONTRADICTION = "p lin2 1 2\n1 0 1 1\n1 1 1 1\n"
+TARGETS = ("deg3", "arity3", "eq3eq3")  # every `maxlin2 reduce --target`
 
 
 def test_cli_solve_auto_occ2(tmp_path, capsys):
@@ -472,23 +473,7 @@ def test_cli_reduce_eq3eq3_then_stats(tmp_path, capsys):
     assert "r=3 s=3" in capsys.readouterr().out
 
 
-DEG3_TRACE = """\
-degree5plus variable=0 m:7->19 n:4->11
-degree4 variable=0 m:19->23 n:11->14
-degree4 variable=1 m:23->27 n:14->17
-degree4 variable=4 m:27->31 n:17->20
-degree4 variable=5 m:31->35 n:20->23
-degree4 variable=6 m:35->39 n:23->26
-degree4 variable=7 m:39->43 n:26->29
-degree4 variable=8 m:43->47 n:29->32
-"""
-
-# The exact .trace text of each target on one input with a weight-2 row, an
-# opposing unary pair and a variable of degree 5 (after unit expansion).
-REDUCE_TRACES = {
-    "deg3": DEG3_TRACE,
-    "arity3": DEG3_TRACE + "arity-expand m:47->94 n:32->126\n",
-    "eq3eq3": """\
+EQ3EQ3_TRACE = """\
 normalize m:6->6 n:4->4
 opposing-pairs m:6->4 n:4->4
 always-satisfied-removal m:4->3 n:4->4
@@ -498,7 +483,15 @@ arity-expand m:8->15 n:7->21
 degree2-triplets m:15->50 n:21->51
 deduplicate m:50->50 n:51->51
 compact m:50->50 n:51->50
-""",
+"""
+
+# The exact .trace text of each target on one input with a weight-2 row, an
+# opposing unary pair and a variable of degree 4 once the pairs are folded.
+# Every target runs one pipeline, so each trace is a prefix of eq3eq3's.
+REDUCE_TRACES = {
+    "deg3": "".join(EQ3EQ3_TRACE.splitlines(keepends=True)[:5]),
+    "arity3": "".join(EQ3EQ3_TRACE.splitlines(keepends=True)[:6]),
+    "eq3eq3": EQ3EQ3_TRACE,
 }
 
 
@@ -535,14 +528,17 @@ def _assert_refused(source, target, out_path, capsys) -> str:
     return capsys.readouterr().err
 
 
-def _assert_eq3eq3_drops_it_all(source, out_path, capsys) -> None:
+def _assert_drops_it_all(source, target, out_path, capsys) -> None:
     """An input whose every row holds a variable of no other row, however
-    heavy, is always satisfiable: eq3eq3 writes an empty system at once."""
+    heavy, is always satisfiable: every target drops it at once. Only
+    eq3eq3 drops the unused variable slots too."""
     started = time.monotonic()
-    assert main(["reduce", source, "--target", "eq3eq3", "-o", str(out_path)]) == EXIT_OK
+    assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_OK
     assert time.monotonic() - started < 1
-    assert capsys.readouterr().out == "s REDUCED n=0 m=0\n"
-    assert parse_lin2(out_path.read_text()).lhs == ()
+    reduced = parse_lin2(out_path.read_text())
+    assert reduced.lhs == ()
+    assert capsys.readouterr().out == f"s REDUCED n={reduced.n} m=0\n"
+    assert reduced.n == 0 or target != "eq3eq3"
 
 
 def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
@@ -550,17 +546,12 @@ def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
     kept = _write(tmp_path, "big.lin2", "p lin2 2 3\n1000000000 1 1 1\n1 0 2 1 2\n1 1 1 2\n")
     alone = _write(tmp_path, "alone.lin2", "p lin2 1 1\n1000000000 1 1 1\n")
     started = time.monotonic()
-    for source, target, m in (
-        (kept, "eq3eq3", 1000000002),
-        (kept, "deg3", 1000000002),
-        (kept, "arity3", 1000000002),
-        (alone, "deg3", 1000000000),
-        (alone, "arity3", 1000000000),
-    ):
-        err = _assert_refused(source, target, tmp_path / f"{target}.lin2", capsys)
-        assert f"unit expansion would build {m}" in err
+    for target in TARGETS:
+        err = _assert_refused(kept, target, tmp_path / f"{target}.lin2", capsys)
+        assert "unit expansion would build 1000000002" in err
     assert time.monotonic() - started < 5
-    _assert_eq3eq3_drops_it_all(alone, tmp_path / "alone.out.lin2", capsys)
+    for target in TARGETS:
+        _assert_drops_it_all(alone, target, tmp_path / f"alone.{target}.lin2", capsys)
 
 
 def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
@@ -572,17 +563,12 @@ def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
     kept = _write(tmp_path, "star.lin2", f"p lin2 301 600\n{rows}{leaves}")
     bare = _write(tmp_path, "bare.lin2", f"p lin2 301 300\n{rows}")
     started = time.monotonic()
-    for source, target, m in (
-        (kept, "eq3eq3", 18498348),
-        (kept, "deg3", 18498348),
-        (kept, "arity3", 18498348),
-        (bare, "deg3", 18496848),
-        (bare, "arity3", 18496848),
-    ):
-        err = _assert_refused(source, target, tmp_path / f"{target}.lin2", capsys)
-        assert f"degree splitting would build {m}" in err
+    for target in TARGETS:
+        err = _assert_refused(kept, target, tmp_path / f"{target}.lin2", capsys)
+        assert "degree splitting would build 18498348" in err
     assert time.monotonic() - started < 1
-    _assert_eq3eq3_drops_it_all(bare, tmp_path / "bare.out.lin2", capsys)
+    for target in TARGETS:
+        _assert_drops_it_all(bare, target, tmp_path / f"bare.{target}.lin2", capsys)
 
 
 def test_cli_reduce_refuses_an_oversize_output_before_building(tmp_path, capsys):
@@ -600,15 +586,14 @@ def test_cli_reduce_refuses_an_oversize_output_before_building(tmp_path, capsys)
         (heavy, "eq3eq3", "degree splitting"),
         (heavy, "deg3", "degree splitting"),
         (heavy, "arity3", "degree splitting"),
-        (bare_heavy, "deg3", "degree splitting"),
-        (bare_heavy, "arity3", "degree splitting"),
         (star, "eq3eq3", "the (=3,=3) finish"),
     ):
         err = _assert_refused(source, target, tmp_path / "out.lin2", capsys)
         assert f"error: {stage} would build" in err
     assert time.monotonic() - started < 1
-    _assert_eq3eq3_drops_it_all(bare_heavy, tmp_path / "heavy.out.lin2", capsys)
-    _assert_eq3eq3_drops_it_all(bare_star, tmp_path / "star.out.lin2", capsys)
+    for target in TARGETS:
+        _assert_drops_it_all(bare_heavy, target, tmp_path / f"heavy.{target}.lin2", capsys)
+        _assert_drops_it_all(bare_star, target, tmp_path / f"star.{target}.lin2", capsys)
 
 
 def test_cli_reduce_writes_both_files_or_neither(tmp_path, capsys):
@@ -623,7 +608,8 @@ def test_cli_reduce_writes_both_files_or_neither(tmp_path, capsys):
 
 
 def test_cli_reduce_refuses_arity_above_3_for_arity_targets(tmp_path, capsys):
-    text = "p lin2 4 1\n1 0 4 1 2 3 4\n"
+    # Every variable is in two rows, so always-satisfied-removal keeps them.
+    text = "p lin2 4 3\n1 1 2 1 2\n1 0 4 1 2 3 4\n1 1 2 3 4\n"
     source = _write(tmp_path, "wide.lin2", text)
     for target in ("arity3", "eq3eq3"):
         out_path = tmp_path / f"{target}.lin2"
@@ -632,7 +618,7 @@ def test_cli_reduce_refuses_arity_above_3_for_arity_targets(tmp_path, capsys):
         assert "arity at most 3" in capsys.readouterr().err
     out_path = tmp_path / "deg3.lin2"
     assert main(["reduce", source, "--target", "deg3", "-o", str(out_path)]) == EXIT_OK
-    assert capsys.readouterr().out == "s REDUCED n=4 m=1\n"
+    assert capsys.readouterr().out == "s REDUCED n=4 m=3\n"
     assert parse_lin2(out_path.read_text()) == parse_lin2(text)
 
 

@@ -47,11 +47,8 @@ from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS, ContractViolation
 from maxlin2.gadgets import (
     _compact,
     _cube_ties,
-    _deduplicate,
     _enforce_degree,
-    _expand_arity,
     _map_forward_step,
-    _normalize_degrees,
     _predict_sizes,
     _remove_always_satisfied_step,
     _resolve_opposing_step,
@@ -68,6 +65,7 @@ from helpers import (
 )
 
 RNG_SEED = 0x5EED
+TARGETS = ("deg3", "arity3", "eq3eq3")  # every `maxlin2 reduce --target`
 
 
 # --- odd-set encoding -------------------------------------------------------
@@ -899,19 +897,31 @@ def test_pipeline_sizes_its_output_before_building():
 
 def test_pipeline_refuses_a_weight_at_the_bound_promptly():
     # Total weight at the bound, on a cycle that keeps every row. A lone
-    # row of that weight is always satisfiable: the pipeline drops it, and
-    # only the targets without the removal step refuse it.
+    # row of that weight is always satisfiable: every target drops it.
     heavy = LinSystem.build(
         2, [((0,), 1, MAX_TOTAL_WEIGHT - 2), ((0, 1), 0, 1), ((1,), 0, 1)]
     )
     alone = LinSystem(1, (Equation((0,), 1, MAX_TOTAL_WEIGHT),))
     started = time.monotonic()
-    with pytest.raises(CapacityError, match=f"unit expansion would build {MAX_TOTAL_WEIGHT}"):
-        to_eq3_eq3(heavy)
-    assert to_eq3_eq3(alone)[0].lhs == ()
-    for target in ("deg3", "arity3"):
+    for target in TARGETS:
         with pytest.raises(CapacityError, match=f"unit expansion would build {MAX_TOTAL_WEIGHT}"):
-            reduce_to_target(alone, target)
+            reduce_to_target(heavy, target)
+        assert reduce_to_target(alone, target)[0].lhs == ()
+    assert time.monotonic() - started < 1
+
+
+def test_an_empty_system_indexes_no_rows_and_names_no_variables(monkeypatch):
+    # No variable splits, so no target indexes the rows by variable, and
+    # the writer names only the variables a row holds: none, whatever n is.
+    def unused(n, lhs):
+        raise AssertionError("indexed the rows of a system where nothing splits")
+
+    monkeypatch.setattr(maxlin2.gadgets, "variable_rows", unused)
+    empty = LinSystem.from_columns(MAX_UNIT_EQUATIONS, [], b"", [])
+    for target in TARGETS:
+        assert reduce_to_target(empty, target)[0].lhs == ()
+    started = time.monotonic()
+    assert emit_lin2(empty) == f"p lin2 {MAX_UNIT_EQUATIONS} 0\n"
     assert time.monotonic() - started < 1
 
 
@@ -922,28 +932,19 @@ def _store(n, rows):
     return _Rows(LinSystem.build(n, rows), "finish test")
 
 
-def test_store_counts_stay_current_through_every_rule():
-    for system in _golden_corpus(random.Random(0x601D)):
-        staged, _ = _resolve_opposing_step(normalize(system))
-        staged, _ = _remove_always_satisfied_step(staged)
-        store = _Rows(expand_unit_weights(staged), "count test")
-        assert store.occ == occurrence_counts(store.system())
-        for rule in (_normalize_degrees, _expand_arity, _enforce_degree, _deduplicate):
-            rule(store)
-            assert store.occ == occurrence_counts(store.system()), rule.__name__
-
-
 def test_compact_finishes_a_valid_store():
     # Every pair of four variables shares two rows; variable 3 is unused.
     rows = [((0, 1, 2), 0), ((0, 1, 4), 1), ((0, 2, 4), 0), ((1, 2, 4), 1)]
-    out, step = _compact(_store(5, rows))
+    store = _store(5, rows)
+    (step,) = _compact(store)
     renamed = [((0, 1, 2), 0), ((0, 1, 3), 1), ((0, 2, 3), 0), ((1, 2, 3), 1)]
-    assert out == LinSystem.build(4, renamed)
+    assert store.system() == LinSystem.build(4, renamed)
     assert step.data["kept"] == (0, 1, 2, 4)
     assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (5, 4, 4, 4)
     # With no empty slot every variable is kept and no row is renumbered.
-    out, step = _compact(_store(4, renamed))
-    assert out == LinSystem.build(4, renamed)
+    store = _store(4, renamed)
+    (step,) = _compact(store)
+    assert store.system() == LinSystem.build(4, renamed)
     assert step.data["kept"] == (0, 1, 2, 3)
     assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (4, 4, 4, 4)
 
@@ -1011,7 +1012,7 @@ def test_compact_checks_survive_python_O():
         "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
         "0\n"
         f"the (=3,=3) finish would build 26474620 equations, over {MAX_UNIT_EQUATIONS}\n"
-        "degree splitting built (46, 69), predicted (2, 5)\n"
+        "the pipeline built (46, 69), predicted (2, 5)\n"
         "the pipeline built (1, 0), predicted (1, 1)\n"
     )
 
@@ -1084,10 +1085,12 @@ def pipeline_systems(draw):
     return LinSystem.build(n, rows, forced_falsified=draw(st.integers(0, 2)))
 
 
+@pytest.mark.parametrize("target", TARGETS)
 @given(pipeline_systems(), st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
-def test_trace_maps_never_cost_more_and_forward_is_tight(system, seed):
-    out, trace = to_eq3_eq3(system)
+def test_trace_maps_never_cost_more_and_forward_is_tight(target, system, seed):
+    # Every target's maps run from the caller's input, whatever it stops at.
+    out, trace = reduce_to_target(system, target)
     rng = random.Random(seed)
     a = tuple(rng.randint(0, 1) for _ in range(system.n))
     assert evaluate(out, trace.map_assignment_forward(a))[1] <= evaluate(system, a)[1]
