@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .core import (
     CapacityError,
     LinSystem,
-    evaluate,
     falsified_indices,
     variable_rows,
 )
@@ -29,11 +28,13 @@ class SolveResult:
 
 
 def _result(system: LinSystem, assignment) -> SolveResult:
-    _, falsified = evaluate(system, assignment)
+    """The result of an assignment, from one pass over the rows."""
+    certificate = falsified_indices(system, assignment)
+    weights = system.weights
     return SolveResult(
         assignment=tuple(assignment),
-        falsified_weight=falsified,
-        certificate=falsified_indices(system, assignment),
+        falsified_weight=system.forced_falsified + sum(weights[j] for j in certificate),
+        certificate=certificate,
     )
 
 

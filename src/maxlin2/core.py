@@ -14,6 +14,7 @@ read the columns and build none.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -356,6 +357,65 @@ def variable_rows(n: int, lhs) -> list[list[int]]:
         for v in row:
             rows[v].append(j)
     return rows
+
+
+def singleton_cascade(n: int, lhss, roots=()) -> list[tuple[int, int]]:
+    """Rows deleted by exhaustive singleton pruning, as (row, witness) pairs.
+
+    `lhss` lists each row's variables. A row holding a variable that occurs
+    in no other live row is deleted, cascading; the lowest-indexed singleton
+    variable is processed first. Once no singleton is left, the next row of
+    `roots` (row indices) that is still live is deleted with witness -1, and
+    the cascade goes on; rows a root never reaches stay. Occurrence counts
+    are decremented per deletion and the current singletons kept in a
+    min-heap, so the whole cascade costs O(size · log n) beyond the two
+    n-slot lists.
+    """
+    occ = [0] * n
+    # XOR of the indices of the live rows holding each variable: for a
+    # singleton it is the index of its one row.
+    holder = [0] * n
+    for j, lhs in enumerate(lhss):
+        for v in lhs:
+            occ[v] += 1
+            holder[v] ^= j
+    # Counts only fall, so each variable enters the heap at most once; an
+    # entry whose count has since dropped to 0 is skipped.
+    singletons = [v for lhs in lhss for v in lhs if occ[v] == 1]
+    heapq.heapify(singletons)
+    live = bytearray(b"\x01") * len(lhss)
+    roots = iter(roots)
+    deleted: list[tuple[int, int]] = []
+    while True:
+        if singletons:
+            witness = heapq.heappop(singletons)
+            if occ[witness] != 1:
+                continue
+            j = holder[witness]
+        else:
+            j = next((r for r in roots if live[r]), -1)
+            if j < 0:
+                return deleted
+            witness = -1
+        live[j] = 0
+        deleted.append((j, witness))
+        for v in lhss[j]:
+            occ[v] -= 1
+            holder[v] ^= j
+            if occ[v] == 1:
+                heapq.heappush(singletons, v)
+
+
+def _satisfy_removed(removed, values: list[int]) -> list[int]:
+    """Replay removed (lhs, rhs, witness) rows in reverse, in place: each
+    witness occurred in no later row, so setting it satisfies its row."""
+    for lhs, rhs, witness in reversed(removed):
+        parity = rhs
+        for v in lhs:
+            if v != witness:
+                parity ^= values[v]
+        values[witness] = parity
+    return values
 
 
 def profile(system: LinSystem) -> InstanceProfile:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import chain, compress
 from operator import eq
 from typing import NamedTuple
 
@@ -49,9 +49,11 @@ from .core import (
     InstanceClassError,
     LinSystem,
     MaxLin2Error,
+    _satisfy_removed,
     expand_unit_weights,
     normalize,
     occurrence_counts,
+    singleton_cascade,
     variable_rows,
 )
 
@@ -240,18 +242,6 @@ def _best_uniform_clone_value(step: TraceStep, values) -> int:
     return 1 if falsified[1] < falsified[0] else 0
 
 
-def _satisfy_removed(removed, values: list[int]) -> list[int]:
-    """Replay removed (lhs, rhs, witness) rows in reverse, in place: each
-    witness occurred in no later row, so setting it satisfies its row."""
-    for lhs, rhs, witness in reversed(removed):
-        parity = rhs
-        for v in lhs:
-            if v != witness:
-                parity ^= values[v]
-        values[witness] = parity
-    return values
-
-
 # Both maps rewrite one list in place: a step truncates or extends it by the
 # variables it removed or added, so a whole map costs O(input + output).
 
@@ -350,9 +340,9 @@ class _Rows:
         self.rhs = bytearray(system.rhs)
         self.forced = system.forced_falsified
 
-    def occurrences(self) -> list[int]:
-        """The number of rows holding each variable, counted from the rows."""
-        return occurrence_counts(self)
+    def occurrences(self) -> Counter:
+        """The number of rows holding each variable that some row holds."""
+        return Counter(chain.from_iterable(self.lhs))
 
     def sizes(self) -> tuple[int, int]:
         return self.n, len(self.lhs)
@@ -464,7 +454,7 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
 
     The rows are indexed by variable only when some variable must split.
     """
-    if max(store.occurrences(), default=0) <= 3:
+    if max(store.occurrences().values(), default=0) <= 3:
         return []
     holders = variable_rows(store.n, store.lhs)
     # A variable's count changes only when it is split, which pops its one
@@ -572,41 +562,6 @@ def expand_arity_to_3(system: LinSystem) -> LinSystem:
 # Occurrence exactly three
 
 
-def singleton_cascade(n: int, lhss) -> list[tuple[int, int]]:
-    """Rows deleted by exhaustive singleton pruning, as (row, witness) pairs.
-
-    `lhss` lists each row's variables. A row holding a variable that occurs
-    in no other live row is deleted, cascading; the lowest-indexed singleton
-    variable is processed first. Occurrence counts are decremented per
-    deletion and the current singletons kept in a min-heap, so the whole
-    cascade costs O(size · log n).
-    """
-    occ = [0] * n
-    # XOR of the indices of the live rows holding each variable: for a
-    # singleton it is the index of its one row.
-    holder = [0] * n
-    for j, lhs in enumerate(lhss):
-        for v in lhs:
-            occ[v] += 1
-            holder[v] ^= j
-    # Counts only fall, so each variable enters the heap at most once; an
-    # entry whose count has since dropped to 0 is skipped.
-    singletons = [v for v in range(n) if occ[v] == 1]
-    deleted: list[tuple[int, int]] = []
-    while singletons:
-        witness = heapq.heappop(singletons)
-        if occ[witness] != 1:
-            continue
-        j = holder[witness]
-        deleted.append((j, witness))
-        for v in lhss[j]:
-            occ[v] -= 1
-            holder[v] ^= j
-            if occ[v] == 1:
-                heapq.heappush(singletons, v)
-    return deleted
-
-
 def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
     """Drop the rows `singleton_cascade` finds, whatever their weights.
 
@@ -629,7 +584,7 @@ def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceSt
 
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
     """Tie the occurrence-2 variables, in ascending triplets, to seven-row gadgets."""
-    deg2 = [v for v, c in enumerate(store.occurrences()) if c == 2]
+    deg2 = sorted(v for v, c in store.occurrences().items() if c == 2)
     if len(deg2) % 3:
         raise ContractViolationError(
             f"{len(deg2)} variables of occurrence 2; expected a multiple of 3"
@@ -798,15 +753,16 @@ def _compact(store: _Rows) -> list[TraceStep]:
     """Check the (=3,=3) shape and drop unused variable slots.
 
     Counts taken from the rows show every kept variable occurring exactly
-    three times, the row lengths show every row holding three, and the set
-    of left-hand sides shows that no two coincide. The rows are renumbered
-    only when a slot is empty; building the output checks every row's
-    order, range and rhs.
+    three times and below n, the row lengths show every row holding three,
+    and the set of left-hand sides shows that no two coincide. The rows are
+    renumbered only when a slot is empty, through the kept variables alone,
+    so no pass runs over the n slots; building the output checks every
+    row's order, range and rhs.
     """
     pre = store.sizes()
     occ = store.occurrences()
-    if not set(occ) <= {0, 3}:
-        bad = next(v for v, c in enumerate(occ) if c not in (0, 3))
+    if set(occ.values()) - {3}:
+        bad = min(v for v, c in occ.items() if c != 3)
         raise ContractViolationError(
             f"pipeline output has variable {bad} occurring {occ[bad]} times, not 3"
         )
@@ -815,9 +771,11 @@ def _compact(store: _Rows) -> list[TraceStep]:
         raise ContractViolationError("pipeline output has a row that is not arity-3")
     if len(set(lhs)) != len(lhs):
         raise ContractViolationError("pipeline output has duplicate left-hand sides")
-    kept = tuple(compress(range(store.n), occ))
+    kept = tuple(sorted(occ))
+    if kept and kept[-1] >= store.n:
+        raise ContractViolationError(f"pipeline output has variable {kept[-1]} >= n={store.n}")
     if len(kept) < store.n:
-        remap = list(accumulate(map(bool, occ), initial=0))  # kept slots below v
+        remap = dict(zip(kept, range(len(kept))))
         store.lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
     store.n = len(kept)
     return [store.step("compact", {"kept": kept}, pre)]

@@ -5,23 +5,25 @@ equations holding them. A variable held by one equation is a pendant edge:
 that equation can be satisfied last, so its whole component is satisfiable.
 A component without pendant edges has every variable twice, so its rows sum
 to zero: it is satisfiable iff its rhs bits XOR to 0, and otherwise exactly
-its lightest equation is lost. `solve_occ2` realises this with one peel of a
-spanning tree per component; `solve_occ2_merge` is an independent
-cross-check that only reports the optimal value. Neither prunes rows first;
-the singleton cascade of the (=3,=3) pipeline lives in `gadgets`.
+its lightest equation is lost. `solve_occ2` realises this with the singleton
+cascade of `core`, which the (=3,=3) pipeline also runs: deleting a row
+leaves its neighbours a pendant edge, so the cascade removes components
+whole, and a component it cannot start on is started at its lightest row.
+`solve_occ2_merge` is an independent cross-check that only reports the
+optimal value.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .baseline import SolveResult, _result
 from .core import (
     ContractViolationError,
     InstanceClassError,
     LinSystem,
+    _satisfy_removed,
     normalize,
     occurrence_counts,
+    singleton_cascade,
     variable_rows,
 )
 
@@ -35,71 +37,33 @@ def _check_occurrence_bound(system: LinSystem) -> None:
         )
 
 
-def _bfs(lhs, holders, root: int, seen: list[bool]) -> tuple[list[int], list[int]]:
-    """Equations reachable from root in BFS order, and the variable linking
-    each to its BFS parent (-1 for the root). lhs is the lhs column."""
-    seen[root] = True
-    order = [root]
-    link = [-1]
-    queue = deque([root])
-    while queue:
-        j = queue.popleft()
-        for v in lhs[j]:
-            for i in holders[v]:
-                if not seen[i]:
-                    seen[i] = True
-                    order.append(i)
-                    link.append(v)
-                    queue.append(i)
-    return order, link
-
-
 def solve_occ2(system: LinSystem) -> SolveResult:
     """Exact optimum for instances with every variable in at most 2 equations.
 
-    Each component is rooted at an equation holding a pendant variable if
-    there is one, else, when its rhs bits XOR to 1, at its lightest equation
-    (least weight, then index), else anywhere. In reverse BFS order every
-    other equation sets the variable linking it to its parent; variables off
-    the tree stay 0. The root then holds, via its pendant variable or by
-    parity, except in the odd pendant-free case where it is the one loss.
-    Runs in O(n + size).
+    The singleton cascade deletes every row that holds a variable of no
+    other live row; when none is left, it deletes the lightest live row
+    (least weight, then index) as a root and cascades on, which removes
+    the root's whole component. A component no root has reached has every
+    variable twice and is deleted whole, so its root is its lightest row,
+    and the one loss of the component iff the rhs bits from it up to the
+    next root XOR to 1: its rows sum to zero. Replaying the other deleted
+    rows in reverse, from all zeros, satisfies each by its witness. Runs in
+    O(n + size · log size).
     """
     _check_occurrence_bound(system)
     norm = normalize(system)
     lhs, rhs, weights = norm.lhs, norm.rhs, norm.weights
-    holders = variable_rows(norm.n, lhs)
-    assignment = [0] * system.n
+    roots = sorted(range(len(lhs)), key=weights.__getitem__)  # stable: ties by index
+    deleted = singleton_cascade(norm.n, lhs, roots)
     internal = norm.forced_falsified
-    found = [False] * len(lhs)
-    rooted = [False] * len(lhs)
-    for start in range(len(lhs)):
-        if found[start]:
-            continue
-        members, _ = _bfs(lhs, holders, start, found)
-        root, pendant = None, -1
-        parity = 0
-        for j in members:
-            parity ^= rhs[j]
-            if root is None:
-                pendant = next((v for v in lhs[j] if len(holders[v]) == 1), -1)
-                if pendant >= 0:
-                    root = j
-        if root is None:
-            root = min(members, key=lambda j: (weights[j], j)) if parity else start
-        order, link = _bfs(lhs, holders, root, rooted)
-        link[0] = pendant
-        if pendant < 0 and parity:
-            internal += weights[root]
-        for j, var in zip(reversed(order), reversed(link)):
-            if var < 0:
-                continue  # a pendant-free root holds by parity or is the loss
-            value = rhs[j]
-            for v in lhs[j]:
-                if v != var:
-                    value ^= assignment[v]
-            assignment[var] = value
-    result = _result(system, assignment)
+    parity = 0
+    for j, witness in reversed(deleted):
+        parity ^= rhs[j]
+        if witness < 0:
+            internal += weights[j] * parity
+            parity = 0
+    removed = [(lhs[j], rhs[j], witness) for j, witness in deleted if witness >= 0]
+    result = _result(system, _satisfy_removed(removed, [0] * system.n))
     if result.falsified_weight != internal:
         raise ContractViolationError("solver bookkeeping out of sync")
     return result

@@ -41,6 +41,7 @@ from maxlin2 import (
     profile,
     reduce_degree4,
     reduce_degree5plus,
+    solve_occ2,
     to_eq3_eq3,
 )
 from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS, ContractViolationError
@@ -913,13 +914,18 @@ def test_pipeline_refuses_a_weight_at_the_bound_promptly():
 def test_an_empty_system_indexes_no_rows_and_names_no_variables(monkeypatch):
     # No variable splits, so no target indexes the rows by variable, and
     # the writer names only the variables a row holds: none, whatever n is.
+    # The occ <= 2 solver needs no row index either: the cascade finds none.
     def unused(n, lhs):
         raise AssertionError("indexed the rows of a system where nothing splits")
 
     monkeypatch.setattr(maxlin2.gadgets, "variable_rows", unused)
+    monkeypatch.setattr(maxlin2.occ2, "variable_rows", unused)
     empty = LinSystem.from_columns(MAX_UNIT_EQUATIONS, [], b"", [])
     for target in TARGETS:
         assert reduce_to_target(empty, target)[0].lhs == ()
+    result = solve_occ2(empty)
+    assert (result.falsified_weight, result.certificate) == (0, ())
+    assert len(result.assignment) == MAX_UNIT_EQUATIONS and not any(result.assignment)
     started = time.monotonic()
     assert emit_lin2(empty) == f"p lin2 {MAX_UNIT_EQUATIONS} 0\n"
     assert time.monotonic() - started < 1

@@ -1,5 +1,5 @@
 """Exact solver for occurrence-at-most-2 systems, both routes, and the
-singleton cascade that drops always-satisfiable rows."""
+singleton cascade that drops always-satisfiable rows and runs the solver."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from maxlin2 import (
     solve_occ2,
     solve_occ2_merge,
 )
-from maxlin2.gadgets import _satisfy_removed, singleton_cascade
+from maxlin2.core import _satisfy_removed, singleton_cascade
 from helpers import random_system
 
 
@@ -50,6 +50,24 @@ def test_prune_single_equation():
     system = LinSystem.build(1, [((0,), 1, 5)])
     assert singleton_cascade(system.n, system.lhs) == [(0, 0)]
     assert _satisfy_removed([((0,), 1, 0)], [0]) == [1]
+
+
+def test_cascade_deletes_a_root_only_when_no_singleton_is_left():
+    # An odd cycle over rows 0-2 beside a chain whose ends are singletons.
+    system = LinSystem.build(
+        6,
+        [((0, 1), 1, 3), ((1, 2), 0, 1), ((0, 2), 0, 2), ((3, 4), 1, 1), ((4, 5), 0, 1)],
+    )
+    # The chain goes first; then the first live root, and the cycle it opens.
+    roots = [3, 1, 2, 0, 4]
+    assert singleton_cascade(system.n, system.lhs, roots) == [
+        (3, 3),
+        (4, 4),
+        (1, -1),
+        (0, 1),
+        (2, 0),
+    ]
+    assert singleton_cascade(system.n, system.lhs) == [(3, 3), (4, 4)]
 
 
 def test_prune_log_takes_lowest_singleton_first():
@@ -188,7 +206,12 @@ def test_rank_structure_of_pruned_components():
             parity = sum(e.rhs for e in eqs) % 2
             loss = min(e.weight for e in eqs) if parity else 0
             assert brute_force_min_falsified(component).falsified_weight == loss
-            assert solve_occ2(component).falsified_weight == loss
+            result = solve_occ2(component)
+            assert result.falsified_weight == loss
+            # Rows come in (lhs, rhs) order, so the lightest row is the
+            # first of least weight.
+            lightest = min(range(len(eqs)), key=lambda j: eqs[j].weight)
+            assert result.certificate == ((lightest,) if parity else ())
             for drop in range(len(eqs)):
                 sub = LinSystem(component.n, eqs[:drop] + eqs[drop + 1 :])
                 assert solve_occ2_merge(sub) == 0
