@@ -87,6 +87,16 @@ def test_parse_lin2_rejects_bad_forced_ledger(ledger):
         ("c a comment\np lin2 2 1\n1 0 2 1 x\n", 3, "expected an integer, got 'x'"),
         ("p lin2 5 1\n1 0 2 6 7\n", 2, "index 6 out of range 1..5"),
         ("p lin2 5 1\n1 0 2 0 3\n", 2, "index 0 out of range 1..5"),
+        # One case per record fault, each after a good record, a comment and a blank line.
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n0 1 1 2\n", 5, "weight must be >= 1, got 0"),
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n1 2 1 2\n", 5, "rhs must be 0 or 1, got 2"),
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n1 300 1 2\n", 5, "rhs must be 0 or 1, got 300"),
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0 3 1 2\n", 5, "expected 3 indices, got 2"),
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0\n", 5, "record needs weight, rhs and arity"),
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0 2 3 3\n", 5, "duplicate index 3"),
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0 3 1 4 2\n", 5, "indices must be strictly ascending"),
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0 1 0\n", 5, "index 0 out of range 1..5"),
+        ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0 2 2 6\n", 5, "index 6 out of range 1..5"),
     ],
 )
 def test_parse_lin2_record_error_messages(text, lineno, message):
