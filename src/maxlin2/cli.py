@@ -28,6 +28,7 @@ from .core import (
 )
 from .formats import (
     FormatError,
+    emit_assignment,
     emit_lin2,
     parse_assignment,
     parse_graph,
@@ -72,7 +73,7 @@ def _write(path, text: str) -> None:
 
 
 def _print_assignment(assignment) -> None:
-    print("v " + " ".join(str(b) for b in assignment) if assignment else "v")
+    sys.stdout.write(emit_assignment(assignment, "v"))
 
 
 def _pick_mode(system: LinSystem, args) -> str:

@@ -2,10 +2,10 @@
 
 All formats follow the DIMACS convention: `c` comment lines, one `p` header
 line, then one record per line. Variable and vertex indices are 1-based in
-files and 0-based in memory. One reader, `_records`, owns the header and the
-integer record tokens for all three input formats: it refuses a header n
-above MAX_UNIT_EQUATIONS and checks the declared record count, and each
-parser checks only its own records.
+files and 0-based in memory. One reader, `_records`, owns the header of all
+three input formats, refusing an n above MAX_UNIT_EQUATIONS and checking the
+record count, and yields each record's tokens as strings. `core._check_rows`
+owns the `.lin2` row checks; only on a fault is the text re-read to name it.
 """
 
 from __future__ import annotations
@@ -25,20 +25,6 @@ class FormatError(MaxLin2Error):
         self.lineno = lineno
 
 
-def _content_lines(text: str, comments: list | None = None):
-    """Yield (lineno, line) for non-blank, non-comment lines.
-
-    Comment lines are collected into comments when a list is given.
-    """
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if line.startswith("c"):
-            if comments is not None:
-                comments.append((lineno, line))
-        elif line:
-            yield lineno, line
-
-
 def _ints(lineno: int, tokens: list[str]) -> list[int]:
     try:
         return list(map(int, tokens))
@@ -54,8 +40,7 @@ def _ints(lineno: int, tokens: list[str]) -> list[int]:
 def _forced_ledger(comments) -> int:
     """Value of the `c forced-falsified <N>` comment, 0 when there is none."""
     forced = None
-    for lineno, line in comments:
-        tokens = line.split()
+    for lineno, tokens in comments:
         if tokens[:2] != ["c", "forced-falsified"]:
             continue
         if forced is not None:
@@ -67,19 +52,23 @@ def _forced_ledger(comments) -> int:
     return forced or 0
 
 
-def _records(text: str, header: str, noun: str, comments: list | None = None):
-    """Yield the counts of the one `p` header, then (lineno, values) per record.
+def _records(text: str, header: str, noun: str, comments: list):
+    """Yield the counts of the one `p` header, then (lineno, tokens) per record.
 
     header is the usage text, like "p lin2 <n> <m>", and gives the header's
     kind and length. A header n above MAX_UNIT_EQUATIONS raises CapacityError
     before anything is sized by it; the record count must be the header's m.
+    A line whose first token starts with `c` goes to comments as (lineno, tokens).
     """
     shape = header.split()
     counts = None
     found = 0
-    for lineno, line in _content_lines(text, comments):
-        tokens = line.split()
-        if tokens[0] == "p":
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), 1):
+        if not tokens:
+            continue
+        if tokens[0][0] == "c":
+            comments.append((lineno, tokens))
+        elif tokens[0] == "p":
             if counts is not None:
                 raise FormatError(lineno, "duplicate header")
             if len(tokens) != len(shape) or tokens[1] != shape[1]:
@@ -92,11 +81,11 @@ def _records(text: str, header: str, noun: str, comments: list | None = None):
                     f"line {lineno}: n = {counts[0]} is over {MAX_UNIT_EQUATIONS}"
                 )
             yield counts
-            continue
-        if counts is None:
+        elif counts is None:
             raise FormatError(lineno, "record before header")
-        found += 1
-        yield lineno, _ints(lineno, tokens)
+        else:
+            found += 1
+            yield lineno, tokens
     if counts is None:
         raise FormatError(0, "missing header")
     if found != counts[1]:
@@ -106,38 +95,49 @@ def _records(text: str, header: str, noun: str, comments: list | None = None):
 def parse_lin2(text: str) -> LinSystem:
     """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`.
 
-    A `c forced-falsified <N>` comment line sets the forced ledger.
+    A `c forced-falsified <N>` comment sets the forced ledger. The loop checks
+    each record's shape; LinSystem.from_columns checks the rows.
     """
-    lhs: list[tuple[int, ...]] = []
-    rhs_column = bytearray()
-    weights: list[int] = []
-    comments: list[tuple[int, str]] = []
+    lhs, rhs_column, weights, comments = [], bytearray(), [], []
     records = _records(text, "p lin2 <n> <m>", "records", comments)
     n = next(records)[0]
-    for lineno, values in records:
+    try:
+        for _, tokens in records:
+            weight, rhs, arity, *indices = map(int, tokens)
+            if len(indices) != arity:
+                raise ValueError("arity does not match the indices")
+            lhs.append(tuple([i - 1 for i in indices]))
+            rhs_column.append(rhs)
+            weights.append(weight)
+        return LinSystem.from_columns(n, lhs, rhs_column, weights, _forced_ledger(comments))
+    except (ValueError, FormatError):
+        _lin2_fault(text)
+        raise
+
+
+def _lin2_fault(text: str) -> None:
+    """parse_lin2's error path: raise the FormatError of the first faulty record, if any."""
+    records = _records(text, "p lin2 <n> <m>", "records", [])
+    n = next(records)[0]
+    for lineno, tokens in records:
+        values = _ints(lineno, tokens)
         if len(values) < 3:
             raise FormatError(lineno, "record needs weight, rhs and arity")
-        weight, rhs, arity = values[:3]
-        indices = values[3:]
+        weight, rhs, arity, *indices = values
         if weight < 1:
             raise FormatError(lineno, f"weight must be >= 1, got {weight}")
         if rhs not in (0, 1):
             raise FormatError(lineno, f"rhs must be 0 or 1, got {rhs}")
-        if arity < 0 or len(indices) != arity:
+        if len(indices) != arity:
             raise FormatError(lineno, f"expected {arity} indices, got {len(indices)}")
         for a, b in zip(indices, indices[1:]):
             if b == a:
                 raise FormatError(lineno, f"duplicate index {a}")
             if b < a:
                 raise FormatError(lineno, "indices must be strictly ascending")
-        # Ascending, so only the ends can be out of range.
-        if indices and (indices[0] < 1 or indices[-1] > n):
-            bad = next(i for i in indices if not 1 <= i <= n)
-            raise FormatError(lineno, f"index {bad} out of range 1..{n}")
-        lhs.append(tuple([i - 1 for i in indices]))
-        rhs_column.append(rhs)
-        weights.append(weight)
-    return LinSystem.from_columns(n, lhs, rhs_column, weights, _forced_ledger(comments))
+        bad = [i for i in indices if not 1 <= i <= n]
+        if bad:
+            raise FormatError(lineno, f"index {bad[0]} out of range 1..{n}")
 
 
 def emit_lin2(system: LinSystem, comments=()) -> str:
@@ -164,13 +164,11 @@ def emit_lin2(system: LinSystem, comments=()) -> str:
 
 def parse_oddset(text: str) -> OddSetInstance:
     """Parse `p ods <n> <m> <k>` plus m records `<r> <j1> ... <jr>`."""
-    sets: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    records = _records(text, "p ods <n> <m> <k>", "sets")
+    sets: dict[tuple[int, ...], None] = {}  # insertion-ordered and deduplicated
+    records = _records(text, "p ods <n> <m> <k>", "sets", [])
     n, _, k = next(records)
-    for lineno, values in records:
-        size = values[0]
-        members = values[1:]
+    for lineno, tokens in records:
+        size, *members = _ints(lineno, tokens)
         if size < 1:
             raise FormatError(lineno, "empty set not allowed")
         if len(members) != size:
@@ -181,27 +179,26 @@ def parse_oddset(text: str) -> OddSetInstance:
             if not 1 <= j <= n:
                 raise FormatError(lineno, f"element {j} out of range 1..{n}")
         canonical = tuple(sorted(j - 1 for j in members))
-        if canonical in seen:
+        if canonical in sets:
             raise FormatError(lineno, "duplicate set")
-        seen.add(canonical)
-        sets.append(canonical)
+        sets[canonical] = None
     return OddSetInstance(n, tuple(sets), k)
 
 
 def parse_graph(text: str) -> Graph:
     """Parse `p graph <n> <m>` plus m edge records `<u> <v>`."""
     edges: list[Edge] = []
-    records = _records(text, "p graph <n> <m>", "edges")
+    records = _records(text, "p graph <n> <m>", "edges", [])
     n = next(records)[0]
-    for lineno, values in records:
+    for lineno, tokens in records:
+        values = _ints(lineno, tokens)
         if len(values) != 2:
             raise FormatError(lineno, "edge record must be '<u> <v>'")
-        u, v = values
-        for x in (u, v):
+        for x in values:
             if not 1 <= x <= n:
                 raise FormatError(lineno, f"vertex {x} out of range 1..{n}")
         try:
-            edges.append(Edge(u - 1, v - 1))
+            edges.append(Edge(values[0] - 1, values[1] - 1))
         except GraphError as exc:
             raise FormatError(lineno, str(exc)) from None
     return Graph(n, tuple(edges))
@@ -209,11 +206,12 @@ def parse_graph(text: str) -> Graph:
 
 def parse_assignment(text: str, n: int) -> tuple[int, ...]:
     """Parse a single line of n space-separated bits."""
-    lines = list(_content_lines(text))
+    lines = enumerate(map(str.split, text.splitlines()), 1)
+    lines = [(lineno, tokens) for lineno, tokens in lines if tokens and tokens[0][0] != "c"]
     if len(lines) != 1:
         raise FormatError(0, f"expected one assignment line, found {len(lines)}")
-    ((lineno, line),) = lines
-    values = _ints(lineno, line.split())
+    ((lineno, tokens),) = lines
+    values = _ints(lineno, tokens)
     if len(values) != n:
         raise FormatError(lineno, f"expected {n} bits, got {len(values)}")
     if any(b not in (0, 1) for b in values):
@@ -221,5 +219,7 @@ def parse_assignment(text: str, n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def emit_assignment(assignment) -> str:
-    return " ".join(str(b) for b in assignment) + "\n"
+def emit_assignment(assignment, tag: str = "") -> str:
+    """The bits on one line, space-separated, after a one-letter tag if given."""
+    bits = bytes(assignment).translate(bytes.maketrans(b"\0\1", b"01"))
+    return " ".join(tag + bits.decode()) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -144,6 +145,57 @@ def test_every_format_reads_its_header_and_tokens_alike(parse, text, lineno, mes
     assert str(caught.value) == f"line {lineno}: {message}"
 
 
+def _untidy(text: str) -> str:
+    """The same records with CRLF endings, tabs, an indented `c` line, blank
+    lines and a `c` line between records."""
+    header, first, *rest = text.splitlines()
+    lines = ["  \tc indented comment", "", header.replace(" ", "\t"), "   ",
+             first.replace(" ", " \t "), "c between records", "", *rest]
+    return "\r\n".join(lines) + "\r\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        pytest.param(parse_lin2, "c forced-falsified 2\np lin2 3 2\n1 0 2 1 2\n2 1 1 3\n",
+                     id="lin2"),
+        pytest.param(parse_oddset, "p ods 3 2 1\n2 1 2\n1 3\n", id="ods"),
+        pytest.param(parse_graph, "p graph 3 2\n1 2\n2 3\n", id="graph"),
+    ],
+)
+def test_every_format_reads_untidy_text_as_the_plain_text(parse, text):
+    assert parse(_untidy(text)) == parse(text)
+
+
+def test_cli_exits_65_on_a_row_fault_found_after_the_records_are_read(tmp_path, capsys):
+    # The weight is checked with the rows, once every record is read; the
+    # fault must still be a FormatError, not a ValueError (which exits 64).
+    path = _write(tmp_path, "w0.lin2", "p lin2 2 2\n1 0 1 1\n0 1 1 2\n")
+    assert main(["solve", path]) == EXIT_FORMAT
+    assert capsys.readouterr().err == "error: line 3: weight must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, lineno, message",
+    [
+        # A row fault on line 2 wins over a bad token on line 5.
+        ("p lin2 3 4\n0 0 1 1\n1 0 1 2\nc note\n1 0 1 x\n", 2, "weight must be >= 1, got 0"),
+        # A bad token on line 2 wins over a row fault on line 3.
+        ("p lin2 3 2\n1 y 1 1\n1 0 2 2 2\n", 2, "expected an integer, got 'y'"),
+        # A row fault wins over the record count (3 declared, 2 found) and the
+        # forced ledger, which are checked after every record; alone, the
+        # ledger fault is reported.
+        ("c forced-falsified -1\np lin2 3 3\n1 0 1 1\n1 0 1 4\n", 4, "index 4 out of range 1..3"),
+        ("c forced-falsified -1\np lin2 3 1\n1 0 1 1\n", 1,
+         "forced-falsified needs one nonnegative count"),
+    ],
+)
+def test_parse_lin2_reports_the_first_fault_in_line_order(text, lineno, message):
+    with pytest.raises(FormatError) as caught:
+        parse_lin2(text)
+    assert str(caught.value) == f"line {lineno}: {message}"
+
+
 @pytest.mark.parametrize(
     "system, comments, text",
     [
@@ -235,6 +287,20 @@ def test_parse_graph():
 def test_parse_graph_rejects_self_loop():
     with pytest.raises(FormatError):
         parse_graph("p graph 2 1\n1 1\n")
+
+
+@pytest.mark.parametrize("assignment", [(), (0,), (1,), (1, 0, 1), (0, 1) * 50])
+def test_emit_assignment_text(assignment):
+    bits = " ".join(str(b) for b in assignment)
+    assert emit_assignment(assignment) == bits + "\n"
+    assert emit_assignment(assignment, "v") == ("v " + bits).rstrip() + "\n"
+
+
+def test_cli_v_line_is_bare_for_an_empty_assignment(tmp_path, capsys):
+    assert main(["solve", _write(tmp_path, "e.lin2", "p lin2 0 0\n")]) == EXIT_OK
+    assert capsys.readouterr().out == "s OPTIMUM 0\nv\n"
+    assert main(["solve", _write(tmp_path, "a.lin2", "p lin2 3 1\n1 1 2 1 3\n")]) == EXIT_OK
+    assert re.fullmatch(r"s OPTIMUM 0\nv [01] [01] [01]\n", capsys.readouterr().out)
 
 
 def test_parse_assignment_round_trip():
