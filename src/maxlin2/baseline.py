@@ -51,7 +51,7 @@ def brute_force_min_falsified(
     if n > var_limit:
         raise CapacityError(f"{n} variables exceed the oracle limit {var_limit}")
     rhs, weight = system.rhs, system.weights
-    touching = variable_rows(n, system.lhs)
+    touching = variable_rows(system.lhs)
     parity = [0] * len(rhs)
     falsified = sum(w for b, w in zip(rhs, weight) if b)
     best_falsified = falsified
@@ -61,7 +61,7 @@ def brute_force_min_falsified(
         bit = (step & -step).bit_length() - 1
         var = n - 1 - bit  # bit positions encode variable 0 as the MSB
         current ^= 1 << bit
-        for j in touching[var]:
+        for j in touching.get(var, ()):
             if parity[j] == rhs[j]:
                 falsified += weight[j]
             else:
@@ -85,14 +85,14 @@ def conditional_expectation_assignment(system: LinSystem) -> SolveResult:
     """
     n = system.n
     rhs, weight = system.rhs, system.weights
-    touching = variable_rows(n, system.lhs)
+    touching = variable_rows(system.lhs)
     unassigned = [len(lhs) for lhs in system.lhs]
     parity = [0] * len(rhs)
     values = []
     for var in range(n):
         # delta = 2*E[sat | x=1] - 2*E[sat | x=0], over equations decided now
         delta = 0
-        for j in touching[var]:
+        for j in touching.get(var, ()):
             if unassigned[j] == 1:
                 if parity[j] == rhs[j]:
                     delta -= 2 * weight[j]
@@ -100,7 +100,7 @@ def conditional_expectation_assignment(system: LinSystem) -> SolveResult:
                     delta += 2 * weight[j]
         value = 1 if delta > 0 else 0
         values.append(value)
-        for j in touching[var]:
+        for j in touching.get(var, ()):
             unassigned[j] -= 1
             parity[j] ^= value
     return _result(system, tuple(values))

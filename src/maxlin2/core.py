@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 # Weights are conceptually bounded machine integers; the total weight of a
 # system is checked against this bound at construction time.
@@ -247,20 +249,9 @@ def evaluate(system: LinSystem, assignment) -> tuple[int, int]:
     The falsified side includes the forced_falsified ledger, so
     satisfied + falsified == total_weight + forced_falsified.
     """
-    if len(assignment) != system.n:
-        raise DimensionError(
-            f"assignment length {len(assignment)} != variable count {system.n}"
-        )
-    satisfied = 0
-    falsified = system.forced_falsified
-    for lhs, parity, weight in zip(system.lhs, system.rhs, system.weights):
-        for v in lhs:
-            parity ^= assignment[v]
-        if parity:
-            falsified += weight
-        else:
-            satisfied += weight
-    return satisfied, falsified
+    weights = system.weights
+    lost = sum([weights[j] for j in falsified_indices(system, assignment)])
+    return system.total_weight - lost, system.forced_falsified + lost
 
 
 def falsified_indices(system: LinSystem, assignment) -> tuple[int, ...]:
@@ -341,25 +332,30 @@ def expand_unit_weights(system: LinSystem) -> LinSystem:
     )
 
 
+def occurrences(lhs) -> Counter:
+    """The number of rows holding each variable that some row holds, given the lhs column."""
+    return Counter(chain.from_iterable(lhs))
+
+
 def occurrence_counts(system: LinSystem) -> list[int]:
-    """Number of equations containing each variable (copies counted)."""
+    """Number of equations containing each variable 0..n-1 (copies counted)."""
     counts = [0] * system.n
-    for lhs in system.lhs:
-        for v in lhs:
-            counts[v] += 1
+    for v, c in occurrences(system.lhs).items():
+        counts[v] = c
     return counts
 
 
-def variable_rows(n: int, lhs) -> list[list[int]]:
-    """Ids of the rows holding each variable 0..n-1, ascending, given the lhs column."""
-    rows: list[list[int]] = [[] for _ in range(n)]
+def variable_rows(lhs) -> defaultdict[int, list[int]]:
+    """Ids of the rows holding each variable that some row holds, ascending,
+    given the lhs column; a variable no row holds reads as an empty list."""
+    rows: defaultdict[int, list[int]] = defaultdict(list)
     for j, row in enumerate(lhs):
         for v in row:
             rows[v].append(j)
     return rows
 
 
-def singleton_cascade(n: int, lhss, roots=()) -> list[tuple[int, int]]:
+def singleton_cascade(lhss, roots=()) -> list[tuple[int, int]]:
     """Rows deleted by exhaustive singleton pruning, as (row, witness) pairs.
 
     `lhss` lists each row's variables. A row holding a variable that occurs
@@ -368,13 +364,14 @@ def singleton_cascade(n: int, lhss, roots=()) -> list[tuple[int, int]]:
     `roots` (row indices) that is still live is deleted with witness -1, and
     the cascade goes on; rows a root never reaches stay. Occurrence counts
     are decremented per deletion and the current singletons kept in a
-    min-heap, so the whole cascade costs O(size · log n) beyond the two
-    n-slot lists.
+    min-heap, so the whole cascade costs O(size · log size). Its two
+    per-variable lists span only up to the largest variable a row holds.
     """
-    occ = [0] * n
+    span = max(chain.from_iterable(lhss), default=-1) + 1
+    occ = [0] * span
     # XOR of the indices of the live rows holding each variable: for a
     # singleton it is the index of its one row.
-    holder = [0] * n
+    holder = [0] * span
     for j, lhs in enumerate(lhss):
         for v in lhs:
             occ[v] += 1
@@ -420,11 +417,10 @@ def _satisfy_removed(removed, values: list[int]) -> list[int]:
 
 def profile(system: LinSystem) -> InstanceProfile:
     """Compute the arity/occurrence profile and structural flags."""
-    occ = occurrence_counts(system)
     lhs = system.lhs
     return InstanceProfile(
         max_arity=max(map(len, lhs), default=0),
-        max_occurrence=max(occ, default=0),
+        max_occurrence=max(occurrences(lhs).values(), default=0),
         num_equations=len(lhs),
         num_variables=system.n,
         total_weight=system.total_weight,

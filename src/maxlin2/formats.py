@@ -151,12 +151,12 @@ def emit_lin2(system: LinSystem, comments=()) -> str:
     lines.append(f"p lin2 {system.n} {len(system.lhs)}\n")
     keys = list(zip(system.weights, system.rhs, map(len, system.lhs)))
     template = {key: "%d %d %d" % key + " %s" * key[2] + "\n" for key in set(keys)}
-    # Name each variable up to the largest a row holds. With n above the row
-    # count one pass finds that bound; otherwise n names cost no more than the rows.
-    used = system.n
-    if used > len(keys):
-        used = max(chain.from_iterable(system.lhs), default=-1) + 1
-    name = [str(i) for i in range(1, used + 1)].__getitem__
+    # With n above the row count only the variables the rows hold are
+    # named; otherwise n names cost no more than the rows.
+    if system.n > len(keys):
+        name = {v: str(v + 1) for v in set(chain.from_iterable(system.lhs))}.__getitem__
+    else:
+        name = [str(i) for i in range(1, system.n + 1)].__getitem__
     names = tuple(map(name, chain.from_iterable(system.lhs)))
     lines.append("".join(map(template.__getitem__, keys)) % names)
     return "".join(lines)
@@ -205,12 +205,17 @@ def parse_graph(text: str) -> Graph:
 
 
 def parse_assignment(text: str, n: int) -> tuple[int, ...]:
-    """Parse a single line of n space-separated bits."""
+    """Parse one line of n space-separated bits, as `maxlin2 solve` prints it:
+    `c` and `s` lines and a leading `v` tag are skipped; with n = 0 the line may be absent."""
     lines = enumerate(map(str.split, text.splitlines()), 1)
-    lines = [(lineno, tokens) for lineno, tokens in lines if tokens and tokens[0][0] != "c"]
+    lines = [(lineno, tokens) for lineno, tokens in lines if tokens and tokens[0][0] not in "cs"]
+    if not lines and n == 0:
+        return ()
     if len(lines) != 1:
         raise FormatError(0, f"expected one assignment line, found {len(lines)}")
     ((lineno, tokens),) = lines
+    if tokens[0] == "v":
+        del tokens[0]
     values = _ints(lineno, tokens)
     if len(values) != n:
         raise FormatError(lineno, f"expected {n} bits, got {len(values)}")

@@ -35,9 +35,9 @@ MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import eq
 from typing import NamedTuple
 
@@ -52,7 +52,7 @@ from .core import (
     _satisfy_removed,
     expand_unit_weights,
     normalize,
-    occurrence_counts,
+    occurrences,
     singleton_cascade,
     variable_rows,
 )
@@ -327,7 +327,7 @@ class _Rows:
     and a bytearray of rhs bits; row j is (lhs[j], rhs[j]). Every rule below
     runs on one store, sets `n` itself when it adds variables, and builds no
     Equation. The rules that need occurrence counts take them from the rows
-    with `occurrences()`. The pipeline's (=3,=3) checks run on these columns
+    with `core.occurrences`. The pipeline's (=3,=3) checks run on these columns
     in `_compact`, which renumbers only when a slot is empty; `system()`
     builds the output columns and checks every row.
     """
@@ -339,10 +339,6 @@ class _Rows:
         self.lhs = list(system.lhs)
         self.rhs = bytearray(system.rhs)
         self.forced = system.forced_falsified
-
-    def occurrences(self) -> Counter:
-        """The number of rows holding each variable that some row holds."""
-        return Counter(chain.from_iterable(self.lhs))
 
     def sizes(self) -> tuple[int, int]:
         return self.n, len(self.lhs)
@@ -378,7 +374,7 @@ def _cube_ties(t: int) -> list[tuple[int, int]]:
     return [(i, i | 1 << b) for i in range(1 << t) for b in range(t) if not i >> b & 1]
 
 
-def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
+def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     """Split one variable of degree d >= 4 into clones tied by a hypercube, in place.
 
     With t = ceil(log2 d), the variable and 2^t - 1 fresh clones sit on the
@@ -387,8 +383,9 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
     a 4-cycle with every clone at degree 3. Q_t has edge expansion 1 (Harper),
     so a uniform clone value stays optimal. Only the variable's rows and the
     new tie rows are touched; each clone is fresh, so it sorts last in its
-    row. The step records the variable's rows as they were before the split,
-    the only rows map-back has to evaluate.
+    row, and its entry in `holders` (the `variable_rows` index) is made as
+    its rows are added. The step records the variable's rows as they were
+    before the split, the only rows map-back has to evaluate.
     """
     lhs_column, rhs_column = store.lhs, store.rhs
     ids = holders[variable]
@@ -404,7 +401,6 @@ def _split(store: _Rows, holders: list[list[int]], variable: int) -> TraceStep:
     }
     store.n = n + len(clones) - 1
     holders[variable] = []
-    holders.extend([] for _ in clones[1:])
     for clone, j in zip(clones, ids):
         if clone != variable:
             lhs = lhs_column[j]
@@ -454,12 +450,12 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
 
     The rows are indexed by variable only when some variable must split.
     """
-    if max(store.occurrences().values(), default=0) <= 3:
+    if max(occurrences(store.lhs).values(), default=0) <= 3:
         return []
-    holders = variable_rows(store.n, store.lhs)
+    holders = variable_rows(store.lhs)
     # A variable's count changes only when it is split, which pops its one
     # heap entry first, so no entry goes stale.
-    heap = [(-len(ids), v) for v, ids in enumerate(holders) if len(ids) > 3]
+    heap = [(-len(ids), v) for v, ids in holders.items() if len(ids) > 3]
     heapq.heapify(heap)
     steps: list[TraceStep] = []
     while heap:
@@ -473,7 +469,7 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
 
 def _split_step(system: LinSystem, variable: int, rule: str) -> tuple[LinSystem, TraceStep]:
     store = _Rows(system, f"{rule} rule")
-    holders = variable_rows(store.n, store.lhs)
+    holders = variable_rows(store.lhs)
     degree = len(holders[variable])
     if (degree != 4) if rule == "degree4" else (degree < 5):
         raise GadgetError(f"variable {variable} occurs {degree} times; {rule} does not apply")
@@ -570,7 +566,7 @@ def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceSt
     this every variable occurs in 0 or at least 2 rows.
     """
     lhs_column, rhs_column = system.lhs, system.rhs
-    deleted = singleton_cascade(system.n, lhs_column)
+    deleted = singleton_cascade(lhs_column)
     removed = tuple((lhs_column[j], rhs_column[j], w) for j, w in deleted)
     post = system
     if deleted:
@@ -584,7 +580,7 @@ def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceSt
 
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
     """Tie the occurrence-2 variables, in ascending triplets, to seven-row gadgets."""
-    deg2 = sorted(v for v, c in store.occurrences().items() if c == 2)
+    deg2 = sorted(v for v, c in occurrences(store.lhs).items() if c == 2)
     if len(deg2) % 3:
         raise ContractViolationError(
             f"{len(deg2)} variables of occurrence 2; expected a multiple of 3"
@@ -625,7 +621,7 @@ def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrac
     """
     if set(map(len, system.lhs)) - {3}:
         raise GadgetError("arity must be exactly 3; run arity expansion first")
-    if max(occurrence_counts(system), default=0) > 3:
+    if max(occurrences(system.lhs).values(), default=0) > 3:
         raise GadgetError("occurrence above 3; run degree normalization first")
     pruned, removal = _remove_always_satisfied_step(system)
     out, trace = _apply(pruned, "degree enforcement", _enforce_degree)
@@ -649,7 +645,7 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
         i = first.setdefault(lhs, j)
         if i != j:
             copies.setdefault(lhs, [i]).append(j)
-    occ = store.occurrences()
+    occ = occurrences(lhs_column)
     for lhs, members in copies.items():
         if len({rhs_column[j] for j in members}) > 1:
             raise ContractViolationError(
@@ -760,7 +756,7 @@ def _compact(store: _Rows) -> list[TraceStep]:
     row's order, range and rhs.
     """
     pre = store.sizes()
-    occ = store.occurrences()
+    occ = occurrences(store.lhs)
     if set(occ.values()) - {3}:
         bad = min(v for v, c in occ.items() if c != 3)
         raise ContractViolationError(

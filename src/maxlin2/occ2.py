@@ -22,19 +22,18 @@ from .core import (
     LinSystem,
     _satisfy_removed,
     normalize,
-    occurrence_counts,
+    occurrences,
     singleton_cascade,
     variable_rows,
 )
 
 
 def _check_occurrence_bound(system: LinSystem) -> None:
-    occ = occurrence_counts(system)
-    if occ and max(occ) > 2:
-        worst = occ.index(max(occ))
-        raise InstanceClassError(
-            f"variable {worst} occurs {occ[worst]} times; at most 2 allowed"
-        )
+    occ = occurrences(system.lhs)
+    most = max(occ.values(), default=0)
+    if most > 2:
+        worst = min(v for v, c in occ.items() if c == most)
+        raise InstanceClassError(f"variable {worst} occurs {most} times; at most 2 allowed")
 
 
 def solve_occ2(system: LinSystem) -> SolveResult:
@@ -48,13 +47,13 @@ def solve_occ2(system: LinSystem) -> SolveResult:
     and the one loss of the component iff the rhs bits from it up to the
     next root XOR to 1: its rows sum to zero. Replaying the other deleted
     rows in reverse, from all zeros, satisfies each by its witness. Runs in
-    O(n + size · log size).
+    O(size · log size) beyond the n-bit assignment.
     """
     _check_occurrence_bound(system)
     norm = normalize(system)
     lhs, rhs, weights = norm.lhs, norm.rhs, norm.weights
     roots = sorted(range(len(lhs)), key=weights.__getitem__)  # stable: ties by index
-    deleted = singleton_cascade(norm.n, lhs, roots)
+    deleted = singleton_cascade(lhs, roots)
     internal = norm.forced_falsified
     parity = 0
     for j, witness in reversed(deleted):
@@ -76,28 +75,29 @@ def solve_occ2_merge(system: LinSystem) -> int:
     GF(2) sum carrying the smaller of the two weights. Leftover constant
     equations 0=1 are exactly the unavoidable losses. An index from each
     variable to the rows holding it keeps every merge local: only the
-    variables of the smaller row are re-pointed.
+    variables of the smaller row are re-pointed. A merge never raises an
+    occurrence, so each entry of the index stays at most two rows long.
     """
     _check_occurrence_bound(system)
     norm = normalize(system)
     rows = [set(lhs) for lhs in norm.lhs]
     rhs = list(norm.rhs)
     weight = list(norm.weights)
-    row_ids = list(map(set, variable_rows(norm.n, norm.lhs)))
-    for var in range(norm.n):
+    row_ids = variable_rows(norm.lhs)
+    for var in sorted(row_ids):
         if len(row_ids[var]) != 2:
             continue
         keep, gone = row_ids[var]
         if len(rows[keep]) < len(rows[gone]):
             keep, gone = gone, keep
         for v in rows[gone]:
-            row_ids[v].discard(gone)
+            row_ids[v].remove(gone)
             if v in rows[keep]:
                 rows[keep].discard(v)
-                row_ids[v].discard(keep)
+                row_ids[v].remove(keep)
             else:
                 rows[keep].add(v)
-                row_ids[v].add(keep)
+                row_ids[v].append(keep)
         rhs[keep] ^= rhs[gone]
         weight[keep] = min(weight[keep], weight[gone])
         rows[gone] = None

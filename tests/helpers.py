@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 from maxlin2 import Edge, Graph, LinSystem, OddCycle, OddSetInstance, is_bipartite
 
@@ -38,6 +39,22 @@ def random_system(
                 remaining[v] -= 1
         eqs.append((tuple(lhs), rng.randint(0, 1), rng.randint(1, max_weight)))
     return LinSystem.build(n, eqs)
+
+
+def star_system(n: int) -> LinSystem:
+    """Six rows over variables 0..4, with variable 0 in four of them, under header n."""
+    rows = [((0, 1), 0), ((0, 2), 0), ((0, 3), 1), ((0, 4), 0), ((1, 2), 0), ((3, 4), 0)]
+    return LinSystem.build(n, rows)
+
+
+def traced_peak(thunk) -> int:
+    """The tracemalloc peak, in bytes, of the blocks thunk() allocates."""
+    tracemalloc.start()
+    try:
+        thunk()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_graph(

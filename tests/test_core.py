@@ -25,7 +25,7 @@ from maxlin2 import (
     profile,
 )
 from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
-from helpers import random_system
+from helpers import random_system, star_system, traced_peak
 
 
 def test_evaluate_both_satisfied():
@@ -125,6 +125,17 @@ def test_profile_empty():
     assert (prof.max_arity, prof.max_occurrence, prof.num_equations) == (0, 0, 0)
     assert prof.total_weight == 0
     assert prof.unit_weights and prof.distinct_lhs
+
+
+@pytest.mark.parametrize(
+    "system, max_occurrence",
+    [(LinSystem.from_columns(10**6, [], b"", []), 0), (star_system(10**6), 4)],
+    ids=["empty", "star"],
+)
+def test_profile_sizes_nothing_by_the_header_n(system, max_occurrence):
+    # The counts follow the rows: a header n of 10^6 adds no per-slot list.
+    assert traced_peak(lambda: profile(system)) < 2**20
+    assert profile(system).max_occurrence == max_occurrence
 
 
 def test_profile_single_weighted_equation():

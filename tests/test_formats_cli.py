@@ -26,7 +26,7 @@ from maxlin2 import (
 )
 from maxlin2.cli import EXIT_FORMAT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
-from helpers import random_system
+from helpers import random_system, traced_peak
 
 
 def test_parse_lin2_example():
@@ -305,8 +305,14 @@ def test_cli_v_line_is_bare_for_an_empty_assignment(tmp_path, capsys):
 
 def test_parse_assignment_round_trip():
     assert parse_assignment(emit_assignment((1, 0, 1)), 3) == (1, 0, 1)
+    assert parse_assignment("s OPTIMUM 1\n" + emit_assignment((1, 0, 1), "v"), 3) == (1, 0, 1)
+    # With n = 0 there may be no line at all, as emit_assignment writes it.
+    assert parse_assignment(emit_assignment(()), 0) == ()
+    assert parse_assignment(emit_assignment((), "v"), 0) == ()
     with pytest.raises(FormatError):
         parse_assignment("1 0\n", 3)
+    with pytest.raises(FormatError, match="found 0"):
+        parse_assignment("\n", 1)
 
 
 @pytest.mark.parametrize(
@@ -413,6 +419,40 @@ def test_cli_verify_oracle_witness(tmp_path, capsys):
         ["verify", path, witness, "--falsified", str(result.falsified_weight)]
     )
     assert code == EXIT_OK
+
+
+def test_emit_lin2_names_only_the_variables_the_rows_hold():
+    # One row holds the last variable the header allows; naming every
+    # variable up to it would build 10^7 strings for a two-line file.
+    system = LinSystem.from_columns(MAX_UNIT_EQUATIONS, [(MAX_UNIT_EQUATIONS - 1,)], b"\1", [2])
+    assert traced_peak(lambda: emit_lin2(system)) < 2**20
+    assert emit_lin2(system) == f"p lin2 {MAX_UNIT_EQUATIONS} 1\n2 1 1 {MAX_UNIT_EQUATIONS}\n"
+
+
+# An odd triangle (occurrence 2), and the same triangle with a unary row on
+# variable 1, which only the oracle and the two-variable solver take.
+TRIANGLE = "p lin2 3 3\n1 1 2 1 2\n1 0 2 2 3\n2 0 2 1 3\n"
+TRIANGLE_PLUS = "p lin2 3 4\n1 1 2 1 2\n1 0 2 2 3\n2 0 2 1 3\n1 1 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, options",
+    [
+        (TRIANGLE, []),
+        (TRIANGLE_PLUS, ["--mode", "exact"]),
+        (TRIANGLE_PLUS, ["--mode", "two-var", "-k", "2"]),
+        ("p lin2 0 0\n", []),
+    ],
+    ids=["occ2", "exact", "two-var", "empty"],
+)
+def test_cli_verify_reads_what_solve_prints(tmp_path, capsys, text, options):
+    system = _write(tmp_path, "a.lin2", text)
+    assert main(["solve", system, *options]) == EXIT_OK
+    printed = capsys.readouterr().out
+    claimed = printed.split()[2]  # "s OPTIMUM <w>" or "s YES <w>"
+    solution = _write(tmp_path, "a.sol", printed)
+    assert main(["verify", system, solution, "--falsified", claimed]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(f" falsified {claimed}\n")
 
 
 def test_cli_malformed_input(tmp_path, capsys):

@@ -63,6 +63,8 @@ from helpers import (
     oddset_is_yes,
     planted_occurrence_system,
     random_system,
+    star_system,
+    traced_peak,
 )
 
 RNG_SEED = 0x5EED
@@ -915,7 +917,7 @@ def test_an_empty_system_indexes_no_rows_and_names_no_variables(monkeypatch):
     # No variable splits, so no target indexes the rows by variable, and
     # the writer names only the variables a row holds: none, whatever n is.
     # The occ <= 2 solver needs no row index either: the cascade finds none.
-    def unused(n, lhs):
+    def unused(lhs):
         raise AssertionError("indexed the rows of a system where nothing splits")
 
     monkeypatch.setattr(maxlin2.gadgets, "variable_rows", unused)
@@ -929,6 +931,14 @@ def test_an_empty_system_indexes_no_rows_and_names_no_variables(monkeypatch):
     started = time.monotonic()
     assert emit_lin2(empty) == f"p lin2 {MAX_UNIT_EQUATIONS} 0\n"
     assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_reduce_sizes_nothing_by_the_header_n(target):
+    # The cascade, the row index and the degree checks follow the rows, so
+    # a header n of 10^6 over six rows, or over none, costs only the rows.
+    for system in (LinSystem.from_columns(10**6, [], b"", []), star_system(10**6)):
+        assert traced_peak(lambda: reduce_to_target(system, target)) < 2**20
 
 
 # --- the (=3,=3) finish on the row store --------------------------------------

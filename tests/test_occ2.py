@@ -22,7 +22,7 @@ from maxlin2 import (
     solve_occ2_merge,
 )
 from maxlin2.core import _satisfy_removed, singleton_cascade
-from helpers import random_system
+from helpers import random_system, star_system, traced_peak
 
 
 def _without(system: LinSystem, rows) -> LinSystem:
@@ -34,7 +34,7 @@ def _without(system: LinSystem, rows) -> LinSystem:
 
 def test_prune_cascade():
     system = LinSystem.build(3, [((0, 1), 1, 1), ((1, 2), 0, 1), ((2,), 1, 1)])
-    deleted = singleton_cascade(system.n, system.lhs)
+    deleted = singleton_cascade(system.lhs)
     assert sorted(j for j, _ in deleted) == [0, 1, 2]
     removed = [(system.lhs[j], system.rhs[j], w) for j, w in deleted]
     extended = _satisfy_removed(removed, [0, 0, 0])
@@ -43,12 +43,12 @@ def test_prune_cascade():
 
 def test_prune_no_singleton():
     system = LinSystem.build(2, [((0, 1), 0, 1), ((0, 1), 1, 1)])
-    assert singleton_cascade(system.n, system.lhs) == []
+    assert singleton_cascade(system.lhs) == []
 
 
 def test_prune_single_equation():
     system = LinSystem.build(1, [((0,), 1, 5)])
-    assert singleton_cascade(system.n, system.lhs) == [(0, 0)]
+    assert singleton_cascade(system.lhs) == [(0, 0)]
     assert _satisfy_removed([((0,), 1, 0)], [0]) == [1]
 
 
@@ -60,14 +60,25 @@ def test_cascade_deletes_a_root_only_when_no_singleton_is_left():
     )
     # The chain goes first; then the first live root, and the cycle it opens.
     roots = [3, 1, 2, 0, 4]
-    assert singleton_cascade(system.n, system.lhs, roots) == [
+    assert singleton_cascade(system.lhs, roots) == [
         (3, 3),
         (4, 4),
         (1, -1),
         (0, 1),
         (2, 0),
     ]
-    assert singleton_cascade(system.n, system.lhs) == [(3, 3), (4, 4)]
+    assert singleton_cascade(system.lhs) == [(3, 3), (4, 4)]
+
+
+def test_solve_occ2_refuses_the_star_before_allocating():
+    # The occurrence check counts over the rows, not over the header's n.
+    star = star_system(10**6)
+
+    def refuse():
+        with pytest.raises(InstanceClassError, match="^variable 0 occurs 4 times; at most 2 allowed$"):
+            solve_occ2(star)
+
+    assert traced_peak(refuse) < 2**20
 
 
 def test_prune_log_takes_lowest_singleton_first():
@@ -76,7 +87,7 @@ def test_prune_log_takes_lowest_singleton_first():
         system = random_system(
             rng, max_vars=9, max_eqs=12, max_weight=3, max_arity=3, max_occurrence=3
         )
-        deleted = singleton_cascade(system.n, system.lhs)
+        deleted = singleton_cascade(system.lhs)
         gone: list[int] = []
         for j, witness in deleted:
             occ = occurrence_counts(_without(system, gone))
@@ -198,7 +209,7 @@ def test_rank_structure_of_pruned_components():
             rng, max_vars=9, max_eqs=12, max_weight=4, max_occurrence=2
         )
         system = normalize(system)
-        deleted = singleton_cascade(system.n, system.lhs)
+        deleted = singleton_cascade(system.lhs)
         pruned = _without(system, [j for j, _ in deleted])
         assert set(occurrence_counts(pruned)) <= {0, 2}
         for component in _components(pruned):
@@ -238,7 +249,7 @@ def test_prune_preserves_optimum():
         system = random_system(
             rng, max_vars=8, max_eqs=10, max_weight=4, max_occurrence=2
         )
-        deleted = singleton_cascade(system.n, system.lhs)
+        deleted = singleton_cascade(system.lhs)
         pruned = _without(system, [j for j, _ in deleted])
         best = brute_force_min_falsified(pruned)
         assert best.falsified_weight == brute_force_min_falsified(system).falsified_weight
