@@ -14,10 +14,16 @@ edge is compressed: for each guess of the colours the endpoints of those
 edges end up with, a minimum cut in the remaining graph, with edge weights
 as capacities, is the cheapest deletion set compatible with the guess.
 Flipping every colour maps each cut onto the same cut, so the new edge's
-guess bit is fixed (Hüffner, JGAA 2009) and a set of c edges costs 2^(c-1)
-guesses. The set holds at most k + 1 edges for budget k, so a compression
-costs O(2^k) cuts. The union-find is rebuilt only when a compression
-changes the deletion set.
+guess bit is fixed and a set of c edges costs 2^(c-1) guesses. The set
+holds at most k + 1 edges for budget k, so a compression costs O(2^k) cuts.
+
+Every cut of a call runs on one residual network over the vertices that
+edges touch, numbered densely in ascending order. The guesses run in
+Gray-code order (Hüffner, JGAA 2009), so the next guess moves the terminals
+of one edge: it pushes the flow on them back to terminals on the other side
+and augments from the repaired flow. A cut stops once its flow passes k,
+since a set heavier than k ends the search anyway. The union-find is
+rebuilt only when a compression changes the deletion set.
 """
 
 from __future__ import annotations
@@ -98,19 +104,20 @@ class SearchStats:
 
     compressions: int = 0
     guesses: int = 0
-    flow_augmentations: int = 0
+    flow_augmentations: int = 0  # augmenting paths, after each guess's repair
 
 
 class _ParityForest:
     """Union-find in which every vertex stores its colour relative to its parent.
 
-    Each tree is rooted at its smallest vertex, so sides() colours that vertex
-    0, as a breadth-first 2-coloring started from it would.
+    Vertices are dense ids from _dense. Each tree is rooted at its smallest
+    vertex, so sides() colours that vertex 0, as a breadth-first 2-coloring
+    started from it would.
     """
 
-    def __init__(self, num_vertices: int) -> None:
-        self.parent = list(range(num_vertices))
-        self.parity = [0] * num_vertices
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+        self.parity = [0] * size
 
     def find(self, x: int) -> tuple[int, int]:
         """Root of x's tree and x's colour relative to it; compresses the path."""
@@ -136,16 +143,26 @@ class _ParityForest:
         self.parity[high] = colour_u ^ colour_v ^ parity
         return True
 
-    def sides(self) -> tuple[int, ...]:
-        return tuple(self.find(x)[1] for x in range(len(self.parent)))
+    def sides(self, ids, num_vertices: int) -> tuple[int, ...]:
+        """Colour of every vertex; dense id i is vertex ids[i], the rest get 0."""
+        side = bytearray(num_vertices)
+        for i, x in enumerate(ids):
+            side[x] = self.find(i)[1]
+        return tuple(side)
 
 
-def _forest(g: Graph, edge_ids) -> _ParityForest | None:
+def _dense(g: Graph):
+    """The touched vertices in ascending order, and each edge's ends as their indices."""
+    ids = sorted({x for e in g.edges for x in (e.u, e.v)})
+    index = {x: i for i, x in enumerate(ids)}
+    return ids, [(index[e.u], index[e.v]) for e in g.edges]
+
+
+def _forest(g: Graph, ends, size: int, edge_ids) -> _ParityForest | None:
     """Parity union-find of the given edges, or None if they contradict."""
-    forest = _ParityForest(g.num_vertices)
+    forest = _ParityForest(size)
     for eid in edge_ids:
-        e = g.edges[eid]
-        if not forest.add(e.u, e.v, e.parity):
+        if not forest.add(*ends[eid], g.edges[eid].parity):
             return None
     return forest
 
@@ -169,112 +186,148 @@ def _tree_path(tree, start: int, goal: int) -> list[int]:
 
 def is_bipartite(g: Graph):
     """Return a Bipartition, or an OddCycle witness when none exists."""
-    forest = _ParityForest(g.num_vertices)
-    tree: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
-    for eid, e in enumerate(g.edges):
-        joins = forest.find(e.u)[0] != forest.find(e.v)[0]
-        if not forest.add(e.u, e.v, e.parity):
-            return OddCycle(tuple(_tree_path(tree, e.u, e.v)) + (eid,))
+    ids, ends = _dense(g)
+    forest = _ParityForest(len(ids))
+    tree: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for eid, ((u, v), e) in enumerate(zip(ends, g.edges)):
+        joins = forest.find(u)[0] != forest.find(v)[0]
+        if not forest.add(u, v, e.parity):
+            return OddCycle(tuple(_tree_path(tree, u, v)) + (eid,))
         if joins:
-            tree[e.u].append((e.v, eid))
-            tree[e.v].append((e.u, eid))
-    return Bipartition(side=forest.sides())
+            tree[u].append((v, eid))
+            tree[v].append((u, eid))
+    return Bipartition(side=forest.sides(ids, g.num_vertices))
 
 
-def _min_cut(num_vertices, edges, source, sink, bound, stats):
-    """Minimum edge cut separating source from sink, or None if above bound.
+class _Network:
+    """Residual network of the inserted edges over the touched vertices.
 
-    edges is a list of (a, b, capacity, payload) undirected edges. Standard
-    Edmonds-Karp with antisymmetric flow on each undirected edge. Returns the
-    cut's value and the payloads of its edges.
+    Edge i owns arc 2i from its u end to its v end and arc 2i + 1 back; a ^ 1
+    is arc a's reverse and head[a] its end. Both start at the edge's weight,
+    and a push of f along a moves f residual from a to a ^ 1. Terminal 2i + s
+    is end s (u, then v) of candidate edge i; it hangs off the source when
+    source[t] is set and off the sink otherwise, with left[t] of its weight.
     """
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(num_vertices)]
-    for j, (a, b, _, _) in enumerate(edges):
-        adjacency[a].append((b, j, 1))
-        adjacency[b].append((a, j, -1))
-    flow = [0] * len(edges)
-    value = 0
-    while True:
-        parent: list[tuple[int, int, int] | None] = [None] * num_vertices
-        parent[source] = (source, -1, 0)
-        queue = deque([source])
-        while queue and parent[sink] is None:
-            u = queue.popleft()
-            for v, j, sign in adjacency[u]:
-                if parent[v] is None and sign * flow[j] < edges[j][2]:
-                    parent[v] = (u, j, sign)
-                    queue.append(v)
-        if parent[sink] is None:
-            break
+
+    def __init__(self, g: Graph, ends, size: int) -> None:
+        self.edges = g.edges
+        self.head = [x for u, v in ends for x in (v, u)]
+        self.out: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+        self.capacity: list[int] = []
+
+    def insert(self, eid: int) -> None:
+        """Add edge eid's arcs; a compression sees the inserted edges only."""
+        v, u = self.head[2 * eid], self.head[2 * eid + 1]
+        self.out[u].append((2 * eid, v))
+        self.out[v].append((2 * eid + 1, u))
+        self.capacity += (self.edges[eid].weight,) * 2
+
+    def compress(self, forest: _ParityForest, candidate, floor: int, bound: int, stats):
+        """Cheapest deletion set of the inserted edges if it weighs at most bound.
+
+        A guess fixes the sought colour of both ends of every candidate edge.
+        An end hangs off the source if that flips its colour in the forest of
+        the other inserted edges, and off the sink otherwise. No set is
+        lighter than floor, the optimum before the insertion.
+        """
+        stats.compressions += 1
+        self.residual = self.capacity[:]
+        for eid in candidate:
+            self.residual[2 * eid] = self.residual[2 * eid + 1] = 0
+        # the first guess gives each v end colour 0 and each u end the parity
+        self.where = where = [self.head[2 * eid + 1 - s] for eid in candidate for s in (0, 1)]
+        colour = [self.edges[eid].parity * (1 - s) for eid in candidate for s in (0, 1)]
+        self.source = source = [c != forest.find(x)[1] for c, x in zip(colour, where)]
+        self.weight = [self.edges[eid].weight for eid in candidate for _ in (0, 1)]
+        self.left = left = self.weight[:]
+        self.value = 0
+        best = None
+        # Gray-code order: each guess flips the terminals of one candidate edge
+        # but the last, whose complement gives the same cuts
+        for step in range(1 << (len(candidate) - 1)):
+            if step:
+                i = (step & -step).bit_length() - 1
+                self._flip(2 * i)
+                self._flip(2 * i + 1)
+            stats.guesses += 1
+            # augment to a maximum flow, or stop past bound with a valid flow
+            while self.value <= bound:
+                starts = {x: ~t for t, x in enumerate(where) if left[t] and source[t]}
+                sinks = {x: t for t, x in enumerate(where) if left[t] and not source[t]}
+                via, y = self._walk(starts, sinks, 0, False)
+                if y is None:
+                    best, bound = self._cut(via, candidate), self.value - 1
+                    break
+                self._shift(via, y, sinks[y], 0, 1)
+                stats.flow_augmentations += 1
+            if self.value == floor:
+                break
+        return best
+
+    def _flip(self, t: int) -> None:
+        """Move terminal t to the other side once the flow on it is cancelled:
+        walk arcs that carry that flow to loaded terminals on the other side,
+        and push it back."""
+        where, source, left, weight = self.where, self.source, self.left, self.weight
+        back = int(source[t])
+        while left[t] < weight[t]:
+            loaded = {x: s for s, x in enumerate(where)
+                      if left[s] < weight[s] and source[s] != source[t]}
+            via, y = self._walk({where[t]: ~t}, loaded, back, True)
+            if y is None:
+                raise ContractViolationError("terminal flow reaches no other terminal")
+            self._shift(via, y, loaded[y], back, -1)
+        source[t] = not source[t]
+
+    def _walk(self, starts, goals, back: int, against: bool):
+        """Breadth-first search from starts (vertex: ~terminal) to a vertex in
+        goals along arcs with residual; with against set, only where a push
+        along arc ^ back would cancel flow on the arc's edge."""
+        residual, out = self.residual, self.out
+        via = starts
+        queue = list(via)
+        for y in goals.keys() & via.keys():
+            return via, y
+        for y in queue:
+            for arc, z in out[y]:
+                if z not in via and (
+                    residual[arc ^ back] > residual[arc ^ back ^ 1] if against else residual[arc]
+                ):
+                    via[z] = arc
+                    if z in goals:
+                        return via, z
+                    queue.append(z)
+        return via, None
+
+    def _shift(self, via, y: int, last: int, back: int, sign: int) -> None:
+        """Push as much flow as fits along the walk into y, each arc turned by
+        back, between its first terminal and last: sign 1 loads both
+        terminals, -1 unloads them."""
+        residual, left, weight = self.residual, self.left, self.weight
         path = []
-        node = sink
-        while node != source:
-            u, j, sign = parent[node]
-            path.append((j, sign))
-            node = u
-        push = min(edges[j][2] - sign * flow[j] for j, sign in path)
-        value += push
-        stats.flow_augmentations += 1
-        if value > bound:
-            return None
-        for j, sign in path:
-            flow[j] += sign * push
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, j, sign in adjacency[u]:
-            if v not in reachable and sign * flow[j] < edges[j][2]:
-                reachable.add(v)
-                queue.append(v)
-    cut = [e for e in edges if (e[0] in reachable) != (e[1] in reachable)]
-    if sum(e[2] for e in cut) != value:
-        raise ContractViolationError("max-flow/min-cut mismatch")
-    return value, [e[3] for e in cut]
+        arc = via[y]
+        while arc >= 0:
+            path.append(arc ^ back)
+            arc = via[self.head[arc ^ 1]]
+        ends = (~arc, last)
+        amount = min([left[s] if sign > 0 else weight[s] - left[s] for s in ends]
+                     + [residual[a] for a in path])
+        for a in path:
+            residual[a] -= amount
+            residual[a ^ 1] += amount
+        for s in ends:
+            left[s] -= sign * amount
+        self.value += sign * amount
 
-
-def _compress(g: Graph, forest: _ParityForest, active: int, candidate, floor, stats):
-    """Cheapest deletion set of the first `active` edges lighter than candidate.
-
-    The forest holds the active edges outside the candidate set, which agree,
-    and gives each vertex a colour phi. A guess fixes the sought colour of
-    both endpoints of every candidate edge, consistently with its parity;
-    an endpoint attaches to the source if its colour must flip and to the
-    sink otherwise, by an edge of the candidate edge's weight. A deletion set
-    compatible with the guess is then exactly a cut between source and sink.
-    No deletion set is lighter than floor, the optimum before the insertion,
-    so a cut of that value ends the search.
-    """
-    stats.compressions += 1
-    n = g.num_vertices
-    source, sink = n, n + 1
-    phi = forest.sides()
-    in_candidate = set(candidate)
-    host = [
-        (e.u, e.v, e.weight, eid)
-        for eid, e in enumerate(g.edges[:active])
-        if eid not in in_candidate
-    ]
-    best = None
-    bound = sum(g.edges[eid].weight for eid in candidate) - 1
-    # the last candidate edge keeps guess bit 0; its complement is the same cut
-    for guess in range(1 << (len(candidate) - 1)):
-        stats.guesses += 1
-        terminals = []
-        for i, eid in enumerate(candidate):
-            e = g.edges[eid]
-            colour_v = (guess >> i) & 1
-            for end, colour in ((e.u, colour_v ^ e.parity), (e.v, colour_v)):
-                side = source if colour != phi[end] else sink
-                terminals.append((end, side, e.weight, eid))
-        found = _min_cut(n + 2, host + terminals, source, sink, bound, stats)
-        if found is None:
-            continue
-        value, cut = found
-        best, bound = sorted(set(cut)), value - 1
-        if value == floor:
-            break
-    return best
+    def _cut(self, reached, candidate) -> list[int]:
+        """Edge ids of the cut around reached, checked against the flow value."""
+        cut = [arc >> 1 for y in reached for arc, z in self.out[y]
+               if z not in reached and self.residual[arc ^ 1]]
+        cut += [candidate[t >> 1] for t, x in enumerate(self.where)
+                if (x in reached) != self.source[t]]
+        if sum(self.edges[eid].weight for eid in cut) != self.value:
+            raise ContractViolationError("max-flow/min-cut mismatch")
+        return sorted(set(cut))
 
 
 def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
@@ -282,21 +335,25 @@ def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
 
     Returns a Bipartition whose deleted_edges is a deletion set of minimum
     total weight, or None when every deletion set weighs more than k.
-    Deterministic: edges are inserted in input order, and on unit-weight
-    graphs the first improving guess is taken. The search counts its work
-    into stats, a fresh SearchStats when none is given.
+    Deterministic: edges are inserted in input order, and each compression
+    takes the first improving guess in Gray-code order. The search counts
+    its work into stats, a fresh SearchStats when none is given.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if stats is None:
         stats = SearchStats()
-    forest = _ParityForest(g.num_vertices)
+    ids, ends = _dense(g)
+    network = _Network(g, ends, len(ids))
+    forest = _ParityForest(len(ids))
     solution: list[int] = []
     weight = 0
     for eid, e in enumerate(g.edges):
-        if forest.add(e.u, e.v, e.parity):
+        network.insert(eid)
+        if forest.add(*ends[eid], e.parity):
             continue
-        improved = _compress(g, forest, eid + 1, solution + [eid], weight, stats)
+        bound = min(weight + e.weight - 1, k)
+        improved = network.compress(forest, solution + [eid], weight, bound, stats)
         if improved is None:
             solution.append(eid)
             weight += e.weight
@@ -304,12 +361,12 @@ def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
             solution = improved
             weight = sum(g.edges[i].weight for i in solution)
             removed = set(solution)
-            forest = _forest(g, (i for i in range(eid + 1) if i not in removed))
+            forest = _forest(g, ends, len(ids), (i for i in range(eid + 1) if i not in removed))
             if forest is None:
                 raise ContractViolationError("compressed set leaves a conflict")
         if weight > k:
             return None
-    return Bipartition(side=forest.sides(), deleted_edges=frozenset(solution))
+    return Bipartition(forest.sides(ids, g.num_vertices), frozenset(solution))
 
 
 def brute_force_bipartization(g: Graph, k: int, edge_limit: int = 20):
@@ -320,10 +377,11 @@ def brute_force_bipartization(g: Graph, k: int, edge_limit: int = 20):
         )
     if not g.is_unweighted():
         raise GraphError("brute_force_bipartization requires unit weights")
+    ids, ends = _dense(g)
     all_ids = range(len(g.edges))
     for size in range(min(k, len(g.edges)) + 1):
         for combo in itertools.combinations(all_ids, size):
-            forest = _forest(g, (i for i in all_ids if i not in combo))
+            forest = _forest(g, ends, len(ids), (i for i in all_ids if i not in combo))
             if forest is not None:
-                return Bipartition(side=forest.sides(), deleted_edges=frozenset(combo))
+                return Bipartition(forest.sides(ids, g.num_vertices), frozenset(combo))
     return None

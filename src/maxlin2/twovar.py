@@ -21,6 +21,8 @@ from .core import (
     normalize,
 )
 
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
 
 def _constraint_graph(system: LinSystem) -> Graph:
     """Signed graph of a normalized system; edge j stands for equation j."""
@@ -57,8 +59,11 @@ def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
     bp = edge_bipartization(_constraint_graph(cap_weights(norm, budget)), budget)
     if bp is None:
         return None
-    anchor_side = bp.side[system.n]
-    assignment = tuple(int(bp.side[x] == anchor_side) for x in range(system.n))
+    # x = 1 iff x shares the anchor's side: keep the bits, or flip them all
+    side = bytes(bp.side)
+    if not side[system.n]:
+        side = side.translate(_FLIP)
+    assignment = tuple(side[: system.n])
     result = _result(system, assignment)
     if result.falsified_weight > k:
         raise ContractViolationError(

@@ -18,7 +18,7 @@ from maxlin2 import (
     edge_bipartization,
     is_bipartite,
 )
-from helpers import min_weight_bipartization, random_graph
+from helpers import min_weight_bipartization, random_graph, traced_peak
 
 
 def _check_proper(graph: Graph, bp: Bipartition) -> None:
@@ -192,3 +192,53 @@ def test_engine_cost_does_not_grow_with_weight():
     result = edge_bipartization(g, 10**9, stats=stats)
     assert result is not None and result.deleted_edges == frozenset({2})
     assert stats.flow_augmentations <= 2
+
+
+def test_engine_matches_min_weight_on_triangles_sharing_a_hub():
+    # every odd triangle runs through vertex 0, so candidate edges share that
+    # end and the Gray-code walk moves terminals that carry flow
+    rng = random.Random(0x4B)
+    for count in range(2, 6):
+        edges = []
+        for j in range(count):
+            a, b = 2 * j + 1, 2 * j + 2
+            parities = rng.choice([(1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+            for (u, v), parity in zip([(0, a), (a, b), (0, b)], parities):
+                edges.append(Edge(u, v, rng.randint(1, 3), parity))
+        g = Graph(2 * count + 1, tuple(edges))
+        want = min_weight_bipartization(g)
+        for k in range(want + 2):
+            result = edge_bipartization(g, k)
+            assert (result is None) == (k < want)
+            if result is not None:
+                assert sum(g.edges[eid].weight for eid in result.deleted_edges) == want
+                _check_proper(g, result)
+
+
+def test_budget_caps_the_flow():
+    # optimum 3; the last insertion compresses a set of weight 5, whose cuts
+    # the budget k = 2 stops at 3 units of flow, with the same guesses
+    g = Graph(4, tuple(Edge(u, v, w) for u, v, w in [
+        (0, 1, 3), (1, 2, 1), (0, 2, 3), (2, 3, 3), (0, 3, 1), (1, 2, 3), (0, 1, 1)
+    ]))
+    for k in range(5):
+        result = edge_bipartization(g, k)
+        if k < 3:
+            assert result is None
+        else:
+            assert result == Bipartition((0, 1, 0, 1), frozenset({2}))
+    capped, full = SearchStats(), SearchStats()
+    assert edge_bipartization(g, 2, stats=capped) is None
+    assert edge_bipartization(g, 13, stats=full) is not None
+    assert (capped.compressions, capped.guesses) == (full.compressions, full.guesses)
+    assert capped.flow_augmentations < full.flow_augmentations
+
+
+def test_engine_memory_follows_the_edges():
+    # the star rows as a graph under 10**6 vertices; the side tuple alone is 8 MB
+    pairs = [((0, 1), 0), ((0, 2), 0), ((0, 3), 1), ((0, 4), 0), ((1, 2), 0), ((3, 4), 0)]
+    g = Graph(10**6, tuple(Edge(u, v, 1, parity) for (u, v), parity in pairs))
+    result = edge_bipartization(g, 1)
+    assert result is not None and len(result.side) == 10**6
+    assert result.deleted_edges == frozenset({5})
+    assert traced_peak(lambda: edge_bipartization(g, 1)) < 16 * 2**20

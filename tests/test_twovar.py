@@ -16,7 +16,7 @@ from maxlin2 import (
     solve_below_W,
 )
 from maxlin2.twovar import _constraint_graph
-from helpers import random_system
+from helpers import random_system, star_system, traced_peak
 
 
 def _edge_set(graph):
@@ -115,3 +115,11 @@ def test_decision_and_value_match_oracle():
             assert evaluate(system, result.assignment)[1] == optimum
         else:
             assert result is None
+
+
+def test_solve_below_W_memory_follows_the_rows():
+    star = star_system(10**6)
+    result = solve_below_W(star, 1)
+    assert result is not None and result.falsified_weight == 1
+    assert result.assignment[5:] == (1,) * (10**6 - 5)
+    assert traced_peak(lambda: solve_below_W(star, 1)) < 32 * 2**20
