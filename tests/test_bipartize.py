@@ -18,7 +18,7 @@ from maxlin2 import (
     edge_bipartization,
     is_bipartite,
 )
-from helpers import min_weight_bipartization, random_graph, traced_peak
+from helpers import min_weight_bipartization, random_graph, star_system, traced_peak
 
 
 def _check_proper(graph: Graph, bp: Bipartition) -> None:
@@ -235,9 +235,9 @@ def test_budget_caps_the_flow():
 
 
 def test_engine_memory_follows_the_edges():
-    # the star rows as a graph under 10**6 vertices; the side tuple alone is 8 MB
-    pairs = [((0, 1), 0), ((0, 2), 0), ((0, 3), 1), ((0, 4), 0), ((1, 2), 0), ((3, 4), 0)]
-    g = Graph(10**6, tuple(Edge(u, v, 1, parity) for (u, v), parity in pairs))
+    # the star's rows as edges under 10**6 vertices; the side tuple alone is 8 MB
+    star = star_system(10**6)
+    g = Graph(star.n, tuple(Edge(u, v, 1, rhs) for (u, v), rhs in zip(star.lhs, star.rhs)))
     result = edge_bipartization(g, 1)
     assert result is not None and len(result.side) == 10**6
     assert result.deleted_edges == frozenset({5})
