@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CapacityError, ContractViolationError, MaxLin2Error
 
@@ -39,25 +40,17 @@ class GraphError(MaxLin2Error):
     """Invalid graph construction or an unsupported graph shape."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Constraint side[u] ^ side[v] == parity, deletable at cost weight.
 
-    Parallel edges are distinct; self-loops are rejected.
+    A plain value: the Graph that holds it checks it, once. Parallel edges
+    are distinct; a Graph rejects self-loops.
     """
 
     u: int
     v: int
     weight: int = 1
     parity: int = 1
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise GraphError(f"self-loop at vertex {self.u} is not allowed")
-        if self.weight < 1:
-            raise GraphError(f"edge weight must be >= 1, got {self.weight}")
-        if self.parity not in (0, 1):
-            raise GraphError(f"edge parity must be 0 or 1, got {self.parity!r}")
 
 
 @dataclass(frozen=True)
@@ -66,28 +59,31 @@ class Graph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self) -> None:
+        """The one check of each edge: no self-loop, weight >= 1, parity a bit, ends in range."""
         object.__setattr__(self, "edges", tuple(self.edges))
+        n = self.num_vertices
         for e in self.edges:
-            if not (0 <= e.u < self.num_vertices and 0 <= e.v < self.num_vertices):
+            u, v, weight, parity = e
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u} is not allowed")
+            if weight < 1:
+                raise GraphError(f"edge weight must be >= 1, got {weight}")
+            if parity not in (0, 1):
+                raise GraphError(f"edge parity must be 0 or 1, got {parity!r}")
+            if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {e} out of vertex range")
 
     @classmethod
-    def from_pairs(cls, num_vertices: int, pairs, weights=None) -> "Graph":
-        edges = []
-        for i, (u, v) in enumerate(pairs):
-            w = 1 if weights is None else weights[i]
-            edges.append(Edge(u, v, w))
-        return cls(num_vertices, tuple(edges))
-
-    def is_unweighted(self) -> bool:
-        return all(e.weight == 1 for e in self.edges)
+    def from_pairs(cls, num_vertices: int, pairs) -> "Graph":
+        """The unit-weight, parity-1 graph of the given (u, v) pairs."""
+        return cls(num_vertices, tuple(Edge(u, v) for u, v in pairs))
 
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A 2-coloring valid for all edges outside deleted_edges."""
+    """A 2-coloring, one byte 0 or 1 per vertex, valid for all edges outside deleted_edges."""
 
-    side: tuple[int, ...]
+    side: bytes
     deleted_edges: frozenset[int] = frozenset()
 
 
@@ -143,12 +139,12 @@ class _ParityForest:
         self.parity[high] = colour_u ^ colour_v ^ parity
         return True
 
-    def sides(self, ids, num_vertices: int) -> tuple[int, ...]:
+    def sides(self, ids, num_vertices: int) -> bytes:
         """Colour of every vertex; dense id i is vertex ids[i], the rest get 0."""
         side = bytearray(num_vertices)
         for i, x in enumerate(ids):
             side[x] = self.find(i)[1]
-        return tuple(side)
+        return bytes(side)
 
 
 def _dense(g: Graph):
@@ -375,7 +371,7 @@ def brute_force_bipartization(g: Graph, k: int, edge_limit: int = 20):
         raise CapacityError(
             f"{len(g.edges)} edges exceed the brute-force limit {edge_limit}"
         )
-    if not g.is_unweighted():
+    if any(e.weight != 1 for e in g.edges):
         raise GraphError("brute_force_bipartization requires unit weights")
     ids, ends = _dense(g)
     all_ids = range(len(g.edges))

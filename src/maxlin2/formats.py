@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .bipartize import Edge, Graph, GraphError
+from .bipartize import Edge, Graph
 from .core import MAX_UNIT_EQUATIONS, CapacityError, LinSystem, MaxLin2Error
 from .gadgets import OddSetInstance
 
@@ -197,10 +197,10 @@ def parse_graph(text: str) -> Graph:
         for x in values:
             if not 1 <= x <= n:
                 raise FormatError(lineno, f"vertex {x} out of range 1..{n}")
-        try:
-            edges.append(Edge(values[0] - 1, values[1] - 1))
-        except GraphError as exc:
-            raise FormatError(lineno, str(exc)) from None
+        u, v = values
+        if u == v:
+            raise FormatError(lineno, f"self-loop at vertex {u} is not allowed")
+        edges.append(Edge(u - 1, v - 1))
     return Graph(n, tuple(edges))
 
 

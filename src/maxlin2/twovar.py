@@ -60,7 +60,7 @@ def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
     if bp is None:
         return None
     # x = 1 iff x shares the anchor's side: keep the bits, or flip them all
-    side = bytes(bp.side)
+    side = bp.side
     if not side[system.n]:
         side = side.translate(_FLIP)
     assignment = tuple(side[: system.n])

@@ -33,12 +33,25 @@ def triangle() -> Graph:
 
 def test_self_loops_rejected():
     with pytest.raises(GraphError):
-        Edge(1, 1)
+        Graph(2, (Edge(1, 1),))
 
 
 def test_edge_parity_must_be_a_bit():
     with pytest.raises(GraphError):
-        Edge(0, 1, 1, 2)
+        Graph(2, (Edge(0, 1, 1, 2),))
+
+
+@pytest.mark.parametrize("edge, message", [
+    (Edge(1, 1), "self-loop at vertex 1 is not allowed"),
+    (Edge(0, 1, 0), "edge weight must be >= 1, got 0"),
+    (Edge(0, 1, 1, 2), "edge parity must be 0 or 1, got 2"),
+    (Edge(0, 2), "edge Edge(u=0, v=2, weight=1, parity=1) out of vertex range"),
+])
+def test_graph_checks_each_edge(edge, message):
+    # an Edge is a plain value; the Graph that holds it is where it is checked
+    with pytest.raises(GraphError) as caught:
+        Graph(2, (Edge(0, 1), edge))
+    assert str(caught.value) == message
 
 
 def test_is_bipartite_even_cycle():
@@ -226,7 +239,7 @@ def test_budget_caps_the_flow():
         if k < 3:
             assert result is None
         else:
-            assert result == Bipartition((0, 1, 0, 1), frozenset({2}))
+            assert result == Bipartition(bytes((0, 1, 0, 1)), frozenset({2}))
     capped, full = SearchStats(), SearchStats()
     assert edge_bipartization(g, 2, stats=capped) is None
     assert edge_bipartization(g, 13, stats=full) is not None
@@ -235,10 +248,20 @@ def test_budget_caps_the_flow():
 
 
 def test_engine_memory_follows_the_edges():
-    # the star's rows as edges under 10**6 vertices; the side tuple alone is 8 MB
+    # the star's rows as edges under 10**6 vertices; the side bytes are 1 MB,
+    # built once in a bytearray and copied once
     star = star_system(10**6)
     g = Graph(star.n, tuple(Edge(u, v, 1, rhs) for (u, v), rhs in zip(star.lhs, star.rhs)))
     result = edge_bipartization(g, 1)
     assert result is not None and len(result.side) == 10**6
     assert result.deleted_edges == frozenset({5})
-    assert traced_peak(lambda: edge_bipartization(g, 1)) < 16 * 2**20
+    assert traced_peak(lambda: edge_bipartization(g, 1)) < 4 * 2**20
+
+
+def test_sides_of_an_edgeless_graph_are_bytes():
+    # n vertices cost n bytes of side, not n pointers
+    g = Graph(10**6)
+    for solve in (lambda: edge_bipartization(g, 0), lambda: is_bipartite(g)):
+        result = solve()
+        assert result.side == bytes(10**6) and result.deleted_edges == frozenset()
+        assert traced_peak(solve) < 3 * 2**20

@@ -285,8 +285,9 @@ def test_parse_graph():
 
 
 def test_parse_graph_rejects_self_loop():
-    with pytest.raises(FormatError):
-        parse_graph("p graph 2 1\n1 1\n")
+    # the message names the file's 1-based vertex, like the range check
+    with pytest.raises(FormatError, match=r"^line 2: self-loop at vertex 2 is not allowed$"):
+        parse_graph("p graph 3 1\n2 2\n")
 
 
 @pytest.mark.parametrize("assignment", [(), (0,), (1,), (1, 0, 1), (0, 1) * 50])
@@ -548,6 +549,22 @@ def test_cli_usage_error():
 def test_parse_lin2_rejects_zero_weight():
     with pytest.raises(FormatError):
         parse_lin2("p lin2 1 1\n0 0 1 1\n")
+
+
+def test_cli_auto_on_arity_two_without_k(tmp_path, capsys):
+    # the 6-row star: variable 1 is in 4 rows, so occ2 does not apply; with
+    # no -k auto takes the oracle under its limit and refuses above it
+    rows = "1 0 2 1 2\n1 0 2 1 3\n1 1 2 1 4\n1 0 2 1 5\n1 0 2 2 3\n1 0 2 4 5\n"
+    small = _write(tmp_path, "small.lin2", f"p lin2 5 6\n{rows}")
+    assert main(["solve", small]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "s OPTIMUM 1"
+    big = _write(tmp_path, "big.lin2", f"p lin2 30 6\n{rows}")
+    assert main(["solve", big]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: auto mode found no applicable solver; ")
+    assert main(["solve", big, "-k", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "s YES 1"
 
 
 def test_cli_auto_never_runs_oracle_above_limit(tmp_path, capsys):
