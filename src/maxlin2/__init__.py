@@ -25,7 +25,6 @@ from .core import (
     InstanceProfile,
     LinSystem,
     MaxLin2Error,
-    cap_weights,
     evaluate,
     expand_unit_weights,
     falsified_indices,

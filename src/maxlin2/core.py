@@ -78,8 +78,7 @@ class Equation:
     """One weighted equation: XOR of the lhs variables equals rhs.
 
     lhs holds distinct variable indices in strictly ascending order. An empty
-    lhs (a constant equation) is legal only transiently; normalize() removes
-    such equations.
+    lhs is a constant equation; normalize() removes such equations.
     """
 
     lhs: tuple[int, ...]
@@ -267,22 +266,6 @@ def falsified_indices(system: LinSystem, assignment) -> tuple[int, ...]:
         if parity:
             out.append(j)
     return tuple(out)
-
-
-def cap_weights(system: LinSystem, k: int) -> LinSystem:
-    """Clamp every weight to k+1.
-
-    Whether some assignment falsifies weight at most k is unchanged: an
-    equation of weight above k can never be falsified within that budget,
-    before or after capping.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    cap = k + 1
-    weights = [min(w, cap) for w in system.weights]
-    return LinSystem.from_columns(
-        system.n, system.lhs, system.rhs, weights, system.forced_falsified
-    )
 
 
 def normalize(system: LinSystem) -> LinSystem:

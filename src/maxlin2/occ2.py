@@ -11,6 +11,11 @@ leaves its neighbours a pendant edge, so the cascade removes components
 whole, and a component it cannot start on is started at its lightest row.
 `solve_occ2_merge` is an independent cross-check that only reports the
 optimal value.
+
+Both solvers read the rows as given. Under the occurrence bound a repeated
+row or an opposing pair holds every occurrence of its variables, so it is a
+component of its own and loses its lighter row iff its rhs bits differ; a
+constant row holds no variable and is lost iff its rhs is 1.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .core import (
     InstanceClassError,
     LinSystem,
     _satisfy_removed,
-    normalize,
     occurrences,
     singleton_cascade,
     variable_rows,
@@ -41,20 +45,20 @@ def solve_occ2(system: LinSystem) -> SolveResult:
 
     The singleton cascade deletes every row that holds a variable of no
     other live row; when none is left, it deletes the lightest live row
-    (least weight, then index) as a root and cascades on, which removes
+    (least weight, then caller index) as a root and cascades on, which removes
     the root's whole component. A component no root has reached has every
     variable twice and is deleted whole, so its root is its lightest row,
     and the one loss of the component iff the rhs bits from it up to the
     next root XOR to 1: its rows sum to zero. Replaying the other deleted
-    rows in reverse, from all zeros, satisfies each by its witness. Runs in
-    O(size · log size) beyond the n-bit assignment.
+    rows in reverse, from all zeros, satisfies each by its witness. A
+    constant row is reached only as a root, and is lost iff its rhs is 1.
+    Runs in O(size · log size) beyond the n-bit assignment.
     """
     _check_occurrence_bound(system)
-    norm = normalize(system)
-    lhs, rhs, weights = norm.lhs, norm.rhs, norm.weights
+    lhs, rhs, weights = system.lhs, system.rhs, system.weights
     roots = sorted(range(len(lhs)), key=weights.__getitem__)  # stable: ties by index
     deleted = singleton_cascade(lhs, roots)
-    internal = norm.forced_falsified
+    internal = system.forced_falsified
     parity = 0
     for j, witness in reversed(deleted):
         parity ^= rhs[j]
@@ -73,17 +77,18 @@ def solve_occ2_merge(system: LinSystem) -> int:
 
     While some variable occurs in two equations, replace the pair by its
     GF(2) sum carrying the smaller of the two weights. Leftover constant
-    equations 0=1 are exactly the unavoidable losses. An index from each
-    variable to the rows holding it keeps every merge local: only the
-    variables of the smaller row are re-pointed. A merge never raises an
-    occurrence, so each entry of the index stays at most two rows long.
+    equations 0=1, given or merged, are exactly the unavoidable losses: a
+    repeated row merges to 0=0 and an opposing pair to 0=1 at the lighter
+    weight. An index from each variable to the rows holding it keeps every
+    merge local: only the variables of the smaller row are re-pointed. A
+    merge never raises an occurrence, so each entry of the index stays at
+    most two rows long.
     """
     _check_occurrence_bound(system)
-    norm = normalize(system)
-    rows = [set(lhs) for lhs in norm.lhs]
-    rhs = list(norm.rhs)
-    weight = list(norm.weights)
-    row_ids = variable_rows(norm.lhs)
+    rows = [set(lhs) for lhs in system.lhs]
+    rhs = list(system.rhs)
+    weight = list(system.weights)
+    row_ids = variable_rows(system.lhs)
     for var in sorted(row_ids):
         if len(row_ids[var]) != 2:
             continue
@@ -101,6 +106,6 @@ def solve_occ2_merge(system: LinSystem) -> int:
         rhs[keep] ^= rhs[gone]
         weight[keep] = min(weight[keep], weight[gone])
         rows[gone] = None
-    return norm.forced_falsified + sum(
+    return system.forced_falsified + sum(
         w for row, b, w in zip(rows, rhs, weight) if row == set() and b == 1
     )

@@ -17,7 +17,6 @@ from .core import (
     ContractViolationError,
     InstanceClassError,
     LinSystem,
-    cap_weights,
     normalize,
 )
 
@@ -39,8 +38,10 @@ def _constraint_graph(system: LinSystem) -> Graph:
 def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
     """Exact decision (and optimum) for falsifying weight at most k.
 
-    Pipeline: normalize, cap weights at the budget plus one, build the
-    constraint graph and run the edge bipartization engine on it. Returns
+    Pipeline: normalize, build the constraint graph with the normalized
+    weights and run the edge bipartization engine on it. Weights are not
+    capped: no cut the engine keeps weighs more than k, so an edge heavier
+    than k is never cut, and a flow of at most k never saturates it. Returns
     None when the true optimum exceeds k; otherwise the result carries an
     optimal assignment.
     """
@@ -56,7 +57,7 @@ def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
     budget = k - norm.forced_falsified
     if budget < 0:
         return None
-    bp = edge_bipartization(_constraint_graph(cap_weights(norm, budget)), budget)
+    bp = edge_bipartization(_constraint_graph(norm), budget)
     if bp is None:
         return None
     # x = 1 iff x shares the anchor's side: keep the bits, or flip them all

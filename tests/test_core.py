@@ -1,9 +1,8 @@
-"""Data-model operations: evaluation, capping, normalization, profiling."""
+"""Data-model operations: evaluation, normalization, profiling."""
 
 from __future__ import annotations
 
 import ast
-import random
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,6 @@ from maxlin2 import (
     Equation,
     LinSystem,
     brute_force_min_falsified,
-    cap_weights,
     evaluate,
     expand_unit_weights,
     normalize,
@@ -25,7 +23,7 @@ from maxlin2 import (
     profile,
 )
 from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
-from helpers import random_system, star_system, traced_peak
+from helpers import star_system, traced_peak
 
 
 def test_evaluate_both_satisfied():
@@ -51,18 +49,6 @@ def test_evaluate_rejects_wrong_length():
 def test_evaluate_counts_forced_falsified():
     system = LinSystem.build(1, [((0,), 0, 1)], forced_falsified=4)
     assert evaluate(system, (0,)) == (1, 4)
-
-
-@pytest.mark.parametrize(
-    "weights,k,expected",
-    [((1, 5, 3), 2, (1, 3, 3)), ((1, 1), 0, (1, 1)), ((7,), 3, (4,))],
-)
-def test_cap_weights_rule(weights, k, expected):
-    system = LinSystem.build(
-        len(weights), [((i,), 0, w) for i, w in enumerate(weights)]
-    )
-    capped = cap_weights(system, k)
-    assert tuple(e.weight for e in capped.equations) == expected
 
 
 def test_normalize_merges_identical():
@@ -327,17 +313,6 @@ def test_min_falsified_invariant_under_normalize_and_expand(system):
     assert brute_force_min_falsified(expand_unit_weights(system)).falsified_weight == base
 
 
-def test_cap_weights_preserves_budget_decision():
-    rng = random.Random(0xCA9)
-    for _ in range(120):
-        system = random_system(rng, max_vars=6, max_eqs=8, max_weight=7)
-        k = rng.randint(0, 4)
-        capped = cap_weights(system, k)
-        before = brute_force_min_falsified(system).falsified_weight <= k
-        after = brute_force_min_falsified(capped).falsified_weight <= k
-        assert before == after
-
-
 def test_occurrence_counts():
     system = LinSystem.build(3, [((0, 1), 0, 1), ((0, 2), 1, 2), ((0,), 1, 1)])
     assert occurrence_counts(system) == [3, 1, 1]
@@ -352,4 +327,24 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_library_has_no_unused_imports():
+    # __init__.py imports to re-export, so it is the one module exempt
+    package = Path(maxlin2.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []

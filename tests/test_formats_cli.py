@@ -107,6 +107,27 @@ def test_parse_lin2_record_error_messages(text, lineno, message):
     assert str(caught.value) == f"line {lineno}: {message}"
 
 
+@pytest.mark.parametrize(
+    "parse, text, lineno, message",
+    [
+        # One case per record fault, each after a good record, a comment and a blank line.
+        (parse_oddset, "p ods 3 2 0\n1 1\nc x\n\n2 3\n", 5, "expected 2 elements, got 1"),
+        (parse_oddset, "p ods 3 2 0\n1 1\nc x\n\n2 3 3\n", 5, "repeated element in set"),
+        (parse_oddset, "p ods 3 2 0\n1 1\nc x\n\n2 1 4\n", 5, "element 4 out of range 1..3"),
+        (parse_oddset, "p ods 3 2 0\n1 1\nc x\n\n2 0 2\n", 5, "element 0 out of range 1..3"),
+        (parse_graph, "p graph 3 2\n1 2\nc x\n\n3\n", 5, "edge record must be '<u> <v>'"),
+        (parse_graph, "p graph 3 2\n1 2\nc x\n\n1 2 3\n", 5, "edge record must be '<u> <v>'"),
+        (parse_graph, "p graph 3 2\n1 2\nc x\n\n1 4\n", 5, "vertex 4 out of range 1..3"),
+        (parse_graph, "p graph 3 2\n1 2\nc x\n\n0 2\n", 5, "vertex 0 out of range 1..3"),
+    ],
+)
+def test_parse_ods_and_graph_record_error_messages(parse, text, lineno, message):
+    with pytest.raises(FormatError) as caught:
+        parse(text)
+    assert caught.value.lineno == lineno
+    assert str(caught.value) == f"line {lineno}: {message}"
+
+
 # (parser, header usage, a header with n = 2 and m = 1, one valid record, record noun)
 READER_FORMATS = (
     (parse_lin2, "p lin2 <n> <m>", "p lin2 2 1", "1 0 1 1", "records"),
@@ -544,6 +565,12 @@ def test_cli_input_that_is_not_utf8_is_malformed(tmp_path, capsys, data, lineno)
 def test_cli_usage_error():
     assert main(["solve"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
+
+
+def test_cli_names_the_path_it_cannot_read(tmp_path, capsys):
+    missing = tmp_path / "missing.lin2"
+    assert main(["solve", str(missing)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
 
 
 def test_parse_lin2_rejects_zero_weight():

@@ -547,6 +547,16 @@ def test_dedup_triple_removal():
     assert len(trace.steps[0].data["triples"]) == 1
 
 
+def test_dedup_triple_maps_back_to_a_satisfying_assignment():
+    # the removed copies are satisfied by x = rhs, y = z = 0, whatever the
+    # reduced assignment says; keeping the zeros would falsify all three
+    system = LinSystem.build(3, [((0, 1, 2), 1, 1)] * 3)
+    out, trace = deduplicate_equations(system)
+    back = trace.map_assignment_back((0,) * out.n)
+    assert back == (1, 0, 0)
+    assert evaluate(system, back)[1] == 0
+
+
 # The weight-3 row holds variables that occur nowhere else, so it is always
 # satisfiable and never unit-expanded. The weight-2 row's variables each
 # occur once more, so it unit-expands to the input's one pair of copies.

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxlin2 import (
@@ -144,6 +144,16 @@ def test_solve_occ2_inconsistent_triangle():
     assert result.falsified_weight == 1
     assert result.certificate == (2,)  # the weight-1 equation is dropped
     assert brute_force_min_falsified(system).falsified_weight == 1
+
+
+# An odd triangle of equal weights: it loses one row, and ties go to the
+# first row as given.
+TIED_TRIANGLE = LinSystem.build(3, [((1, 2), 0, 1), ((0, 2), 0, 1), ((0, 1), 1, 1)])
+
+
+def test_odd_component_loses_its_first_lightest_row():
+    result = solve_occ2(TIED_TRIANGLE)
+    assert (result.falsified_weight, result.certificate) == (1, (0,))
 
 
 def test_solve_occ2_consistent_triangle():
@@ -313,6 +323,13 @@ def occ2_systems(draw):
 
 
 @given(occ2_systems())
+# The row shapes a normalized copy would absorb, read as given: a repeated
+# row, an opposing pair, 0 = 1 and 0 = 0 rows, and an input ledger.
+@example(LinSystem.build(3, [((0, 1), 1, 2), ((2,), 0, 1), ((0, 1), 1, 3)]))
+@example(LinSystem.build(3, [((0, 1), 0, 3), ((2,), 1, 1), ((0, 1), 1, 2)]))
+@example(LinSystem.build(1, [((), 1, 4), ((0,), 1, 1), ((), 0, 9), ((0,), 0, 2)]))
+@example(LinSystem.build(2, [((0,), 1, 2), ((), 1, 1), ((0,), 0, 1)], forced_falsified=3))
+@example(TIED_TRIANGLE)
 @settings(max_examples=300, deadline=None)
 def test_occ2_solvers_agree_with_oracle_on_edge_cases(system):
     optimum = brute_force_min_falsified(system).falsified_weight

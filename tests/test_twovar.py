@@ -10,7 +10,6 @@ from maxlin2 import (
     InstanceClassError,
     LinSystem,
     brute_force_min_falsified,
-    cap_weights,
     evaluate,
     normalize,
     solve_below_W,
@@ -25,11 +24,11 @@ def _edge_set(graph):
 
 def test_build_graph_example():
     system = LinSystem.build(2, [((0,), 0, 1), ((0, 1), 1, 2), ((0, 1), 0, 3)])
-    graph = _constraint_graph(cap_weights(normalize(system), 1))
+    graph = _constraint_graph(normalize(system))
     assert graph.num_vertices == 3
     assert _edge_set(graph) == {
         (0, 2, 1, 1),  # x1 = 0: x1 off the anchor's side
-        (0, 1, 2, 0),  # x1 + x2 = 0, weight capped at k + 1
+        (0, 1, 3, 0),  # x1 + x2 = 0
         (0, 1, 2, 1),  # x1 + x2 = 1
     }
 
@@ -90,16 +89,30 @@ def test_solve_below_W_counts_forced_contradictions():
 
 
 def test_graph_size_bound():
-    # one edge per normalized equation and one anchor, whatever the weights or k
+    # one edge per normalized equation and one anchor, whatever the weights
     rng = random.Random(0xBEEF)
     for _ in range(80):
         system = random_system(rng, max_vars=8, max_eqs=10, max_weight=3, max_arity=2)
-        k = rng.randint(0, 4)
-        capped = cap_weights(normalize(system), k)
-        graph = _constraint_graph(capped)
+        norm = normalize(system)
+        graph = _constraint_graph(norm)
         assert graph.num_vertices == system.n + 1
-        assert len(graph.edges) == len(capped.equations)
-        assert all(e.weight <= k + 1 for e in graph.edges)
+        assert [e.weight for e in graph.edges] == list(norm.weights)
+
+
+def test_weights_above_the_budget_do_not_change_the_answer():
+    # No cut of value <= k holds an edge heavier than k, and the flow never
+    # saturates one, so its capacity never decides the search.
+    rng = random.Random(0x5EA)
+    for _ in range(150):
+        system = random_system(rng, max_vars=8, max_eqs=12, max_weight=9, max_arity=2)
+        k = rng.randint(0, 6)
+        heavy = LinSystem.from_columns(
+            system.n,
+            system.lhs,
+            system.rhs,
+            [w if w <= k else 10**9 for w in system.weights],
+        )
+        assert solve_below_W(heavy, k) == solve_below_W(system, k)
 
 
 def test_decision_and_value_match_oracle():
