@@ -152,6 +152,21 @@ def test_brute_force_examples():
     assert brute_force_bipartization(bipartite, 3).deleted_edges == frozenset()
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: edge_bipartization(triangle(), -1), ValueError, "k must be >= 0, got -1"),
+    (
+        lambda: brute_force_bipartization(Graph(2, (Edge(0, 1, 2),)), 1),
+        GraphError,
+        "brute_force_bipartization requires unit weights",
+    ),
+], ids=["engine k -1", "oracle weight 2"])
+def test_bipartization_input_checks_keep_their_messages(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_brute_force_capacity():
     g = Graph.from_pairs(2, [(0, 1)] * 21)
     with pytest.raises(CapacityError):

@@ -266,6 +266,24 @@ def test_bad_columns_give_the_equation_messages(case):
     assert str(by_columns.value) == str(by_rows.value) == message
 
 
+@pytest.mark.parametrize("n, lhs, rhs, weights, forced, message", [
+    (-1, (), b"", (), 0, "variable count must be >= 0, got -1"),
+    (1, (), b"", (), -1, "forced_falsified must be >= 0"),
+    (1, ((0,),), b"", (), 0, "column lengths differ: 1, 0, 0"),
+], ids=["n -1", "forced -1", "lengths"])
+def test_from_columns_checks_its_header(n, lhs, rhs, weights, forced, message):
+    with pytest.raises(ValueError) as caught:
+        LinSystem.from_columns(n, lhs, rhs, weights, forced)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+
+
+def test_equations_view_compares_only_with_views_and_tuples():
+    system = LinSystem.build(2, [((0, 1), 1, 2), ((1,), 0, 1)])
+    assert (system.equations == 5) is False
+    assert repr(system.equations) == repr(tuple(system.equations))
+
+
 # --- randomized invariants -------------------------------------------------
 
 _sizes = st.integers(min_value=0, max_value=2**31)
@@ -326,6 +344,37 @@ def test_library_has_no_assert_statements():
         for path in sorted(package.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_library_has_no_unread_private_names():
+    # a module-level _name that no module of the package reads is dead code
+    package = Path(maxlin2.__file__).parent
+    defined = []
+    read = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, node.lineno, name) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = [
+        f"{module}:{lineno} {name}"
+        for module, lineno, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
     ]
     assert found == []
 

@@ -614,6 +614,69 @@ def test_dedup_rejects_mismatched_rhs():
         deduplicate_equations(system)
 
 
+# Each input check of this module that no other test reaches: the call, the
+# exception type and the exact message. Each input has a single fault.
+GADGET_INPUT_FAULTS = {
+    "ground set -1": (
+        lambda: OddSetInstance(-1, (), 0), ValueError, "ground set size must be >= 0"
+    ),
+    "budget -1": (lambda: OddSetInstance(1, (), -1), ValueError, "budget must be >= 0"),
+    "repeated element": (
+        lambda: OddSetInstance(2, ((0, 0),), 0), ValueError, "repeated element in set (0, 0)"
+    ),
+    "expand arity 4": (
+        lambda: expand_arity_to_3(LinSystem.build(4, [((0, 1, 2, 3), 0, 1)])),
+        GadgetError,
+        "arity 4 equation cannot be expanded to arity 3",
+    ),
+    "expand arity 0": (
+        lambda: expand_arity_to_3(LinSystem.build(1, [((), 0, 1)])),
+        GadgetError,
+        "arity 0 equation cannot be expanded to arity 3",
+    ),
+    "enforce occurrence 4": (
+        lambda: enforce_degree_exactly3(
+            LinSystem.build(9, [((0, 2 * i + 1, 2 * i + 2), 0, 1) for i in range(4)])
+        ),
+        GadgetError,
+        "occurrence above 3; run degree normalization first",
+    ),
+    "dedup arity 2": (
+        lambda: deduplicate_equations(LinSystem.build(2, [((0, 1), 0, 1)])),
+        GadgetError,
+        "deduplication expects arity exactly 3",
+    ),
+    "dedup rhs": (
+        lambda: deduplicate_equations(
+            LinSystem.build(3, [((0, 1, 2), 0, 1), ((0, 1, 2), 1, 1)])
+        ),
+        ContractViolationError,
+        "equations with lhs (0, 1, 2) disagree on rhs",
+    ),
+    "dedup four copies": (
+        lambda: deduplicate_equations(LinSystem.build(3, [((0, 1, 2), 1, 1)] * 4)),
+        ContractViolationError,
+        "4 copies of lhs (0, 1, 2); at most 3 possible",
+    ),
+    "dedup triple shares a variable": (
+        lambda: deduplicate_equations(
+            LinSystem.build(5, [((0, 1, 2), 1, 1)] * 3 + [((0, 3, 4), 0, 1)])
+        ),
+        ContractViolationError,
+        "variable 0 of a triple copy occurs elsewhere",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GADGET_INPUT_FAULTS))
+def test_gadget_input_checks_keep_their_messages(case):
+    call, error, message = GADGET_INPUT_FAULTS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def test_dedup_preserves_optimum_via_pipeline_inputs():
     from maxlin2.gadgets import _resolve_opposing_step
 

@@ -48,6 +48,13 @@ def test_solve_below_W_rejects_high_arity():
         solve_below_W(LinSystem.build(3, [((0, 1, 2), 0, 1)]), 1)
 
 
+def test_solve_below_W_rejects_a_negative_k():
+    with pytest.raises(ValueError) as caught:
+        solve_below_W(LinSystem.build(1, [((0,), 0, 1)]), -1)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "k must be >= 0, got -1"
+
+
 def test_solve_below_W_contradictory_pair():
     system = LinSystem.build(1, [((0,), 0, 1), ((0,), 1, 1)])
     result = solve_below_W(system, 1)
