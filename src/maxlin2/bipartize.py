@@ -35,6 +35,9 @@ from typing import NamedTuple
 
 from .core import CapacityError, ContractViolationError, MaxLin2Error
 
+# The most edges `brute_force_bipartization` will enumerate subsets of.
+BRUTE_FORCE_EDGE_LIMIT = 20
+
 
 class GraphError(MaxLin2Error):
     """Invalid graph construction or an unsupported graph shape."""
@@ -365,11 +368,11 @@ def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
     return Bipartition(forest.sides(ids, g.num_vertices), frozenset(solution))
 
 
-def brute_force_bipartization(g: Graph, k: int, edge_limit: int = 20):
+def brute_force_bipartization(g: Graph, k: int):
     """Oracle: try all edge subsets of size 0..k in lexicographic order."""
-    if len(g.edges) > edge_limit:
+    if len(g.edges) > BRUTE_FORCE_EDGE_LIMIT:
         raise CapacityError(
-            f"{len(g.edges)} edges exceed the brute-force limit {edge_limit}"
+            f"{len(g.edges)} edges exceed the brute-force limit {BRUTE_FORCE_EDGE_LIMIT}"
         )
     if any(e.weight != 1 for e in g.edges):
         raise GraphError("brute_force_bipartization requires unit weights")

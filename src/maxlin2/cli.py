@@ -142,26 +142,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _trace_text(trace) -> str:
-    lines = []
-    for step in trace.steps:
-        detail = ""
-        if step.rule in ("degree4", "degree5plus"):
-            detail = f" variable={step.data['variable']}"
-        lines.append(
-            f"{step.rule}{detail}"
-            f" m:{step.pre_m}->{step.post_m} n:{step.pre_n}->{step.post_n}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_reduce(args) -> int:
     """Write the reduced system and its trace, both or neither."""
     system = parse_lin2(_read(args.file))
     reduced, trace = gadgets.reduce_to_target(system, args.target)
     out = Path(args.output)
     text = emit_lin2(reduced, comments=(f"reduced target={args.target}",))
-    trace_text = _trace_text(trace)
+    trace_text = trace.text()
     trace_path = Path(args.trace) if args.trace else out.with_suffix(out.suffix + ".trace")
     _write(out, text)
     try:

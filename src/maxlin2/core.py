@@ -221,10 +221,6 @@ class LinSystem:
         return EquationsView(self)
 
     @property
-    def num_equations(self) -> int:
-        return len(self.lhs)
-
-    @property
     def total_weight(self) -> int:
         return sum(self.weights)
 

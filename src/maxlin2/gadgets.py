@@ -105,7 +105,6 @@ class OddSetReduction(NamedTuple):
     system: LinSystem
     budget: int
     blocks: tuple[tuple[int, ...], ...]
-    num_elements: int
 
 
 def oddset_to_lin2(inst: OddSetInstance) -> OddSetReduction:
@@ -134,7 +133,7 @@ def oddset_to_lin2(inst: OddSetInstance) -> OddSetReduction:
         blocks.append(tuple(range(start, len(lhs_column))))
     weights = [1] * ground + [inst.budget + 1] * (len(lhs_column) - ground)
     system = LinSystem.from_columns(next_var, lhs_column, rhs_column, weights)
-    return OddSetReduction(system, inst.budget, tuple(blocks), ground)
+    return OddSetReduction(system, inst.budget, tuple(blocks))
 
 
 def chain_block_parity_check(system: LinSystem, block, x_vars) -> int:
@@ -207,14 +206,29 @@ class ReductionTrace:
 
         The extension falsifies at most as much weight as the input does on
         the original system, and exactly as much when the input is optimal:
-        every gadget is extended along its cost-preserving witness, and
-        equations dropped as always-satisfiable get their witness variables
-        re-satisfied first.
+        every gadget is extended along its cost-preserving witness. The
+        witness of a row dropped as always-satisfiable keeps its given value:
+        no reduced row holds it, so no cost reads it.
         """
         values = _checked_list(assignment, self.original_system.n)
         for step in self.steps:
             values = _map_forward_step(step, values)
         return tuple(values)
+
+    def text(self) -> str:
+        """The `.trace` text of `maxlin2 reduce`: one line per step.
+
+        Each line names the rule, the variable a degree rule split, and the
+        equation and variable counts before and after the step.
+        """
+        lines = []
+        for step in self.steps:
+            detail = f" variable={step.data['variable']}" if step.rule in _SPLIT_RULES else ""
+            lines.append(
+                f"{step.rule}{detail}"
+                f" m:{step.pre_m}->{step.post_m} n:{step.pre_n}->{step.post_n}"
+            )
+        return "\n".join(lines) + "\n"
 
 
 def _checked_list(assignment, n: int) -> list[int]:
@@ -245,13 +259,17 @@ def _best_uniform_clone_value(step: TraceStep, values) -> int:
 # Both maps rewrite one list in place: a step truncates or extends it by the
 # variables it removed or added, so a whole map costs O(input + output).
 
+# The rules that split one variable; their data is {"variable", "rows"}, and
+# the clones are that variable and the fresh range pre_n..post_n - 1.
+_SPLIT_RULES = ("degree4", "degree5plus")
+
 
 def _map_back_step(step: TraceStep, values: list[int]) -> list[int]:
     rule = step.rule
     pre_n = step.pre_n
     if rule in ("normalize", "unit-expand", "opposing-pairs"):
         return values
-    if rule in ("degree4", "degree5plus"):
+    if rule in _SPLIT_RULES:
         v = _best_uniform_clone_value(step, values)
         del values[pre_n:]
         values[step.data["variable"]] = v
@@ -280,11 +298,10 @@ def _map_back_step(step: TraceStep, values: list[int]) -> list[int]:
 
 def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
     rule = step.rule
-    if rule in ("normalize", "unit-expand", "opposing-pairs"):
+    if rule in ("normalize", "unit-expand", "opposing-pairs", "always-satisfied-removal"):
         return values
-    if rule in ("degree4", "degree5plus"):
-        clones = step.data["clones"]
-        values.extend([values[clones[0]]] * (len(clones) - 1))
+    if rule in _SPLIT_RULES:
+        values.extend([values[step.data["variable"]]] * (step.post_n - step.pre_n))
         return values
     if rule == "arity-expand":
         for lhs, rhs in step.data["expanded"]:
@@ -294,8 +311,6 @@ def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
                 # a = 1 shifts the mismatch onto a single gadget equation
                 values.extend((0, 0, 0, 0) if values[lhs[0]] == rhs else (1, 0, 0, 0))
         return values
-    if rule == "always-satisfied-removal":
-        return _satisfy_removed(step.data["removed"], values)
     if rule == "degree2-triplets":
         for t1, t2, t3 in step.data["triplets"]:
             tie = values[t1] ^ values[t2]
@@ -384,8 +399,9 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     so a uniform clone value stays optimal. Only the variable's rows and the
     new tie rows are touched; each clone is fresh, so it sorts last in its
     row, and its entry in `holders` (the `variable_rows` index) is made as
-    its rows are added. The step records the variable's rows as they were
-    before the split, the only rows map-back has to evaluate.
+    its rows are added. The step records the variable and its rows as they
+    were before the split, the only rows map-back has to evaluate; the
+    clones are the variable and the step's fresh range pre_n..post_n - 1.
     """
     lhs_column, rhs_column = store.lhs, store.rhs
     ids = holders[variable]
@@ -394,11 +410,7 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     pre = store.sizes()
     n = store.n
     clones = (variable, *range(n, n + (1 << t) - 1))
-    data = {
-        "variable": variable,
-        "rows": tuple((lhs_column[j], rhs_column[j]) for j in ids),
-        "clones": clones,
-    }
+    data = {"variable": variable, "rows": tuple((lhs_column[j], rhs_column[j]) for j in ids)}
     store.n = n + len(clones) - 1
     holders[variable] = []
     for clone, j in zip(clones, ids):
@@ -459,9 +471,10 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
     heapq.heapify(heap)
     steps: list[TraceStep] = []
     while heap:
-        step = _split(store, holders, heapq.heappop(heap)[1])
+        variable = heapq.heappop(heap)[1]
+        step = _split(store, holders, variable)
         steps.append(step)
-        for c in step.data["clones"]:
+        for c in (variable, *range(step.pre_n, step.post_n)):
             if len(holders[c]) > 3:
                 heapq.heappush(heap, (-len(holders[c]), c))
     return steps
@@ -633,48 +646,47 @@ def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrac
 
 
 def _deduplicate(store: _Rows) -> list[TraceStep]:
+    """Replace each repeated lhs in one pass over the rows; see `deduplicate_equations`.
+
+    The lhs column is counted once. With no repeat the store is left as it
+    is. Otherwise a row whose lhs occurs once is kept; the first copy of a
+    repeated lhs is checked (at most three copies, and a triple's variables
+    in no other row) and becomes the pair gadget or a logged triple; a later
+    copy must agree with the first copy's rhs and is dropped.
+    """
     lhs_column, rhs_column = store.lhs, store.rhs
     if set(map(len, lhs_column)) - {3}:
         raise GadgetError("deduplication expects arity exactly 3")
     pre = store.sizes()
-    if len(set(lhs_column)) == len(lhs_column):
+    counts = Counter(lhs_column)
+    if len(counts) == len(lhs_column):
         return [store.step("deduplicate", {"pairs": (), "triples": ()}, pre)]
-    first: dict[tuple[int, ...], int] = {}
-    copies: dict[tuple[int, ...], list[int]] = {}
-    for j, lhs in enumerate(lhs_column):
-        i = first.setdefault(lhs, j)
-        if i != j:
-            copies.setdefault(lhs, [i]).append(j)
     occ = occurrences(lhs_column)
-    for lhs, members in copies.items():
-        if len({rhs_column[j] for j in members}) > 1:
-            raise ContractViolationError(
-                f"equations with lhs {lhs} disagree on rhs"
-            )
-        if len(members) > 3:
-            raise ContractViolationError(
-                f"{len(members)} copies of lhs {lhs}; at most 3 possible"
-            )
-        if len(members) == 3:
-            for v in lhs:
-                if occ[v] != 3:
-                    raise ContractViolationError(
-                        f"variable {v} of a triple copy occurs elsewhere"
-                    )
+    first_rhs: dict[tuple[int, ...], int] = {}  # the rhs of each repeated lhs seen
     next_var = store.n
     out_lhs: list = []
     out_rhs = bytearray()
     pairs = []
     triples = []
-    for j, (lhs, b) in enumerate(zip(lhs_column, rhs_column)):
-        members = copies.get(lhs)
-        if members is None:
+    for lhs, b in zip(lhs_column, rhs_column):
+        count = counts[lhs]
+        if count == 1:
             out_lhs.append(lhs)
             out_rhs.append(b)
             continue
-        if j != members[0]:
+        if lhs in first_rhs:
+            if first_rhs[lhs] != b:
+                raise ContractViolationError(f"equations with lhs {lhs} disagree on rhs")
             continue
-        if len(members) == 3:
+        first_rhs[lhs] = b
+        if count > 3:
+            raise ContractViolationError(f"{count} copies of lhs {lhs}; at most 3 possible")
+        if count == 3:
+            for v in lhs:
+                if occ[v] != 3:
+                    raise ContractViolationError(
+                        f"variable {v} of a triple copy occurs elsewhere"
+                    )
             triples.append((lhs, b))
             continue
         # Two copies: replace with eight equations over six fresh variables.
@@ -710,6 +722,8 @@ def deduplicate_equations(system: LinSystem) -> tuple[LinSystem, ReductionTrace]
     the copies are always satisfiable and simply removed. Two copies are
     replaced by the eight-equation gadget over six fresh variables. In the
     pipeline the copies come from the input alone: no gadget writes one.
+    The rows are read once, in order; the ContractViolationError of an
+    input that breaks these rules names the first fault that pass meets.
     """
     return _apply(system, "deduplication", _deduplicate)
 

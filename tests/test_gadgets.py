@@ -227,9 +227,9 @@ def test_degree5plus_distribution_example():
         3, [((0, 1), 0, 1)] * 4 + [((0, 2), 1, 1)] * 4
     )
     out, step = _split_step(system, 0, "degree5plus")
-    clones = step.data["clones"]
+    clones = (0, *range(step.pre_n, step.post_n))
     assert clones == (0, *range(3, 10))
-    assert set(step.data) == {"variable", "rows", "clones"}
+    assert set(step.data) == {"variable", "rows"}
     assert _original_occurrences(system, out, clones) == [1] * 8
     ties = [(clones[a], clones[b]) for a, b in _cube_ties(3)]
     assert list(out.lhs[len(system.lhs) :]) == ties
@@ -239,7 +239,7 @@ def test_degree5plus_distribution_example():
 def test_degree5_split_of_five():
     system = LinSystem.build(2, [((0, 1), 0, 1)] * 5)
     out, step = _split_step(system, 0, "degree5plus")
-    clones = step.data["clones"]
+    clones = (0, *range(step.pre_n, step.post_n))
     assert len(clones) == 8
     original_occ = _original_occurrences(system, out, clones)
     assert original_occ == [1, 1, 1, 1, 1, 0, 0, 0]
