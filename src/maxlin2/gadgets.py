@@ -24,10 +24,12 @@ that needs occurrence counts takes them from the rows. The (=3,=3) checks
 -- three variables per row, three rows per variable, distinct left-hand
 sides -- run on these columns where the output's columns are built: no
 stage builds an Equation. Reduction and both assignment maps cost
-O(input + output). A variable of degree d >= 4 splits into clones tied by
-the edges of a ceil(log2 d)-cube, so it costs O(d log d) rows. No rule
-brings a variable down to one occurrence, so the output size follows
-exactly from the weighted degree profile, and a stage above
+O(input + output). A variable of degree 5 to 8 splits into clones joined
+by a small tie graph that leaves every clone at degree 3; one of degree 4
+or above 8 splits into clones tied by the edges of a ceil(log2 d)-cube,
+so above degree 8 it costs O(d log d) rows. No rule brings a variable
+down to one occurrence, so the output size follows exactly from the
+weighted degree profile, and a stage above
 MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
 `maxlin2 reduce`) before unit expansion builds anything.
 """
@@ -242,8 +244,8 @@ def _best_uniform_clone_value(step: TraceStep, values) -> int:
     """Pick the clone value whose uniform assignment falsifies least.
 
     Only the rows that held the split variable tell the two values apart:
-    the cube's tie rows hold under any uniform value, and every other row is
-    the same under both. Ties go to 0.
+    the tie rows hold under any uniform value, and every other row is the
+    same under both. Ties go to 0.
     """
     variable = step.data["variable"]
     falsified = [0, 0]
@@ -389,29 +391,67 @@ def _cube_ties(t: int) -> list[tuple[int, int]]:
     return [(i, i | 1 << b) for i in range(1 << t) for b in range(t) if not i >> b & 1]
 
 
-def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
-    """Split one variable of degree d >= 4 into clones tied by a hypercube, in place.
+# The tie graphs of degrees 5 to 8, as (slots, sorted tie pairs). Slot i < d
+# holds occurrence i and two ties, and every further slot (a helper) three
+# ties, so one split brings every clone to occurrence 3. Every set S of
+# slots has at least min(rows in S, rows outside S) ties leaving it.
+_TIE_GRAPHS = {
+    5: (5, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
+    6: (8, ((0, 1), (0, 6), (1, 7), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7))),
+    7: (
+        11,
+        (
+            (0, 5), (0, 7), (1, 2), (1, 8), (2, 9), (3, 7), (3, 9),
+            (4, 9), (4, 10), (5, 10), (6, 8), (6, 10), (7, 8),
+        ),
+    ),
+    8: (
+        14,
+        (
+            (0, 10), (0, 12), (1, 2), (1, 9), (2, 13), (3, 11), (3, 13), (4, 9), (4, 10),
+            (5, 8), (5, 12), (6, 7), (6, 11), (7, 8), (8, 9), (10, 11), (12, 13),
+        ),
+    ),
+}
 
-    With t = ceil(log2 d), the variable and 2^t - 1 fresh clones sit on the
-    vertices of the t-cube Q_t, each edge an rhs-0 tie row, and occurrence i
-    goes to clone i. Each clone then has degree t or t + 1; for d = 4 this is
-    a 4-cycle with every clone at degree 3. Q_t has edge expansion 1 (Harper),
-    so a uniform clone value stays optimal. Only the variable's rows and the
-    new tie rows are touched; each clone is fresh, so it sorts last in its
-    row, and its entry in `holders` (the `variable_rows` index) is made as
-    its rows are added. The step records the variable and its rows as they
-    were before the split, the only rows map-back has to evaluate; the
-    clones are the variable and the step's fresh range pre_n..post_n - 1.
+
+def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
+    """Split one variable of degree d >= 4 into clones joined by tie rows, in place.
+
+    The variable and fresh clones sit on the slots of a tie graph, each
+    edge an rhs-0 tie row, and occurrence i goes to clone i. For d = 5 to 8
+    the graph is the `_TIE_GRAPHS` entry, and every clone ends at degree 3.
+    Otherwise, with t = ceil(log2 d), it is the t-cube Q_t on 2^t slots, and
+    each clone has degree t or t + 1; for d = 4 this is a 4-cycle with every
+    clone at degree 3.
+
+    A uniform clone value stays optimal when every set S of clones has at
+    least min(rows held in S, rows held outside S) ties leaving it: given
+    any assignment, flipping the side that holds fewer of the variable's
+    rows makes every cut tie hold, and each flipped clone loses at most its
+    one row. The table meets this bound on every S (checked exhaustively);
+    Q_t meets it by Harper's edge-isoperimetric inequality.
+
+    Only the variable's rows and the new tie rows are touched; each clone is
+    fresh, so it sorts last in its row, and its entry in `holders` (the
+    `variable_rows` index) is made as its rows are added. The step records
+    the variable and its rows as they were before the split, the only rows
+    map-back has to evaluate; the clones are the variable and the step's
+    fresh range pre_n..post_n - 1.
     """
     lhs_column, rhs_column = store.lhs, store.rhs
     ids = holders[variable]
     degree = len(ids)
-    t = (degree - 1).bit_length()
+    if degree in _TIE_GRAPHS:
+        slots, ties = _TIE_GRAPHS[degree]
+    else:
+        t = (degree - 1).bit_length()
+        slots, ties = 1 << t, _cube_ties(t)
     pre = store.sizes()
     n = store.n
-    clones = (variable, *range(n, n + (1 << t) - 1))
+    clones = (variable, *range(n, n + slots - 1))
     data = {"variable": variable, "rows": tuple((lhs_column[j], rhs_column[j]) for j in ids)}
-    store.n = n + len(clones) - 1
+    store.n = n + slots - 1
     holders[variable] = []
     for clone, j in zip(clones, ids):
         if clone != variable:
@@ -420,7 +460,7 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
             lhs_column[j] = lhs[:i] + lhs[i + 1 :] + (clone,)
         holders[clone].append(j)
     # Clones ascend with their slots, so each tie pair is stored sorted.
-    for a, b in _cube_ties(t):
+    for a, b in ties:
         x, y = clones[a], clones[b]
         holders[x].append(len(lhs_column))
         holders[y].append(len(lhs_column))
@@ -432,11 +472,17 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
 def _split_growth(degree: int) -> tuple[int, int]:
     """Variables and rows the degree rules add to bring one variable to <= 3.
 
-    A split of degree d adds 2^t - 1 clones and t * 2^(t-1) tie rows, then
-    d clones of degree t + 1 and 2^t - d of degree t grow in turn.
+    A split of degree 5 to 8 adds one fresh clone per `_TIE_GRAPHS` slot
+    but the first, and the entry's ties, and leaves every clone at degree
+    3. Any other split of degree d
+    adds 2^t - 1 clones and t * 2^(t-1) tie rows of Q_t, then d clones of
+    degree t + 1 and 2^t - d of degree t grow in turn.
     """
     if degree <= 3:
         return 0, 0
+    if degree in _TIE_GRAPHS:
+        slots, ties = _TIE_GRAPHS[degree]
+        return slots - 1, len(ties)
     t = (degree - 1).bit_length()
     size = 1 << t
     held_n, held_m = _split_growth(t + 1)
@@ -496,13 +542,19 @@ def reduce_degree4(system: LinSystem, variable: int) -> LinSystem:
 
 
 def reduce_degree5plus(system: LinSystem, variable: int) -> LinSystem:
-    """Split a variable occurring d >= 5 times into 2^t clones tied by Q_t.
+    """Split a variable occurring d >= 5 times into clones joined by tie rows.
 
-    With t = ceil(log2 d), each clone holds at most one occurrence. By
-    Harper's edge-isoperimetric inequality every set S of at most half the
-    clones has at least |S| ties leaving it, so flipping the smaller side of
-    a disagreeing assignment gains at least as many ties as the at most |S|
-    rows it can break: some uniform clone value is optimal.
+    Each clone holds at most one occurrence. For d = 5 to 8 the ties are
+    the `_TIE_GRAPHS` entry (a 5-cycle for d = 5) and every clone ends at
+    degree 3; above 8 they are the edges of Q_t on 2^t clones, with
+    t = ceil(log2 d). Take any assignment and flip the side that holds
+    fewer of the variable's rows: every cut tie then holds, and each
+    flipped clone loses at most its one row. So if every set S of clones
+    has cut(S) >= min(rows in S, rows outside S), some uniform clone value
+    is optimal. The 5-cycle has at least 2 ties leaving any proper S, and
+    the min is at most 2; the larger entries were checked on every S; for
+    Q_t, Harper's edge-isoperimetric inequality gives every S of at most
+    half the clones at least |S| ties leaving it.
     """
     return _split_step(system, variable, "degree5plus")[0]
 
@@ -648,8 +700,9 @@ def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrac
 def _deduplicate(store: _Rows) -> list[TraceStep]:
     """Replace each repeated lhs in one pass over the rows; see `deduplicate_equations`.
 
-    The lhs column is counted once. With no repeat the store is left as it
-    is. Otherwise a row whose lhs occurs once is kept; the first copy of a
+    With no repeated lhs (a set of the column tells) the store is left as
+    it is. Otherwise the lhs column is counted once; a row whose lhs occurs
+    once is kept; the first copy of a
     repeated lhs is checked (at most three copies, and a triple's variables
     in no other row) and becomes the pair gadget or a logged triple; a later
     copy must agree with the first copy's rhs and is dropped.
@@ -658,9 +711,9 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
     if set(map(len, lhs_column)) - {3}:
         raise GadgetError("deduplication expects arity exactly 3")
     pre = store.sizes()
-    counts = Counter(lhs_column)
-    if len(counts) == len(lhs_column):
+    if len(set(lhs_column)) == len(lhs_column):
         return [store.step("deduplicate", {"pairs": (), "triples": ()}, pre)]
+    counts = Counter(lhs_column)
     occ = occurrences(lhs_column)
     first_rhs: dict[tuple[int, ...], int] = {}  # the rhs of each repeated lhs seen
     next_var = store.n

@@ -669,6 +669,36 @@ def test_cli_reduce_trace_file_text(tmp_path, capsys, target):
     assert (tmp_path / "red.lin2.trace").read_text() == REDUCE_TRACES[target]
 
 
+DEGREE5_TRACE = """\
+normalize m:7->7 n:4->4
+opposing-pairs m:7->5 n:4->4
+always-satisfied-removal m:5->5 n:4->4
+unit-expand m:5->5 n:4->4
+degree5plus variable=0 m:5->10 n:4->8
+arity-expand m:10->18 n:8->24
+degree2-triplets m:18->60 n:24->60
+deduplicate m:60->60 n:60->60
+compact m:60->60 n:60->60
+"""
+
+
+@pytest.mark.parametrize("target, lines", [("deg3", 5), ("arity3", 6), ("eq3eq3", 9)])
+def test_cli_reduce_trace_file_text_of_a_degree5_split(tmp_path, capsys, target, lines):
+    # Variable 1 is in seven rows; folding its opposing unary pair leaves
+    # five, which the 5-cycle splits with 4 fresh variables and 5 ties.
+    source = _write(
+        tmp_path,
+        "src.lin2",
+        "p lin2 4 7\n1 0 2 1 2\n1 1 2 1 3\n1 0 2 1 4\n1 1 3 1 2 3\n"
+        "1 0 3 1 2 4\n1 1 1 1\n1 0 1 1\n",
+    )
+    out_path = tmp_path / "red.lin2"
+    assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_OK
+    capsys.readouterr()
+    expected = "".join(DEGREE5_TRACE.splitlines(keepends=True)[:lines])
+    assert (tmp_path / "red.lin2.trace").read_text() == expected
+
+
 def test_cli_reduce_then_solve_keeps_forced_ledger(tmp_path, capsys):
     source = _write(
         tmp_path, "src.lin2", "p lin2 2 4\n1 0 1 1\n1 1 1 1\n1 0 1 2\n1 1 1 2\n"
@@ -715,17 +745,17 @@ def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
 
 
 def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
-    # One variable in 300 equations of weight 60 occurs 18,000 times once
-    # unit-expanded, and would split into about 1.8 * 10^7 equations. A unit
+    # One variable in 300 equations of weight 120 occurs 36,000 times once
+    # unit-expanded, and would split into about 1.6 * 10^7 equations. A unit
     # row on each leaf keeps the star's rows from being dropped.
-    rows = "".join(f"60 0 2 1 {j}\n" for j in range(2, 302))
+    rows = "".join(f"120 0 2 1 {j}\n" for j in range(2, 302))
     leaves = "".join(f"1 0 1 {j}\n" for j in range(2, 302))
     kept = _write(tmp_path, "star.lin2", f"p lin2 301 600\n{rows}{leaves}")
     bare = _write(tmp_path, "bare.lin2", f"p lin2 301 300\n{rows}")
     started = time.monotonic()
     for target in TARGETS:
         err = _assert_refused(kept, target, tmp_path / f"{target}.lin2", capsys)
-        assert "degree splitting would build 18498348" in err
+        assert "degree splitting would build 15735420" in err
     assert time.monotonic() - started < 1
     for target in TARGETS:
         _assert_drops_it_all(bare, target, tmp_path / f"bare.{target}.lin2", capsys)
@@ -737,10 +767,10 @@ def test_cli_reduce_refuses_an_oversize_output_before_building(tmp_path, capsys)
     # endpoint keeps their rows from being dropped as always satisfiable.
     bare_heavy = _write(tmp_path, "bare_heavy.lin2", "p lin2 2 1\n5000000 0 2 1 2\n")
     heavy = _write(tmp_path, "heavy.lin2", "p lin2 2 3\n5000000 0 2 1 2\n1 0 1 1\n1 0 1 2\n")
-    rows = "".join(f"2 0 2 1 {j}\n" for j in range(2, 2502))
-    leaves = "".join(f"1 0 1 {j}\n" for j in range(2, 2502))
-    bare_star = _write(tmp_path, "bare_star.lin2", f"p lin2 2501 2500\n{rows}")
-    star = _write(tmp_path, "star.lin2", f"p lin2 2501 5000\n{rows}{leaves}")
+    rows = "".join(f"2 0 2 1 {j}\n" for j in range(2, 5002))
+    leaves = "".join(f"1 0 1 {j}\n" for j in range(2, 5002))
+    bare_star = _write(tmp_path, "bare_star.lin2", f"p lin2 5001 5000\n{rows}")
+    star = _write(tmp_path, "star.lin2", f"p lin2 5001 10000\n{rows}{leaves}")
     started = time.monotonic()
     for source, target, stage in (
         (heavy, "eq3eq3", "degree splitting"),

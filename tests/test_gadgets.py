@@ -46,6 +46,7 @@ from maxlin2 import (
 )
 from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS, ContractViolationError
 from maxlin2.gadgets import (
+    _TIE_GRAPHS,
     _compact,
     _cube_ties,
     _enforce_degree,
@@ -221,32 +222,42 @@ def _original_occurrences(system, out, clones):
 
 
 def test_degree5plus_distribution_example():
-    # Eight occurrences on one variable: t = 3, so each of the 8 clones of
-    # Q_3 holds one of them, and the 12 cube edges are the only new rows.
+    # Eight occurrences on one variable: each of the first 8 of the 14 slots
+    # of the degree-8 tie graph holds one of them, its 6 helpers none, and
+    # the graph's 17 ties are the only new rows.
     system = LinSystem.build(
         3, [((0, 1), 0, 1)] * 4 + [((0, 2), 1, 1)] * 4
     )
     out, step = _split_step(system, 0, "degree5plus")
     clones = (0, *range(step.pre_n, step.post_n))
-    assert clones == (0, *range(3, 10))
+    assert clones == (0, *range(3, 16))
     assert set(step.data) == {"variable", "rows"}
-    assert _original_occurrences(system, out, clones) == [1] * 8
-    ties = [(clones[a], clones[b]) for a, b in _cube_ties(3)]
+    assert _original_occurrences(system, out, clones) == [1] * 8 + [0] * 6
+    ties = [(clones[a], clones[b]) for a, b in _TIE_GRAPHS[8][1]]
     assert list(out.lhs[len(system.lhs) :]) == ties
     assert not any(out.rhs[len(system.lhs) :])
+    assert all(occurrence_counts(out)[c] == 3 for c in clones)
+    # Nine occurrences take t = 4: the 16 clones of Q_4 and its 32 edges.
+    system = LinSystem.build(3, [((0, 1), 0, 1)] * 5 + [((0, 2), 1, 1)] * 4)
+    out, step = _split_step(system, 0, "degree5plus")
+    clones = (0, *range(step.pre_n, step.post_n))
+    assert clones == (0, *range(3, 18))
+    assert _original_occurrences(system, out, clones) == [1] * 9 + [0] * 7
+    ties = [(clones[a], clones[b]) for a, b in _cube_ties(4)]
+    assert list(out.lhs[len(system.lhs) :]) == ties
 
 
 def test_degree5_split_of_five():
     system = LinSystem.build(2, [((0, 1), 0, 1)] * 5)
     out, step = _split_step(system, 0, "degree5plus")
     clones = (0, *range(step.pre_n, step.post_n))
-    assert len(clones) == 8
+    assert len(clones) == 5
     original_occ = _original_occurrences(system, out, clones)
-    assert original_occ == [1, 1, 1, 1, 1, 0, 0, 0]
-    # every clone of Q_3 holds three ties besides its original occurrence
+    assert original_occ == [1, 1, 1, 1, 1]
+    # every clone of the 5-cycle holds two ties besides its original occurrence
     occ = occurrence_counts(out)
     for i, c in enumerate(clones):
-        assert occ[c] == original_occ[i] + 3
+        assert occ[c] == original_occ[i] + 2
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -270,6 +281,60 @@ def test_cube_ties_meet_the_edge_isoperimetric_bound(t):
         if members <= size // 2:
             assert boundary[subset] >= members * (t - math.log2(members)) - 1e-9
             assert boundary[subset] >= members
+
+
+@pytest.mark.parametrize("degree", sorted(_TIE_GRAPHS))
+def test_tie_graphs_leave_every_clone_at_three_and_stay_exact(degree):
+    # Slot i < degree holds occurrence i and two ties, a helper three ties,
+    # and every set S of slots has at least min(rows in S, rows outside S)
+    # ties leaving it: the bound that makes a uniform clone value optimal.
+    slots, ties = _TIE_GRAPHS[degree]
+    assert all(0 <= a < b < slots for a, b in ties)
+    assert len(set(ties)) == len(ties)
+    ends = collections.Counter(v for tie in ties for v in tie)
+    assert [ends[s] for s in range(slots)] == [2] * degree + [3] * (slots - degree)
+    rows = (1 << degree) - 1
+    for subset in range(1 << slots):
+        cut = sum((subset >> a ^ subset >> b) & 1 for a, b in ties)
+        inside = (subset & rows).bit_count()
+        assert cut >= min(inside, degree - inside), (degree, bin(subset))
+
+
+def test_degree5_to_8_splits_match_the_oracle_through_both_maps():
+    # Variable 0 in d unit rows with up to two partners each, plus a few
+    # rows over the other variables; 12 of each degree checked where the
+    # oracle can scan the split and the normalized systems.
+    rng = random.Random(8)
+    checked = collections.Counter()
+    while min(checked[d] for d in range(5, 9)) < 12:
+        degree, n = rng.choice((5, 6, 7, 8)), rng.randint(2, 8)
+        rows = [
+            ((0, *rng.sample(range(1, n), rng.randint(0, min(2, n - 1)))), rng.randint(0, 1), 1)
+            for _ in range(degree)
+        ]
+        for _ in range(rng.randint(0, 5)):
+            lhs = rng.sample(range(1, n), rng.randint(1, min(3, n - 1)))
+            rows.append((lhs, rng.randint(0, 1), 1))
+        if checked[degree] == 12:
+            continue
+        system = LinSystem.build(n, [(sorted(lhs), rhs, w) for lhs, rhs, w in rows])
+        split = reduce_degree5plus(system, 0)
+        out, trace = normalize_max_degree3(system)
+        if max(split.n, out.n) > 16:
+            continue
+        checked[degree] += 1
+        assert split.n - n == _TIE_GRAPHS[degree][0] - 1
+        occ = occurrence_counts(out)
+        for step in trace.steps:
+            clones = (step.data["variable"], *range(step.pre_n, step.post_n))
+            assert all(occ[c] == 3 for c in clones)
+        best = brute_force_min_falsified(system)
+        optimum = best.falsified_weight
+        assert brute_force_min_falsified(split).falsified_weight == optimum
+        reduced = brute_force_min_falsified(out)
+        assert reduced.falsified_weight == optimum
+        assert evaluate(system, trace.map_assignment_back(reduced.assignment))[1] == optimum
+        assert evaluate(out, trace.map_assignment_forward(best.assignment))[1] == optimum
 
 
 def test_degree5plus_preserves_optimum():
@@ -821,9 +886,9 @@ def test_oddset_through_pipeline_equivalence():
 # the corpus below. Any change to rule order, variable numbering or the
 # prune order of always-satisfied-removal shows up here.
 PIPELINE_GOLDEN = (
-    "3c07829335fb778b483a1e18155793710f3526a2ab8bb2e45613ec3b733eb17e",
-    "517387c2e7e23d4532485de8571f7fcc196d8ba1a8b3cb9684b56b51f92b85bd",
-    "f6fe4b5dabebcf97a5a97b076c5a35006aa178206b07e262dd2a97f7c4fa019d",
+    "c606fa823b62f279e526b7124ab4f231dd21289954757a9786cb8d30337905b1",
+    "a723d351e6aa5f1ef733d451dddc47372c47a43e297616e8e122193837e83cb8",
+    "cf2644e569c8926c5f7177d7f866e866ea1e0b60f12a1937442ca2bee8448b3f",
 )
 
 
@@ -919,30 +984,40 @@ def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
 
 @pytest.mark.parametrize(
     "degree, growth",
-    [(4, (3, 4)), (5, (22, 32)), (9, (234, 348)), (12, (291, 432)), (20, (795, 1184))],
+    [(4, (3, 4)), (5, (4, 5)), (9, (72, 105)), (12, (75, 108)), (20, (219, 320))],
 )
 def test_degree_rule_growth_is_predicted(degree, growth):
     assert _split_growth(degree) == growth
-    star = LinSystem.build(degree + 1, [((0, j), 0, 1) for j in range(1, degree + 1)])
-    triangles = LinSystem.build(
-        2 * degree + 1, [((0, 2 * j - 1, 2 * j), j & 1, 1) for j in range(1, degree + 1)]
-    )
-    for system in (star, triangles):
-        out, _ = normalize_max_degree3(system)
-        assert (out.n - system.n, len(out.equations) - len(system.equations)) == growth
+
+
+def test_degree_rule_growth_matches_what_the_split_builds():
+    # Every degree up to 40: one split through the table for 5 to 8, the
+    # cube and the table in turn above, on a star and on triangles.
+    for degree in range(4, 41):
+        growth = _split_growth(degree)
+        star = LinSystem.build(degree + 1, [((0, j), 0, 1) for j in range(1, degree + 1)])
+        triangles = LinSystem.build(
+            2 * degree + 1, [((0, 2 * j - 1, 2 * j), j & 1, 1) for j in range(1, degree + 1)]
+        )
+        for system in (star, triangles):
+            out, trace = normalize_max_degree3(system)
+            assert (out.n - system.n, len(out.lhs) - len(system.lhs)) == growth, degree
+            if degree in _TIE_GRAPHS:
+                assert len(trace.steps) == 1
+                assert all(c == 3 for c in occurrence_counts(out)[system.n :])
 
 
 def test_degree_rules_refuse_oversize_output_before_building():
-    # Splitting one variable of degree 20,000 would build about 1.8 * 10^7
+    # Splitting one variable of degree 33,000 would build about 1.4 * 10^7
     # equations. Every row of the bare star holds a leaf that occurs nowhere
     # else, so the pipeline drops it whole; a unit row on each leaf keeps it.
-    rows = [((0, j), 0, 1) for j in range(1, 20001)]
-    star = LinSystem.build(20001, rows)
-    kept = LinSystem.build(20001, rows + [((j,), 0, 1) for j in range(1, 20001)])
+    rows = [((0, j), 0, 1) for j in range(1, 33001)]
+    star = LinSystem.build(33001, rows)
+    kept = LinSystem.build(33001, rows + [((j,), 0, 1) for j in range(1, 33001)])
     started = time.monotonic()
-    with pytest.raises(CapacityError, match="degree splitting would build 17734048"):
+    with pytest.raises(CapacityError, match="degree splitting would build 14365320"):
         normalize_max_degree3(star)
-    with pytest.raises(CapacityError, match="degree splitting would build 17754048"):
+    with pytest.raises(CapacityError, match="degree splitting would build 14398320"):
         to_eq3_eq3(kept)
     assert to_eq3_eq3(star)[0].lhs == ()
     assert time.monotonic() - started < 1
@@ -1071,9 +1146,9 @@ def test_compact_checks_survive_python_O():
         "    LinSystem.from_columns(3, [(1, 0, 2)], b'\\x00', [1])\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
-        "rows = [((0, j), 0, 2) for j in range(1, 2501)]\n"
-        "print(len(gadgets.to_eq3_eq3(LinSystem.build(2501, rows))[0].lhs))\n"
-        "star = LinSystem.build(2501, rows + [((j,), 0, 1) for j in range(1, 2501)])\n"
+        "rows = [((0, j), 0, 2) for j in range(1, 5001)]\n"
+        "print(len(gadgets.to_eq3_eq3(LinSystem.build(5001, rows))[0].lhs))\n"
+        "star = LinSystem.build(5001, rows + [((j,), 0, 1) for j in range(1, 5001)])\n"
         "try:\n"
         "    gadgets.to_eq3_eq3(star)\n"
         "except CapacityError as exc:\n"
@@ -1100,8 +1175,8 @@ def test_compact_checks_survive_python_O():
     assert result.stdout == (
         "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
         "0\n"
-        f"the (=3,=3) finish would build 26474620 equations, over {MAX_UNIT_EQUATIONS}\n"
-        "the pipeline built (46, 69), predicted (2, 5)\n"
+        f"the (=3,=3) finish would build 12974520 equations, over {MAX_UNIT_EQUATIONS}\n"
+        "the pipeline built (10, 15), predicted (2, 5)\n"
         "the pipeline built (1, 0), predicted (1, 1)\n"
     )
 
