@@ -20,10 +20,10 @@ holds at most k + 1 edges for budget k, so a compression costs O(2^k) cuts.
 Every cut of a call runs on one residual network over the vertices that
 edges touch, numbered densely in ascending order. The guesses run in
 Gray-code order (Hüffner, JGAA 2009), so the next guess moves the terminals
-of one edge: it pushes the flow on them back to terminals on the other side
-and augments from the repaired flow. A cut stops once its flow passes k,
-since a set heavier than k ends the search anyway. The union-find is
-rebuilt only when a compression changes the deletion set.
+of one edge. It keeps the flow and re-prices the moved terminal edges by a
+constant that every cut pays (Kohli and Torr, TPAMI 2007). A cut stops once
+its flow passes k, since a set heavier than k ends the search anyway. The
+union-find is rebuilt only when a compression changes the deletion set.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class SearchStats:
 
     compressions: int = 0
     guesses: int = 0
-    flow_augmentations: int = 0  # augmenting paths, after each guess's repair
+    flow_augmentations: int = 0  # augmenting paths; each guess keeps the last flow
 
 
 class _ParityForest:
@@ -204,8 +204,11 @@ class _Network:
     Edge i owns arc 2i from its u end to its v end and arc 2i + 1 back; a ^ 1
     is arc a's reverse and head[a] its end. Both start at the edge's weight,
     and a push of f along a moves f residual from a to a ^ 1. Terminal 2i + s
-    is end s (u, then v) of candidate edge i; it hangs off the source when
-    source[t] is set and off the sink otherwise, with left[t] of its weight.
+    is end s (u, then v) of candidate edge i, with an edge from the source
+    and one to the sink at where[t]. The guess's side (the source's when
+    source[t] is set) is active: it holds weight[t] + extra[t], with left[t]
+    residual. The other is saturated at its flow extra[t], 0 at the first
+    guess and never stored, so it never starts or ends a path.
     """
 
     def __init__(self, g: Graph, ends, size: int) -> None:
@@ -228,6 +231,17 @@ class _Network:
         An end hangs off the source if that flips its colour in the forest of
         the other inserted edges, and off the sink otherwise. No set is
         lighter than floor, the optimum before the insertion.
+
+        A guess keeps the last flow. A flip re-prices both edges of a moved
+        terminal t by the flow a on its active edge, which stays saturated at
+        extra[t] = a while the other becomes active at weight[t] + a. Every
+        cut then costs sum(extra) more than in the guess's own network, so
+        value, the flow less sum(extra), is a lower bound on the guess's cut
+        and meets it once no path is left; the reached vertices are then the
+        least minimum cut of both networks. Since a less the old extra[t] is
+        weight[t] - left[t], a flip takes that from value, which can raise
+        it, and sets left[t] to 2 weight[t] - left[t]. Paths only lower
+        left[t], so it stays in 0..2 weight[t], and extra need not be stored.
         """
         stats.compressions += 1
         self.residual = self.capacity[:]
@@ -237,8 +251,8 @@ class _Network:
         self.where = where = [self.head[2 * eid + 1 - s] for eid in candidate for s in (0, 1)]
         colour = [self.edges[eid].parity * (1 - s) for eid in candidate for s in (0, 1)]
         self.source = source = [c != forest.find(x)[1] for c, x in zip(colour, where)]
-        self.weight = [self.edges[eid].weight for eid in candidate for _ in (0, 1)]
-        self.left = left = self.weight[:]
+        weight = [self.edges[eid].weight for eid in candidate for _ in (0, 1)]
+        self.left = left = weight[:]
         self.value = 0
         best = None
         # Gray-code order: each guess flips the terminals of one candidate edge
@@ -246,42 +260,28 @@ class _Network:
         for step in range(1 << (len(candidate) - 1)):
             if step:
                 i = (step & -step).bit_length() - 1
-                self._flip(2 * i)
-                self._flip(2 * i + 1)
+                for t in (2 * i, 2 * i + 1):
+                    self.value -= weight[t] - left[t]
+                    left[t] = 2 * weight[t] - left[t]
+                    source[t] = not source[t]
             stats.guesses += 1
             # augment to a maximum flow, or stop past bound with a valid flow
             while self.value <= bound:
                 starts = {x: ~t for t, x in enumerate(where) if left[t] and source[t]}
                 sinks = {x: t for t, x in enumerate(where) if left[t] and not source[t]}
-                via, y = self._walk(starts, sinks, 0, False)
+                via, y = self._walk(starts, sinks)
                 if y is None:
                     best, bound = self._cut(via, candidate), self.value - 1
                     break
-                self._shift(via, y, sinks[y], 0, 1)
+                self._shift(via, y, sinks[y])
                 stats.flow_augmentations += 1
             if self.value == floor:
                 break
         return best
 
-    def _flip(self, t: int) -> None:
-        """Move terminal t to the other side once the flow on it is cancelled:
-        walk arcs that carry that flow to loaded terminals on the other side,
-        and push it back."""
-        where, source, left, weight = self.where, self.source, self.left, self.weight
-        back = int(source[t])
-        while left[t] < weight[t]:
-            loaded = {x: s for s, x in enumerate(where)
-                      if left[s] < weight[s] and source[s] != source[t]}
-            via, y = self._walk({where[t]: ~t}, loaded, back, True)
-            if y is None:
-                raise ContractViolationError("terminal flow reaches no other terminal")
-            self._shift(via, y, loaded[y], back, -1)
-        source[t] = not source[t]
-
-    def _walk(self, starts, goals, back: int, against: bool):
+    def _walk(self, starts, goals):
         """Breadth-first search from starts (vertex: ~terminal) to a vertex in
-        goals along arcs with residual; with against set, only where a push
-        along arc ^ back would cancel flow on the arc's edge."""
+        goals along arcs with residual."""
         residual, out = self.residual, self.out
         via = starts
         queue = list(via)
@@ -289,34 +289,30 @@ class _Network:
             return via, y
         for y in queue:
             for arc, z in out[y]:
-                if z not in via and (
-                    residual[arc ^ back] > residual[arc ^ back ^ 1] if against else residual[arc]
-                ):
+                if z not in via and residual[arc]:
                     via[z] = arc
                     if z in goals:
                         return via, z
                     queue.append(z)
         return via, None
 
-    def _shift(self, via, y: int, last: int, back: int, sign: int) -> None:
-        """Push as much flow as fits along the walk into y, each arc turned by
-        back, between its first terminal and last: sign 1 loads both
-        terminals, -1 unloads them."""
-        residual, left, weight = self.residual, self.left, self.weight
+    def _shift(self, via, y: int, last: int) -> None:
+        """Push as much flow as fits along the walk into y, loading its first
+        terminal and last."""
+        residual, left = self.residual, self.left
         path = []
         arc = via[y]
         while arc >= 0:
-            path.append(arc ^ back)
+            path.append(arc)
             arc = via[self.head[arc ^ 1]]
         ends = (~arc, last)
-        amount = min([left[s] if sign > 0 else weight[s] - left[s] for s in ends]
-                     + [residual[a] for a in path])
+        amount = min([left[s] for s in ends] + [residual[a] for a in path])
         for a in path:
             residual[a] -= amount
             residual[a ^ 1] += amount
         for s in ends:
-            left[s] -= sign * amount
-        self.value += sign * amount
+            left[s] -= amount
+        self.value += amount
 
     def _cut(self, reached, candidate) -> list[int]:
         """Edge ids of the cut around reached, checked against the flow value."""

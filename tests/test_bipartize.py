@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -200,18 +201,43 @@ def test_signed_engine_matches_brute_force():
 
 
 def test_weighted_engine_matches_min_weight():
-    rng = random.Random(0xE4)
-    for index in range(80):
-        g = random_graph(
-            rng, max_vertices=5, max_edges=7, max_weight=4, signed=index % 2 == 1
-        )
-        want = min_weight_bipartization(g)
-        result = edge_bipartization(g, want)
-        assert result is not None
-        assert sum(g.edges[eid].weight for eid in result.deleted_edges) == want
-        _check_proper(g, result)
-        if want > 0:
-            assert edge_bipartization(g, want - 1) is None
+    # the larger size reaches compressions of more candidates, whose guesses
+    # flip terminals that carry flow
+    for seed, count, max_vertices, max_edges in ((0xE4, 80, 5, 7), (0xE8, 150, 8, 12)):
+        rng = random.Random(seed)
+        for index in range(count):
+            g = random_graph(rng, max_vertices=max_vertices, max_edges=max_edges,
+                             max_weight=4, signed=index % 2 == 1)
+            want = min_weight_bipartization(g)
+            result = edge_bipartization(g, want)
+            assert result is not None
+            assert sum(g.edges[eid].weight for eid in result.deleted_edges) == want
+            _check_proper(g, result)
+            if want > 0:
+                assert edge_bipartization(g, want - 1) is None
+
+
+# sha256 of (side, sorted deleted edges), or b"-" for None, over the corpus
+# below. The cuts, and so the answers, must not depend on the flow that a
+# compression keeps from one guess to the next. Some of its flips move a
+# terminal that holds less flow than at its last flip, which raises the flow
+# value; no other test reaches that case.
+BIPARTIZE_GOLDEN = "cc1814680f9f35589737b8c075860b6e983e62bd555b37befa40392b016cba1c"
+
+
+def test_bipartize_golden_digest():
+    rng = random.Random(0x60D)
+    digest = hashlib.sha256()
+    answers = 0
+    for i in range(400):
+        g = random_graph(rng, max_vertices=12, max_edges=24, max_weight=3, signed=i % 2 == 1)
+        result = edge_bipartization(g, i % 7)
+        if result is None:
+            digest.update(b"-")
+        else:
+            answers += 1
+            digest.update(result.side + bytes(sorted(result.deleted_edges)) + b"|")
+    assert (digest.hexdigest(), answers) == (BIPARTIZE_GOLDEN, 224)
 
 
 def test_engine_cost_does_not_grow_with_weight():

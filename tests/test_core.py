@@ -349,14 +349,19 @@ def test_library_has_no_assert_statements():
 
 
 def test_library_has_no_unread_private_names():
-    # a module-level _name that no module of the package reads is dead code
+    # a module-level _name or a _method that no module of the package reads
+    # is dead code
     package = Path(maxlin2.__file__).parent
     defined = []
     read = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                names = [node.name]
+                defined += [(path.name, item.lineno, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
