@@ -27,11 +27,12 @@ stage builds an Equation. Reduction and both assignment maps cost
 O(input + output). A variable of degree 5 to 8 splits into clones joined
 by a small tie graph that leaves every clone at degree 3; one of degree 4
 or above 8 splits into clones tied by the edges of a ceil(log2 d)-cube,
-so above degree 8 it costs O(d log d) rows. No rule brings a variable
-down to one occurrence, so the output size follows exactly from the
-weighted degree profile, and a stage above
-MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
-`maxlin2 reduce`) before unit expansion builds anything.
+so above degree 8 it costs O(d log d) rows. Occurrence-2 variables are
+padded six at a time by 10 rows, a last three by 7. No rule brings a
+variable down to one occurrence, so the output size follows exactly from
+the weighted degree profile, and a stage above MAX_UNIT_EQUATIONS
+equations is refused with CapacityError (exit 64 from `maxlin2 reduce`)
+before unit expansion builds anything.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from functools import cache
+from itertools import chain, compress, product
 from operator import eq
 from typing import NamedTuple
 
@@ -314,10 +316,9 @@ def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
                 values.extend((0, 0, 0, 0) if values[lhs[0]] == rhs else (1, 0, 0, 0))
         return values
     if rule == "degree2-triplets":
-        for t1, t2, t3 in step.data["triplets"]:
-            tie = values[t1] ^ values[t2]
-            t = values[t3]
-            values.extend((tie, 0, t, tie, t, tie ^ t))
+        for k, held in step.data["groups"]:
+            bits = zip(*[map(values.__getitem__, held[s::k]) for s in range(k)])
+            values.extend(chain.from_iterable(map(_pad_completions(k).__getitem__, bits)))
         return values
     if rule == "deduplicate":
         # Triples need nothing: their variables occur in no output row.
@@ -391,27 +392,21 @@ def _cube_ties(t: int) -> list[tuple[int, int]]:
     return [(i, i | 1 << b) for i in range(1 << t) for b in range(t) if not i >> b & 1]
 
 
+def _slot_lists(text: str) -> tuple[tuple[int, ...], ...]:
+    """Parse "0 1, , 2" as ((0, 1), (), (2,)); as strings, the tables compile in less memory."""
+    return tuple(tuple(map(int, item.split())) for item in text.split(","))
+
+
 # The tie graphs of degrees 5 to 8, as (slots, sorted tie pairs). Slot i < d
 # holds occurrence i and two ties, and every further slot (a helper) three
 # ties, so one split brings every clone to occurrence 3. Every set S of
 # slots has at least min(rows in S, rows outside S) ties leaving it.
 _TIE_GRAPHS = {
-    5: (5, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))),
-    6: (8, ((0, 1), (0, 6), (1, 7), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7))),
-    7: (
-        11,
-        (
-            (0, 5), (0, 7), (1, 2), (1, 8), (2, 9), (3, 7), (3, 9),
-            (4, 9), (4, 10), (5, 10), (6, 8), (6, 10), (7, 8),
-        ),
-    ),
-    8: (
-        14,
-        (
-            (0, 10), (0, 12), (1, 2), (1, 9), (2, 13), (3, 11), (3, 13), (4, 9), (4, 10),
-            (5, 8), (5, 12), (6, 7), (6, 11), (7, 8), (8, 9), (10, 11), (12, 13),
-        ),
-    ),
+    5: (5, _slot_lists("0 1, 0 4, 1 2, 2 3, 3 4")),
+    6: (8, _slot_lists("0 1, 0 6, 1 7, 2 3, 2 6, 3 7, 4 5, 4 6, 5 7")),
+    7: (11, _slot_lists("0 5, 0 7, 1 2, 1 8, 2 9, 3 7, 3 9, 4 9, 4 10, 5 10, 6 8, 6 10, 7 8")),
+    8: (14, _slot_lists("0 10, 0 12, 1 2, 1 9, 2 13, 3 11, 3 13, 4 9, 4 10, 5 8, 5 12, 6 7,"
+                        " 6 11, 7 8, 8 9, 10 11, 12 13")),
 }
 
 
@@ -423,14 +418,7 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     the graph is the `_TIE_GRAPHS` entry, and every clone ends at degree 3.
     Otherwise, with t = ceil(log2 d), it is the t-cube Q_t on 2^t slots, and
     each clone has degree t or t + 1; for d = 4 this is a 4-cycle with every
-    clone at degree 3.
-
-    A uniform clone value stays optimal when every set S of clones has at
-    least min(rows held in S, rows held outside S) ties leaving it: given
-    any assignment, flipping the side that holds fewer of the variable's
-    rows makes every cut tie hold, and each flipped clone loses at most its
-    one row. The table meets this bound on every S (checked exhaustively);
-    Q_t meets it by Harper's edge-isoperimetric inequality.
+    clone at degree 3; `reduce_degree5plus` shows why the split is exact.
 
     Only the variable's rows and the new tie rows are touched; each clone is
     fresh, so it sorts last in its row, and its entry in `holders` (the
@@ -643,35 +631,46 @@ def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceSt
     return post, _sized_step("always-satisfied-removal", {"removed": removed}, system, post)
 
 
+# Gadgets padding k variables of occurrence 2, as (rows, fresh values): slot
+# i < k holds the i-th variable, slot k + i fresh variable i. Each row is
+# sorted, has rhs 0 and ends in a fresh slot; a group slot is in one row, a
+# fresh slot in three. Fresh variable i is the XOR of the group slots in list i.
+_PAD_GADGETS = {
+    3: (_slot_lists("0 1 3, 2 4 5, 3 4 6, 3 7 8, 4 5 7, 5 6 8, 6 7 8"),
+        _slot_lists("0 1, , 2, 0 1, 2, 0 1 2")),
+    6: (_slot_lists("0 1 6, 2 3 7, 4 5 8, 6 9 10, 6 9 11, 7 10 12, 7 11 12, 8 10 13, 8 11 13,"
+                    " 9 12 13"),
+        _slot_lists("0 1, 2 3, 4 5, 2 3 4 5, 0 1 2 3 4 5, 0 1 2 3 4 5, 0 1 4 5, 0 1 2 3")),
+}
+
+
+@cache  # built on first use, so a run that pads nothing does not hold it
+def _pad_completions(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each value of a k-group, mapped to the fresh values that complete it."""
+    return {bits: tuple(sum(bits[i] for i in xor) & 1 for xor in _PAD_GADGETS[k][1])
+            for bits in product((0, 1), repeat=k)}
+
+
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
-    """Tie the occurrence-2 variables, in ascending triplets, to seven-row gadgets."""
-    deg2 = sorted(v for v, c in occurrences(store.lhs).items() if c == 2)
+    """Pad the occurrence-2 variables, ascending, six at a time (a last three if need be)."""
+    deg2 = tuple(sorted(v for v, c in occurrences(store.lhs).items() if c == 2))
     if len(deg2) % 3:
         raise ContractViolationError(
             f"{len(deg2)} variables of occurrence 2; expected a multiple of 3"
         )
     pre = store.sizes()
-    lhs_column, rhs_column = store.lhs, store.rhs
-    next_var = store.n
-    start = len(lhs_column)
-    triplets = []
-    for i in range(0, len(deg2), 3):
-        t1, t2, t3 = deg2[i : i + 3]
-        a, b, c, d, e, f = range(next_var, next_var + 6)
-        next_var += 6
-        lhs_column += (
-            (t1, t2, a),
-            (t3, b, c),
-            (a, b, d),
-            (a, e, f),
-            (b, c, e),
-            (c, d, f),
-            (d, e, f),
-        )
-        triplets.append((t1, t2, t3))
-    rhs_column += bytes(len(lhs_column) - start)
-    store.n = next_var
-    return [store.step("degree2-triplets", {"triplets": tuple(triplets)}, pre)]
+    cut = len(deg2) - len(deg2) % 6
+    groups = ((6, deg2[:cut]), (3, deg2[cut:]))  # (size, the variables of every group)
+    for k, held in groups:
+        rows, fresh = _PAD_GADGETS[k]
+        f, n = len(fresh), store.n
+        store.n += f * len(held) // k
+        # Column s holds slot s of every group; each row zips its three
+        # columns, and reading the zips in turn writes one gadget at a time.
+        columns = [held[s::k] for s in range(k)] + [range(n + i, store.n, f) for i in range(f)]
+        store.lhs += chain.from_iterable(zip(*[zip(*map(columns.__getitem__, r)) for r in rows]))
+    store.rhs += bytes(len(store.lhs) - pre[1])
+    return [store.step("degree2-triplets", {"groups": groups}, pre)]
 
 
 def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -679,10 +678,10 @@ def enforce_degree_exactly3(system: LinSystem) -> tuple[LinSystem, ReductionTrac
 
     The input has arity exactly 3 and occurrence at most 3. Always-satisfiable
     equations (those with a singly-occurring variable) are removed first, as
-    in `to_eq3_eq3`; the remaining occurrence-2 variables are grouped into
-    ascending-index triplets, each tied to six fresh variables by seven
-    distinct unit equations. Every value of a triplet has exactly one
-    completion satisfying all seven, so the optimum is unchanged.
+    in `to_eq3_eq3`; the remaining occurrence-2 variables, ascending, are
+    tied in groups of six to eight fresh variables by ten distinct rhs-0
+    rows, and a last group of three to six by seven. Every value of a group
+    has one completion satisfying its rows, so the optimum is unchanged.
     """
     if set(map(len, system.lhs)) - {3}:
         raise GadgetError("arity must be exactly 3; run arity expansion first")
@@ -868,8 +867,8 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
     `system` normalized and through always-satisfied-removal, as the
     pipeline runs it:
     - every clone ends at occurrence 3, every fresh variable of arity
-      expansion at 2 and no variable at 1, so the triplets cost 7 rows per
-      3 variables of occurrence 2;
+      expansion at 2 and no variable at 1, so the padding costs 10 rows per
+      six variables of occurrence 2 and 7 for a last three;
     - a copied row reaches deduplication iff it has weight 2 and none of its
       variables is split (a weight-3 one would have been removed);
     - a (=3,=3) output has as many variables as rows.
@@ -887,7 +886,8 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
     arity1, arity2 = arity_weight[1], arity_weight[2] + dm  # every tie has arity 2
     n, m = n + dn + 2 * arity2 + 4 * arity1, m + dm + arity2 + 2 * arity1
     sizes.append((n, m))
-    m += 7 * ((profile[2] + 2 * arity2 + 4 * arity1) // 3)
+    sixes, rest = divmod(profile[2] + 2 * arity2 + 4 * arity1, 6)
+    m += len(_PAD_GADGETS[6][0]) * sixes + len(_PAD_GADGETS[3][0]) * (rest // 3)
     for lhs, weight in zip(system.lhs, system.weights):
         if len(lhs) == 3 and weight == 2 and max(degree[v] for v in lhs) <= 3:
             m += 6

@@ -640,9 +640,9 @@ always-satisfied-removal m:4->3 n:4->4
 unit-expand m:3->4 n:4->4
 degree4 variable=0 m:4->8 n:4->7
 arity-expand m:8->15 n:7->21
-degree2-triplets m:15->50 n:21->51
-deduplicate m:50->50 n:51->51
-compact m:50->50 n:51->50
+degree2-triplets m:15->42 n:21->43
+deduplicate m:42->42 n:43->43
+compact m:42->42 n:43->42
 """
 
 # The exact .trace text of each target on one input with a weight-2 row, an
@@ -676,9 +676,9 @@ always-satisfied-removal m:5->5 n:4->4
 unit-expand m:5->5 n:4->4
 degree5plus variable=0 m:5->10 n:4->8
 arity-expand m:10->18 n:8->24
-degree2-triplets m:18->60 n:24->60
-deduplicate m:60->60 n:60->60
-compact m:60->60 n:60->60
+degree2-triplets m:18->48 n:24->48
+deduplicate m:48->48 n:48->48
+compact m:48->48 n:48->48
 """
 
 

@@ -44,8 +44,14 @@ from maxlin2 import (
     solve_occ2,
     to_eq3_eq3,
 )
-from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS, ContractViolationError
+from maxlin2.core import (
+    MAX_TOTAL_WEIGHT,
+    MAX_UNIT_EQUATIONS,
+    ContractViolationError,
+    occurrences,
+)
 from maxlin2.gadgets import (
+    _PAD_GADGETS,
     _TIE_GRAPHS,
     _compact,
     _cube_ties,
@@ -499,21 +505,37 @@ def test_enforce_triplet_shape():
     assert all(c == 3 for c in occurrence_counts(out))
 
 
-def test_triplet_gadget_exhaustive():
-    store = _store(5, TRIPLET_ROWS)
+# Stores with 3, 6, 9 and 15 variables of occurrence 2 (2..4, then 0..k-1),
+# the rest at occurrence 3.
+PAD_STORES = {
+    3: (5, TRIPLET_ROWS),
+    6: (6, [((0, 1, 2), 0), ((0, 2, 4), 0), ((1, 3, 5), 0), ((3, 4, 5), 0)]),
+    9: (9, [((0, 1, 2), 0), ((0, 3, 6), 0), ((1, 4, 7), 0), ((2, 5, 8), 0),
+            ((3, 4, 5), 0), ((6, 7, 8), 0)]),
+    15: (15, [((i, i + 1, i + 2), 1) for i in range(0, 15, 3)]
+         + [((i, i + 5, i + 10), 0) for i in range(5)]),
+}
+
+
+@pytest.mark.parametrize("size", sorted(_PAD_GADGETS))
+def test_triplet_gadget_exhaustive(size):
+    n, rows = PAD_STORES[size]
+    store = _store(n, rows)
     (step,) = _enforce_degree(store)
-    (triplet,) = step.data["triplets"]
-    gadget = list(zip(store.lhs, store.rhs))[len(TRIPLET_ROWS) :]
+    group = dict(step.data["groups"])[size]
+    assert len(group) == size
+    gadget = list(zip(store.lhs, store.rhs))[len(rows) :]
+    assert len(gadget) == len(_PAD_GADGETS[size][0])
     fresh = range(step.pre_n, step.post_n)
     held = collections.Counter(v for lhs, _ in gadget for v in lhs)
-    assert held == {**dict.fromkeys(triplet, 1), **dict.fromkeys(fresh, 3)}
+    assert held == {**dict.fromkeys(group, 1), **dict.fromkeys(fresh, 3)}
     assert gadget == sorted(set(gadget))
     assert all(lhs == tuple(sorted(set(lhs))) for lhs, _ in gadget)
     # No gadget row can equal a row outside the gadget.
     assert all(lhs[-1] in fresh for lhs, _ in gadget)
-    for bits in itertools.product((0, 1), repeat=3):
+    for bits in itertools.product((0, 1), repeat=size):
         values = [0] * step.pre_n
-        for t, bit in zip(triplet, bits):
+        for t, bit in zip(group, bits):
             values[t] = bit
         satisfying = []
         for completion in itertools.product((0, 1), repeat=len(fresh)):
@@ -521,6 +543,34 @@ def test_triplet_gadget_exhaustive():
             if all(sum(full[v] for v in lhs) % 2 == rhs for lhs, rhs in gadget):
                 satisfying.append(completion)
         assert satisfying == [tuple(_map_forward_step(step, values)[step.pre_n :])]
+
+
+@pytest.mark.parametrize(
+    "count, groups, growth",
+    [
+        (3, ((6, ()), (3, (2, 3, 4))), (6, 7)),
+        (6, ((6, (0, 1, 2, 3, 4, 5)), (3, ())), (8, 10)),
+        (9, ((6, (0, 1, 2, 3, 4, 5)), (3, (6, 7, 8))), (14, 17)),
+        (15, ((6, tuple(range(12))), (3, (12, 13, 14))), (22, 27)),
+    ],
+)
+def test_pad_groups_six_then_three(count, groups, growth):
+    store = _store(*PAD_STORES[count])
+    (step,) = _enforce_degree(store)
+    assert step.data["groups"] == groups
+    assert (step.post_n - step.pre_n, step.post_m - step.pre_m) == growth
+    assert set(occurrences(store.lhs).values()) == {3}
+    # One gadget per group, in order, each with the next fresh variables and
+    # its rows in table order.
+    expected, fresh = [], step.pre_n
+    for k, held in groups:
+        rows, values = _PAD_GADGETS[k]
+        for start in range(0, len(held), k):
+            slots = held[start : start + k] + tuple(range(fresh, fresh + len(values)))
+            fresh += len(values)
+            expected += [tuple(slots[s] for s in row) for row in rows]
+    assert store.lhs[step.pre_m :] == expected
+    assert bytes(store.rhs[step.pre_m :]) == bytes(len(expected))
 
 
 def test_enforce_removes_always_satisfiable():
@@ -706,6 +756,11 @@ GADGET_INPUT_FAULTS = {
         GadgetError,
         "occurrence above 3; run degree normalization first",
     ),
+    "enforce occurrence-2 count": (
+        lambda: _enforce_degree(_store(4, [((0, 1, 2), 0), ((0, 1, 3), 0)])),
+        ContractViolationError,
+        "2 variables of occurrence 2; expected a multiple of 3",
+    ),
     "dedup arity 2": (
         lambda: deduplicate_equations(LinSystem.build(2, [((0, 1), 0, 1)])),
         GadgetError,
@@ -886,9 +941,9 @@ def test_oddset_through_pipeline_equivalence():
 # the corpus below. Any change to rule order, variable numbering or the
 # prune order of always-satisfied-removal shows up here.
 PIPELINE_GOLDEN = (
-    "c606fa823b62f279e526b7124ab4f231dd21289954757a9786cb8d30337905b1",
-    "a723d351e6aa5f1ef733d451dddc47372c47a43e297616e8e122193837e83cb8",
-    "cf2644e569c8926c5f7177d7f866e866ea1e0b60f12a1937442ca2bee8448b3f",
+    "6edcc9eaef58c08deb81de15258759be87e043a9873c016c993d5379eace7dcd",
+    "cded7388ea9cc99d8b1887e7e0b0c38df308399424dd1fe6c444d973774ad7b8",
+    "607d49766d1c7369ef745512e8922f95fe7e21c37a895b6642092898844dfc4d",
 )
 
 
@@ -1175,7 +1230,7 @@ def test_compact_checks_survive_python_O():
     assert result.stdout == (
         "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
         "0\n"
-        f"the (=3,=3) finish would build 12974520 equations, over {MAX_UNIT_EQUATIONS}\n"
+        f"the (=3,=3) finish would build 10378616 equations, over {MAX_UNIT_EQUATIONS}\n"
         "the pipeline built (10, 15), predicted (2, 5)\n"
         "the pipeline built (1, 0), predicted (1, 1)\n"
     )

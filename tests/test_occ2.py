@@ -81,6 +81,27 @@ def test_solve_occ2_refuses_the_star_before_allocating():
     assert traced_peak(refuse) < 2**20
 
 
+@pytest.mark.parametrize("solver", [solve_occ2, solve_occ2_merge])
+def test_occ2_solvers_refuse_with_the_lowest_most_held_variable(solver):
+    # Both solvers check the bound from their own count: solve_occ2 from a
+    # list over the held variables, solve_occ2_merge from its row index,
+    # which lists variable 5 before variable 1. Both hold three rows.
+    rows = [((2, 5), 0), ((3, 5), 0), ((4, 5), 0), ((1, 6), 0), ((1, 7), 0), ((1, 8), 0)]
+    cases = [
+        (LinSystem.build(9, rows), "variable 1 occurs 3 times; at most 2 allowed"),
+        (star_system(10**6), "variable 0 occurs 4 times; at most 2 allowed"),
+    ]
+    for system, message in cases:
+
+        def refuse():
+            with pytest.raises(InstanceClassError) as caught:
+                solver(system)
+            assert type(caught.value) is InstanceClassError
+            assert str(caught.value) == message
+
+        assert traced_peak(refuse) < 2**20
+
+
 def test_prune_log_takes_lowest_singleton_first():
     rng = random.Random(0x9E1)
     for _ in range(300):
