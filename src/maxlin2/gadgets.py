@@ -27,12 +27,15 @@ stage builds an Equation. Reduction and both assignment maps cost
 O(input + output). A variable of degree 5 to 8 splits into clones joined
 by a small tie graph that leaves every clone at degree 3; one of degree 4
 or above 8 splits into clones tied by the edges of a ceil(log2 d)-cube,
-so above degree 8 it costs O(d log d) rows. Occurrence-2 variables are
-padded six at a time by 10 rows, a last three by 7. No rule brings a
-variable down to one occurrence, so the output size follows exactly from
-the weighted degree profile, and a stage above MAX_UNIT_EQUATIONS
-equations is refused with CapacityError (exit 64 from `maxlin2 reduce`)
-before unit expansion builds anything.
+so above degree 8 it costs O(d log d) rows. Every gadget that replaces a
+row of arity 1 or 2 or a pair of copied rows, or pads occurrence-2
+variables (six at a time by 10 rows, a last three by 7), is one entry of
+one table: one writer lays its rows out, the forward map completes it and
+the size prediction counts it from that entry. No rule brings a variable
+down to one occurrence, so the output size follows exactly from the
+weighted degree profile, and a stage above MAX_UNIT_EQUATIONS equations
+is refused with CapacityError (exit 64 from `maxlin2 reduce`) before unit
+expansion builds anything.
 """
 
 from __future__ import annotations
@@ -236,9 +239,13 @@ class ReductionTrace:
 
 
 def _checked_list(assignment, n: int) -> list[int]:
+    """The assignment as a list of n entries, each checked to be 0 or 1."""
     values = list(assignment)
     if len(values) != n:
         raise DimensionError(f"assignment length {len(values)} != variable count {n}")
+    if not {0, 1}.issuperset(values):
+        bad = next(i for i, v in enumerate(values) if v not in (0, 1))
+        raise ValueError(f"assignment entry {bad} must be 0 or 1, got {values[bad]!r}")
     return values
 
 
@@ -267,6 +274,10 @@ def _best_uniform_clone_value(step: TraceStep, values) -> int:
 # the clones are that variable and the fresh range pre_n..post_n - 1.
 _SPLIT_RULES = ("degree4", "degree5plus")
 
+# The rules that write `_GADGETS` entries; their data holds the "groups"
+# `_write` returned, and deduplication's also its "triples".
+_GADGET_RULES = ("arity-expand", "degree2-triplets", "deduplicate")
+
 
 def _map_back_step(step: TraceStep, values: list[int]) -> list[int]:
     rule = step.rule
@@ -278,14 +289,11 @@ def _map_back_step(step: TraceStep, values: list[int]) -> list[int]:
         del values[pre_n:]
         values[step.data["variable"]] = v
         return values
-    if rule in ("arity-expand", "degree2-triplets"):
-        del values[pre_n:]
-        return values
     if rule == "always-satisfied-removal":
         return _satisfy_removed(step.data["removed"], values)
-    if rule == "deduplicate":
+    if rule in _GADGET_RULES:
         del values[pre_n:]
-        for (x, y, z), rhs in step.data["triples"]:
+        for (x, y, z), rhs in step.data.get("triples", ()):
             values[x] = rhs
             values[y] = 0
             values[z] = 0
@@ -307,25 +315,15 @@ def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
     if rule in _SPLIT_RULES:
         values.extend([values[step.data["variable"]]] * (step.post_n - step.pre_n))
         return values
-    if rule == "arity-expand":
-        for lhs, rhs in step.data["expanded"]:
-            if len(lhs) == 2:
-                values.extend((values[lhs[0]], 0))  # u = x, v = 0 satisfies u+v+x=0
-            else:
-                # a = 1 shifts the mismatch onto a single gadget equation
-                values.extend((0, 0, 0, 0) if values[lhs[0]] == rhs else (1, 0, 0, 0))
-        return values
-    if rule == "degree2-triplets":
-        for k, held in step.data["groups"]:
-            bits = zip(*[map(values.__getitem__, held[s::k]) for s in range(k)])
-            values.extend(chain.from_iterable(map(_pad_completions(k).__getitem__, bits)))
-        return values
-    if rule == "deduplicate":
+    if rule in _GADGET_RULES:
+        # Each copy of a gadget is completed by one lookup on the values of
+        # the slots its fresh variables read.
         # Triples need nothing: their variables occur in no output row.
-        for (x, y, z), rhs in step.data["pairs"]:
-            parity = values[x] ^ values[y] ^ values[z]
-            c = values[z] if parity == rhs else values[z] ^ 1
-            values.extend((values[x], values[y], c, values[x], values[y], c))
+        for name, sources, rhs_bits in step.data["groups"]:
+            k = _GADGETS[name][0]
+            read, completions = _completions(name)
+            columns = [rhs_bits if s < 0 else map(values.__getitem__, sources[s::k]) for s in read]
+            values.extend(chain.from_iterable(map(completions.__getitem__, zip(*columns))))
         return values
     if rule == "compact":
         if step.post_n == step.pre_n:
@@ -560,41 +558,86 @@ def normalize_max_degree3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]
 
 
 # ---------------------------------------------------------------------------
+# The gadgets that replace or pad rows, and their one writer
+
+
+# Every gadget, as (k, rows, fresh, rhs rows). Slot i < k holds source
+# variable i and slot k + i fresh variable i; each row is sorted and ends in
+# a fresh slot. The rows in rhs rows take the source row's rhs, the others
+# rhs 0. Fresh variable i is the XOR of the slots in fresh[i], slot -1 being
+# that rhs: so completed, a gadget falsifies as many rows as its source
+# loses (a pad none), and no completion falsifies fewer.
+# - arity1, arity2 replace a row of arity 1 or 2, its variables the sources;
+# - pair replaces the two copies of a repeated row, its variables the sources;
+# - pad6, pad3 take six or three variables of occurrence 2 to occurrence 3.
+_GADGETS = {
+    "arity1": (1, _slot_lists("0 1 2, 1 3 4, 2 3 4"), _slot_lists("0 -1, , , "), (0,)),
+    "arity2": (2, _slot_lists("0 2 3, 1 2 3"), _slot_lists("0, "), (1,)),
+    "pair": (3, _slot_lists("0 1 5, 3 4 5, 2 3 4, 0 1 8, 6 7 8, 2 6 7, 3 5 7, 4 6 8"),
+             _slot_lists("0, 1, 0 1 -1, 0, 1, 0 1 -1"), range(8)),
+    "pad3": (3, _slot_lists("0 1 3, 2 4 5, 3 4 6, 3 7 8, 4 5 7, 5 6 8, 6 7 8"),
+             _slot_lists("0 1, , 2, 0 1, 2, 0 1 2"), ()),
+    "pad6": (6, _slot_lists("0 1 6, 2 3 7, 4 5 8, 6 9 10, 6 9 11, 7 10 12, 7 11 12, 8 10 13,"
+                            " 8 11 13, 9 12 13"),
+             _slot_lists("0 1, 2 3, 4 5, 2 3 4 5, 0 1 2 3 4 5, 0 1 2 3 4 5, 0 1 4 5, 0 1 2 3"), ()),
+}
+
+
+def _write(store: _Rows, name: str, sources: tuple[int, ...], rhs_bits: bytes) -> tuple:
+    """Append one copy of gadget `name` per rhs bit, each on the next k sources.
+
+    Each copy takes the next f fresh variables. Returns the (name, sources,
+    rhs_bits) group that the forward map completes.
+    """
+    if not rhs_bits:
+        return name, sources, rhs_bits
+    k, rows, fresh, rhs_rows = _GADGETS[name]
+    f, n, count = len(fresh), store.n, len(rhs_bits)
+    store.n += f * count
+    # Column s holds slot s of every copy; each row zips its three columns,
+    # and reading the zips in turn writes one copy at a time. A fresh column
+    # is a list, so the rows holding a fresh variable share one int object.
+    columns = [sources[s::k] for s in range(k)] + [list(range(n + i, store.n, f)) for i in range(f)]
+    store.lhs += chain.from_iterable(zip(*[zip(*map(columns.__getitem__, r)) for r in rows]))
+    bits = bytearray(len(rows) * count)
+    for r in rhs_rows:
+        bits[r :: len(rows)] = rhs_bits
+    store.rhs += bits
+    return name, sources, rhs_bits
+
+
+@cache  # built on first use, so a run that writes no such gadget does not hold it
+def _completions(name: str) -> tuple[tuple[int, ...], dict]:
+    """The slots that gadget `name`'s fresh values read, and each value of them mapped to those."""
+    fresh = _GADGETS[name][2]
+    read = tuple(sorted(set(chain.from_iterable(fresh))))
+    table = {}
+    for bits in product((0, 1), repeat=len(read)):
+        value = dict(zip(read, bits))
+        table[bits] = tuple(sum(map(value.__getitem__, xor)) & 1 for xor in fresh)
+    return read, table
+
+
+# ---------------------------------------------------------------------------
 # Arity expansion to exactly three variables per equation
 
 
 def _expand_arity(store: _Rows) -> list[TraceStep]:
+    """Keep the arity-3 rows, then write an arity2 gadget per arity-2 row, then arity1."""
     pre = store.sizes()
-    next_var = store.n
-    lhs_column: list = []
-    rhs_column = bytearray()
-    expanded = []
-    for lhs, rhs in zip(store.lhs, store.rhs):
-        if len(lhs) == 3:
-            lhs_column.append(lhs)
-            rhs_column.append(rhs)
-            continue
-        if len(lhs) == 2:
-            u, v = next_var, next_var + 1
-            next_var += 2
-            gadget = ((lhs[0], u, v), (lhs[1], u, v))
-            bits = (0, rhs)
-        elif len(lhs) == 1:
-            x = lhs[0]
-            a, b, u, v = range(next_var, next_var + 4)
-            next_var += 4
-            gadget = ((x, a, b), (a, u, v), (b, u, v))
-            bits = (rhs, 0, 0)
-        else:
-            raise GadgetError(
-                f"arity {len(lhs)} equation cannot be expanded to arity 3"
-            )
-        lhs_column += gadget
-        rhs_column += bytes(bits)
-        expanded.append((lhs, rhs))
-    store.n = next_var
-    store.lhs, store.rhs = lhs_column, rhs_column
-    return [store.step("arity-expand", {"expanded": tuple(expanded)}, pre)]
+    lhs_column, rhs_column = store.lhs, store.rhs
+    arities = list(map(len, lhs_column))
+    if set(arities) - {1, 2, 3}:
+        bad = next(a for a in arities if not 1 <= a <= 3)
+        raise GadgetError(f"arity {bad} equation cannot be expanded to arity 3")
+    rows = {}
+    for arity in (3, 2, 1):
+        held = [a == arity for a in arities]
+        rows[arity] = list(compress(lhs_column, held)), bytes(compress(rhs_column, held))
+    store.lhs, store.rhs = rows[3][0], bytearray(rows[3][1])
+    groups = tuple(_write(store, f"arity{a}", tuple(chain.from_iterable(rows[a][0])), rows[a][1])
+                   for a in (2, 1))
+    return [store.step("arity-expand", {"groups": groups}, pre)]
 
 
 def expand_arity_to_3(system: LinSystem) -> LinSystem:
@@ -631,28 +674,11 @@ def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceSt
     return post, _sized_step("always-satisfied-removal", {"removed": removed}, system, post)
 
 
-# Gadgets padding k variables of occurrence 2, as (rows, fresh values): slot
-# i < k holds the i-th variable, slot k + i fresh variable i. Each row is
-# sorted, has rhs 0 and ends in a fresh slot; a group slot is in one row, a
-# fresh slot in three. Fresh variable i is the XOR of the group slots in list i.
-_PAD_GADGETS = {
-    3: (_slot_lists("0 1 3, 2 4 5, 3 4 6, 3 7 8, 4 5 7, 5 6 8, 6 7 8"),
-        _slot_lists("0 1, , 2, 0 1, 2, 0 1 2")),
-    6: (_slot_lists("0 1 6, 2 3 7, 4 5 8, 6 9 10, 6 9 11, 7 10 12, 7 11 12, 8 10 13, 8 11 13,"
-                    " 9 12 13"),
-        _slot_lists("0 1, 2 3, 4 5, 2 3 4 5, 0 1 2 3 4 5, 0 1 2 3 4 5, 0 1 4 5, 0 1 2 3")),
-}
-
-
-@cache  # built on first use, so a run that pads nothing does not hold it
-def _pad_completions(k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each value of a k-group, mapped to the fresh values that complete it."""
-    return {bits: tuple(sum(bits[i] for i in xor) & 1 for xor in _PAD_GADGETS[k][1])
-            for bits in product((0, 1), repeat=k)}
-
-
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
-    """Pad the occurrence-2 variables, ascending, six at a time (a last three if need be)."""
+    """Pad the occurrence-2 variables, ascending, by pad6 gadgets and a last pad3 if need be.
+
+    The step data is {"groups": (the pad6 group, the pad3 group)} as `_write` returns them.
+    """
     deg2 = tuple(sorted(v for v, c in occurrences(store.lhs).items() if c == 2))
     if len(deg2) % 3:
         raise ContractViolationError(
@@ -660,16 +686,10 @@ def _enforce_degree(store: _Rows) -> list[TraceStep]:
         )
     pre = store.sizes()
     cut = len(deg2) - len(deg2) % 6
-    groups = ((6, deg2[:cut]), (3, deg2[cut:]))  # (size, the variables of every group)
-    for k, held in groups:
-        rows, fresh = _PAD_GADGETS[k]
-        f, n = len(fresh), store.n
-        store.n += f * len(held) // k
-        # Column s holds slot s of every group; each row zips its three
-        # columns, and reading the zips in turn writes one gadget at a time.
-        columns = [held[s::k] for s in range(k)] + [range(n + i, store.n, f) for i in range(f)]
-        store.lhs += chain.from_iterable(zip(*[zip(*map(columns.__getitem__, r)) for r in rows]))
-    store.rhs += bytes(len(store.lhs) - pre[1])
+    groups = (
+        _write(store, "pad6", deg2[:cut], bytes(cut // 6)),
+        _write(store, "pad3", deg2[cut:], bytes(len(deg2) % 6 // 3)),
+    )
     return [store.step("degree2-triplets", {"groups": groups}, pre)]
 
 
@@ -701,70 +721,52 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
 
     With no repeated lhs (a set of the column tells) the store is left as
     it is. Otherwise the lhs column is counted once; a row whose lhs occurs
-    once is kept; the first copy of a
-    repeated lhs is checked (at most three copies, and a triple's variables
-    in no other row) and becomes the pair gadget or a logged triple; a later
-    copy must agree with the first copy's rhs and is dropped.
+    once is kept; the first copy of a repeated lhs is checked (at most three
+    copies, and a triple's variables in no other row) and is dropped, to
+    become a pair gadget or a logged triple; a later copy must agree with
+    the first copy's rhs and is dropped. The pair gadgets, one per row with
+    two copies, follow the kept rows; the step data is {"groups": (the pair
+    group,), "triples": ((lhs, rhs), ...)}.
     """
     lhs_column, rhs_column = store.lhs, store.rhs
     if set(map(len, lhs_column)) - {3}:
         raise GadgetError("deduplication expects arity exactly 3")
     pre = store.sizes()
-    if len(set(lhs_column)) == len(lhs_column):
-        return [store.step("deduplicate", {"pairs": (), "triples": ()}, pre)]
-    counts = Counter(lhs_column)
-    occ = occurrences(lhs_column)
-    first_rhs: dict[tuple[int, ...], int] = {}  # the rhs of each repeated lhs seen
-    next_var = store.n
-    out_lhs: list = []
-    out_rhs = bytearray()
-    pairs = []
+    copied: list[int] = []  # the variables of each row with two copies, in turn
+    copied_rhs = bytearray()
     triples = []
-    for lhs, b in zip(lhs_column, rhs_column):
-        count = counts[lhs]
-        if count == 1:
-            out_lhs.append(lhs)
-            out_rhs.append(b)
-            continue
-        if lhs in first_rhs:
-            if first_rhs[lhs] != b:
-                raise ContractViolationError(f"equations with lhs {lhs} disagree on rhs")
-            continue
-        first_rhs[lhs] = b
-        if count > 3:
-            raise ContractViolationError(f"{count} copies of lhs {lhs}; at most 3 possible")
-        if count == 3:
-            for v in lhs:
-                if occ[v] != 3:
-                    raise ContractViolationError(
-                        f"variable {v} of a triple copy occurs elsewhere"
-                    )
-            triples.append((lhs, b))
-            continue
-        # Two copies: replace with eight equations over six fresh variables.
-        # Under an assignment satisfying the copied equation all eight hold;
-        # otherwise each inconsistent half forces one falsified equation,
-        # matching the weight of the two lost copies.
-        x, y, z = lhs
-        a1, b1, c1, a2, b2, c2 = range(next_var, next_var + 6)
-        next_var += 6
-        gadget = (
-            (x, y, c1),
-            (a1, b1, c1),
-            (z, a1, b1),
-            (x, y, c2),
-            (a2, b2, c2),
-            (z, a2, b2),
-            (a1, c1, b2),
-            (b1, a2, c2),
-        )
-        out_lhs += gadget
-        out_rhs += bytes((b,)) * len(gadget)
-        pairs.append((lhs, b))
-    store.n = next_var
-    store.lhs, store.rhs = out_lhs, out_rhs
-    data = {"pairs": tuple(pairs), "triples": tuple(triples)}
-    return [store.step("deduplicate", data, pre)]
+    if len(set(lhs_column)) != len(lhs_column):
+        counts = Counter(lhs_column)
+        occ = occurrences(lhs_column)
+        first_rhs: dict[tuple[int, ...], int] = {}  # the rhs of each repeated lhs seen
+        out_lhs: list = []
+        out_rhs = bytearray()
+        for lhs, b in zip(lhs_column, rhs_column):
+            count = counts[lhs]
+            if count == 1:
+                out_lhs.append(lhs)
+                out_rhs.append(b)
+                continue
+            if lhs in first_rhs:
+                if first_rhs[lhs] != b:
+                    raise ContractViolationError(f"equations with lhs {lhs} disagree on rhs")
+                continue
+            first_rhs[lhs] = b
+            if count > 3:
+                raise ContractViolationError(f"{count} copies of lhs {lhs}; at most 3 possible")
+            if count == 3:
+                for v in lhs:
+                    if occ[v] != 3:
+                        raise ContractViolationError(
+                            f"variable {v} of a triple copy occurs elsewhere"
+                        )
+                triples.append((lhs, b))
+                continue
+            copied += lhs
+            copied_rhs.append(b)
+        store.lhs, store.rhs = out_lhs, out_rhs
+    groups = (_write(store, "pair", tuple(copied), bytes(copied_rhs)),)
+    return [store.step("deduplicate", {"groups": groups, "triples": tuple(triples)}, pre)]
 
 
 def deduplicate_equations(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -866,9 +868,11 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
     first three stages are exact on any input they accept; the finish needs
     `system` normalized and through always-satisfied-removal, as the
     pipeline runs it:
+    - every gadget adds the rows and fresh variables of its `_GADGETS`
+      entry, less the source rows it replaces;
     - every clone ends at occurrence 3, every fresh variable of arity
-      expansion at 2 and no variable at 1, so the padding costs 10 rows per
-      six variables of occurrence 2 and 7 for a last three;
+      expansion at 2 and no variable at 1, so the pads take the variables
+      of occurrence 2 six at a time, and a last three;
     - a copied row reaches deduplication iff it has weight 2 and none of its
       variables is split (a weight-3 one would have been removed);
     - a (=3,=3) output has as many variables as rows.
@@ -881,16 +885,17 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
             degree[v] += weight
     profile = Counter(degree.values())
     dn, dm = _degree_growth(profile)
-    n, m = system.n, system.total_weight
-    sizes = [(n, m), (n + dn, m + dm)]
-    arity1, arity2 = arity_weight[1], arity_weight[2] + dm  # every tie has arity 2
-    n, m = n + dn + 2 * arity2 + 4 * arity1, m + dm + arity2 + 2 * arity1
+    n, m = system.n + dn, system.total_weight + dm
+    sizes = [(system.n, system.total_weight), (n, m)]
+    n2, m2 = _gadget_growth("arity2", arity_weight[2] + dm, 1)  # every tie has arity 2
+    n1, m1 = _gadget_growth("arity1", arity_weight[1], 1)
+    n, m = n + n2 + n1, m + m2 + m1
     sizes.append((n, m))
-    sixes, rest = divmod(profile[2] + 2 * arity2 + 4 * arity1, 6)
-    m += len(_PAD_GADGETS[6][0]) * sixes + len(_PAD_GADGETS[3][0]) * (rest // 3)
-    for lhs, weight in zip(system.lhs, system.weights):
-        if len(lhs) == 3 and weight == 2 and max(degree[v] for v in lhs) <= 3:
-            m += 6
+    sixes, rest = divmod(profile[2] + n2 + n1, 6)
+    pairs = sum(len(lhs) == 3 and weight == 2 and max(degree[v] for v in lhs) <= 3
+                for lhs, weight in zip(system.lhs, system.weights))
+    for name, count, replaced in (("pad6", sixes, 0), ("pad3", rest // 3, 0), ("pair", pairs, 2)):
+        m += _gadget_growth(name, count, replaced)[1]
     sizes.append((m, m))
     for (stage, _), (_, rows) in zip(_STAGES, sizes[:stages]):
         if rows > MAX_UNIT_EQUATIONS:
@@ -898,6 +903,12 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
                 f"{stage} would build {rows} equations, over {MAX_UNIT_EQUATIONS}"
             )
     return sizes[stages - 1]
+
+
+def _gadget_growth(name: str, count: int, replaced: int) -> tuple[int, int]:
+    """Variables and rows that `count` gadgets `name` add, each in place of `replaced` rows."""
+    _, rows, fresh, _ = _GADGETS[name]
+    return len(fresh) * count, (len(rows) - replaced) * count
 
 
 def _check_built(out: LinSystem, predicted: tuple[int, int]) -> None:

@@ -51,7 +51,7 @@ from maxlin2.core import (
     occurrences,
 )
 from maxlin2.gadgets import (
-    _PAD_GADGETS,
+    _GADGETS,
     _TIE_GRAPHS,
     _compact,
     _cube_ties,
@@ -63,6 +63,7 @@ from maxlin2.gadgets import (
     _Rows,
     _split_growth,
     _split_step,
+    _write,
     reduce_to_target,
 )
 from helpers import (
@@ -447,6 +448,15 @@ def test_arity_expand_preserves_optimum():
         )
 
 
+def test_arity_expand_names_its_first_bad_row():
+    # The arities are checked as a set, then the first bad row is named.
+    rows = [((0, 1), 0, 1), ((), 0, 1), ((0, 1, 2, 3), 0, 1)]
+    for order, arity in ((rows, 0), (rows[::-1], 4)):
+        with pytest.raises(GadgetError) as caught:
+            expand_arity_to_3(LinSystem.build(4, order))
+        assert str(caught.value) == f"arity {arity} equation cannot be expanded to arity 3"
+
+
 def test_arity_expand_every_equation_ends_at_three():
     rng = random.Random(10)
     for _ in range(40):
@@ -517,41 +527,57 @@ PAD_STORES = {
 }
 
 
-@pytest.mark.parametrize("size", sorted(_PAD_GADGETS))
-def test_triplet_gadget_exhaustive(size):
-    n, rows = PAD_STORES[size]
-    store = _store(n, rows)
-    (step,) = _enforce_degree(store)
-    group = dict(step.data["groups"])[size]
-    assert len(group) == size
-    gadget = list(zip(store.lhs, store.rhs))[len(rows) :]
-    assert len(gadget) == len(_PAD_GADGETS[size][0])
-    fresh = range(step.pre_n, step.post_n)
-    held = collections.Counter(v for lhs, _ in gadget for v in lhs)
-    assert held == {**dict.fromkeys(group, 1), **dict.fromkeys(fresh, 3)}
-    assert gadget == sorted(set(gadget))
-    assert all(lhs == tuple(sorted(set(lhs))) for lhs, _ in gadget)
-    # No gadget row can equal a row outside the gadget.
-    assert all(lhs[-1] in fresh for lhs, _ in gadget)
-    for bits in itertools.product((0, 1), repeat=size):
-        values = [0] * step.pre_n
-        for t, bit in zip(group, bits):
-            values[t] = bit
-        satisfying = []
-        for completion in itertools.product((0, 1), repeat=len(fresh)):
-            full = values + list(completion)
-            if all(sum(full[v] for v in lhs) % 2 == rhs for lhs, rhs in gadget):
-                satisfying.append(completion)
-        assert satisfying == [tuple(_map_forward_step(step, values)[step.pre_n :])]
+# Per gadget: the weight its source row loses when false (0: a pad has no
+# source row), and how many gadget rows hold each source and each fresh slot.
+GADGET_SOURCES = {
+    "arity1": (1, 1, 2),
+    "arity2": (1, 1, 2),
+    "pair": (2, 2, 3),
+    "pad3": (0, 1, 3),
+    "pad6": (0, 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GADGETS))
+def test_gadget_exhaustive(name):
+    # For every value of the sources and the rhs, the fewest falsified
+    # gadget rows are what the source loses, and the forward map hits it.
+    loss, source_rows, fresh_rows = GADGET_SOURCES[name]
+    k = _GADGETS[name][0]
+    for rhs in (0, 1):
+        store = _store(k, [])
+        group = _write(store, name, tuple(range(k)), bytes((rhs,)))
+        # Every gadget rule's forward map completes its groups alike.
+        step = store.step("arity-expand", {"groups": (group,)}, (k, 0))
+        gadget = list(zip(store.lhs, store.rhs))
+        assert len(gadget) == len(_GADGETS[name][1])
+        fresh = range(k, store.n)
+        held = collections.Counter(v for lhs, _ in gadget for v in lhs)
+        assert held == {**dict.fromkeys(range(k), source_rows), **dict.fromkeys(fresh, fresh_rows)}
+        assert len(set(gadget)) == len(gadget)
+        assert all(lhs == tuple(sorted(set(lhs))) for lhs, _ in gadget)
+        # No gadget row can equal a row outside the gadget.
+        assert all(lhs[-1] in fresh for lhs, _ in gadget)
+
+        def falsified(full):
+            return sum(sum(full[v] for v in lhs) % 2 != b for lhs, b in gadget)
+
+        for bits in itertools.product((0, 1), repeat=k):
+            lost = loss * (sum(bits) % 2 != rhs)
+            costs = {c: falsified(bits + c) for c in itertools.product((0, 1), repeat=len(fresh))}
+            forward = tuple(_map_forward_step(step, list(bits)))
+            assert min(costs.values()) == falsified(forward) == lost
+            if not loss:  # a pad: exactly one completion satisfies it
+                assert [c for c, cost in costs.items() if not cost] == [forward[k:]]
 
 
 @pytest.mark.parametrize(
     "count, groups, growth",
     [
-        (3, ((6, ()), (3, (2, 3, 4))), (6, 7)),
-        (6, ((6, (0, 1, 2, 3, 4, 5)), (3, ())), (8, 10)),
-        (9, ((6, (0, 1, 2, 3, 4, 5)), (3, (6, 7, 8))), (14, 17)),
-        (15, ((6, tuple(range(12))), (3, (12, 13, 14))), (22, 27)),
+        (3, (("pad6", (), b""), ("pad3", (2, 3, 4), b"\0")), (6, 7)),
+        (6, (("pad6", (0, 1, 2, 3, 4, 5), b"\0"), ("pad3", (), b"")), (8, 10)),
+        (9, (("pad6", (0, 1, 2, 3, 4, 5), b"\0"), ("pad3", (6, 7, 8), b"\0")), (14, 17)),
+        (15, (("pad6", tuple(range(12)), b"\0\0"), ("pad3", (12, 13, 14), b"\0")), (22, 27)),
     ],
 )
 def test_pad_groups_six_then_three(count, groups, growth):
@@ -563,8 +589,8 @@ def test_pad_groups_six_then_three(count, groups, growth):
     # One gadget per group, in order, each with the next fresh variables and
     # its rows in table order.
     expected, fresh = [], step.pre_n
-    for k, held in groups:
-        rows, values = _PAD_GADGETS[k]
+    for name, held, _ in groups:
+        k, rows, values, _ = _GADGETS[name]
         for start in range(0, len(held), k):
             slots = held[start : start + k] + tuple(range(fresh, fresh + len(values)))
             fresh += len(values)
@@ -711,7 +737,7 @@ def test_dedup_weight2_input_row_gets_the_pair_gadget():
     )
     out, trace = to_eq3_eq3(system)
     (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
-    assert dedup.data == {"pairs": (((0, 1, 2), 0),), "triples": ()}
+    assert dedup.data == {"groups": (("pair", (0, 1, 2), b"\0"),), "triples": ()}
     # Two copies out, eight gadget rows over six fresh variables in.
     assert (dedup.post_n - dedup.pre_n, dedup.post_m - dedup.pre_m) == (6, 6)
     assert brute_force_min_falsified(out).falsified_weight == 0
@@ -941,8 +967,8 @@ def test_oddset_through_pipeline_equivalence():
 # the corpus below. Any change to rule order, variable numbering or the
 # prune order of always-satisfied-removal shows up here.
 PIPELINE_GOLDEN = (
-    "6edcc9eaef58c08deb81de15258759be87e043a9873c016c993d5379eace7dcd",
-    "cded7388ea9cc99d8b1887e7e0b0c38df308399424dd1fe6c444d973774ad7b8",
+    "b1ee244134a74dc7d262f229d9789417d469bac26616529197764c284da33dd7",
+    "d3322dd5af09a0673093c8ee2509f1c0ddbec776cc2fd50ce0b444f18fb79435",
     "607d49766d1c7369ef745512e8922f95fe7e21c37a895b6642092898844dfc4d",
 )
 
@@ -990,8 +1016,14 @@ def test_pipeline_golden_digests():
 
 
 # Step data that holds equation rows (lhs, rhs), or (lhs, rhs, witness) for
-# "removed"; the rest holds variables.
-ROW_DATA = ("rows", "expanded", "pairs", "triples", "removed")
+# "removed", and the gadget groups, counted by their sources: one rhs bit per
+# gadget written, so one per source row. The rest holds variables.
+ROW_DATA = {
+    "rows": len,
+    "triples": len,
+    "removed": len,
+    "groups": lambda groups: sum(len(rhs_bits) for _, _, rhs_bits in groups),
+}
 
 
 def test_trace_records_rule_data_and_sizes_only():
@@ -1002,7 +1034,7 @@ def test_trace_records_rule_data_and_sizes_only():
             for field in dataclasses.fields(step):
                 assert not isinstance(getattr(step, field.name), LinSystem)
             assert not any(isinstance(v, LinSystem) for v in step.data.values())
-            recorded += sum(len(step.data.get(key, ())) for key in ROW_DATA)
+            recorded += sum(count(step.data.get(key, ())) for key, count in ROW_DATA.items())
         # An output pruned away to nothing was pruned before unit expansion,
         # and logs at most the weighted rows it removed.
         rules = [step.rule for step in trace.steps]
@@ -1023,7 +1055,9 @@ def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
         _, trace = to_eq3_eq3(system)
         steps = {step.rule: step for step in trace.steps}
         dedup = steps["deduplicate"]
-        for lhs, _ in dedup.data["pairs"] + dedup.data["triples"]:
+        ((_, sources, _),) = dedup.data["groups"]
+        pairs = [sources[i : i + 3] for i in range(0, len(sources), 3)]
+        for lhs in pairs + [lhs for lhs, _ in dedup.data["triples"]]:
             assert max(lhs) < steps["degree2-triplets"].pre_n
             copies += 1
     assert copies == 1  # the pair of INPUT_COPIES
@@ -1034,7 +1068,7 @@ def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
         _, trace = to_eq3_eq3(maxlin2.parse_lin2(op.text))
         (dedup,) = [step for step in trace.steps if step.rule == "deduplicate"]
         assert dedup.pre_m == dedup.post_m
-        assert dedup.data == {"pairs": (), "triples": ()}
+        assert dedup.data == {"groups": (("pair", (), b""),), "triples": ()}
 
 
 @pytest.mark.parametrize(
@@ -1270,6 +1304,29 @@ def test_trace_maps_check_assignment_length():
         trace.map_assignment_forward((0,))
     with pytest.raises(DimensionError):
         trace.map_assignment_back((0,) * (out.n + 1))
+
+
+def test_trace_maps_reject_entries_other_than_0_or_1():
+    # Every gadget and the back map would read a 2 as a value: both maps
+    # name the first bad entry instead.
+    system = LinSystem.build(3, [((0, 1, 2), 0, 1), ((0, 1), 1, 1), ((2,), 1, 1), ((0, 2), 0, 1)])
+    out, trace = to_eq3_eq3(system)
+    assert out.n == 25
+    cases = [
+        (trace.map_assignment_forward, (2, 0, 0), "assignment entry 0 must be 0 or 1, got 2"),
+        (trace.map_assignment_forward, (0, 1, -1), "assignment entry 2 must be 0 or 1, got -1"),
+        (trace.map_assignment_back, (2,) * 25, "assignment entry 0 must be 0 or 1, got 2"),
+        (
+            trace.map_assignment_back,
+            (0,) * 24 + (None,),
+            "assignment entry 24 must be 0 or 1, got None",
+        ),
+    ]
+    for mapping, assignment, message in cases:
+        with pytest.raises(ValueError) as caught:
+            mapping(assignment)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
 
 
 @st.composite
