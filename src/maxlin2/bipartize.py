@@ -18,12 +18,13 @@ guess bit is fixed and a set of c edges costs 2^(c-1) guesses. The set
 holds at most k + 1 edges for budget k, so a compression costs O(2^k) cuts.
 
 Every cut of a call runs on one residual network over the vertices that
-edges touch, numbered densely in ascending order. The guesses run in
-Gray-code order (Hüffner, JGAA 2009), so the next guess moves the terminals
-of one edge. It keeps the flow and re-prices the moved terminal edges by a
-constant that every cut pays (Kohli and Torr, TPAMI 2007). A cut stops once
-its flow passes k, since a set heavier than k ends the search anyway. The
-union-find is rebuilt only when a compression changes the deletion set.
+edges touch, numbered densely in ascending order; an edge's arcs enter when
+the first compression that sees it runs. The guesses run in Gray-code order
+(Hüffner, JGAA 2009), so the next guess moves the terminals of one edge. It
+keeps the flow and re-prices the moved terminal edges by a constant that
+every cut pays (Kohli and Torr, TPAMI 2007). A cut stops once its flow
+passes k, since a set heavier than k ends the search anyway. The union-find
+halves paths and is rebuilt only when a compression finds a lighter set.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import CapacityError, ContractViolationError, MaxLin2Error
@@ -119,28 +121,37 @@ class _ParityForest:
         self.parity = [0] * size
 
     def find(self, x: int) -> tuple[int, int]:
-        """Root of x's tree and x's colour relative to it; compresses the path."""
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
+        """Root of x's tree and x's colour relative to it; halves the path
+        instead of compressing it (each vertex passed skips to its grandparent)."""
+        parent, parity = self.parent, self.parity
         colour = 0
-        for y in reversed(path):
-            colour ^= self.parity[y]
-            self.parity[y] = colour
-            self.parent[y] = x
+        while parent[x] != x:
+            up = parent[x]
+            parity[x] ^= parity[up]
+            colour ^= parity[x]
+            parent[x] = parent[up]
+            x = parent[up]
         return x, colour
 
-    def add(self, u: int, v: int, parity: int) -> bool:
-        """Impose colour(u) ^ colour(v) == parity; False if that contradicts."""
-        root_u, colour_u = self.find(u)
-        root_v, colour_v = self.find(v)
-        if root_u == root_v:
-            return colour_u ^ colour_v == parity
-        low, high = sorted((root_u, root_v))
-        self.parent[high] = low
-        self.parity[high] = colour_u ^ colour_v ^ parity
-        return True
+    def add(self, u: int, v: int, parity: int) -> bool | None:
+        """Impose colour(u) ^ colour(v) == parity: None if that contradicts, else
+        whether it joined two trees. The larger end steps up (parents are smaller)
+        until the ends meet, or it is a root and hangs under the other's root."""
+        parent, bits = self.parent, self.parity
+        colour = parity
+        while u != v:
+            if u < v:
+                u, v = v, u
+            up = parent[u]
+            if up == u:
+                root, colour_v = self.find(v)
+                parent[u], bits[u] = root, colour ^ colour_v
+                return True
+            bits[u] ^= bits[up]
+            colour ^= bits[u]
+            parent[u] = parent[up]
+            u = parent[up]
+        return None if colour else False
 
     def sides(self, ids, num_vertices: int) -> bytes:
         """Colour of every vertex; dense id i is vertex ids[i], the rest get 0."""
@@ -152,16 +163,17 @@ class _ParityForest:
 
 def _dense(g: Graph):
     """The touched vertices in ascending order, and each edge's ends as their indices."""
-    ids = sorted({x for e in g.edges for x in (e.u, e.v)})
-    index = {x: i for i, x in enumerate(ids)}
-    return ids, [(index[e.u], index[e.v]) for e in g.edges]
+    us, vs = list(map(itemgetter(0), g.edges)), list(map(itemgetter(1), g.edges))
+    ids = sorted(set(us).union(vs))
+    index = dict(zip(ids, range(len(ids))))
+    return ids, list(zip(map(index.__getitem__, us), map(index.__getitem__, vs)))
 
 
 def _forest(g: Graph, ends, size: int, edge_ids) -> _ParityForest | None:
     """Parity union-find of the given edges, or None if they contradict."""
     forest = _ParityForest(size)
     for eid in edge_ids:
-        if not forest.add(*ends[eid], g.edges[eid].parity):
+        if forest.add(*ends[eid], g.edges[eid].parity) is None:
             return None
     return forest
 
@@ -189,8 +201,8 @@ def is_bipartite(g: Graph):
     forest = _ParityForest(len(ids))
     tree: list[list[tuple[int, int]]] = [[] for _ in ids]
     for eid, ((u, v), e) in enumerate(zip(ends, g.edges)):
-        joins = forest.find(u)[0] != forest.find(v)[0]
-        if not forest.add(u, v, e.parity):
+        joins = forest.add(u, v, e.parity)
+        if joins is None:
             return OddCycle(tuple(_tree_path(tree, u, v)) + (eid,))
         if joins:
             tree[u].append((v, eid))
@@ -199,7 +211,8 @@ def is_bipartite(g: Graph):
 
 
 class _Network:
-    """Residual network of the inserted edges over the touched vertices.
+    """Residual network over the touched vertices; an edge's arcs enter when
+    the first compression that sees it runs.
 
     Edge i owns arc 2i from its u end to its v end and arc 2i + 1 back; a ^ 1
     is arc a's reverse and head[a] its end. Both start at the edge's weight,
@@ -215,17 +228,19 @@ class _Network:
         self.edges = g.edges
         self.head = [x for u, v in ends for x in (v, u)]
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        self.capacity: list[int] = []
+        self.capacity = [w for e in g.edges for w in (e.weight, e.weight)]
+        self.grown = 0
 
-    def insert(self, eid: int) -> None:
-        """Add edge eid's arcs; a compression sees the inserted edges only."""
-        v, u = self.head[2 * eid], self.head[2 * eid + 1]
-        self.out[u].append((2 * eid, v))
-        self.out[v].append((2 * eid + 1, u))
-        self.capacity += (self.edges[eid].weight,) * 2
+    def grow(self, upto: int) -> None:
+        """Add the arcs of the edges up to upto that have none yet."""
+        out, head = self.out, self.head
+        for arc in range(2 * self.grown, 2 * upto + 2, 2):
+            out[head[arc + 1]].append((arc, head[arc]))
+            out[head[arc]].append((arc + 1, head[arc + 1]))
+        self.grown = upto + 1
 
     def compress(self, forest: _ParityForest, candidate, floor: int, bound: int, stats):
-        """Cheapest deletion set of the inserted edges if it weighs at most bound.
+        """Cheapest deletion set of edges 0..candidate[-1] if it weighs at most bound.
 
         A guess fixes the sought colour of both ends of every candidate edge.
         An end hangs off the source if that flips its colour in the forest of
@@ -244,7 +259,8 @@ class _Network:
         left[t], so it stays in 0..2 weight[t], and extra need not be stored.
         """
         stats.compressions += 1
-        self.residual = self.capacity[:]
+        self.grow(candidate[-1])
+        self.residual = self.capacity[: 2 * self.grown]
         for eid in candidate:
             self.residual[2 * eid] = self.residual[2 * eid + 1] = 0
         # the first guess gives each v end colour 0 and each u end the parity
@@ -343,9 +359,8 @@ def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
     forest = _ParityForest(len(ids))
     solution: list[int] = []
     weight = 0
-    for eid, e in enumerate(g.edges):
-        network.insert(eid)
-        if forest.add(*ends[eid], e.parity):
+    for eid, ((u, v), e) in enumerate(zip(ends, g.edges)):
+        if forest.add(u, v, e.parity) is not None:
             continue
         bound = min(weight + e.weight - 1, k)
         improved = network.compress(forest, solution + [eid], weight, bound, stats)

@@ -223,21 +223,26 @@ def test_weighted_engine_matches_min_weight():
 # terminal that holds less flow than at its last flip, which raises the flow
 # value; no other test reaches that case.
 BIPARTIZE_GOLDEN = "cc1814680f9f35589737b8c075860b6e983e62bd555b37befa40392b016cba1c"
+# The search's work over the same corpus: a change to how edges are inserted
+# or stored must leave every compression, guess and augmenting path in place.
+BIPARTIZE_GOLDEN_STATS = SearchStats(compressions=641, guesses=1516, flow_augmentations=2607)
 
 
 def test_bipartize_golden_digest():
     rng = random.Random(0x60D)
     digest = hashlib.sha256()
     answers = 0
+    stats = SearchStats()
     for i in range(400):
         g = random_graph(rng, max_vertices=12, max_edges=24, max_weight=3, signed=i % 2 == 1)
-        result = edge_bipartization(g, i % 7)
+        result = edge_bipartization(g, i % 7, stats=stats)
         if result is None:
             digest.update(b"-")
         else:
             answers += 1
             digest.update(result.side + bytes(sorted(result.deleted_edges)) + b"|")
     assert (digest.hexdigest(), answers) == (BIPARTIZE_GOLDEN, 224)
+    assert stats == BIPARTIZE_GOLDEN_STATS
 
 
 def test_engine_cost_does_not_grow_with_weight():
@@ -306,3 +311,21 @@ def test_sides_of_an_edgeless_graph_are_bytes():
         result = solve()
         assert result.side == bytes(10**6) and result.deleted_edges == frozenset()
         assert traced_peak(solve) < 3 * 2**20
+
+
+def test_union_find_survives_one_deep_chain():
+    # the path's edges come from the far end, so each link hangs the old root
+    # under a smaller vertex and the tree is one chain of 10**5 vertices
+    n = 10**5
+    path = [Edge(i, i + 1) for i in reversed(range(n - 1))]
+    result = is_bipartite(Graph(n, tuple(path)))
+    assert isinstance(result, Bipartition)
+    assert result.side == bytes(i % 2 for i in range(n))
+    # n - 1 edges of parity 1, so a closing edge of parity 0 makes the cycle odd
+    cycle = Graph(n, tuple(path) + (Edge(0, n - 1, 1, 0),))
+    witness = is_bipartite(cycle)
+    assert isinstance(witness, OddCycle) and sorted(witness.edges) == list(range(n))
+    result = edge_bipartization(cycle, 1)
+    assert result is not None and len(result.deleted_edges) == 1
+    _check_proper(cycle, result)
+    assert edge_bipartization(cycle, 0) is None
