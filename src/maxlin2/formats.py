@@ -6,11 +6,23 @@ files and 0-based in memory. One reader, `_records`, owns the header of all
 three input formats, refusing an n above MAX_UNIT_EQUATIONS and checking the
 record count, and yields each record's tokens as strings. `core._check_rows`
 owns the `.lin2` row checks; only on a fault is the text re-read to name it.
+
+A plain `.lin2` text is decoded in bulk: `c` lines and the `p lin2` header,
+then rows of decimal integers split by single spaces, one row per line,
+with no blank line. That is what `emit_lin2` writes. `_records` still reads
+the header and the `c` lines before it, so a too large n is refused first;
+the rows are then decoded one chunk of about 64 KB at a time, each with one
+`json.loads`. Any other text, and a plain text whose arities or record count
+do not hold, is read line by line. Every text gives the same system either
+way, and a faulty one the same FormatError from the same re-read.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from itertools import chain
+from operator import itemgetter
 
 from .bipartize import Edge, Graph
 from .core import MAX_UNIT_EQUATIONS, CapacityError, LinSystem, MaxLin2Error
@@ -92,32 +104,90 @@ def _records(text: str, header: str, noun: str, comments: list):
         raise FormatError(0, f"header declares {counts[1]} {noun}, found {found}")
 
 
+_LIN2_HEADER = "p lin2 <n> <m>"
+# One line, holding none of the line breaks that str.splitlines knows, so
+# _records reads a plain head as the same lines.
+_LINE = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n"
+_PLAIN_HEAD = re.compile(f"(?:c{_LINE})*p lin2 {_LINE}")
+# The only characters of a plain body. json.loads refuses every other
+# arrangement of them but a blank line or a short row, and the arity check
+# refuses those.
+_PLAIN_BODY = re.compile(r"[-0-9 \n]*")
+_CHUNK = 1 << 16
+
+
 def parse_lin2(text: str) -> LinSystem:
     """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`.
 
-    A `c forced-falsified <N>` comment sets the forced ledger. The loop checks
-    each record's shape; LinSystem.from_columns checks the rows.
+    A `c forced-falsified <N>` comment sets the forced ledger. A plain text
+    is decoded in bulk, any other line by line; LinSystem.from_columns
+    checks the rows.
     """
-    lhs, rhs_column, weights, comments = [], bytearray(), [], []
-    records = _records(text, "p lin2 <n> <m>", "records", comments)
-    n = next(records)[0]
     try:
-        for _, tokens in records:
-            weight, rhs, arity, *indices = map(int, tokens)
-            if len(indices) != arity:
-                raise ValueError("arity does not match the indices")
-            lhs.append(tuple([i - 1 for i in indices]))
-            rhs_column.append(rhs)
-            weights.append(weight)
-        return LinSystem.from_columns(n, lhs, rhs_column, weights, _forced_ledger(comments))
+        n, columns, comments = _plain_lin2(text) or _lin2_lines(text)
+        return LinSystem.from_columns(n, *columns, _forced_ledger(comments))
     except (ValueError, FormatError):
         _lin2_fault(text)
         raise
 
 
+def _plain_lin2(text: str):
+    """(n, columns, comments) of a plain text, one chunk at a time; None for
+    any other text, or when the rows' arities or count do not hold."""
+    head = _PLAIN_HEAD.match(text)
+    if head is None:
+        return None
+    comments: list = []
+    n, m = next(_records(head[0], _LIN2_HEADER, "records", comments))
+    lhs, rhs, weights = [], bytearray(), []
+    start = head.end()
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        chunk = text[start:end].removesuffix("\n")
+        start = end
+        if not _PLAIN_BODY.fullmatch(chunk):
+            return None
+        try:
+            rows = json.loads("[[" + chunk.replace(" ", ",").replace("\n", "],[") + "]]")
+            if [r[2] + 3 for r in rows] != list(map(len, rows)):
+                return None
+            rhs.extend(map(itemgetter(1), rows))  # refuses a value outside 0..255
+        except (ValueError, IndexError):
+            return None
+        weights += map(itemgetter(0), rows)
+        # Rows of arity 1 to 3 build their tuple directly, several times
+        # faster than through map.
+        lhs += [
+            (r[3] - 1, r[4] - 1) if (arity := r[2]) == 2
+            else (r[3] - 1,) if arity == 1
+            else (r[3] - 1, r[4] - 1, r[5] - 1) if arity == 3
+            else tuple(map((-1).__add__, r[3:]))
+            for r in rows
+        ]
+    if len(weights) != m:
+        return None
+    return n, (lhs, rhs, weights), comments
+
+
+def _lin2_lines(text: str):
+    """(n, columns, comments) of any text, read line by line; the loop
+    checks each record's shape."""
+    lhs, rhs_column, weights, comments = [], bytearray(), [], []
+    records = _records(text, _LIN2_HEADER, "records", comments)
+    n = next(records)[0]
+    for _, tokens in records:
+        weight, rhs, arity, *indices = map(int, tokens)
+        if len(indices) != arity:
+            raise ValueError("arity does not match the indices")
+        lhs.append(tuple([i - 1 for i in indices]))
+        rhs_column.append(rhs)
+        weights.append(weight)
+    return n, (lhs, rhs_column, weights), comments
+
+
 def _lin2_fault(text: str) -> None:
     """parse_lin2's error path: raise the FormatError of the first faulty record, if any."""
-    records = _records(text, "p lin2 <n> <m>", "records", [])
+    records = _records(text, _LIN2_HEADER, "records", [])
     n = next(records)[0]
     for lineno, tokens in records:
         values = _ints(lineno, tokens)

@@ -114,7 +114,8 @@ def min_weight_bipartization(graph: Graph) -> int:
         weight = sum(graph.edges[i].weight for i in range(m) if mask >> i & 1)
         if best is None or weight < best:
             best = weight
-    assert best is not None
+    if best is None:  # deleting every edge always leaves a bipartite graph
+        raise AssertionError("no edge set leaves the graph bipartite")
     return best
 
 

@@ -26,6 +26,7 @@ from maxlin2 import (
 )
 from maxlin2.cli import EXIT_FORMAT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
+from maxlin2.formats import _CHUNK, _plain_lin2
 from helpers import random_system, traced_peak
 
 
@@ -82,6 +83,20 @@ def test_parse_lin2_rejects_bad_forced_ledger(ledger):
         parse_lin2(ledger + "p lin2 1 0\n")
 
 
+def _long_lin2(fault: str):
+    """A plain text of 20,000 records, longer than three chunks, whose first
+    record past two and a half chunks is fault; returns (text, its line)."""
+    records = [f"{1 + j % 3} {j % 2} 2 {1 + j % 99} {2 + j % 99}" for j in range(20_000)]
+    offset = j = 0
+    while offset <= 2.5 * _CHUNK:
+        offset += len(records[j]) + 1
+        j += 1
+    records[j] = fault
+    text = f"p lin2 100 {len(records)}\n" + "".join(r + "\n" for r in records)
+    assert len(text) > 3 * _CHUNK
+    return text, j + 2
+
+
 @pytest.mark.parametrize(
     "text, lineno, message",
     [
@@ -98,6 +113,24 @@ def test_parse_lin2_rejects_bad_forced_ledger(ledger):
         ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0 3 1 4 2\n", 5, "indices must be strictly ascending"),
         ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0 1 0\n", 5, "index 0 out of range 1..5"),
         ("p lin2 5 2\n1 0 1 1\nc x\n\n1 0 2 2 6\n", 5, "index 6 out of range 1..5"),
+        # The same faults in a plain body, which is decoded in bulk.
+        ("p lin2 5 2\n1 0 1 1\n0 1 1 2\n", 3, "weight must be >= 1, got 0"),
+        ("p lin2 5 2\n1 0 1 1\n1 2 1 2\n", 3, "rhs must be 0 or 1, got 2"),
+        ("p lin2 5 2\n1 0 1 1\n1 300 1 2\n", 3, "rhs must be 0 or 1, got 300"),
+        ("p lin2 5 2\n1 0 1 1\n1 0 3 1 2\n", 3, "expected 3 indices, got 2"),
+        ("p lin2 5 2\n1 0 1 1\n1 0\n", 3, "record needs weight, rhs and arity"),
+        ("p lin2 5 2\n1 0 1 1\n1 0 2 3 3\n", 3, "duplicate index 3"),
+        ("p lin2 5 2\n1 0 1 1\n1 0 3 1 4 2\n", 3, "indices must be strictly ascending"),
+        ("p lin2 5 2\n1 0 1 1\n1 0 1 0\n", 3, "index 0 out of range 1..5"),
+        ("p lin2 5 2\n1 0 1 1\n1 0 2 2 6\n", 3, "index 6 out of range 1..5"),
+        ("p lin2 5 2\n1 0 1 1\n1 1 -1 2\n", 3, "expected -1 indices, got 1"),
+        ("p lin2 5 1\n1 0 1 1\n1 1 1 2\n", 0, "header declares 1 records, found 2"),
+        ("p lin2 5 3\n1 0 1 1\n1 1 1 2\n", 0, "header declares 3 records, found 2"),
+        # Tokens that a JSON number and int() do not read alike.
+        ("p lin2 12 2\n1 0 1 1\n-0 1 2 -0 12\n", 3, "weight must be >= 1, got 0"),
+        ("p lin2 12 2\n1 0 1 1\n1.0 1 2 1.0 12\n", 3, "expected an integer, got '1.0'"),
+        ("p lin2 12 2\n1 0 1 1\n1e0 1 2 1e0 12\n", 3, "expected an integer, got '1e0'"),
+        pytest.param(*_long_lin2("1 0 2 9 9"), "duplicate index 9", id="third-chunk-fault"),
     ],
 )
 def test_parse_lin2_record_error_messages(text, lineno, message):
@@ -105,6 +138,25 @@ def test_parse_lin2_record_error_messages(text, lineno, message):
         parse_lin2(text)
     assert caught.value.lineno == lineno
     assert str(caught.value) == f"line {lineno}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        # Tokens that int() reads and a JSON number does not, or reads otherwise.
+        ("p lin2 12 1\n03 1 2 03 12\n", "p lin2 12 1\n3 1 2 3 12\n"),
+        ("p lin2 12 1\n+2 1 2 +2 12\n", "p lin2 12 1\n2 1 2 2 12\n"),
+        ("p lin2 12 1\n1_0 1 2 1_0 12\n", "p lin2 12 1\n10 1 2 10 12\n"),
+        ("p lin2 12 1\n\u0663 1 2 \u0663 12\n", "p lin2 12 1\n3 1 2 3 12\n"),
+        ("p lin2 12 1\n1 -0 2 3 12\n", "p lin2 12 1\n1 0 2 3 12\n"),
+        # Spacing that a plain body does not have, and a missing last newline.
+        ("p lin2 5 2\n1 0 1 1\n\n1 1 1 2\n", "p lin2 5 2\n1 0 1 1\n1 1 1 2\n"),
+        ("p lin2 5 2\n1 0 1 1\n1  1 1 2 \n", "p lin2 5 2\n1 0 1 1\n1 1 1 2\n"),
+        ("p lin2 5 2\n1 0 1 1\n1 1 1 2", "p lin2 5 2\n1 0 1 1\n1 1 1 2\n"),
+    ],
+)
+def test_parse_lin2_reads_every_token_that_int_reads(text, plain):
+    assert parse_lin2(text) == parse_lin2(plain)
 
 
 @pytest.mark.parametrize(
@@ -175,6 +227,22 @@ def _untidy(text: str) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
+def _random_lin2_texts():
+    """emit_lin2 texts of random systems, with and without a forced ledger,
+    and one longer than three chunks, so that a chunk boundary falls inside it."""
+    rng = random.Random(0x71D7)
+    for index in range(8):
+        system = random_system(rng, max_vars=9, max_eqs=8, max_weight=5)
+        if system.lhs:
+            system = LinSystem.from_columns(system.n, system.lhs, system.rhs, system.weights, index % 2)
+            yield pytest.param(parse_lin2, emit_lin2(system), id=f"lin2-random-{index}")
+    text = ""
+    while len(text) <= 3 * _CHUNK:
+        system = random_system(rng, min_vars=40, max_vars=40, max_eqs=6000, max_weight=9)
+        text = emit_lin2(LinSystem.from_columns(40, system.lhs, system.rhs, system.weights, 7))
+    yield pytest.param(parse_lin2, text, id="lin2-random-long")
+
+
 @pytest.mark.parametrize(
     "parse, text",
     [
@@ -182,10 +250,24 @@ def _untidy(text: str) -> str:
                      id="lin2"),
         pytest.param(parse_oddset, "p ods 3 2 1\n2 1 2\n1 3\n", id="ods"),
         pytest.param(parse_graph, "p graph 3 2\n1 2\n2 3\n", id="graph"),
+        *_random_lin2_texts(),
     ],
 )
 def test_every_format_reads_untidy_text_as_the_plain_text(parse, text):
     assert parse(_untidy(text)) == parse(text)
+    if parse is parse_lin2:  # the plain text is decoded in bulk, the untidy one line by line
+        assert _plain_lin2(text) is not None and _plain_lin2(_untidy(text)) is None
+
+
+def test_parse_lin2_decodes_a_plain_text_one_chunk_at_a_time():
+    # The line loop splits the whole text into lines first; one json.loads of
+    # the whole body would hold every record's list at once, and more.
+    rng = random.Random(0xC4C)
+    rows = [(rng.sample(range(2000), rng.randint(1, 3)), rng.randint(0, 1)) for _ in range(20_000)]
+    text = emit_lin2(LinSystem.build(2000, rows))
+    untidy = _untidy(text)
+    assert parse_lin2(text) == parse_lin2(untidy)
+    assert traced_peak(lambda: parse_lin2(text)) <= traced_peak(lambda: parse_lin2(untidy))
 
 
 def test_cli_exits_65_on_a_row_fault_found_after_the_records_are_read(tmp_path, capsys):
