@@ -206,15 +206,7 @@ class LinSystem:
     @classmethod
     def build(cls, n: int, rows, forced_falsified: int = 0) -> "LinSystem":
         """Build a system from (variables, rhs) or (variables, rhs, weight) rows."""
-        eqs = []
-        for row in rows:
-            if len(row) == 2:
-                variables, rhs = row
-                weight = 1
-            else:
-                variables, rhs, weight = row
-            eqs.append(Equation.make(variables, rhs, weight))
-        return cls(n, eqs, forced_falsified)
+        return cls(n, [Equation.make(*row) for row in rows], forced_falsified)
 
     @property
     def equations(self) -> EquationsView:
@@ -249,12 +241,21 @@ def evaluate(system: LinSystem, assignment) -> tuple[int, int]:
     return system.total_weight - lost, system.forced_falsified + lost
 
 
+def _check_assignment(assignment, n: int) -> None:
+    """Raise DimensionError unless the assignment has n entries, and
+    ValueError naming the first entry that is not 0 or 1; copies nothing."""
+    if len(assignment) != n:
+        raise DimensionError(f"assignment length {len(assignment)} != variable count {n}")
+    ones = n - assignment.count(0)  # an all-zero assignment needs one count
+    if ones and assignment.count(1) != ones:
+        bad = next(i for i, v in enumerate(assignment) if v not in (0, 1))
+        raise ValueError(f"assignment entry {bad} must be 0 or 1, got {assignment[bad]!r}")
+
+
 def falsified_indices(system: LinSystem, assignment) -> tuple[int, ...]:
-    """Indices of the equations falsified by the assignment."""
-    if len(assignment) != system.n:
-        raise DimensionError(
-            f"assignment length {len(assignment)} != variable count {system.n}"
-        )
+    """Indices of the equations falsified by the assignment, a sequence of
+    system.n entries, each 0 or 1."""
+    _check_assignment(assignment, system.n)
     out = []
     for j, (lhs, parity) in enumerate(zip(system.lhs, system.rhs)):
         for v in lhs:

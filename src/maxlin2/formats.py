@@ -4,17 +4,17 @@ All formats follow the DIMACS convention: `c` comment lines, one `p` header
 line, then one record per line. Variable and vertex indices are 1-based in
 files and 0-based in memory. One reader, `_records`, owns the header of all
 three input formats, refusing an n above MAX_UNIT_EQUATIONS and checking the
-record count, and yields each record's tokens as strings. `core._check_rows`
-owns the `.lin2` row checks; only on a fault is the text re-read to name it.
+record count, and yields each record's tokens as strings.
 
-A plain `.lin2` text is decoded in bulk: `c` lines and the `p lin2` header,
-then rows of decimal integers split by single spaces, one row per line,
-with no blank line. That is what `emit_lin2` writes. `_records` still reads
-the header and the `c` lines before it, so a too large n is refused first;
-the rows are then decoded one chunk of about 64 KB at a time, each with one
-`json.loads`. Any other text, and a plain text whose arities or record count
-do not hold, is read line by line. Every text gives the same system either
-way, and a faulty one the same FormatError from the same re-read.
+`.lin2` has two readers. A plain text is decoded in bulk: `c` lines and the
+`p lin2` header, then rows of decimal integers split by single spaces, one
+row per line, with no blank line. That is what `emit_lin2` writes. `_records`
+still reads the header and the `c` lines before it, so a too large n is
+refused first; the rows are then decoded one chunk of about 64 KB at a time,
+each with one `json.loads`, and `core._check_rows` checks them. Any other
+text, and a plain text with any fault, is read line by line, checking each
+record as it is read; that reader is the only one that names a fault. Every
+text gives the same system either way, and a faulty one the same FormatError.
 """
 
 from __future__ import annotations
@@ -120,15 +120,22 @@ def parse_lin2(text: str) -> LinSystem:
     """Parse `p lin2 <n> <m>` plus m records `<w> <b> <r> <i1> ... <ir>`.
 
     A `c forced-falsified <N>` comment sets the forced ledger. A plain text
-    is decoded in bulk, any other line by line; LinSystem.from_columns
-    checks the rows.
+    is decoded in bulk and LinSystem.from_columns checks its rows. Any
+    other text, and a plain one that fails there, is read line by line,
+    which checks each record as it reads it and names the first fault.
     """
     try:
-        n, columns, comments = _plain_lin2(text) or _lin2_lines(text)
-        return LinSystem.from_columns(n, *columns, _forced_ledger(comments))
+        plain = _plain_lin2(text)
+        if plain is not None:
+            return _lin2_system(*plain)
     except (ValueError, FormatError):
-        _lin2_fault(text)
-        raise
+        pass
+    return _lin2_system(*_lin2_lines(text))
+
+
+def _lin2_system(n: int, columns, comments) -> LinSystem:
+    """The system of what either reader returned, with its forced ledger."""
+    return LinSystem.from_columns(n, *columns, _forced_ledger(comments))
 
 
 def _plain_lin2(text: str):
@@ -170,24 +177,10 @@ def _plain_lin2(text: str):
 
 
 def _lin2_lines(text: str):
-    """(n, columns, comments) of any text, read line by line; the loop
-    checks each record's shape."""
+    """(n, columns, comments) of any text, read line by line; raises the
+    FormatError of the first faulty record."""
     lhs, rhs_column, weights, comments = [], bytearray(), [], []
     records = _records(text, _LIN2_HEADER, "records", comments)
-    n = next(records)[0]
-    for _, tokens in records:
-        weight, rhs, arity, *indices = map(int, tokens)
-        if len(indices) != arity:
-            raise ValueError("arity does not match the indices")
-        lhs.append(tuple([i - 1 for i in indices]))
-        rhs_column.append(rhs)
-        weights.append(weight)
-    return n, (lhs, rhs_column, weights), comments
-
-
-def _lin2_fault(text: str) -> None:
-    """parse_lin2's error path: raise the FormatError of the first faulty record, if any."""
-    records = _records(text, _LIN2_HEADER, "records", [])
     n = next(records)[0]
     for lineno, tokens in records:
         values = _ints(lineno, tokens)
@@ -208,6 +201,10 @@ def _lin2_fault(text: str) -> None:
         bad = [i for i in indices if not 1 <= i <= n]
         if bad:
             raise FormatError(lineno, f"index {bad[0]} out of range 1..{n}")
+        lhs.append(tuple([i - 1 for i in indices]))
+        rhs_column.append(rhs)
+        weights.append(weight)
+    return n, (lhs, rhs_column, weights), comments
 
 
 def emit_lin2(system: LinSystem, comments=()) -> str:

@@ -52,10 +52,10 @@ from .core import (
     MAX_UNIT_EQUATIONS,
     CapacityError,
     ContractViolationError,
-    DimensionError,
     InstanceClassError,
     LinSystem,
     MaxLin2Error,
+    _check_assignment,
     _satisfy_removed,
     expand_unit_weights,
     normalize,
@@ -203,7 +203,8 @@ class ReductionTrace:
         The mapped assignment falsifies at most as much weight as the given
         one does on the reduced system; at the optimum the weights agree.
         """
-        values = _checked_list(assignment, self.reduced_system.n)
+        _check_assignment(assignment, self.reduced_system.n)
+        values = list(assignment)
         for step in reversed(self.steps):
             values = _map_back_step(step, values)
         return tuple(values)
@@ -217,7 +218,8 @@ class ReductionTrace:
         witness of a row dropped as always-satisfiable keeps its given value:
         no reduced row holds it, so no cost reads it.
         """
-        values = _checked_list(assignment, self.original_system.n)
+        _check_assignment(assignment, self.original_system.n)
+        values = list(assignment)
         for step in self.steps:
             values = _map_forward_step(step, values)
         return tuple(values)
@@ -236,17 +238,6 @@ class ReductionTrace:
                 f" m:{step.pre_m}->{step.post_m} n:{step.pre_n}->{step.post_n}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _checked_list(assignment, n: int) -> list[int]:
-    """The assignment as a list of n entries, each checked to be 0 or 1."""
-    values = list(assignment)
-    if len(values) != n:
-        raise DimensionError(f"assignment length {len(values)} != variable count {n}")
-    if not {0, 1}.issuperset(values):
-        bad = next(i for i, v in enumerate(values) if v not in (0, 1))
-        raise ValueError(f"assignment entry {bad} must be 0 or 1, got {values[bad]!r}")
-    return values
 
 
 def _best_uniform_clone_value(step: TraceStep, values) -> int:
@@ -625,18 +616,15 @@ def _completions(name: str) -> tuple[tuple[int, ...], dict]:
 def _expand_arity(store: _Rows) -> list[TraceStep]:
     """Keep the arity-3 rows, then write an arity2 gadget per arity-2 row, then arity1."""
     pre = store.sizes()
-    lhs_column, rhs_column = store.lhs, store.rhs
-    arities = list(map(len, lhs_column))
-    if set(arities) - {1, 2, 3}:
-        bad = next(a for a in arities if not 1 <= a <= 3)
-        raise GadgetError(f"arity {bad} equation cannot be expanded to arity 3")
-    rows = {}
-    for arity in (3, 2, 1):
-        held = [a == arity for a in arities]
-        rows[arity] = list(compress(lhs_column, held)), bytes(compress(rhs_column, held))
-    store.lhs, store.rhs = rows[3][0], bytearray(rows[3][1])
-    groups = tuple(_write(store, f"arity{a}", tuple(chain.from_iterable(rows[a][0])), rows[a][1])
-                   for a in (2, 1))
+    rows = {a: ([], bytearray()) for a in (3, 2, 1)}
+    for lhs, rhs in zip(store.lhs, store.rhs):
+        if (held := rows.get(len(lhs))) is None:
+            raise GadgetError(f"arity {len(lhs)} equation cannot be expanded to arity 3")
+        held[0].append(lhs)
+        held[1].append(rhs)
+    store.lhs, store.rhs = rows.pop(3)
+    groups = tuple(_write(store, f"arity{a}", tuple(chain.from_iterable(lhs)), bytes(rhs))
+                   for a, (lhs, rhs) in rows.items())
     return [store.step("arity-expand", {"groups": groups}, pre)]
 
 

@@ -20,24 +20,24 @@ constant row holds no variable and is lost iff its rhs is 1.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .baseline import SolveResult, _result
 from .core import (
     ContractViolationError,
     InstanceClassError,
     LinSystem,
     _satisfy_removed,
+    occurrences,
     singleton_cascade,
     variable_rows,
 )
 
 
-def _check_occurrence_bound(variables, counts: list[int]) -> None:
-    """Refuse a variable in more than two rows; counts[i] is variables[i]'s count."""
-    most = max(counts, default=0)
+def _check_occurrence_bound(lhs) -> None:
+    """Refuse a variable in more than two rows, given the lhs column."""
+    counts = occurrences(lhs)
+    most = max(counts.values(), default=0)
     if most > 2:
-        worst = min(v for v, c in zip(variables, counts) if c == most)
+        worst = min(v for v, c in counts.items() if c == most)
         raise InstanceClassError(f"variable {worst} occurs {most} times; at most 2 allowed")
 
 
@@ -56,10 +56,7 @@ def solve_occ2(system: LinSystem) -> SolveResult:
     Runs in O(size · log size) beyond the n-bit assignment.
     """
     lhs, rhs, weights = system.lhs, system.rhs, system.weights
-    occ = [0] * (max(chain.from_iterable(lhs), default=-1) + 1)  # as `singleton_cascade`'s
-    for v in chain.from_iterable(lhs):
-        occ[v] += 1
-    _check_occurrence_bound(range(len(occ)), occ)
+    _check_occurrence_bound(lhs)
     roots = sorted(range(len(lhs)), key=weights.__getitem__)  # stable: ties by index
     deleted = singleton_cascade(lhs, roots)
     internal = system.forced_falsified
@@ -88,8 +85,8 @@ def solve_occ2_merge(system: LinSystem) -> int:
     merge never raises an occurrence, so each entry of the index stays at
     most two rows long.
     """
+    _check_occurrence_bound(system.lhs)
     row_ids = variable_rows(system.lhs)
-    _check_occurrence_bound(row_ids.keys(), list(map(len, row_ids.values())))
     rows = [set(lhs) for lhs in system.lhs]
     rhs = list(system.rhs)
     weight = list(system.weights)

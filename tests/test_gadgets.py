@@ -1329,6 +1329,29 @@ def test_trace_maps_reject_entries_other_than_0_or_1():
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "reader", ["evaluate", "falsified_indices", "map_assignment_back", "map_assignment_forward"]
+)
+def test_every_assignment_reader_refuses_a_non_bit_and_a_wrong_length(reader):
+    # One check in core serves all four: a 2 is refused, not read as a
+    # value, and a wrong length gets the same message everywhere.
+    system = LinSystem.build(3, [((0, 1, 2), 0, 1), ((0, 1), 1, 1), ((2,), 1, 1), ((0, 2), 0, 1)])
+    out, trace = to_eq3_eq3(system)
+    read, n = {
+        "evaluate": (lambda a: evaluate(system, a), system.n),
+        "falsified_indices": (lambda a: maxlin2.falsified_indices(system, a), system.n),
+        "map_assignment_back": (trace.map_assignment_back, out.n),
+        "map_assignment_forward": (trace.map_assignment_forward, system.n),
+    }[reader]
+    with pytest.raises(ValueError) as caught:
+        read((2,) + (0,) * (n - 1))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "assignment entry 0 must be 0 or 1, got 2"
+    with pytest.raises(DimensionError) as caught:
+        read((0,) * (n + 1))
+    assert str(caught.value) == f"assignment length {n + 1} != variable count {n}"
+
+
 @st.composite
 def pipeline_systems(draw):
     """Small arity <= 3 systems on the pipeline's edge cases.
