@@ -286,7 +286,7 @@ def parse_assignment(text: str, n: int) -> tuple[int, ...]:
     values = _ints(lineno, tokens)
     if len(values) != n:
         raise FormatError(lineno, f"expected {n} bits, got {len(values)}")
-    if any(b not in (0, 1) for b in values):
+    if values.count(0) + values.count(1) != n:
         raise FormatError(lineno, "assignment entries must be 0 or 1")
     return tuple(values)
 

@@ -24,18 +24,17 @@ that needs occurrence counts takes them from the rows. The (=3,=3) checks
 -- three variables per row, three rows per variable, distinct left-hand
 sides -- run on these columns where the output's columns are built: no
 stage builds an Equation. Reduction and both assignment maps cost
-O(input + output). A variable of degree 5 to 8 splits into clones joined
-by a small tie graph that leaves every clone at degree 3; one of degree 4
-or above 8 splits into clones tied by the edges of a ceil(log2 d)-cube,
-so above degree 8 it costs O(d log d) rows. Every gadget that replaces a
-row of arity 1 or 2 or a pair of copied rows, or pads occurrence-2
-variables (six at a time by 10 rows, a last three by 7), is one entry of
-one table: one writer lays its rows out, the forward map completes it and
-the size prediction counts it from that entry. No rule brings a variable
-down to one occurrence, so the output size follows exactly from the
-weighted degree profile, and a stage above MAX_UNIT_EQUATIONS equations
-is refused with CapacityError (exit 64 from `maxlin2 reduce`) before unit
-expansion builds anything.
+O(input + output). A variable of degree 4 to 8 splits into clones joined
+by a small tie graph that leaves every clone at degree 3; one above 8
+splits into clones tied by the edges of a ceil(log2 d)-cube, so it costs
+O(d log d) rows. Every gadget that replaces a row of arity 1 or 2 or a
+pair of copied rows, or pads occurrence-2 variables (six at a time by 10
+rows, a last three by 7), is one entry of one table: one writer lays its
+rows out, the forward map completes it and the size prediction counts it
+from that entry. No rule brings a variable down to one occurrence, so the
+output size follows exactly from the weighted degree profile, and a stage
+above MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64
+from `maxlin2 reduce`) before unit expansion builds anything.
 """
 
 from __future__ import annotations
@@ -225,7 +224,7 @@ class ReductionTrace:
         return tuple(values)
 
     def text(self) -> str:
-        """The `.trace` text of `maxlin2 reduce`: one line per step.
+        """One line per step; `maxlin2 reduce` writes each as a `c trace` line.
 
         Each line names the rule, the variable a degree rule split, and the
         equation and variable counts before and after the step.
@@ -386,11 +385,12 @@ def _slot_lists(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(int, item.split())) for item in text.split(","))
 
 
-# The tie graphs of degrees 5 to 8, as (slots, sorted tie pairs). Slot i < d
+# The tie graphs of degrees 4 to 8, as (slots, sorted tie pairs). Slot i < d
 # holds occurrence i and two ties, and every further slot (a helper) three
 # ties, so one split brings every clone to occurrence 3. Every set S of
 # slots has at least min(rows in S, rows outside S) ties leaving it.
 _TIE_GRAPHS = {
+    4: (4, _slot_lists("0 1, 0 2, 1 3, 2 3")),
     5: (5, _slot_lists("0 1, 0 4, 1 2, 2 3, 3 4")),
     6: (8, _slot_lists("0 1, 0 6, 1 7, 2 3, 2 6, 3 7, 4 5, 4 6, 5 7")),
     7: (11, _slot_lists("0 5, 0 7, 1 2, 1 8, 2 9, 3 7, 3 9, 4 9, 4 10, 5 10, 6 8, 6 10, 7 8")),
@@ -403,11 +403,11 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     """Split one variable of degree d >= 4 into clones joined by tie rows, in place.
 
     The variable and fresh clones sit on the slots of a tie graph, each
-    edge an rhs-0 tie row, and occurrence i goes to clone i. For d = 5 to 8
-    the graph is the `_TIE_GRAPHS` entry, and every clone ends at degree 3.
-    Otherwise, with t = ceil(log2 d), it is the t-cube Q_t on 2^t slots, and
-    each clone has degree t or t + 1; for d = 4 this is a 4-cycle with every
-    clone at degree 3; `reduce_degree5plus` shows why the split is exact.
+    edge an rhs-0 tie row, and occurrence i goes to clone i. For d = 4 to 8
+    the graph is the `_TIE_GRAPHS` entry (a 4-cycle for d = 4), and every
+    clone ends at degree 3. Above 8, with t = ceil(log2 d), it is the t-cube
+    Q_t on 2^t slots, and each clone has degree t or t + 1;
+    `reduce_degree5plus` shows why the split is exact.
 
     Only the variable's rows and the new tie rows are touched; each clone is
     fresh, so it sorts last in its row, and its entry in `holders` (the
@@ -449,11 +449,11 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
 def _split_growth(degree: int) -> tuple[int, int]:
     """Variables and rows the degree rules add to bring one variable to <= 3.
 
-    A split of degree 5 to 8 adds one fresh clone per `_TIE_GRAPHS` slot
+    A split of degree 4 to 8 adds one fresh clone per `_TIE_GRAPHS` slot
     but the first, and the entry's ties, and leaves every clone at degree
-    3. Any other split of degree d
-    adds 2^t - 1 clones and t * 2^(t-1) tie rows of Q_t, then d clones of
-    degree t + 1 and 2^t - d of degree t grow in turn.
+    3. A split of degree d above 8 adds 2^t - 1 clones and t * 2^(t-1)
+    tie rows of Q_t, then d clones of degree t + 1 and 2^t - d of degree t
+    grow in turn.
     """
     if degree <= 3:
         return 0, 0
@@ -528,10 +528,10 @@ def reduce_degree5plus(system: LinSystem, variable: int) -> LinSystem:
     fewer of the variable's rows: every cut tie then holds, and each
     flipped clone loses at most its one row. So if every set S of clones
     has cut(S) >= min(rows in S, rows outside S), some uniform clone value
-    is optimal. The 5-cycle has at least 2 ties leaving any proper S, and
-    the min is at most 2; the larger entries were checked on every S; for
-    Q_t, Harper's edge-isoperimetric inequality gives every S of at most
-    half the clones at least |S| ties leaving it.
+    is optimal. Every `_TIE_GRAPHS` entry, the 4-cycle of `reduce_degree4`
+    too, was checked on every S; for Q_t, Harper's edge-isoperimetric
+    inequality gives every S of at most half the clones at least |S| ties
+    leaving it.
     """
     return _split_step(system, variable, "degree5plus")[0]
 

@@ -27,6 +27,7 @@ from maxlin2 import (
 from maxlin2.cli import EXIT_FORMAT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
 from maxlin2.formats import _CHUNK, _plain_lin2
+from maxlin2.gadgets import reduce_to_target
 from helpers import random_system, traced_peak
 
 
@@ -619,10 +620,9 @@ def test_cli_refuses_total_weight_above_the_bound(tmp_path, capsys, monkeypatch,
     "command, bad",
     [
         (["reduce", "--target", "eq3eq3", "-o", "missing/x.lin2"], "missing/x.lin2"),
-        (["reduce", "--target", "eq3eq3", "-o", "x.lin2", "--trace", "missing/t"], "missing/t"),
         (["from-oddset", "-o", "missing/x"], "missing/x"),
     ],
-    ids=["reduce-output", "reduce-trace", "from-oddset-output"],
+    ids=["reduce-output", "from-oddset-output"],
 )
 def test_cli_names_the_path_it_cannot_write(tmp_path, capsys, monkeypatch, command, bad):
     monkeypatch.chdir(tmp_path)
@@ -687,6 +687,42 @@ def test_cli_auto_never_runs_oracle_above_limit(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "s OPTIMUM 0"
 
 
+def test_cli_auto_asks_occ2_before_two_var(tmp_path, capsys):
+    # Occurrence 2 and arity 1: two-var at -k 0 would print NO, but auto
+    # asks occ2 first, and occ2 prints the optimum.
+    path = _write(tmp_path, "a.lin2", CONTRADICTION)
+    assert main(["solve", path, "-k", "0"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "s OPTIMUM 1"
+
+
+def test_cli_solve_never_profiles_the_instance(tmp_path, capsys, monkeypatch):
+    # Each solver refuses what is outside its class or size itself, so no
+    # mode of solve builds a profile; stats still does.
+    def refuse(system):
+        raise AssertionError("profile called")
+
+    monkeypatch.setattr("maxlin2.cli.profile", refuse)
+    occ2 = _write(tmp_path, "occ2.lin2", CONTRADICTION)
+    plus = _write(tmp_path, "plus.lin2", TRIANGLE_PLUS)
+    rows = "".join(f"1 0 3 {v} {v + 1} {v + 2}\n" for v in (1, 2, 3))
+    wide = _write(tmp_path, "wide.lin2", f"p lin2 30 3\n{rows}")
+    for args, code in (
+        ([occ2], EXIT_OK),
+        ([occ2, "-k", "0"], EXIT_OK),
+        ([plus], EXIT_OK),
+        ([plus, "-k", "2"], EXIT_OK),
+        ([wide], EXIT_USAGE),
+        ([wide, "-k", "2"], EXIT_USAGE),
+        ([plus, "--mode", "exact"], EXIT_OK),
+        ([plus, "--mode", "occ2"], EXIT_USAGE),
+        ([plus, "--mode", "two-var", "-k", "2"], EXIT_OK),
+        ([plus, "--mode", "approx"], EXIT_OK),
+    ):
+        assert main(["solve", *args]) == code, args
+    with pytest.raises(AssertionError, match="profile called"):
+        main(["stats", plus])
+
+
 def test_cli_from_oddset(tmp_path, capsys):
     ods = _write(tmp_path, "a.ods", "p ods 2 1 1\n2 1 2\n")
     out_path = tmp_path / "out.lin2"
@@ -695,6 +731,12 @@ def test_cli_from_oddset(tmp_path, capsys):
     emitted = parse_lin2(out_path.read_text())
     assert emitted.total_weight == 6
     assert len(emitted.equations) == 4
+
+
+def _trace_lines(path) -> str:
+    """The trace text that `reduce` wrote as `c trace` lines into its output."""
+    lines = path.read_text().splitlines()
+    return "".join(line[len("c trace ") :] + "\n" for line in lines if line.startswith("c trace "))
 
 
 def test_cli_reduce_eq3eq3_then_stats(tmp_path, capsys):
@@ -710,7 +752,7 @@ def test_cli_reduce_eq3eq3_then_stats(tmp_path, capsys):
     prof = profile(reduced)
     assert (prof.max_arity, prof.max_occurrence) == (3, 3)
     assert prof.unit_weights and prof.distinct_lhs
-    assert (tmp_path / "red.lin2.trace").exists()
+    assert _trace_lines(out_path)
     assert main(["stats", str(out_path)]) == EXIT_OK
     assert "r=3 s=3" in capsys.readouterr().out
 
@@ -727,7 +769,7 @@ deduplicate m:42->42 n:43->43
 compact m:42->42 n:43->42
 """
 
-# The exact .trace text of each target on one input with a weight-2 row, an
+# The exact trace text of each target on one input with a weight-2 row, an
 # opposing unary pair and a variable of degree 4 once the pairs are folded.
 # Every target runs one pipeline, so each trace is a prefix of eq3eq3's.
 REDUCE_TRACES = {
@@ -748,7 +790,7 @@ def test_cli_reduce_trace_file_text(tmp_path, capsys, target):
     out_path = tmp_path / "red.lin2"
     assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_OK
     capsys.readouterr()
-    assert (tmp_path / "red.lin2.trace").read_text() == REDUCE_TRACES[target]
+    assert _trace_lines(out_path) == REDUCE_TRACES[target]
 
 
 DEGREE5_TRACE = """\
@@ -778,7 +820,7 @@ def test_cli_reduce_trace_file_text_of_a_degree5_split(tmp_path, capsys, target,
     assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_OK
     capsys.readouterr()
     expected = "".join(DEGREE5_TRACE.splitlines(keepends=True)[:lines])
-    assert (tmp_path / "red.lin2.trace").read_text() == expected
+    assert _trace_lines(out_path) == expected
 
 
 def test_cli_reduce_then_solve_keeps_forced_ledger(tmp_path, capsys):
@@ -868,15 +910,40 @@ def test_cli_reduce_refuses_an_oversize_output_before_building(tmp_path, capsys)
         _assert_drops_it_all(bare_star, target, tmp_path / f"star.{target}.lin2", capsys)
 
 
-def test_cli_reduce_writes_both_files_or_neither(tmp_path, capsys):
+def test_cli_reduce_writes_one_file_or_none(tmp_path, capsys):
+    # The trace goes into the output as comments: one file, or none when
+    # the output cannot be written.
     source = _write(tmp_path, "src.lin2", "p lin2 3 1\n1 1 3 1 2 3\n")
-    out_path = tmp_path / "x.lin2"
+    out_path = tmp_path / "out" / "x.lin2"
     args = ["reduce", source, "--target", "eq3eq3", "-o", str(out_path)]
-    assert main(args + ["--trace", str(tmp_path / "missing" / "t")]) == EXIT_USAGE
+    assert main(args) == EXIT_USAGE
     assert "cannot write" in capsys.readouterr().err
-    assert not out_path.exists()
+    assert not out_path.parent.exists()
+    out_path.parent.mkdir()
     assert main(args) == EXIT_OK
-    assert out_path.exists() and (tmp_path / "x.lin2.trace").exists()
+    assert [p.name for p in out_path.parent.iterdir()] == ["x.lin2"]
+    assert _trace_lines(out_path)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_cli_reduce_writes_its_trace_into_its_one_output(tmp_path, capsys, target):
+    # The output is the only file reduce leaves; it reads back as the
+    # library's reduced system, and its `c trace` lines, joined, are the
+    # library's trace text.
+    rng = random.Random(0x7AC)
+    for index in range(8):
+        system = random_system(rng, max_vars=5, max_eqs=7, max_weight=2, max_arity=3)
+        workdir = tmp_path / str(index)
+        workdir.mkdir()
+        source = _write(workdir, "in.lin2", emit_lin2(system))
+        out_path = workdir / "out.lin2"
+        assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(p.name for p in workdir.iterdir()) == ["in.lin2", "out.lin2"]
+        reduced, trace = reduce_to_target(system, target)
+        assert out_path.read_text().startswith(f"c reduced target={target}\nc trace normalize ")
+        assert parse_lin2(out_path.read_text()) == reduced
+        assert _trace_lines(out_path) == trace.text()
 
 
 def test_cli_reduce_refuses_arity_above_3_for_arity_targets(tmp_path, capsys):

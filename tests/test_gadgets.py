@@ -1080,7 +1080,7 @@ def test_degree_rule_growth_is_predicted(degree, growth):
 
 
 def test_degree_rule_growth_matches_what_the_split_builds():
-    # Every degree up to 40: one split through the table for 5 to 8, the
+    # Every degree up to 40: one split through the table for 4 to 8, the
     # cube and the table in turn above, on a star and on triangles.
     for degree in range(4, 41):
         growth = _split_growth(degree)
