@@ -47,7 +47,6 @@ from .gadgets import (
     OddSetReduction,
     ReductionTrace,
     TraceStep,
-    chain_block_parity_check,
     deduplicate_equations,
     enforce_degree_exactly3,
     expand_arity_to_3,

@@ -19,8 +19,8 @@ stops after a prefix of its stages. Rows holding a variable no other row
 holds are always satisfiable: they are dropped once, cascading, on the
 weighted rows, and logged as plain rows. From unit expansion on, the rules
 rewrite one store that holds only the lhs and rhs columns; the degree rules
-index its rows by variable only when some variable must split, and a rule
-that needs occurrence counts takes them from the rows. The (=3,=3) checks
+index its rows by variable once, and a rule that needs occurrence counts
+takes them from the rows. The (=3,=3) checks
 -- three variables per row, three rows per variable, distinct left-hand
 sides -- run on these columns where the output's columns are built: no
 stage builds an Equation. Reduction and both assignment maps cost
@@ -106,11 +106,14 @@ class OddSetInstance:
 
 
 class OddSetReduction(NamedTuple):
-    """Encoded system plus the block structure needed to audit it."""
+    """The encoded system and the instance's budget.
+
+    The instance is a YES-instance iff the system's minimum falsified
+    weight is at most `budget`.
+    """
 
     system: LinSystem
     budget: int
-    blocks: tuple[tuple[int, ...], ...]
 
 
 def oddset_to_lin2(inst: OddSetInstance) -> OddSetReduction:
@@ -126,44 +129,17 @@ def oddset_to_lin2(inst: OddSetInstance) -> OddSetReduction:
     ground = inst.num_elements
     lhs_column: list[tuple[int, ...]] = [(i,) for i in range(ground)]
     rhs_column = bytearray(ground)
-    blocks: list[tuple[int, ...]] = []
     next_var = ground
     for members in inst.sets:
-        start = len(lhs_column)
         # Row r holds member r and chain variables r - 1 and r where they
         # exist; chain variables follow every ground element, so rows stay sorted.
         chain = range(next_var, next_var + len(members) - 1)
         next_var = chain.stop
         lhs_column += ((x, *chain[max(r - 1, 0) : r + 1]) for r, x in enumerate(members))
         rhs_column += bytes(len(chain)) + b"\x01"
-        blocks.append(tuple(range(start, len(lhs_column))))
     weights = [1] * ground + [inst.budget + 1] * (len(lhs_column) - ground)
     system = LinSystem.from_columns(next_var, lhs_column, rhs_column, weights)
-    return OddSetReduction(system, inst.budget, tuple(blocks))
-
-
-def chain_block_parity_check(system: LinSystem, block, x_vars) -> int:
-    """Audit one chain block: does it telescope to odd parity on its x-vars?
-
-    Sums the block's equations over GF(2). Returns 1 iff all chain variables
-    cancel (the summed lhs equals the block's ground variables, a subset of
-    x_vars) and the summed rhs is 1; returns 0 otherwise.
-    """
-    block = tuple(block)
-    if not block:
-        raise GadgetError("empty block")
-    allowed = set(x_vars)
-    lhs_sum: set[int] = set()
-    rhs_sum = 0
-    ground: set[int] = set()
-    for j in block:
-        if not 0 <= j < len(system.lhs):
-            raise GadgetError(f"equation id {j} out of range")
-        lhs = set(system.lhs[j])
-        lhs_sum ^= lhs
-        rhs_sum ^= system.rhs[j]
-        ground |= lhs & allowed
-    return 1 if (lhs_sum == ground and rhs_sum == 1) else 0
+    return OddSetReduction(system, inst.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +459,9 @@ def _degree_growth(profile: Counter) -> tuple[int, int]:
 def _normalize_degrees(store: _Rows) -> list[TraceStep]:
     """Split the worst variable, lowest index first, until every d(x) <= 3.
 
-    The rows are indexed by variable only when some variable must split.
+    One `variable_rows` index finds the variables that must split and
+    serves every split; with none above 3 there are no steps.
     """
-    if max(occurrences(store.lhs).values(), default=0) <= 3:
-        return []
     holders = variable_rows(store.lhs)
     # A variable's count changes only when it is split, which pops its one
     # heap entry first, so no entry goes stale.
@@ -503,19 +478,19 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
     return steps
 
 
-def _split_step(system: LinSystem, variable: int, rule: str) -> tuple[LinSystem, TraceStep]:
+def _split_step(system: LinSystem, variable: int, rule: str) -> LinSystem:
     store = _Rows(system, f"{rule} rule")
     holders = variable_rows(store.lhs)
     degree = len(holders[variable])
     if (degree != 4) if rule == "degree4" else (degree < 5):
         raise GadgetError(f"variable {variable} occurs {degree} times; {rule} does not apply")
-    step = _split(store, holders, variable)
-    return store.system(), step
+    _split(store, holders, variable)
+    return store.system()
 
 
 def reduce_degree4(system: LinSystem, variable: int) -> LinSystem:
     """Split a variable occurring 4 times into a 4-cycle of fresh variables."""
-    return _split_step(system, variable, "degree4")[0]
+    return _split_step(system, variable, "degree4")
 
 
 def reduce_degree5plus(system: LinSystem, variable: int) -> LinSystem:
@@ -533,7 +508,7 @@ def reduce_degree5plus(system: LinSystem, variable: int) -> LinSystem:
     inequality gives every S of at most half the clones at least |S| ties
     leaving it.
     """
-    return _split_step(system, variable, "degree5plus")[0]
+    return _split_step(system, variable, "degree5plus")
 
 
 def normalize_max_degree3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
@@ -931,8 +906,10 @@ def reduce_to_target(system: LinSystem, target: str) -> tuple[LinSystem, Reducti
     "arity3" also pads arities up to 3, and "eq3eq3" (`to_eq3_eq3`) also
     finishes the (=3,=3) shape. Only "deg3" accepts arity above 3. An output
     predicted above MAX_UNIT_EQUATIONS rows raises CapacityError before unit
-    expansion.
+    expansion, and any other target raises ValueError before any work.
     """
+    if target not in _TARGET_STAGES:
+        raise ValueError(f"unknown target {target!r}; expected one of {', '.join(_TARGET_STAGES)}")
     stages = _STAGES[: _TARGET_STAGES[target]]
     if target != "deg3" and max(map(len, system.lhs), default=0) > 3:
         raise InstanceClassError(f"{target} input must have arity at most 3")

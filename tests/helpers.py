@@ -80,19 +80,6 @@ def random_graph(
     return Graph(n, tuple(edges))
 
 
-def random_oddset(rng: random.Random, *, num_elements: int, max_sets: int,
-                  budget: int, max_set_size: int | None = None) -> OddSetInstance:
-    cap = num_elements if max_set_size is None else min(max_set_size, num_elements)
-    wanted = rng.randint(0, max_sets)
-    chosen: set[tuple[int, ...]] = set()
-    for _ in range(wanted * 3):
-        if len(chosen) == wanted:
-            break
-        size = rng.randint(1, cap)
-        chosen.add(tuple(sorted(rng.sample(range(num_elements), size))))
-    return OddSetInstance(num_elements, tuple(sorted(chosen)), budget)
-
-
 def oddset_is_yes(inst: OddSetInstance) -> bool:
     """Decide an odd-set instance by enumerating all selections up to budget."""
     for size in range(min(inst.budget, inst.num_elements) + 1):

@@ -27,7 +27,6 @@ from maxlin2 import (
     LinSystem,
     OddSetInstance,
     brute_force_min_falsified,
-    chain_block_parity_check,
     deduplicate_equations,
     emit_lin2,
     enforce_degree_exactly3,
@@ -49,6 +48,7 @@ from maxlin2.core import (
     MAX_UNIT_EQUATIONS,
     ContractViolationError,
     occurrences,
+    variable_rows,
 )
 from maxlin2.gadgets import (
     _GADGETS,
@@ -62,7 +62,6 @@ from maxlin2.gadgets import (
     _resolve_opposing_step,
     _Rows,
     _split_growth,
-    _split_step,
     _write,
     reduce_to_target,
 )
@@ -93,15 +92,12 @@ def test_oddset_instance_validation():
 
 def test_oddset_two_element_set():
     red = oddset_to_lin2(OddSetInstance(2, ((0, 1),), 1))
-    assert [(e.lhs, e.rhs, e.weight) for e in red.system.equations] == [
-        ((0,), 0, 1),
-        ((1,), 0, 1),
-        ((0, 2), 0, 2),
-        ((1, 2), 1, 2),
-    ]
+    rows = [(e.lhs, e.rhs, e.weight) for e in red.system.equations]
+    assert rows[:2] == [((0,), 0, 1), ((1,), 0, 1)]
+    # The chain rows follow the 2 ground rows, one per member in set order.
+    assert rows[2:] == [((0, 2), 0, 2), ((1, 2), 1, 2)]
     assert red.system.total_weight == 6
     assert red.budget == 1
-    assert red.blocks == ((2, 3),)
 
 
 def test_oddset_singleton_set_collapses():
@@ -114,11 +110,88 @@ def test_oddset_singleton_set_collapses():
 
 def test_oddset_three_element_block_shape():
     red = oddset_to_lin2(OddSetInstance(3, ((0, 1, 2),), 0))
-    block = red.blocks[0]
-    assert len(block) == 3
     assert red.system.n == 3 + 2  # two chain variables
-    chain_arities = [red.system.equations[j].arity for j in block]
-    assert chain_arities == [2, 3, 2]
+    # The chain rows follow the 3 ground rows, one per member in set order.
+    assert [(e.lhs, e.rhs, e.weight) for e in red.system.equations[3:]] == [
+        ((0, 3), 0, 1),
+        ((1, 3, 4), 0, 1),
+        ((2, 4), 1, 1),
+    ]
+
+
+# Sets of every size from 1 to 4, overlapping, in no particular order.
+_CHAIN_SETS = ((0, 1, 2, 3), (4,), (1, 5), (0, 2, 4), (3,), (1, 2, 3, 5))
+
+
+def _chain_blocks(inst):
+    """Row ranges of each set's chain rows: they follow the ground rows in set order."""
+    start = inst.num_elements
+    for members in inst.sets:
+        yield members, range(start, start + len(members))
+        start += len(members)
+
+
+def test_oddset_chain_rows_telescope_to_odd_parity():
+    inst = OddSetInstance(6, _CHAIN_SETS, 2)
+    system = oddset_to_lin2(inst).system
+    assert len(system.lhs) == 6 + sum(map(len, _CHAIN_SETS))
+    for members, rows in _chain_blocks(inst):
+        lhs_sum: set[int] = set()
+        rhs_sum = 0
+        for j in rows:
+            lhs_sum ^= set(system.lhs[j])
+            rhs_sum ^= system.rhs[j]
+            assert system.weights[j] == inst.budget + 1
+        # Over GF(2) the chain variables cancel: odd parity on the set.
+        assert (lhs_sum, rhs_sum) == (set(members), 1)
+
+
+def test_oddset_chain_variables_are_private_to_their_set():
+    inst = OddSetInstance(6, _CHAIN_SETS, 2)
+    system = oddset_to_lin2(inst).system
+    assert system.n == 6 + sum(len(s) - 1 for s in _CHAIN_SETS)
+    holders = variable_rows(system.lhs)
+    next_var = 6
+    for members, rows in _chain_blocks(inst):
+        for r in range(len(members) - 1):
+            # Chain variable r links rows r and r + 1 of its own block only.
+            assert holders[next_var + r] == [rows[r], rows[r + 1]]
+        next_var += len(members) - 1
+    for x in range(6):
+        assert len(holders[x]) == 1 + sum(x in s for s in _CHAIN_SETS)
+
+
+def test_oddset_flipped_chain_rhs_turns_the_verdict():
+    # {0, 1, 2} with budget 0 is a NO-instance. With the odd rhs of its last
+    # chain row made even, the all-zero assignment satisfies every row, so
+    # the oracle of criterion 4 would accept it.
+    inst = OddSetInstance(3, ((0, 1, 2),), 0)
+    system = oddset_to_lin2(inst).system
+    assert not oddset_is_yes(inst)
+    assert brute_force_min_falsified(system).falsified_weight == 1
+    eqs = list(system.equations)
+    eqs[-1] = Equation(eqs[-1].lhs, eqs[-1].rhs ^ 1, eqs[-1].weight)
+    flipped = LinSystem(system.n, tuple(eqs))
+    assert brute_force_min_falsified(flipped).falsified_weight == 0
+
+
+def test_oddset_optimum_prices_each_selection():
+    # The optimum is the least |X| + (budget + 1) * (sets X meets evenly)
+    # over all selections X: each ground row charges one selected element,
+    # and a block met evenly must falsify exactly one heavy chain row.
+    subsets = [s for size in (1, 2, 3) for s in itertools.combinations(range(3), size)]
+    for count in (0, 1, 2, 3):
+        for family in itertools.combinations(subsets, count):
+            for budget in range(4):
+                system = oddset_to_lin2(OddSetInstance(3, family, budget)).system
+                priced = min(
+                    len(picked) + (budget + 1) * sum(
+                        len(set(picked) & set(s)) % 2 == 0 for s in family
+                    )
+                    for size in range(4)
+                    for picked in itertools.combinations(range(3), size)
+                )
+                assert brute_force_min_falsified(system).falsified_weight == priced, (family, budget)
 
 
 def test_oddset_arity_bound():
@@ -135,33 +208,6 @@ def test_oddset_arity_bound():
                 sets.append(members)
         red = oddset_to_lin2(OddSetInstance(n, tuple(sets), rng.randint(0, 2)))
         assert profile(red.system).max_arity <= 3
-
-
-def test_chain_parity_telescopes():
-    red = oddset_to_lin2(OddSetInstance(2, ((0, 1),), 1))
-    assert chain_block_parity_check(red.system, red.blocks[0], range(2)) == 1
-
-
-def test_chain_parity_three_elements():
-    red = oddset_to_lin2(OddSetInstance(3, ((0, 1, 2),), 2))
-    assert chain_block_parity_check(red.system, red.blocks[0], range(3)) == 1
-
-
-def test_chain_parity_detects_flipped_rhs():
-    red = oddset_to_lin2(OddSetInstance(2, ((0, 1),), 1))
-    eqs = list(red.system.equations)
-    last = red.blocks[0][-1]
-    eqs[last] = Equation(eqs[last].lhs, eqs[last].rhs ^ 1, eqs[last].weight)
-    broken = LinSystem(red.system.n, tuple(eqs))
-    assert chain_block_parity_check(broken, red.blocks[0], range(2)) == 0
-
-
-def test_chain_parity_rejects_malformed_block():
-    red = oddset_to_lin2(OddSetInstance(2, ((0, 1),), 1))
-    with pytest.raises(GadgetError):
-        chain_block_parity_check(red.system, (), range(2))
-    with pytest.raises(GadgetError):
-        chain_block_parity_check(red.system, (99,), range(2))
 
 
 def test_oddset_equivalence_small():
@@ -235,9 +281,13 @@ def test_degree5plus_distribution_example():
     system = LinSystem.build(
         3, [((0, 1), 0, 1)] * 4 + [((0, 2), 1, 1)] * 4
     )
-    out, step = _split_step(system, 0, "degree5plus")
-    clones = (0, *range(step.pre_n, step.post_n))
+    out = reduce_degree5plus(system, 0)
+    clones = (0, *range(system.n, out.n))
     assert clones == (0, *range(3, 16))
+    # The split is the first step of degree normalization, worst first, and
+    # records the variable and its rows; the clones are its fresh range.
+    step = normalize_max_degree3(system)[1].steps[0]
+    assert (step.data["variable"], step.pre_n, step.post_n) == (0, 3, 16)
     assert set(step.data) == {"variable", "rows"}
     assert _original_occurrences(system, out, clones) == [1] * 8 + [0] * 6
     ties = [(clones[a], clones[b]) for a, b in _TIE_GRAPHS[8][1]]
@@ -246,8 +296,8 @@ def test_degree5plus_distribution_example():
     assert all(occurrence_counts(out)[c] == 3 for c in clones)
     # Nine occurrences take t = 4: the 16 clones of Q_4 and its 32 edges.
     system = LinSystem.build(3, [((0, 1), 0, 1)] * 5 + [((0, 2), 1, 1)] * 4)
-    out, step = _split_step(system, 0, "degree5plus")
-    clones = (0, *range(step.pre_n, step.post_n))
+    out = reduce_degree5plus(system, 0)
+    clones = (0, *range(system.n, out.n))
     assert clones == (0, *range(3, 18))
     assert _original_occurrences(system, out, clones) == [1] * 9 + [0] * 7
     ties = [(clones[a], clones[b]) for a, b in _cube_ties(4)]
@@ -256,8 +306,8 @@ def test_degree5plus_distribution_example():
 
 def test_degree5_split_of_five():
     system = LinSystem.build(2, [((0, 1), 0, 1)] * 5)
-    out, step = _split_step(system, 0, "degree5plus")
-    clones = (0, *range(step.pre_n, step.post_n))
+    out = reduce_degree5plus(system, 0)
+    clones = (0, *range(system.n, out.n))
     assert len(clones) == 5
     original_occ = _original_occurrences(system, out, clones)
     assert original_occ == [1, 1, 1, 1, 1]
@@ -1150,18 +1200,36 @@ def test_pipeline_refuses_a_weight_at_the_bound_promptly():
     assert time.monotonic() - started < 1
 
 
+def test_reduce_to_target_refuses_an_unknown_target_first():
+    # Refused before any work: the arity check, the first, would refuse
+    # this arity-4 row with InstanceClassError.
+    wide = LinSystem.build(4, [((0, 1, 2, 3), 1, 1)])
+    for target in ("bogus", "", "EQ3EQ3"):
+        with pytest.raises(ValueError, match="; expected one of deg3, arity3, eq3eq3$") as raised:
+            reduce_to_target(wide, target)
+        assert raised.value.args[0].startswith(f"unknown target {target!r}")
+
+
 def test_an_empty_system_indexes_no_rows_and_names_no_variables(monkeypatch):
-    # No variable splits, so no target indexes the rows by variable, and
-    # the writer names only the variables a row holds: none, whatever n is.
-    # The occ <= 2 solver needs no row index either: the cascade finds none.
+    # Degree splitting indexes the rows by variable once per target, and an
+    # empty system has no rows to index; the writer names only the variables
+    # a row holds: none, whatever n is. The occ <= 2 solver needs no row
+    # index at all: the cascade finds none.
     def unused(lhs):
         raise AssertionError("indexed the rows of a system where nothing splits")
 
-    monkeypatch.setattr(maxlin2.gadgets, "variable_rows", unused)
+    indexed = []
+
+    def counted(lhs):
+        indexed.append(len(lhs))
+        return variable_rows(lhs)
+
+    monkeypatch.setattr(maxlin2.gadgets, "variable_rows", counted)
     monkeypatch.setattr(maxlin2.occ2, "variable_rows", unused)
     empty = LinSystem.from_columns(MAX_UNIT_EQUATIONS, [], b"", [])
     for target in TARGETS:
         assert reduce_to_target(empty, target)[0].lhs == ()
+    assert indexed == [0] * len(TARGETS)
     result = solve_occ2(empty)
     assert (result.falsified_weight, result.certificate) == (0, ())
     assert len(result.assignment) == MAX_UNIT_EQUATIONS and not any(result.assignment)
