@@ -18,23 +18,26 @@ Every `maxlin2 reduce` target runs one pipeline, `reduce_to_target`, and
 stops after a prefix of its stages. Rows holding a variable no other row
 holds are always satisfiable: they are dropped once, cascading, on the
 weighted rows, and logged as plain rows. From unit expansion on, the rules
-rewrite one store that holds only the lhs and rhs columns; the degree rules
-index its rows by variable once, and a rule that needs occurrence counts
-takes them from the rows. The (=3,=3) checks
--- three variables per row, three rows per variable, distinct left-hand
-sides -- run on these columns where the output's columns are built: no
-stage builds an Equation. Reduction and both assignment maps cost
-O(input + output). A variable of degree 4 to 8 splits into clones joined
-by a small tie graph that leaves every clone at degree 3; one above 8
-splits into clones tied by the edges of a ceil(log2 d)-cube, so it costs
-O(d log d) rows. Every gadget that replaces a row of arity 1 or 2 or a
-pair of copied rows, or pads occurrence-2 variables (six at a time by 10
-rows, a last three by 7), is one entry of one table: one writer lays its
-rows out, the forward map completes it and the size prediction counts it
-from that entry. No rule brings a variable down to one occurrence, so the
-output size follows exactly from the weighted degree profile, and a stage
-above MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64
-from `maxlin2 reduce`) before unit expansion builds anything.
+rewrite one store that holds the lhs and rhs columns; the degree rules
+count occurrences once and index the rows by variable only when some
+variable splits, the padding takes the variables at occurrence 2 from that
+count, and every other count is taken from the rows.
+The (=3,=3) checks -- three variables per row, three rows per variable,
+distinct left-hand sides -- run on these columns where the output's
+columns are built: no stage builds an Equation. Reduction and both
+assignment maps cost O(input + output). A variable of degree 4 to 8
+splits into clones joined by a small tie graph that leaves every clone at
+degree 3. One above 8 takes whichever of the ceil(log2 d)-cube and a
+complete graph on about sqrt(2d) clones adds fewer rows in all, its
+clones splitting in turn, so it costs at most the cube's O(d log d) rows.
+Every gadget that replaces a row of arity 1 or 2 or a pair of copied
+rows, or pads occurrence-2 variables (six at a time by 10 rows, a last
+three by 7), is one entry of one table: one writer lays its rows out, the
+forward map completes it and the size prediction counts it from that
+entry. No rule brings a variable down to one occurrence, so the output
+size follows exactly from the weighted degree profile, and a stage above
+MAX_UNIT_EQUATIONS equations is refused with CapacityError (exit 64 from
+`maxlin2 reduce`) before unit expansion builds anything.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, product
-from operator import eq
+from itertools import chain, compress, cycle, product, repeat
+from math import isqrt
+from operator import eq, ne
 from typing import NamedTuple
 
 from .core import (
@@ -309,7 +313,8 @@ class _Rows:
     and a bytearray of rhs bits; row j is (lhs[j], rhs[j]). Every rule below
     runs on one store, sets `n` itself when it adds variables, and builds no
     Equation. The rules that need occurrence counts take them from the rows
-    with `core.occurrences`. The pipeline's (=3,=3) checks run on these columns
+    with `core.occurrences`; `twos` keeps the degree rule's list of the
+    variables at occurrence 2 for the padding. The pipeline's (=3,=3) checks run on these columns
     in `_compact`, which renumbers only when a slot is empty; `system()`
     builds the output columns and checks every row.
     """
@@ -321,6 +326,9 @@ class _Rows:
         self.lhs = list(system.lhs)
         self.rhs = bytearray(system.rhs)
         self.forced = system.forced_falsified
+        # The variables at occurrence 2, in any order, once the degree rule
+        # has counted them; arity expansion adds its fresh variables.
+        self.twos: list[int] | None = None
 
     def sizes(self) -> tuple[int, int]:
         return self.n, len(self.lhs)
@@ -375,14 +383,108 @@ _TIE_GRAPHS = {
 }
 
 
+class _Plan(NamedTuple):
+    """How a variable of one degree splits, and what that costs in all.
+
+    `graph` is "table" (the `_TIE_GRAPHS` entry), "cube" (Q_t on 2^t
+    slots) or "complete" (K_slots with `mu` ties per pair). Occurrence i
+    goes to slot i mod slots. `growth` is the variables and rows that the
+    split and every later split of its clones add.
+    """
+
+    graph: str
+    slots: int
+    mu: int
+    growth: tuple[int, int]
+
+
+def _complete_graph_is_exact(degree: int, g: int, mu: int) -> bool:
+    """Whether K_g with mu ties per pair gives every clone set enough ties leaving it.
+
+    A set of s clones has mu * s * (g - s) ties leaving it and holds
+    between lo and hi rows, the totals of the s lightest and the s
+    heaviest clones, so min(rows in S, rows outside S) is at most
+    min(hi, degree - lo, degree // 2). A set and its complement have the
+    same cut, so s <= g // 2 suffices; the largest s, the tightest, goes first.
+    """
+    q, heavy = divmod(degree, g)
+    for s in range(g // 2, 0, -1):
+        hi = s * q + min(s, heavy)
+        lo = s * q + max(0, s - (g - heavy))
+        if mu * s * (g - s) < min(hi, degree - lo, degree // 2):
+            return False
+    return True
+
+
+def _grown(fresh: int, ties: int, clones) -> tuple[int, int]:
+    """(fresh, ties) plus what the later splits of each (count, degree) of clones add."""
+    for count, degree in clones:
+        dn, dm = _split_growth(degree)
+        fresh += count * dn
+        ties += count * dm
+    return fresh, ties
+
+
+@cache
+def _plan(degree: int) -> _Plan:
+    """The split of a variable of degree d >= 4 that adds the fewest rows in all.
+
+    The candidates are the `_TIE_GRAPHS` entry, the cube Q_t with t =
+    ceil(log2 d), whose clones hold at most one occurrence each, and, for
+    9 <= d <= MAX_UNIT_EQUATIONS, complete graphs K_g with mu = 1, 2 or 3
+    ties per pair: from isqrt(d // mu), below which none is exact, the
+    smallest exact g and the three after it. A K_g clone holds d // g or
+    d // g + 1 occurrences and mu * (g - 1) ties; it must end below d, so
+    that the splits end, and at 3 or more, as `_predict_sizes` counts, and
+    mu > 1 is taken only when every clone splits again. A tie goes to the
+    earlier candidate, so degrees 4 to 8 keep their table.
+    """
+    plans = []
+    if degree in _TIE_GRAPHS:
+        slots, ties = _TIE_GRAPHS[degree]
+        plans.append(_Plan("table", slots, 1, (slots - 1, len(ties))))
+    t = (degree - 1).bit_length()
+    size = 1 << t
+    cube = _grown(size - 1, t * size // 2, ((degree, t + 1), (size - degree, t)))
+    plans.append(_Plan("cube", size, 1, cube))
+    for mu in (1, 2, 3) if 9 <= degree <= MAX_UNIT_EQUATIONS else ():
+        first = max(2, isqrt(degree // mu))
+        while not _complete_graph_is_exact(degree, first, mu):
+            first += 1
+        for g in range(first, first + 4):
+            q, heavy = divmod(degree, g)
+            low = q + mu * (g - 1)  # the clone degree; `heavy` clones hold one more
+            if low < (3 if mu == 1 else 4) or low + (heavy > 0) >= degree:
+                continue
+            if _complete_graph_is_exact(degree, g, mu):
+                growth = _grown(g - 1, mu * g * (g - 1) // 2, ((heavy, low + 1), (g - heavy, low)))
+                plans.append(_Plan("complete", g, mu, growth))
+    return min(plans, key=lambda plan: plan.growth[1])
+
+
+@cache
+def _ties(degree: int) -> tuple[tuple[int, int], ...]:
+    """The sorted slot pairs of `_plan(degree)`'s graph; the mu copies of a pair are adjacent.
+
+    Cached like the plan, so a process keeps the pairs of each degree it has split.
+    """
+    plan = _plan(degree)
+    if plan.graph == "table":
+        return _TIE_GRAPHS[degree][1]
+    if plan.graph == "cube":
+        return tuple(_cube_ties(plan.slots.bit_length() - 1))
+    g = plan.slots
+    return tuple((a, b) for a in range(g) for b in range(a + 1, g) for _ in range(plan.mu))
+
+
 def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     """Split one variable of degree d >= 4 into clones joined by tie rows, in place.
 
-    The variable and fresh clones sit on the slots of a tie graph, each
-    edge an rhs-0 tie row, and occurrence i goes to clone i. For d = 4 to 8
-    the graph is the `_TIE_GRAPHS` entry (a 4-cycle for d = 4), and every
-    clone ends at degree 3. Above 8, with t = ceil(log2 d), it is the t-cube
-    Q_t on 2^t slots, and each clone has degree t or t + 1;
+    The variable and fresh clones sit on the slots of the `_plan(d)`
+    graph, each edge an rhs-0 tie row, and occurrence i goes to clone i
+    mod slots. For d = 4 to 8 the graph is the `_TIE_GRAPHS` entry (a
+    4-cycle for d = 4) and every clone ends at degree 3; above, a clone
+    may end above 3, and the caller splits it in turn.
     `reduce_degree5plus` shows why the split is exact.
 
     Only the variable's rows and the new tie rows are touched; each clone is
@@ -395,18 +497,14 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     lhs_column, rhs_column = store.lhs, store.rhs
     ids = holders[variable]
     degree = len(ids)
-    if degree in _TIE_GRAPHS:
-        slots, ties = _TIE_GRAPHS[degree]
-    else:
-        t = (degree - 1).bit_length()
-        slots, ties = 1 << t, _cube_ties(t)
+    slots, ties = _plan(degree).slots, _ties(degree)
     pre = store.sizes()
     n = store.n
     clones = (variable, *range(n, n + slots - 1))
     data = {"variable": variable, "rows": tuple((lhs_column[j], rhs_column[j]) for j in ids)}
     store.n = n + slots - 1
     holders[variable] = []
-    for clone, j in zip(clones, ids):
+    for clone, j in zip(cycle(clones), ids):
         if clone != variable:
             lhs = lhs_column[j]
             i = lhs.index(variable)
@@ -425,25 +523,10 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
 def _split_growth(degree: int) -> tuple[int, int]:
     """Variables and rows the degree rules add to bring one variable to <= 3.
 
-    A split of degree 4 to 8 adds one fresh clone per `_TIE_GRAPHS` slot
-    but the first, and the entry's ties, and leaves every clone at degree
-    3. A split of degree d above 8 adds 2^t - 1 clones and t * 2^(t-1)
-    tie rows of Q_t, then d clones of degree t + 1 and 2^t - d of degree t
-    grow in turn.
+    This is the `_plan` growth: the split's fresh clones and ties, then
+    what the splits of its clones add in turn.
     """
-    if degree <= 3:
-        return 0, 0
-    if degree in _TIE_GRAPHS:
-        slots, ties = _TIE_GRAPHS[degree]
-        return slots - 1, len(ties)
-    t = (degree - 1).bit_length()
-    size = 1 << t
-    held_n, held_m = _split_growth(t + 1)
-    bare_n, bare_m = _split_growth(t)
-    return (
-        size - 1 + degree * held_n + (size - degree) * bare_n,
-        t * size // 2 + degree * held_m + (size - degree) * bare_m,
-    )
+    return _plan(degree).growth if degree > 3 else (0, 0)
 
 
 def _degree_growth(profile: Counter) -> tuple[int, int]:
@@ -459,14 +542,20 @@ def _degree_growth(profile: Counter) -> tuple[int, int]:
 def _normalize_degrees(store: _Rows) -> list[TraceStep]:
     """Split the worst variable, lowest index first, until every d(x) <= 3.
 
-    One `variable_rows` index finds the variables that must split and
-    serves every split; with none above 3 there are no steps.
+    One occurrence count finds the variables that must split; with none
+    above 3 there are no steps and no row index. Otherwise one
+    `variable_rows` index serves every split. The count also names the
+    variables at occurrence 2 for the store's `twos`: no split touches them.
     """
-    holders = variable_rows(store.lhs)
+    occ = occurrences(store.lhs)
+    store.twos = [v for v, c in occ.items() if c == 2]
     # A variable's count changes only when it is split, which pops its one
     # heap entry first, so no entry goes stale.
-    heap = [(-len(ids), v) for v, ids in holders.items() if len(ids) > 3]
+    heap = [(-c, v) for v, c in occ.items() if c > 3]
+    if not heap:
+        return []
     heapq.heapify(heap)
+    holders = variable_rows(store.lhs)
     steps: list[TraceStep] = []
     while heap:
         variable = heapq.heappop(heap)[1]
@@ -496,17 +585,21 @@ def reduce_degree4(system: LinSystem, variable: int) -> LinSystem:
 def reduce_degree5plus(system: LinSystem, variable: int) -> LinSystem:
     """Split a variable occurring d >= 5 times into clones joined by tie rows.
 
-    Each clone holds at most one occurrence. For d = 5 to 8 the ties are
-    the `_TIE_GRAPHS` entry (a 5-cycle for d = 5) and every clone ends at
-    degree 3; above 8 they are the edges of Q_t on 2^t clones, with
-    t = ceil(log2 d). Take any assignment and flip the side that holds
-    fewer of the variable's rows: every cut tie then holds, and each
-    flipped clone loses at most its one row. So if every set S of clones
-    has cut(S) >= min(rows in S, rows outside S), some uniform clone value
-    is optimal. Every `_TIE_GRAPHS` entry, the 4-cycle of `reduce_degree4`
+    For d = 5 to 8 the ties are the `_TIE_GRAPHS` entry (a 5-cycle for
+    d = 5): each clone holds at most one occurrence and ends at degree 3.
+    Above 8 they are the `_plan(d)` graph: the cube Q_t on 2^t clones, t =
+    ceil(log2 d), each holding at most one occurrence, or the complete
+    graph K_g with mu ties per clone pair and occurrence i on clone i mod
+    g. Take any assignment, and let S be the clones at 1. Flipping S makes
+    every tie leaving S hold, and costs at most the rows S holds; flipping
+    the others costs at most the rows they hold. So if every S has
+    cut(S) >= min(rows in S, rows outside S), some uniform clone value is
+    optimal. Every `_TIE_GRAPHS` entry, the 4-cycle of `reduce_degree4`
     too, was checked on every S; for Q_t, Harper's edge-isoperimetric
     inequality gives every S of at most half the clones at least |S| ties
-    leaving it.
+    leaving it; in K_g, s clones have mu * s * (g - s) ties leaving them,
+    and `_complete_graph_is_exact` checks that against the most rows any
+    s clones, or the others, can hold.
     """
     return _split_step(system, variable, "degree5plus")
 
@@ -600,6 +693,8 @@ def _expand_arity(store: _Rows) -> list[TraceStep]:
     store.lhs, store.rhs = rows.pop(3)
     groups = tuple(_write(store, f"arity{a}", tuple(chain.from_iterable(lhs)), bytes(rhs))
                    for a, (lhs, rhs) in rows.items())
+    if store.twos is not None:  # every fresh variable of both gadgets occurs twice
+        store.twos += range(pre[0], store.n)
     return [store.step("arity-expand", {"groups": groups}, pre)]
 
 
@@ -640,9 +735,14 @@ def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceSt
 def _enforce_degree(store: _Rows) -> list[TraceStep]:
     """Pad the occurrence-2 variables, ascending, by pad6 gadgets and a last pad3 if need be.
 
-    The step data is {"groups": (the pad6 group, the pad3 group)} as `_write` returns them.
+    The variables are the store's `twos` when the degree rule counted them,
+    else a count of the rows names them. The step data is {"groups": (the
+    pad6 group, the pad3 group)} as `_write` returns them.
     """
-    deg2 = tuple(sorted(v for v, c in occurrences(store.lhs).items() if c == 2))
+    twos = store.twos
+    if twos is None:
+        twos = [v for v, c in occurrences(store.lhs).items() if c == 2]
+    deg2 = tuple(sorted(twos))
     if len(deg2) % 3:
         raise ContractViolationError(
             f"{len(deg2)} variables of occurrence 2; expected a multiple of 3"
@@ -840,12 +940,15 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
       variables is split (a weight-3 one would have been removed);
     - a (=3,=3) output has as many variables as rows.
     """
-    degree: Counter = Counter()
-    arity_weight: Counter = Counter()
-    for lhs, weight in zip(system.lhs, system.weights):
-        arity_weight[len(lhs)] += weight
+    # Every row counts once at C speed; only the heavier rows add the rest.
+    lhs_column, weights = system.lhs, system.weights
+    degree = occurrences(lhs_column)
+    arity_weight = Counter(map(len, lhs_column))
+    heavy = list(compress(zip(lhs_column, weights), map(ne, weights, repeat(1))))
+    for lhs, weight in heavy:
+        arity_weight[len(lhs)] += weight - 1
         for v in lhs:
-            degree[v] += weight
+            degree[v] += weight - 1
     profile = Counter(degree.values())
     dn, dm = _degree_growth(profile)
     n, m = system.n + dn, system.total_weight + dm
@@ -856,7 +959,7 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
     sizes.append((n, m))
     sixes, rest = divmod(profile[2] + n2 + n1, 6)
     pairs = sum(len(lhs) == 3 and weight == 2 and max(degree[v] for v in lhs) <= 3
-                for lhs, weight in zip(system.lhs, system.weights))
+                for lhs, weight in heavy)
     for name, count, replaced in (("pad6", sixes, 0), ("pad3", rest // 3, 0), ("pair", pairs, 2)):
         m += _gadget_growth(name, count, replaced)[1]
     sizes.append((m, m))

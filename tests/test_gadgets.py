@@ -57,11 +57,13 @@ from maxlin2.gadgets import (
     _cube_ties,
     _enforce_degree,
     _map_forward_step,
+    _plan,
     _predict_sizes,
     _remove_always_satisfied_step,
     _resolve_opposing_step,
     _Rows,
     _split_growth,
+    _ties,
     _write,
     reduce_to_target,
 )
@@ -294,14 +296,16 @@ def test_degree5plus_distribution_example():
     assert list(out.lhs[len(system.lhs) :]) == ties
     assert not any(out.rhs[len(system.lhs) :])
     assert all(occurrence_counts(out)[c] == 3 for c in clones)
-    # Nine occurrences take t = 4: the 16 clones of Q_4 and its 32 edges.
+    # Nine occurrences take K_4: occurrence i goes to clone i mod 4, and the
+    # 3 fresh clones and the variable are tied pairwise by 6 rhs-0 rows.
     system = LinSystem.build(3, [((0, 1), 0, 1)] * 5 + [((0, 2), 1, 1)] * 4)
     out = reduce_degree5plus(system, 0)
     clones = (0, *range(system.n, out.n))
-    assert clones == (0, *range(3, 18))
-    assert _original_occurrences(system, out, clones) == [1] * 9 + [0] * 7
-    ties = [(clones[a], clones[b]) for a, b in _cube_ties(4)]
+    assert clones == (0, 3, 4, 5)
+    assert _original_occurrences(system, out, clones) == [3, 2, 2, 2]
+    ties = [(clones[a], clones[b]) for a, b in itertools.combinations(range(4), 2)]
     assert list(out.lhs[len(system.lhs) :]) == ties
+    assert not any(out.rhs[len(system.lhs) :])
 
 
 def test_degree5_split_of_five():
@@ -357,6 +361,86 @@ def test_tie_graphs_leave_every_clone_at_three_and_stay_exact(degree):
         assert cut >= min(inside, degree - inside), (degree, bin(subset))
 
 
+def test_every_split_plan_to_degree_200_is_exact():
+    # Each plan of degree 9..200, checked without the planner's closed form.
+    # The ties leaving a set S of clones must be at least min(rows in S,
+    # rows outside S): for each size s, against every total between the s
+    # lightest and the s heaviest clones' and, up to 14 clones, on every S.
+    # A clone ends at 3 or splits again below d, and parallel ties appear
+    # only where every clone splits again.
+    for degree in range(9, 201):
+        plan = _plan(degree)
+        g, ties = plan.slots, _ties(degree)
+        held = [len(range(c, degree, g)) for c in range(g)]
+        ends = collections.Counter(v for tie in ties for v in tie)
+        degrees = [held[c] + ends[c] for c in range(g)]
+        assert 3 <= min(degrees) and max(degrees) < degree, degree
+        later = [_split_growth(d) for d in degrees]
+        assert plan.growth == (
+            g - 1 + sum(n for n, _ in later), len(ties) + sum(m for _, m in later)
+        )
+        if plan.graph == "cube":  # exact by Harper's bound, as checked above
+            assert (g, plan.mu) == (1 << (degree - 1).bit_length(), 1)
+            assert list(ties) == _cube_ties(g.bit_length() - 1)
+            continue
+        mu = plan.mu
+        assert plan.graph == "complete"
+        assert collections.Counter(ties) == dict.fromkeys(itertools.combinations(range(g), 2), mu)
+        assert mu == 1 or min(degrees) >= 4, degree
+        ordered = sorted(held)
+        for s in range(1, g):
+            lo, hi = sum(ordered[:s]), sum(ordered[g - s :])
+            worst = max(min(x, degree - x) for x in range(lo, hi + 1))
+            assert mu * s * (g - s) >= worst, (degree, s)
+        if g > 14:
+            continue
+        neighbours = [0] * g
+        for a, b in ties:
+            neighbours[a] |= 1 << b
+            neighbours[b] |= 1 << a
+        cut, inside = [0] * (1 << g), [0] * (1 << g)
+        for subset in range(1, 1 << g):
+            v = (subset & -subset).bit_length() - 1
+            rest = subset ^ (1 << v)
+            cut[subset] = cut[rest] + ends[v] - 2 * mu * (rest & neighbours[v]).bit_count()
+            inside[subset] = inside[rest] + held[v]
+            assert cut[subset] >= min(inside[subset], degree - inside[subset]), (degree, subset)
+
+
+def test_degree9_to_13_splits_match_the_oracle_through_both_maps():
+    # One split of variable 0 at d = 9..13, where the complete-graph plans
+    # add 2 to 4 clones, on small random systems like the degree 5-8 ones.
+    rng = random.Random(9)
+    for degree in range(9, 14):
+        checked = 0
+        while checked < 120:
+            n = rng.randint(2, 9)
+            rows = [
+                ((0, *rng.sample(range(1, n), rng.randint(0, min(2, n - 1)))), rng.randint(0, 1), 1)
+                for _ in range(degree)
+            ]
+            for _ in range(rng.randint(0, 5)):
+                lhs = rng.sample(range(1, n), rng.randint(1, min(3, n - 1)))
+                rows.append((lhs, rng.randint(0, 1), 1))
+            system = LinSystem.build(n, [(sorted(lhs), rhs, w) for lhs, rhs, w in rows])
+            if max(occurrence_counts(system)[1:]) >= degree:
+                continue  # variable 0 must be the one split first
+            checked += 1
+            split = reduce_degree5plus(system, 0)
+            assert split.n - n == _plan(degree).slots - 1 <= 4
+            # Variable 0 is the worst, so degree normalization splits it first.
+            step = normalize_max_degree3(system)[1].steps[0]
+            assert (step.data["variable"], step.post_n) == (0, split.n)
+            trace = maxlin2.ReductionTrace((step,), system, split)
+            best = brute_force_min_falsified(system)
+            reduced = brute_force_min_falsified(split)
+            assert reduced.falsified_weight == best.falsified_weight
+            back = trace.map_assignment_back(reduced.assignment)
+            assert evaluate(system, back)[1] == best.falsified_weight
+            forward = trace.map_assignment_forward(best.assignment)
+            assert evaluate(split, forward)[1] == best.falsified_weight
+
+
 def test_degree5_to_8_splits_match_the_oracle_through_both_maps():
     # Variable 0 in d unit rows with up to two partners each, plus a few
     # rows over the other variables; 12 of each degree checked where the
@@ -403,12 +487,11 @@ def test_degree5plus_preserves_optimum():
             brute_force_min_falsified(out).falsified_weight
             == brute_force_min_falsified(system).falsified_weight
         )
-    # Degrees 9..12 split into the 16 clones of Q_4: 15 fresh variables, so
-    # the rows reuse two other variables and the oracle scans 2^18.
+    # Degrees 9..12 split into K_4 or K_3: at most 3 fresh variables.
     for degree in range(9, 13):
         system = _planted(rng, degree, max_vars=3)
         out = reduce_degree5plus(system, 0)
-        assert out.n <= 18
+        assert out.n - system.n <= 3
         assert (
             brute_force_min_falsified(out).falsified_weight
             == brute_force_min_falsified(system).falsified_weight
@@ -1123,16 +1206,17 @@ def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
 
 @pytest.mark.parametrize(
     "degree, growth",
-    [(4, (3, 4)), (5, (4, 5)), (9, (72, 105)), (12, (75, 108)), (20, (219, 320))],
+    [(4, (3, 4)), (5, (4, 5)), (9, (22, 30)), (12, (41, 57)), (20, (151, 218))],
 )
 def test_degree_rule_growth_is_predicted(degree, growth):
     assert _split_growth(degree) == growth
 
 
 def test_degree_rule_growth_matches_what_the_split_builds():
-    # Every degree up to 40: one split through the table for 4 to 8, the
-    # cube and the table in turn above, on a star and on triangles.
-    for degree in range(4, 41):
+    # Every degree up to 40 and four above: one split through the table for
+    # 4 to 8, above it the `_plan` graph and its clones' plans in turn, on a
+    # star and on triangles.
+    for degree in (*range(4, 41), 66, 67, 100, 200):
         growth = _split_growth(degree)
         star = LinSystem.build(degree + 1, [((0, j), 0, 1) for j in range(1, degree + 1)])
         triangles = LinSystem.build(
@@ -1147,16 +1231,16 @@ def test_degree_rule_growth_matches_what_the_split_builds():
 
 
 def test_degree_rules_refuse_oversize_output_before_building():
-    # Splitting one variable of degree 33,000 would build about 1.4 * 10^7
+    # Splitting one variable of degree 72,000 would build about 10^7
     # equations. Every row of the bare star holds a leaf that occurs nowhere
     # else, so the pipeline drops it whole; a unit row on each leaf keeps it.
-    rows = [((0, j), 0, 1) for j in range(1, 33001)]
-    star = LinSystem.build(33001, rows)
-    kept = LinSystem.build(33001, rows + [((j,), 0, 1) for j in range(1, 33001)])
+    rows = [((0, j), 0, 1) for j in range(1, 72001)]
+    star = LinSystem.build(72001, rows)
+    kept = LinSystem.build(72001, rows + [((j,), 0, 1) for j in range(1, 72001)])
     started = time.monotonic()
-    with pytest.raises(CapacityError, match="degree splitting would build 14365320"):
+    with pytest.raises(CapacityError, match="degree splitting would build 10069980"):
         normalize_max_degree3(star)
-    with pytest.raises(CapacityError, match="degree splitting would build 14398320"):
+    with pytest.raises(CapacityError, match="degree splitting would build 10141980"):
         to_eq3_eq3(kept)
     assert to_eq3_eq3(star)[0].lhs == ()
     assert time.monotonic() - started < 1
@@ -1211,13 +1295,30 @@ def test_reduce_to_target_refuses_an_unknown_target_first():
 
 
 def test_an_empty_system_indexes_no_rows_and_names_no_variables(monkeypatch):
-    # Degree splitting indexes the rows by variable once per target, and an
-    # empty system has no rows to index; the writer names only the variables
-    # a row holds: none, whatever n is. The occ <= 2 solver needs no row
-    # index at all: the cascade finds none.
+    # Degree splitting indexes the rows by variable only when a variable
+    # splits, and an empty system has none; the writer names only the
+    # variables a row holds: none, whatever n is. The occ <= 2 solver needs
+    # no row index at all: the cascade finds none.
     def unused(lhs):
         raise AssertionError("indexed the rows of a system where nothing splits")
 
+    monkeypatch.setattr(maxlin2.gadgets, "variable_rows", unused)
+    monkeypatch.setattr(maxlin2.occ2, "variable_rows", unused)
+    empty = LinSystem.from_columns(MAX_UNIT_EQUATIONS, [], b"", [])
+    for target in TARGETS:
+        assert reduce_to_target(empty, target)[0].lhs == ()
+    result = solve_occ2(empty)
+    assert (result.falsified_weight, result.certificate) == (0, ())
+    assert len(result.assignment) == MAX_UNIT_EQUATIONS and not any(result.assignment)
+    started = time.monotonic()
+    assert emit_lin2(empty) == f"p lin2 {MAX_UNIT_EQUATIONS} 0\n"
+    assert time.monotonic() - started < 1
+
+
+def test_degree_splitting_indexes_the_rows_only_when_a_variable_splits(monkeypatch):
+    # A C-speed occurrence count finds no variable above 3 in the 4-clique of
+    # triples, so no target builds the per-row index; one variable of
+    # degree 4 gets one index, which serves its split.
     indexed = []
 
     def counted(lhs):
@@ -1225,17 +1326,15 @@ def test_an_empty_system_indexes_no_rows_and_names_no_variables(monkeypatch):
         return variable_rows(lhs)
 
     monkeypatch.setattr(maxlin2.gadgets, "variable_rows", counted)
-    monkeypatch.setattr(maxlin2.occ2, "variable_rows", unused)
-    empty = LinSystem.from_columns(MAX_UNIT_EQUATIONS, [], b"", [])
+    triples = LinSystem.build(4, [(lhs, 1, 1) for lhs in itertools.combinations(range(4), 3)])
     for target in TARGETS:
-        assert reduce_to_target(empty, target)[0].lhs == ()
-    assert indexed == [0] * len(TARGETS)
-    result = solve_occ2(empty)
-    assert (result.falsified_weight, result.certificate) == (0, ())
-    assert len(result.assignment) == MAX_UNIT_EQUATIONS and not any(result.assignment)
-    started = time.monotonic()
-    assert emit_lin2(empty) == f"p lin2 {MAX_UNIT_EQUATIONS} 0\n"
-    assert time.monotonic() - started < 1
+        assert reduce_to_target(triples, target)[0].n == 4
+    out, trace = normalize_max_degree3(triples)
+    assert (out, trace.steps) == (triples, ())
+    assert indexed == []
+    four = LinSystem.build(5, [((0, j), 0, 1) for j in range(1, 5)])
+    assert len(normalize_max_degree3(four)[1].steps) == 1
+    assert indexed == [4]
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -1303,9 +1402,10 @@ def test_compact_checks_survive_python_O():
         "    LinSystem.from_columns(3, [(1, 0, 2)], b'\\x00', [1])\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
-        "rows = [((0, j), 0, 2) for j in range(1, 5001)]\n"
-        "print(len(gadgets.to_eq3_eq3(LinSystem.build(5001, rows))[0].lhs))\n"
-        "star = LinSystem.build(5001, rows + [((j,), 0, 1) for j in range(1, 5001)])\n"
+        "rows = [((c, c + j), 0, 2) for c in (0, 5001) for j in range(1, 5001)]\n"
+        "print(len(gadgets.to_eq3_eq3(LinSystem.build(10002, rows))[0].lhs))\n"
+        "leaves = [((c + j,), 0, 1) for c in (0, 5001) for j in range(1, 5001)]\n"
+        "star = LinSystem.build(10002, rows + leaves)\n"
         "try:\n"
         "    gadgets.to_eq3_eq3(star)\n"
         "except CapacityError as exc:\n"
@@ -1332,7 +1432,7 @@ def test_compact_checks_survive_python_O():
     assert result.stdout == (
         "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
         "0\n"
-        f"the (=3,=3) finish would build 10378616 equations, over {MAX_UNIT_EQUATIONS}\n"
+        f"the (=3,=3) finish would build 12000240 equations, over {MAX_UNIT_EQUATIONS}\n"
         "the pipeline built (10, 15), predicted (2, 5)\n"
         "the pipeline built (1, 0), predicted (1, 1)\n"
     )
