@@ -27,9 +27,12 @@ distinct left-hand sides -- run on these columns where the output's
 columns are built: no stage builds an Equation. Reduction and both
 assignment maps cost O(input + output). A variable of degree 4 to 8
 splits into clones joined by a small tie graph that leaves every clone at
-degree 3. One above 8 takes whichever of the ceil(log2 d)-cube and a
-complete graph on about sqrt(2d) clones adds fewer rows in all, its
-clones splitting in turn, so it costs at most the cube's O(d log d) rows.
+degree 3. One above 8 splits along the product of cliques K_g^t, with 1 to
+3 ties per adjacent clone pair, that adds the fewest rows in all, its
+clones splitting in turn; the family holds the ceil(log2 d)-cube K_2^t, so
+a split costs at most the cube's O(d log d) rows. Lindsey's
+edge-isoperimetric theorem for K_g^t makes its exactness one closed-form
+check.
 Every gadget that replaces a row of arity 1 or 2 or a pair of copied
 rows, or pads occurrence-2 variables (six at a time by 10 rows, a last
 three by 7), is one entry of one table: one writer lays its rows out, the
@@ -47,7 +50,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, cycle, product, repeat
-from math import isqrt
 from operator import eq, ne
 from typing import NamedTuple
 
@@ -359,22 +361,16 @@ def _apply(system: LinSystem, op: str, *rules) -> tuple[LinSystem, ReductionTrac
 # Occurrence (degree) reduction rules
 
 
-def _cube_ties(t: int) -> list[tuple[int, int]]:
-    """The t * 2^(t-1) edges of the t-cube Q_t on slots 0..2^t - 1, each pair sorted."""
-    return [(i, i | 1 << b) for i in range(1 << t) for b in range(t) if not i >> b & 1]
-
-
 def _slot_lists(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse "0 1, , 2" as ((0, 1), (), (2,)); as strings, the tables compile in less memory."""
     return tuple(tuple(map(int, item.split())) for item in text.split(","))
 
 
-# The tie graphs of degrees 4 to 8, as (slots, sorted tie pairs). Slot i < d
+# The tie graphs of degrees 5 to 8, as (slots, sorted tie pairs). Slot i < d
 # holds occurrence i and two ties, and every further slot (a helper) three
 # ties, so one split brings every clone to occurrence 3. Every set S of
 # slots has at least min(rows in S, rows outside S) ties leaving it.
 _TIE_GRAPHS = {
-    4: (4, _slot_lists("0 1, 0 2, 1 3, 2 3")),
     5: (5, _slot_lists("0 1, 0 4, 1 2, 2 3, 3 4")),
     6: (8, _slot_lists("0 1, 0 6, 1 7, 2 3, 2 6, 3 7, 4 5, 4 6, 5 7")),
     7: (11, _slot_lists("0 5, 0 7, 1 2, 1 8, 2 9, 3 7, 3 9, 4 9, 4 10, 5 10, 6 8, 6 10, 7 8")),
@@ -386,42 +382,44 @@ _TIE_GRAPHS = {
 class _Plan(NamedTuple):
     """How a variable of one degree splits, and what that costs in all.
 
-    `graph` is "table" (the `_TIE_GRAPHS` entry), "cube" (Q_t on 2^t
-    slots) or "complete" (K_slots with `mu` ties per pair). Occurrence i
-    goes to slot i mod slots. `growth` is the variables and rows that the
+    The graph is the `_TIE_GRAPHS` entry on `slots` slots (g = 0), or else
+    the product of cliques K_g^t on slots = g^t slots, slot i tied by `mu`
+    rows to each slot that differs from it in one base-g digit. Occurrence
+    i goes to slot i mod slots. `growth` is the variables and rows that the
     split and every later split of its clones add.
     """
 
-    graph: str
     slots: int
+    g: int
     mu: int
     growth: tuple[int, int]
 
 
-def _complete_graph_is_exact(degree: int, g: int, mu: int) -> bool:
-    """Whether K_g with mu ties per pair gives every clone set enough ties leaving it.
+def _is_exact(degree: int, g: int, t: int, mu: int) -> bool:
+    """Whether K_g^t with mu ties per pair has min(rows in S, rows outside S) ties leaving every S.
 
-    A set of s clones has mu * s * (g - s) ties leaving it and holds
-    between lo and hi rows, the totals of the s lightest and the s
-    heaviest clones, so min(rows in S, rows outside S) is at most
-    min(hi, degree - lo, degree // 2). A set and its complement have the
-    same cut, so s <= g // 2 suffices; the largest s, the tightest, goes first.
+    By Lindsey, no s slots have fewer edges leaving them than the first s in
+    lexicographic order; for s <= g^t / 2 (a set and its complement have the
+    same cut) that is at least ceil(g / 2) s, and exactly that at s = g^t // 2.
+    A clone holds at most ceil(d / g^t) rows, so mu ceil(g / 2) ties per
+    clone suffice. With fewer, the first g^t // 2 clones hold more rows than
+    ties leave them, and so do the others, except for an even g and
+    d = mu (g / 2) g^t + 1: there the first half's cut is d // 2, which
+    covers the smaller side of any split of the rows, and every first s
+    below half has more than (g / 2) s edges leaving it, so mu (g / 2) s + 1
+    ties at least, as many as s clones can hold.
     """
-    q, heavy = divmod(degree, g)
-    for s in range(g // 2, 0, -1):
-        hi = s * q + min(s, heavy)
-        lo = s * q + max(0, s - (g - heavy))
-        if mu * s * (g - s) < min(hi, degree - lo, degree // 2):
-            return False
-    return True
+    return mu * -(-g // 2) >= -(-degree // g**t) or (
+        g % 2 == 0 and degree == mu * g ** (t + 1) // 2 + 1
+    )
 
 
 def _grown(fresh: int, ties: int, clones) -> tuple[int, int]:
-    """(fresh, ties) plus what the later splits of each (count, degree) of clones add."""
-    for count, degree in clones:
-        dn, dm = _split_growth(degree)
-        fresh += count * dn
-        ties += count * dm
+    """(fresh, ties) plus what the splits of each (degree, count) of clones add."""
+    for degree, count in clones:
+        if count:  # a class of no clones may have the planned degree itself
+            dn, dm = _split_growth(degree)
+            fresh, ties = fresh + count * dn, ties + count * dm
     return fresh, ties
 
 
@@ -429,36 +427,35 @@ def _grown(fresh: int, ties: int, clones) -> tuple[int, int]:
 def _plan(degree: int) -> _Plan:
     """The split of a variable of degree d >= 4 that adds the fewest rows in all.
 
-    The candidates are the `_TIE_GRAPHS` entry, the cube Q_t with t =
-    ceil(log2 d), whose clones hold at most one occurrence each, and, for
-    9 <= d <= MAX_UNIT_EQUATIONS, complete graphs K_g with mu = 1, 2 or 3
-    ties per pair: from isqrt(d // mu), below which none is exact, the
-    smallest exact g and the three after it. A K_g clone holds d // g or
-    d // g + 1 occurrences and mu * (g - 1) ties; it must end below d, so
-    that the splits end, and at 3 or more, as `_predict_sizes` counts, and
-    mu > 1 is taken only when every clone splits again. A tie goes to the
-    earlier candidate, so degrees 4 to 8 keep their table.
+    Degrees 5 to 8 take their `_TIE_GRAPHS` entry. Any other takes the
+    cheapest exact K_g^t with mu = 1, 2 or 3 ties per pair, for each t up to
+    ceil(log2 d) the smallest exact g and the three after it. A clone holds
+    d // g^t or one more occurrence and mu t (g - 1) ties; it must end below
+    d, so that the splits end, and at 3 or more, as `_predict_sizes`
+    counts; mu > 1 is taken only when every clone splits again, and no
+    graph has more than 2d slots. A tie goes to the earlier candidate.
+    Above MAX_UNIT_EQUATIONS, where the plan only sizes a refusal, the one
+    candidate is the cube K_2^t, t = ceil(log2 d).
     """
-    plans = []
     if degree in _TIE_GRAPHS:
         slots, ties = _TIE_GRAPHS[degree]
-        plans.append(_Plan("table", slots, 1, (slots - 1, len(ties))))
-    t = (degree - 1).bit_length()
-    size = 1 << t
-    cube = _grown(size - 1, t * size // 2, ((degree, t + 1), (size - degree, t)))
-    plans.append(_Plan("cube", size, 1, cube))
-    for mu in (1, 2, 3) if 9 <= degree <= MAX_UNIT_EQUATIONS else ():
-        first = max(2, isqrt(degree // mu))
-        while not _complete_graph_is_exact(degree, first, mu):
-            first += 1
-        for g in range(first, first + 4):
-            q, heavy = divmod(degree, g)
-            low = q + mu * (g - 1)  # the clone degree; `heavy` clones hold one more
-            if low < (3 if mu == 1 else 4) or low + (heavy > 0) >= degree:
-                continue
-            if _complete_graph_is_exact(degree, g, mu):
-                growth = _grown(g - 1, mu * g * (g - 1) // 2, ((heavy, low + 1), (g - heavy, low)))
-                plans.append(_Plan("complete", g, mu, growth))
+        return _Plan(slots, 0, 1, (slots - 1, len(ties)))
+    top = (degree - 1).bit_length()
+    shapes = product(range(1, top + 1), (1, 2, 3)) if degree <= MAX_UNIT_EQUATIONS else [(top, 1)]
+    plans = []
+    for t, mu in shapes:
+        # The exact g are those from the smallest on; each has
+        # mu (g + 1) g^t / 2 >= d, and none below this start does.
+        g = max(2, int((2 * degree / mu) ** (1 / (t + 1))) - 1)
+        while not _is_exact(degree, g, t, mu):
+            g += 1
+        for g in range(g, g + 4):
+            slots, (q, heavy) = g**t, divmod(degree, g**t)
+            low = q + mu * t * (g - 1)  # the clone degree; `heavy` clones hold one more
+            if slots <= 2 * degree and 3 + (mu > 1) <= low < degree - (heavy > 0):
+                ties = mu * slots * t * (g - 1) // 2
+                growth = _grown(slots - 1, ties, ((low + 1, heavy), (low, slots - heavy)))
+                plans.append(_Plan(slots, g, mu, growth))
     return min(plans, key=lambda plan: plan.growth[1])
 
 
@@ -468,13 +465,12 @@ def _ties(degree: int) -> tuple[tuple[int, int], ...]:
 
     Cached like the plan, so a process keeps the pairs of each degree it has split.
     """
-    plan = _plan(degree)
-    if plan.graph == "table":
+    if degree in _TIE_GRAPHS:
         return _TIE_GRAPHS[degree][1]
-    if plan.graph == "cube":
-        return tuple(_cube_ties(plan.slots.bit_length() - 1))
-    g = plan.slots
-    return tuple((a, b) for a in range(g) for b in range(a + 1, g) for _ in range(plan.mu))
+    slots, g, mu, _ = _plan(degree)
+    places = [g**i for i in range(slots.bit_length()) if g**i < slots]
+    return tuple(sorted((a, a + k * p) for a in range(slots) for p in places
+                        for k in range(1, g - a // p % g) for _ in range(mu)))
 
 
 def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
@@ -482,9 +478,9 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
 
     The variable and fresh clones sit on the slots of the `_plan(d)`
     graph, each edge an rhs-0 tie row, and occurrence i goes to clone i
-    mod slots. For d = 4 to 8 the graph is the `_TIE_GRAPHS` entry (a
-    4-cycle for d = 4) and every clone ends at degree 3; above, a clone
-    may end above 3, and the caller splits it in turn.
+    mod slots. For d = 4 (the 4-cycle K_2^2) to 8 every clone ends at
+    degree 3; above, a clone may end above 3, and the caller splits it in
+    turn.
     `reduce_degree5plus` shows why the split is exact.
 
     Only the variable's rows and the new tie rows are touched; each clone is
@@ -527,16 +523,6 @@ def _split_growth(degree: int) -> tuple[int, int]:
     what the splits of its clones add in turn.
     """
     return _plan(degree).growth if degree > 3 else (0, 0)
-
-
-def _degree_growth(profile: Counter) -> tuple[int, int]:
-    """Variables and rows the degree rules add, given how many variables have each degree."""
-    n = m = 0
-    for degree, count in profile.items():
-        dn, dm = _split_growth(degree)
-        n += count * dn
-        m += count * dm
-    return n, m
 
 
 def _normalize_degrees(store: _Rows) -> list[TraceStep]:
@@ -587,19 +573,17 @@ def reduce_degree5plus(system: LinSystem, variable: int) -> LinSystem:
 
     For d = 5 to 8 the ties are the `_TIE_GRAPHS` entry (a 5-cycle for
     d = 5): each clone holds at most one occurrence and ends at degree 3.
-    Above 8 they are the `_plan(d)` graph: the cube Q_t on 2^t clones, t =
-    ceil(log2 d), each holding at most one occurrence, or the complete
-    graph K_g with mu ties per clone pair and occurrence i on clone i mod
-    g. Take any assignment, and let S be the clones at 1. Flipping S makes
+    Above 8 they are the `_plan(d)` graph, a product of cliques K_g^t with
+    mu ties per adjacent clone pair and occurrence i on clone i mod g^t.
+    Take any assignment, and let S be the clones at 1. Flipping S makes
     every tie leaving S hold, and costs at most the rows S holds; flipping
     the others costs at most the rows they hold. So if every S has
     cut(S) >= min(rows in S, rows outside S), some uniform clone value is
-    optimal. Every `_TIE_GRAPHS` entry, the 4-cycle of `reduce_degree4`
-    too, was checked on every S; for Q_t, Harper's edge-isoperimetric
-    inequality gives every S of at most half the clones at least |S| ties
-    leaving it; in K_g, s clones have mu * s * (g - s) ties leaving them,
-    and `_complete_graph_is_exact` checks that against the most rows any
-    s clones, or the others, can hold.
+    optimal. Every `_TIE_GRAPHS` entry was checked on every S. In K_g^t no
+    s clones have fewer edges leaving them than the first s in
+    lexicographic order (Lindsey), and `_is_exact` checks that many ties
+    against the most rows any s clones, or the others, can hold; the
+    4-cycle of `reduce_degree4` is K_2^2.
     """
     return _split_step(system, variable, "degree5plus")
 
@@ -950,7 +934,7 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
         for v in lhs:
             degree[v] += weight - 1
     profile = Counter(degree.values())
-    dn, dm = _degree_growth(profile)
+    dn, dm = _grown(0, 0, profile.items())
     n, m = system.n + dn, system.total_weight + dm
     sizes = [(system.n, system.total_weight), (n, m)]
     n2, m2 = _gadget_growth("arity2", arity_weight[2] + dm, 1)  # every tie has arity 2

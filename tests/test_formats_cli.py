@@ -869,17 +869,18 @@ def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):
 
 
 def test_cli_reduce_refuses_oversize_degree_split_promptly(tmp_path, capsys):
-    # One variable in 300 equations of weight 240 occurs 72,000 times once
-    # unit-expanded, and would split into about 1.3 * 10^7 equations. A unit
-    # row on each leaf keeps the star's rows from being dropped.
-    rows = "".join(f"240 0 2 1 {j}\n" for j in range(2, 302))
-    leaves = "".join(f"1 0 1 {j}\n" for j in range(2, 302))
-    kept = _write(tmp_path, "star.lin2", f"p lin2 301 600\n{rows}{leaves}")
-    bare = _write(tmp_path, "bare.lin2", f"p lin2 301 300\n{rows}")
+    # One variable in 350 equations of weight 240 occurs 84,000 times once
+    # unit-expanded, and with its leaves would split into about 1.02 * 10^7
+    # equations. A unit row on each leaf keeps the star's rows from being
+    # dropped.
+    rows = "".join(f"240 0 2 1 {j}\n" for j in range(2, 352))
+    leaves = "".join(f"1 0 1 {j}\n" for j in range(2, 352))
+    kept = _write(tmp_path, "star.lin2", f"p lin2 351 700\n{rows}{leaves}")
+    bare = _write(tmp_path, "bare.lin2", f"p lin2 351 350\n{rows}")
     started = time.monotonic()
     for target in TARGETS:
         err = _assert_refused(kept, target, tmp_path / f"{target}.lin2", capsys)
-        assert "degree splitting would build 12567180" in err
+        assert "degree splitting would build 10152814" in err
     assert time.monotonic() - started < 1
     for target in TARGETS:
         _assert_drops_it_all(bare, target, tmp_path / f"bare.{target}.lin2", capsys)
@@ -892,10 +893,10 @@ def test_cli_reduce_refuses_an_oversize_output_before_building(tmp_path, capsys)
     # satisfiable.
     bare_heavy = _write(tmp_path, "bare_heavy.lin2", "p lin2 2 1\n5000000 0 2 1 2\n")
     heavy = _write(tmp_path, "heavy.lin2", "p lin2 2 3\n5000000 0 2 1 2\n1 0 1 1\n1 0 1 2\n")
-    rows = "".join(f"2 0 2 {c} {c + j}\n" for c in (1, 5002) for j in range(1, 5001))
-    leaves = "".join(f"1 0 1 {c + j}\n" for c in (1, 5002) for j in range(1, 5001))
-    bare_star = _write(tmp_path, "bare_star.lin2", f"p lin2 10002 10000\n{rows}")
-    star = _write(tmp_path, "star.lin2", f"p lin2 10002 20000\n{rows}{leaves}")
+    rows = "".join(f"2 0 2 {c} {c + j}\n" for c in (1, 7002) for j in range(1, 7001))
+    leaves = "".join(f"1 0 1 {c + j}\n" for c in (1, 7002) for j in range(1, 7001))
+    bare_star = _write(tmp_path, "bare_star.lin2", f"p lin2 14002 14000\n{rows}")
+    star = _write(tmp_path, "star.lin2", f"p lin2 14002 28000\n{rows}{leaves}")
     started = time.monotonic()
     for source, target, stage in (
         (heavy, "eq3eq3", "degree splitting"),

@@ -54,8 +54,8 @@ from maxlin2.gadgets import (
     _GADGETS,
     _TIE_GRAPHS,
     _compact,
-    _cube_ties,
     _enforce_degree,
+    _is_exact,
     _map_forward_step,
     _plan,
     _predict_sizes,
@@ -321,35 +321,70 @@ def test_degree5_split_of_five():
         assert occ[c] == original_occ[i] + 2
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 4])
-def test_cube_ties_meet_the_edge_isoperimetric_bound(t):
-    # Harper: every set S of at most half the vertices of Q_t has
-    # |boundary(S)| >= |S| (t - log2 |S|) >= |S|. Checked on every subset.
-    ties = _cube_ties(t)
-    size = 1 << t
-    assert len(ties) == t * size // 2 == len(set(ties))
-    assert all(a < b and (a ^ b).bit_count() == 1 for a, b in ties)
-    neighbours = [0] * size
-    for a, b in ties:
-        neighbours[a] |= 1 << b
-        neighbours[b] |= 1 << a
-    boundary = [0] * (1 << size)
-    for subset in range(1, 1 << size):
-        v = (subset & -subset).bit_length() - 1
-        rest = subset ^ (1 << v)
-        boundary[subset] = boundary[rest] + t - 2 * (rest & neighbours[v]).bit_count()
-        members = subset.bit_count()
-        if members <= size // 2:
-            assert boundary[subset] >= members * (t - math.log2(members)) - 1e-9
-            assert boundary[subset] >= members
+def _hamming_neighbours(g, t):
+    """K_g^t as neighbour bitmasks: slot a is tied to a with one base-g digit changed."""
+    return [
+        sum(1 << a + (k - a // p % g) * p for p in map(g.__pow__, range(t)) for k in range(g)
+            if k != a // p % g)
+        for a in range(g**t)
+    ]
 
 
-@pytest.mark.parametrize("degree", sorted(_TIE_GRAPHS))
+@pytest.mark.parametrize("g, t", [(3, 2), (4, 2), (2, 4), (3, 3)])
+def test_lexicographic_segments_hold_the_most_edges(g, t):
+    # Lindsey: no s slots of K_g^t hold more edges than the first s, L(s),
+    # checked on every set of at most 6 slots. For s up to half the slots,
+    # the first s have at least ceil(g / 2) s edges leaving them, so mu
+    # ceil(g / 2) ties per clone settle a plan, and the first half at most
+    # (g + 1) g^t / 4, which starts the planner's search. `_is_exact` is a
+    # closed form of the check it replaces: for every s up to half the
+    # slots, mu (s t (g - 1) - 2 L(s)) ties leave the first s, at least
+    # the rows that s clones, or the others, can hold.
+    neighbours = _hamming_neighbours(g, t)
+    size = g**t
+    ends = t * (g - 1)  # the ties of each slot
+    assert all(n.bit_count() == ends for n in neighbours)
+    first = [0]
+    for v in range(size):
+        first.append(first[-1] + (neighbours[v] & ((1 << v) - 1)).bit_count())
+    most = [0] * 7
+
+    def grow(members, last, edges):
+        count = members.bit_count()
+        most[count] = max(most[count], edges)
+        if count < 6:
+            for v in range(last + 1, size):
+                grow(members | 1 << v, v, edges + (neighbours[v] & members).bit_count())
+
+    grow(0, -1, 0)
+    assert most == first[:7]
+    for s in range(1, size // 2 + 1):
+        assert s * ends - 2 * first[s] >= -(-g // 2) * s
+    assert size // 2 * ends - 2 * first[size // 2] <= (g + 1) * size / 4
+    for degree in range(4, (3 * -(-g // 2) + 2) * size):
+        for mu in (1, 2, 3):
+            q, heavy = divmod(degree, size)
+            hi = [s * q + min(s, heavy) for s in range(size + 1)]
+            lo = [s * q + max(0, s + heavy - size) for s in range(size + 1)]
+            scan = all(
+                mu * (s * ends - 2 * first[s]) >= min(hi[s], degree - lo[s], degree // 2)
+                for s in range(1, size // 2 + 1)
+            )
+            assert _is_exact(degree, g, t, mu) == scan, (degree, mu)
+
+
+@pytest.mark.parametrize("degree", range(4, 9))
 def test_tie_graphs_leave_every_clone_at_three_and_stay_exact(degree):
     # Slot i < degree holds occurrence i and two ties, a helper three ties,
     # and every set S of slots has at least min(rows in S, rows outside S)
     # ties leaving it: the bound that makes a uniform clone value optimal.
-    slots, ties = _TIE_GRAPHS[degree]
+    # Degree 4 takes the 4-cycle K_2^2, 5 to 8 their `_TIE_GRAPHS` entry.
+    slots, ties = _plan(degree).slots, _ties(degree)
+    assert (degree == 4) == (degree not in _TIE_GRAPHS)
+    if degree == 4:
+        assert _plan(4) == (4, 2, 1, (3, 4)) and ties == ((0, 1), (0, 2), (1, 3), (2, 3))
+    else:
+        assert (slots, ties) == _TIE_GRAPHS[degree]
     assert all(0 <= a < b < slots for a, b in ties)
     assert len(set(ties)) == len(ties)
     ends = collections.Counter(v for tie in ties for v in tie)
@@ -362,58 +397,59 @@ def test_tie_graphs_leave_every_clone_at_three_and_stay_exact(degree):
 
 
 def test_every_split_plan_to_degree_200_is_exact():
-    # Each plan of degree 9..200, checked without the planner's closed form.
-    # The ties leaving a set S of clones must be at least min(rows in S,
-    # rows outside S): for each size s, against every total between the s
-    # lightest and the s heaviest clones' and, up to 14 clones, on every S.
-    # A clone ends at 3 or splits again below d, and parallel ties appear
-    # only where every clone splits again.
+    # Each plan of degree 9..200 is K_g^t with mu ties per adjacent pair,
+    # checked without the planner's closed form. The ties leaving a set S
+    # of clones must be at least min(rows in S, rows outside S): for each
+    # size s, the first s slots (the fewest ties leaving any s, by Lindsey)
+    # against every total between the s lightest and the s heaviest
+    # clones' and, up to 14 slots, on every S. A clone ends at 3 or splits
+    # again below d, and parallel ties appear only where every clone
+    # splits again.
     for degree in range(9, 201):
         plan = _plan(degree)
-        g, ties = plan.slots, _ties(degree)
-        held = [len(range(c, degree, g)) for c in range(g)]
+        size, g, mu, ties = plan.slots, plan.g, plan.mu, _ties(degree)
+        t = round(math.log(size, g))
+        assert g**t == size <= 2 * degree, degree
+        neighbours = _hamming_neighbours(g, t)
+        assert list(ties) == [
+            (a, b) for a in range(size) for b in range(a + 1, size) if neighbours[a] >> b & 1
+            for _ in range(mu)
+        ]
+        held = [len(range(c, degree, size)) for c in range(size)]
         ends = collections.Counter(v for tie in ties for v in tie)
-        degrees = [held[c] + ends[c] for c in range(g)]
+        degrees = [held[c] + ends[c] for c in range(size)]
         assert 3 <= min(degrees) and max(degrees) < degree, degree
+        assert mu == 1 or min(degrees) >= 4, degree
         later = [_split_growth(d) for d in degrees]
         assert plan.growth == (
-            g - 1 + sum(n for n, _ in later), len(ties) + sum(m for _, m in later)
+            size - 1 + sum(n for n, _ in later), len(ties) + sum(m for _, m in later)
         )
-        if plan.graph == "cube":  # exact by Harper's bound, as checked above
-            assert (g, plan.mu) == (1 << (degree - 1).bit_length(), 1)
-            assert list(ties) == _cube_ties(g.bit_length() - 1)
-            continue
-        mu = plan.mu
-        assert plan.graph == "complete"
-        assert collections.Counter(ties) == dict.fromkeys(itertools.combinations(range(g), 2), mu)
-        assert mu == 1 or min(degrees) >= 4, degree
         ordered = sorted(held)
-        for s in range(1, g):
-            lo, hi = sum(ordered[:s]), sum(ordered[g - s :])
+        cut = 0
+        for s in range(1, size):
+            cut += ends[s - 1] - 2 * mu * (neighbours[s - 1] & ((1 << s - 1) - 1)).bit_count()
+            lo, hi = sum(ordered[:s]), sum(ordered[size - s :])
             worst = max(min(x, degree - x) for x in range(lo, hi + 1))
-            assert mu * s * (g - s) >= worst, (degree, s)
-        if g > 14:
+            assert cut >= worst, (degree, s)
+        if size > 14:
             continue
-        neighbours = [0] * g
-        for a, b in ties:
-            neighbours[a] |= 1 << b
-            neighbours[b] |= 1 << a
-        cut, inside = [0] * (1 << g), [0] * (1 << g)
-        for subset in range(1, 1 << g):
+        inside, cuts = [0] * (1 << size), [0] * (1 << size)
+        for subset in range(1, 1 << size):
             v = (subset & -subset).bit_length() - 1
             rest = subset ^ (1 << v)
-            cut[subset] = cut[rest] + ends[v] - 2 * mu * (rest & neighbours[v]).bit_count()
+            cuts[subset] = cuts[rest] + ends[v] - 2 * mu * (rest & neighbours[v]).bit_count()
             inside[subset] = inside[rest] + held[v]
-            assert cut[subset] >= min(inside[subset], degree - inside[subset]), (degree, subset)
+            assert cuts[subset] >= min(inside[subset], degree - inside[subset]), (degree, subset)
 
 
 def test_degree9_to_13_splits_match_the_oracle_through_both_maps():
     # One split of variable 0 at d = 9..13, where the complete-graph plans
-    # add 2 to 4 clones, on small random systems like the degree 5-8 ones.
+    # add 2 to 4 clones, and at d = 16..18, the first to take K_3^2 (8
+    # fresh clones), on small random systems like the degree 5-8 ones.
     rng = random.Random(9)
-    for degree in range(9, 14):
+    for degree in (*range(9, 14), 16, 17, 18):
         checked = 0
-        while checked < 120:
+        while checked < (120 if degree < 16 else 25):
             n = rng.randint(2, 9)
             rows = [
                 ((0, *rng.sample(range(1, n), rng.randint(0, min(2, n - 1)))), rng.randint(0, 1), 1)
@@ -427,7 +463,7 @@ def test_degree9_to_13_splits_match_the_oracle_through_both_maps():
                 continue  # variable 0 must be the one split first
             checked += 1
             split = reduce_degree5plus(system, 0)
-            assert split.n - n == _plan(degree).slots - 1 <= 4
+            assert split.n - n == _plan(degree).slots - 1 <= (4 if degree < 16 else 8)
             # Variable 0 is the worst, so degree normalization splits it first.
             step = normalize_max_degree3(system)[1].steps[0]
             assert (step.data["variable"], step.post_n) == (0, split.n)
@@ -1206,16 +1242,17 @@ def test_pipeline_gadgets_write_no_duplicate_rows(monkeypatch):
 
 @pytest.mark.parametrize(
     "degree, growth",
-    [(4, (3, 4)), (5, (4, 5)), (9, (22, 30)), (12, (41, 57)), (20, (151, 218))],
+    [(4, (3, 4)), (5, (4, 5)), (9, (22, 30)), (12, (41, 57)), (16, (65, 91)), (20, (151, 218)),
+     (100, (1693, 2491))],
 )
 def test_degree_rule_growth_is_predicted(degree, growth):
     assert _split_growth(degree) == growth
 
 
 def test_degree_rule_growth_matches_what_the_split_builds():
-    # Every degree up to 40 and four above: one split through the table for
-    # 4 to 8, above it the `_plan` graph and its clones' plans in turn, on a
-    # star and on triangles.
+    # Every degree up to 40 and four above: one split through K_2^2 or the
+    # table for 4 to 8, above it the `_plan` graph and its clones' plans in
+    # turn, on a star and on triangles.
     for degree in (*range(4, 41), 66, 67, 100, 200):
         growth = _split_growth(degree)
         star = LinSystem.build(degree + 1, [((0, j), 0, 1) for j in range(1, degree + 1)])
@@ -1225,22 +1262,23 @@ def test_degree_rule_growth_matches_what_the_split_builds():
         for system in (star, triangles):
             out, trace = normalize_max_degree3(system)
             assert (out.n - system.n, len(out.lhs) - len(system.lhs)) == growth, degree
-            if degree in _TIE_GRAPHS:
+            if degree <= 8:
                 assert len(trace.steps) == 1
                 assert all(c == 3 for c in occurrence_counts(out)[system.n :])
 
 
 def test_degree_rules_refuse_oversize_output_before_building():
-    # Splitting one variable of degree 72,000 would build about 10^7
-    # equations. Every row of the bare star holds a leaf that occurs nowhere
-    # else, so the pipeline drops it whole; a unit row on each leaf keeps it.
-    rows = [((0, j), 0, 1) for j in range(1, 72001)]
-    star = LinSystem.build(72001, rows)
-    kept = LinSystem.build(72001, rows + [((j,), 0, 1) for j in range(1, 72001)])
+    # Splitting one variable of degree 100,021, the least star degree that
+    # does, would build just over 10^7 equations. Every row of the bare star
+    # holds a leaf that occurs nowhere else, so the pipeline drops it whole;
+    # a unit row on each leaf keeps it.
+    rows = [((0, j), 0, 1) for j in range(1, 100022)]
+    star = LinSystem.build(100022, rows)
+    kept = LinSystem.build(100022, rows + [((j,), 0, 1) for j in range(1, 100022)])
     started = time.monotonic()
-    with pytest.raises(CapacityError, match="degree splitting would build 10069980"):
+    with pytest.raises(CapacityError, match="degree splitting would build 10000004"):
         normalize_max_degree3(star)
-    with pytest.raises(CapacityError, match="degree splitting would build 10141980"):
+    with pytest.raises(CapacityError, match="degree splitting would build 10100025"):
         to_eq3_eq3(kept)
     assert to_eq3_eq3(star)[0].lhs == ()
     assert time.monotonic() - started < 1
@@ -1402,10 +1440,10 @@ def test_compact_checks_survive_python_O():
         "    LinSystem.from_columns(3, [(1, 0, 2)], b'\\x00', [1])\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
-        "rows = [((c, c + j), 0, 2) for c in (0, 5001) for j in range(1, 5001)]\n"
-        "print(len(gadgets.to_eq3_eq3(LinSystem.build(10002, rows))[0].lhs))\n"
-        "leaves = [((c + j,), 0, 1) for c in (0, 5001) for j in range(1, 5001)]\n"
-        "star = LinSystem.build(10002, rows + leaves)\n"
+        "rows = [((c, c + j), 0, 2) for c in (0, 7001) for j in range(1, 7001)]\n"
+        "print(len(gadgets.to_eq3_eq3(LinSystem.build(14002, rows))[0].lhs))\n"
+        "leaves = [((c + j,), 0, 1) for c in (0, 7001) for j in range(1, 7001)]\n"
+        "star = LinSystem.build(14002, rows + leaves)\n"
         "try:\n"
         "    gadgets.to_eq3_eq3(star)\n"
         "except CapacityError as exc:\n"
@@ -1432,7 +1470,7 @@ def test_compact_checks_survive_python_O():
     assert result.stdout == (
         "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
         "0\n"
-        f"the (=3,=3) finish would build 12000240 equations, over {MAX_UNIT_EQUATIONS}\n"
+        f"the (=3,=3) finish would build 12271248 equations, over {MAX_UNIT_EQUATIONS}\n"
         "the pipeline built (10, 15), predicted (2, 5)\n"
         "the pipeline built (1, 0), predicted (1, 1)\n"
     )
