@@ -335,18 +335,19 @@ def variable_rows(lhs) -> defaultdict[int, list[int]]:
     return rows
 
 
-def singleton_cascade(lhss, roots=()) -> list[tuple[int, int]]:
+def singleton_cascade(lhss) -> list[tuple[int, int]]:
     """Rows deleted by exhaustive singleton pruning, as (row, witness) pairs.
 
     `lhss` lists each row's variables. A row holding a variable that occurs
     in no other live row is deleted, cascading; the lowest-indexed singleton
-    variable is processed first. Once no singleton is left, the next row of
-    `roots` (row indices) that is still live is deleted with witness -1, and
-    the cascade goes on; rows a root never reaches stay. Occurrence counts
-    are decremented per deletion and the current singletons kept in a
-    min-heap, so the whole cascade costs O(size · log size). Its two
-    per-variable lists span only up to the largest variable a row holds.
+    variable is processed first. Occurrence counts are decremented per
+    deletion and the current singletons kept in a min-heap, so the whole
+    cascade costs O(size · log size). When no variable occurs once, one
+    occurrence count settles it. Its two per-variable lists span only up to
+    the largest variable a row holds.
     """
+    if 1 not in occurrences(lhss).values():
+        return []
     span = max(chain.from_iterable(lhss), default=-1) + 1
     occ = [0] * span
     # XOR of the indices of the live rows holding each variable: for a
@@ -360,27 +361,19 @@ def singleton_cascade(lhss, roots=()) -> list[tuple[int, int]]:
     # entry whose count has since dropped to 0 is skipped.
     singletons = [v for lhs in lhss for v in lhs if occ[v] == 1]
     heapq.heapify(singletons)
-    live = bytearray(b"\x01") * len(lhss)
-    roots = iter(roots)
     deleted: list[tuple[int, int]] = []
-    while True:
-        if singletons:
-            witness = heapq.heappop(singletons)
-            if occ[witness] != 1:
-                continue
-            j = holder[witness]
-        else:
-            j = next((r for r in roots if live[r]), -1)
-            if j < 0:
-                return deleted
-            witness = -1
-        live[j] = 0
+    while singletons:
+        witness = heapq.heappop(singletons)
+        if occ[witness] != 1:
+            continue
+        j = holder[witness]
         deleted.append((j, witness))
         for v in lhss[j]:
             occ[v] -= 1
             holder[v] ^= j
             if occ[v] == 1:
                 heapq.heappush(singletons, v)
+    return deleted
 
 
 def _satisfy_removed(removed, values: list[int]) -> list[int]:

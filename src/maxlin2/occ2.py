@@ -5,10 +5,10 @@ equations holding them. A variable held by one equation is a pendant edge:
 that equation can be satisfied last, so its whole component is satisfiable.
 A component without pendant edges has every variable twice, so its rows sum
 to zero: it is satisfiable iff its rhs bits XOR to 0, and otherwise exactly
-its lightest equation is lost. `solve_occ2` realises this with the singleton
-cascade of `core`, which the (=3,=3) pipeline also runs: deleting a row
-leaves its neighbours a pendant edge, so the cascade removes components
-whole, and a component it cannot start on is started at its lightest row.
+its lightest equation is lost. `solve_occ2` realises this with one
+breadth-first search per component, started at a pendant edge where there
+is one and at the lightest row otherwise; it shares no code with the
+singleton cascade that the (=3,=3) pipeline runs.
 `solve_occ2_merge` is an independent cross-check that only reports the
 optimal value.
 
@@ -20,54 +20,80 @@ constant row holds no variable and is lost iff its rhs is 1.
 
 from __future__ import annotations
 
+from itertools import chain, compress
+
 from .baseline import SolveResult, _result
-from .core import (
-    ContractViolationError,
-    InstanceClassError,
-    LinSystem,
-    _satisfy_removed,
-    occurrences,
-    singleton_cascade,
-    variable_rows,
-)
-
-
-def _check_occurrence_bound(lhs) -> None:
-    """Refuse a variable in more than two rows, given the lhs column."""
-    counts = occurrences(lhs)
-    most = max(counts.values(), default=0)
-    if most > 2:
-        worst = min(v for v, c in counts.items() if c == most)
-        raise InstanceClassError(f"variable {worst} occurs {most} times; at most 2 allowed")
+from .core import ContractViolationError, InstanceClassError, LinSystem, variable_rows
 
 
 def solve_occ2(system: LinSystem) -> SolveResult:
     """Exact optimum for instances with every variable in at most 2 equations.
 
-    The singleton cascade deletes every row that holds a variable of no
-    other live row; when none is left, it deletes the lightest live row
-    (least weight, then caller index) as a root and cascades on, which removes
-    the root's whole component. A component no root has reached has every
-    variable twice and is deleted whole, so its root is its lightest row,
-    and the one loss of the component iff the rhs bits from it up to the
-    next root XOR to 1: its rows sum to zero. Replaying the other deleted
-    rows in reverse, from all zeros, satisfies each by its witness. A
-    constant row is reached only as a root, and is lost iff its rhs is 1.
-    Runs in O(size · log size) beyond the n-bit assignment.
+    One pass over the rows counts each held variable and XORs the indices
+    of the rows holding it, so a shared variable leads from either of its
+    rows to the other. Each component is then deleted breadth-first from
+    one root: every row reached through a shared variable v is deleted with
+    witness v, which no later row holds. A component with a pendant
+    variable is rooted at a row holding one, with that variable as its
+    witness, and loses nothing. Every other component has every variable
+    twice, so its rows sum to zero: it is rooted at its lightest row (least
+    weight, then caller index), which is its one loss iff its rhs bits XOR
+    to 1. A constant row is such a component of its own. Replaying the
+    deleted rows in reverse, from all zeros, sets each witness so that its
+    row holds. Runs in O(size) plus a sort of the rows of pendant-free
+    components, beyond the n-bit assignment.
     """
     lhs, rhs, weights = system.lhs, system.rhs, system.weights
-    _check_occurrence_bound(lhs)
-    roots = sorted(range(len(lhs)), key=weights.__getitem__)  # stable: ties by index
-    deleted = singleton_cascade(lhs, roots)
+    span = max(chain.from_iterable(lhs), default=-1) + 1
+    count = [0] * span
+    holder = [0] * span
+    for j, row in enumerate(lhs):
+        for v in row:
+            count[v] += 1
+            holder[v] ^= j
+    most = max(count, default=0)
+    if most > 2:
+        raise InstanceClassError(
+            f"variable {count.index(most)} occurs {most} times; at most 2 allowed"
+        )
+    pendants = [(holder[v], v) for v in compress(range(span), map((1).__eq__, count))]
+    for _, v in pendants:
+        holder[v] = 0  # so that from its one row it leads back to that row
+    live = bytearray(b"\x01") * len(lhs)
+    peeled: list[tuple[list[int], list[int]]] = []  # each component's rows and witnesses
+
+    def peel(root: int, witness: int) -> list[int]:
+        """Delete the live component of root breadth-first; its rows."""
+        live[root] = 0
+        rows, witnesses = [root], [witness]
+        for j in rows:  # rows grows as the search reaches new rows
+            for v in lhs[j]:
+                u = holder[v] ^ j
+                if live[u]:
+                    live[u] = 0
+                    rows.append(u)
+                    witnesses.append(v)
+        peeled.append((rows, witnesses))
+        return rows
+
+    for j, v in pendants:
+        if live[j]:
+            peel(j, v)
     internal = system.forced_falsified
-    parity = 0
-    for j, witness in reversed(deleted):
-        parity ^= rhs[j]
-        if witness < 0:
-            internal += weights[j] * parity
-            parity = 0
-    removed = [(lhs[j], rhs[j], witness) for j, witness in deleted if witness >= 0]
-    result = _result(system, _satisfy_removed(removed, [0] * system.n))
+    # A stable sort: ties go to the lower index.
+    for root in sorted(compress(range(len(lhs)), live), key=weights.__getitem__):
+        if live[root] and sum(map(rhs.__getitem__, peel(root, -1))) & 1:
+            internal += weights[root]
+    values = [0] * system.n
+    for rows, witnesses in peeled:
+        for j, witness in zip(reversed(rows), reversed(witnesses)):
+            if witness >= 0:
+                # No row replayed before this one holds its witness, still 0.
+                parity = rhs[j]
+                for v in lhs[j]:
+                    parity ^= values[v]
+                values[witness] = parity
+    result = _result(system, values)
     if result.falsified_weight != internal:
         raise ContractViolationError("solver bookkeeping out of sync")
     return result
@@ -85,8 +111,11 @@ def solve_occ2_merge(system: LinSystem) -> int:
     merge never raises an occurrence, so each entry of the index stays at
     most two rows long.
     """
-    _check_occurrence_bound(system.lhs)
     row_ids = variable_rows(system.lhs)
+    most = max(map(len, row_ids.values()), default=0)
+    if most > 2:
+        worst = min(v for v, rows in row_ids.items() if len(rows) == most)
+        raise InstanceClassError(f"variable {worst} occurs {most} times; at most 2 allowed")
     rows = [set(lhs) for lhs in system.lhs]
     rhs = list(system.rhs)
     weight = list(system.weights)

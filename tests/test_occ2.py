@@ -1,5 +1,5 @@
 """Exact solver for occurrence-at-most-2 systems, both routes, and the
-singleton cascade that drops always-satisfiable rows and runs the solver."""
+pipeline's singleton cascade that drops always-satisfiable rows."""
 
 from __future__ import annotations
 
@@ -52,22 +52,22 @@ def test_prune_single_equation():
     assert _satisfy_removed([((0,), 1, 0)], [0]) == [1]
 
 
-def test_cascade_deletes_a_root_only_when_no_singleton_is_left():
-    # An odd cycle over rows 0-2 beside a chain whose ends are singletons.
-    system = LinSystem.build(
-        6,
-        [((0, 1), 1, 3), ((1, 2), 0, 1), ((0, 2), 0, 2), ((3, 4), 1, 1), ((4, 5), 0, 1)],
-    )
-    # The chain goes first; then the first live root, and the cycle it opens.
-    roots = [3, 1, 2, 0, 4]
-    assert singleton_cascade(system.lhs, roots) == [
-        (3, 3),
-        (4, 4),
-        (1, -1),
-        (0, 1),
-        (2, 0),
-    ]
-    assert singleton_cascade(system.lhs) == [(3, 3), (4, 4)]
+# An odd cycle over rows 0-2 beside a chain whose ends are singletons.
+CYCLE_AND_CHAIN = LinSystem.build(
+    6,
+    [((0, 1), 1, 3), ((1, 2), 0, 1), ((0, 2), 0, 2), ((3, 4), 1, 1), ((4, 5), 0, 1)],
+)
+
+
+def test_cascade_stops_when_no_singleton_is_left():
+    # The chain goes; the cycle has no singleton, so it stays.
+    assert singleton_cascade(CYCLE_AND_CHAIN.lhs) == [(3, 3), (4, 4)]
+
+
+def test_solve_occ2_satisfies_the_chain_and_drops_the_cycles_lightest_row():
+    result = solve_occ2(CYCLE_AND_CHAIN)
+    assert (result.falsified_weight, result.certificate) == (1, (1,))
+    assert evaluate(CYCLE_AND_CHAIN, result.assignment)[1] == 1
 
 
 def test_solve_occ2_refuses_the_star_before_allocating():
@@ -288,6 +288,103 @@ def test_prune_preserves_optimum():
         removed = [(system.lhs[j], system.rhs[j], w) for j, w in deleted]
         extended = _satisfy_removed(removed, list(best.assignment))
         assert evaluate(system, extended)[1] == best.falsified_weight
+
+
+def _falsified_rows(system: LinSystem, assignment) -> list[int]:
+    """The rows the assignment falsifies, counted row by row."""
+    return [
+        j
+        for j, (lhs, b) in enumerate(zip(system.lhs, system.rhs))
+        if (b + sum(assignment[v] for v in lhs)) % 2
+    ]
+
+
+def _mixed_occ2_system(rng: random.Random) -> tuple[LinSystem, list[int]]:
+    """Cycles, chains, repeated rows, opposing pairs and constant rows over
+    about 10^4 variables, rows and variables shuffled; with the rows the
+    closed form loses: the first lightest row of each pendant-free
+    component whose rhs bits XOR to 1."""
+    n = 0
+    components = []  # (rows, pendant-free)
+    while n < 10**4:
+        shape = rng.choice(
+            ("cycle", "pendant cycle", "chain", "repeated", "opposing", "constant")
+        )
+        size = rng.randint(3, 40)
+        if shape in ("cycle", "pendant cycle"):
+            cycle = list(range(n, n + size))
+            lhss = [[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+            n += size
+            if shape == "pendant cycle":
+                lhss[rng.randrange(size)].append(n)
+                n += 1
+            bits = [rng.randint(0, 1) for _ in lhss]
+        elif shape == "chain":
+            lhss = [[v, v + 1] for v in range(n, n + size)]
+            n += size + 1
+            bits = [rng.randint(0, 1) for _ in lhss]
+        elif shape == "constant":
+            lhss, bits = [[]], [rng.randint(0, 1)]
+        else:
+            arity = rng.randint(1, 3)
+            lhss = [list(range(n, n + arity))] * 2
+            n += arity
+            b = rng.randint(0, 1)
+            bits = [b, b ^ (shape == "opposing")]
+        rows = [(lhs, b, rng.randint(1, 5)) for lhs, b in zip(lhss, bits)]
+        components.append((rows, shape not in ("pendant cycle", "chain")))
+    label = list(range(n))
+    rng.shuffle(label)
+    tagged = [(row, c) for c, (rows, _) in enumerate(components) for row in rows]
+    rng.shuffle(tagged)
+    members: list[list[int]] = [[] for _ in components]
+    for j, (_, c) in enumerate(tagged):
+        members[c].append(j)
+    rows = [(sorted(label[v] for v in lhs), b, w) for (lhs, b, w), _ in tagged]
+    lost = []
+    for (_, pendant_free), ids in zip(components, members):
+        if pendant_free and sum(rows[j][1] for j in ids) % 2:
+            lost.append(min(ids, key=lambda j: rows[j][2]))
+    return LinSystem.build(n, rows), sorted(lost)
+
+
+def _long_odd_cycle(length: int) -> tuple[LinSystem, list[int]]:
+    """Rows (i, i+1) closed by (0, length-1), rhs 1 only on row 0; weights
+    2 and up, with 1 on rows length/3 and 2·length/3: it loses the first."""
+    lhss = [(i, i + 1) for i in range(length - 1)] + [(0, length - 1)]
+    weights = [2 + i * 7919 % 1000 for i in range(length)]
+    weights[length // 3] = weights[2 * length // 3] = 1
+    rhs = [1] + [0] * (length - 1)
+    return LinSystem.from_columns(length, lhss, rhs, weights), [length // 3]
+
+
+def _long_chain(length: int) -> tuple[LinSystem, list[int]]:
+    """Rows (i, i+1) with seeded rhs bits: both ends are pendant, so it
+    loses nothing."""
+    rng = random.Random(length)
+    lhss = [(i, i + 1) for i in range(length)]
+    rhs = [rng.randint(0, 1) for _ in lhss]
+    weights = [rng.randint(1, 9) for _ in lhss]
+    return LinSystem.from_columns(length + 1, lhss, rhs, weights), []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _long_odd_cycle(2 * 10**5),
+        lambda: _long_chain(2 * 10**5),
+        lambda: _mixed_occ2_system(random.Random(0x0CC2)),
+    ],
+    ids=["odd-cycle", "chain", "mixed"],
+)
+def test_solve_occ2_beyond_the_oracle_matches_the_closed_form(build):
+    system, lost = build()
+    value = sum(system.weights[j] for j in lost)
+    result = solve_occ2(system)
+    assert result.falsified_weight == value
+    assert evaluate(system, result.assignment)[1] == value
+    assert list(result.certificate) == _falsified_rows(system, result.assignment) == lost
+    assert solve_occ2_merge(system) == value
 
 
 @st.composite
