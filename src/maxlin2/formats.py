@@ -207,26 +207,53 @@ def _lin2_lines(text: str):
     return n, (lhs, rhs_column, weights), comments
 
 
+# The digit of each bit, for bytes.translate.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def emit_lin2(system: LinSystem, comments=()) -> str:
     """Serialize a system; a nonzero ledger goes on a forced-falsified line.
 
-    One `%` fills each row's per-call (weight, rhs, arity) template, like "1 0 3 %s %s %s".
+    One `%` fills the rows' templates (`_row_templates`) with the names of
+    their variables.
     """
     lines = [f"c {comment}\n" for comment in comments]
     if system.forced_falsified:
         lines.append(f"c forced-falsified {system.forced_falsified}\n")
-    lines.append(f"p lin2 {system.n} {len(system.lhs)}\n")
-    keys = list(zip(system.weights, system.rhs, map(len, system.lhs)))
-    template = {key: "%d %d %d" % key + " %s" * key[2] + "\n" for key in set(keys)}
+    lhs_column = system.lhs
+    lines.append(f"p lin2 {system.n} {len(lhs_column)}\n")
     # With n above the row count only the variables the rows hold are
     # named; otherwise n names cost no more than the rows.
-    if system.n > len(keys):
-        name = {v: str(v + 1) for v in set(chain.from_iterable(system.lhs))}.__getitem__
+    if system.n > len(lhs_column):
+        name = {v: str(v + 1) for v in set(chain.from_iterable(lhs_column))}.__getitem__
     else:
         name = [str(i) for i in range(1, system.n + 1)].__getitem__
-    names = tuple(map(name, chain.from_iterable(system.lhs)))
-    lines.append("".join(map(template.__getitem__, keys)) % names)
+    lines.append(_row_templates(system) % tuple(map(name, chain.from_iterable(lhs_column))))
     return "".join(lines)
+
+
+def _row_templates(system: LinSystem) -> str:
+    """Each row's (weight, rhs, arity) template in turn, like "1 0 3 %s %s %s\n".
+
+    When the rows share one weight and one arity, as every system `maxlin2
+    reduce` writes does, only the rhs digit tells the templates apart, so
+    the text is one template repeated m times with each rhs digit written
+    in. Otherwise the keys are read twice, once for the templates and once
+    for the rows.
+    """
+    weights, arities = set(system.weights), set(map(len, system.lhs))
+    if len(weights) == len(arities) == 1:
+        ((weight,), (arity,)) = weights, arities
+        template = f"{weight} 0 {arity}" + " %s" * arity + "\n"
+        text = bytearray(template.encode()) * len(system.lhs)
+        text[len(f"{weight} ") :: len(template)] = system.rhs.translate(_DIGITS)
+        return text.decode()
+
+    def keys():
+        return zip(system.weights, system.rhs, map(len, system.lhs))
+
+    template = {key: "%d %d %d" % key + " %s" * key[2] + "\n" for key in set(keys())}
+    return "".join(map(template.__getitem__, keys()))
 
 
 def parse_oddset(text: str) -> OddSetInstance:
@@ -293,5 +320,5 @@ def parse_assignment(text: str, n: int) -> tuple[int, ...]:
 
 def emit_assignment(assignment, tag: str = "") -> str:
     """The bits on one line, space-separated, after a one-letter tag if given."""
-    bits = bytes(assignment).translate(bytes.maketrans(b"\0\1", b"01"))
+    bits = bytes(assignment).translate(_DIGITS)
     return " ".join(tag + bits.decode()) + "\n"

@@ -318,7 +318,9 @@ class _Rows:
     with `core.occurrences`; `twos` keeps the degree rule's list of the
     variables at occurrence 2 for the padding. The pipeline's (=3,=3) checks run on these columns
     in `_compact`, which renumbers only when a slot is empty; `system()`
-    builds the output columns and checks every row.
+    builds the output columns and checks every row. `checked` is the number
+    of leading rows that deduplication found arity-3 and distinct, so that
+    `_compact` repeats those checks only when a row lies past them.
     """
 
     def __init__(self, system: LinSystem, op: str) -> None:
@@ -331,6 +333,7 @@ class _Rows:
         # The variables at occurrence 2, in any order, once the degree rule
         # has counted them; arity expansion adds its fresh variables.
         self.twos: list[int] | None = None
+        self.checked = 0
 
     def sizes(self) -> tuple[int, int]:
         return self.n, len(self.lhs)
@@ -767,11 +770,12 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
     """Replace each repeated lhs in one pass over the rows; see `deduplicate_equations`.
 
     With no repeated lhs (a set of the column tells) the store is left as
-    it is. Otherwise the lhs column is counted once; a row whose lhs occurs
-    once is kept; the first copy of a repeated lhs is checked (at most three
-    copies, and a triple's variables in no other row) and is dropped, to
-    become a pair gadget or a logged triple; a later copy must agree with
-    the first copy's rhs and is dropped. The pair gadgets, one per row with
+    it is, and `checked` covers every row. Otherwise the lhs column is
+    counted once; a row whose lhs occurs once is kept; the first copy of a
+    repeated lhs is checked (at most three copies, and a triple's variables
+    in no other row) and is dropped, to become a pair gadget or a logged
+    triple; a later copy must agree with the first copy's rhs and is
+    dropped. The pair gadgets, one per row with
     two copies, follow the kept rows; the step data is {"groups": (the pair
     group,), "triples": ((lhs, rhs), ...)}.
     """
@@ -812,6 +816,8 @@ def _deduplicate(store: _Rows) -> list[TraceStep]:
             copied += lhs
             copied_rhs.append(b)
         store.lhs, store.rhs = out_lhs, out_rhs
+    else:
+        store.checked = len(lhs_column)
     groups = (_write(store, "pair", tuple(copied), bytes(copied_rhs)),)
     return [store.step("deduplicate", {"groups": groups, "triples": tuple(triples)}, pre)]
 
@@ -864,31 +870,37 @@ def _compact(store: _Rows) -> list[TraceStep]:
     """Check the (=3,=3) shape and drop unused variable slots.
 
     Counts taken from the rows show every kept variable occurring exactly
-    three times and below n, the row lengths show every row holding three,
-    and the set of left-hand sides shows that no two coincide. The rows are
-    renumbered only when a slot is empty, through the kept variables alone,
-    so no pass runs over the n slots; building the output checks every
-    row's order, range and rhs.
+    three times and within 0..n - 1. The row lengths show every row holding
+    three, and the set of left-hand sides shows that no two coincide; these
+    two run only when a row lies past the `checked` count. The
+    rows are renumbered only when a slot is empty, through the kept
+    variables alone, so no pass runs over the n slots; building the output
+    checks every row's order, range and rhs.
     """
     pre = store.sizes()
-    occ = occurrences(store.lhs)
+    lhs, n = store.lhs, store.n
+    occ = occurrences(lhs)
     if set(occ.values()) - {3}:
         bad = min(v for v, c in occ.items() if c != 3)
         raise ContractViolationError(
             f"pipeline output has variable {bad} occurring {occ[bad]} times, not 3"
         )
-    lhs = store.lhs
-    if set(map(len, lhs)) - {3}:
-        raise ContractViolationError("pipeline output has a row that is not arity-3")
-    if len(set(lhs)) != len(lhs):
-        raise ContractViolationError("pipeline output has duplicate left-hand sides")
-    kept = tuple(sorted(occ))
-    if kept and kept[-1] >= store.n:
-        raise ContractViolationError(f"pipeline output has variable {kept[-1]} >= n={store.n}")
-    if len(kept) < store.n:
+    if len(lhs) > store.checked:
+        if set(map(len, lhs)) - {3}:
+            raise ContractViolationError("pipeline output has a row that is not arity-3")
+        if len(set(lhs)) != len(lhs):
+            raise ContractViolationError("pipeline output has duplicate left-hand sides")
+    if occ and min(occ) < 0:
+        raise ContractViolationError(f"pipeline output has variable {min(occ)} < 0")
+    if occ and max(occ) >= n:
+        raise ContractViolationError(f"pipeline output has variable {max(occ)} >= n={n}")
+    if len(occ) == n:
+        kept = tuple(range(n))
+    else:
+        kept = tuple(sorted(occ))
         remap = dict(zip(kept, range(len(kept))))
         store.lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
-    store.n = len(kept)
+        store.n = len(kept)
     return [store.step("compact", {"kept": kept}, pre)]
 
 

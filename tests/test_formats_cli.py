@@ -18,6 +18,7 @@ from maxlin2 import (
     emit_assignment,
     emit_lin2,
     normalize,
+    oddset_to_lin2,
     parse_assignment,
     parse_graph,
     parse_lin2,
@@ -350,6 +351,31 @@ def emit_cases(draw):
 def test_emit_lin2_matches_the_per_row_reference(case):
     system, comments = case
     assert emit_lin2(system, comments=comments) == _reference_emit_lin2(system, comments)
+
+
+# Systems of one weight and one arity take the rhs-keyed templates; the
+# others key each row by (weight, rhs, arity). Both must write the same bytes.
+K4 = [((0, 1, 2), 0), ((0, 1, 3), 1), ((0, 2, 3), 0), ((1, 2, 3), 1)]
+EMIT_CASES = {
+    "unit arity 3": (LinSystem.build(4, K4), ()),
+    "ods 5 0 0": (oddset_to_lin2(parse_oddset("p ods 5 0 0\n")).system, ()),
+    "mixed weights": (LinSystem.build(3, [((0, 1), 1, 2), ((1, 2), 0, 1), ((0, 2), 1, 7)]), ()),
+    "mixed arities": (LinSystem.build(4, [((0,), 1), ((0, 3), 0), ((1, 2, 3), 1), ((), 1)]), ()),
+    "n above m, one shape": (LinSystem.build(40, [((2, 9, 39), 1), ((0, 9, 17), 0)]), ()),
+    "n above m, mixed": (LinSystem.build(40, [((39,), 1, 3), ((2, 9), 0, 1)]), ()),
+    "empty": (LinSystem(0), ()),
+    "empty, n = 7": (LinSystem(7), ()),
+    "forced ledger": (LinSystem.build(4, K4, 5), ()),
+    "comments": (LinSystem.build(4, K4, 2), ("a note", "100% %s")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_CASES))
+def test_emit_lin2_paths_match_the_per_row_reference(case):
+    system, comments = EMIT_CASES[case]
+    text = emit_lin2(system, comments=comments)
+    assert text == _reference_emit_lin2(system, comments)
+    assert parse_lin2(text) == system
 
 
 def test_lin2_round_trip_at_the_weight_bound():

@@ -54,6 +54,7 @@ from maxlin2.gadgets import (
     _GADGETS,
     _TIE_GRAPHS,
     _compact,
+    _deduplicate,
     _enforce_degree,
     _is_exact,
     _map_forward_step,
@@ -1387,7 +1388,11 @@ def test_reduce_sizes_nothing_by_the_header_n(target):
 
 
 def _store(n, rows):
-    return _Rows(LinSystem.build(n, rows), "finish test")
+    """A store holding the rows as given, also rows no LinSystem accepts."""
+    store = _Rows(LinSystem(n), "finish test")
+    store.lhs = [lhs for lhs, _ in rows]
+    store.rhs = bytearray(rhs for _, rhs in rows)
+    return store
 
 
 def test_compact_finishes_a_valid_store():
@@ -1413,6 +1418,10 @@ BROKEN_FINISH = {
     "arity 2": (3, [((0, 1), 0), ((0, 2), 0), ((1, 2), 0), ((0, 1, 2), 1)], "arity-3"),
     "d = 2": (4, [((0, 1, 2), 0), ((0, 1, 3), 1)], "variable 0 occurring 2 times"),
     "same lhs": (3, [((0, 1, 2), 1)] * 3, "duplicate left-hand sides"),
+    # a valid 4-clique on -1..2 with two empty slots, which renumbering
+    # would turn into the 4-clique on 0..3
+    "variable -1": (5, [((-1, 0, 1), 0), ((-1, 0, 2), 0), ((-1, 1, 2), 0), ((0, 1, 2), 0)],
+                    "variable -1 < 0"),
 }
 
 
@@ -1421,6 +1430,32 @@ def test_compact_rejects_broken_stores(case):
     n, rows, message = BROKEN_FINISH[case]
     with pytest.raises(ContractViolationError, match=message):
         _compact(_store(n, rows))
+
+
+def test_compact_checks_the_rows_past_what_deduplication_checked():
+    # Variables 0, 1 and 2 occur twice and the rest three times, so a second
+    # copy of row 0 leaves every count at 3 and only the lhs set sees it.
+    rows = [((0, 1, 2), 1), ((0, 3, 4), 0), ((1, 3, 5), 0), ((2, 4, 5), 0), ((3, 4, 5), 0)]
+    store = _store(6, rows)
+    _deduplicate(store)
+    assert store.checked == len(rows)
+    store.lhs.append(store.lhs[0])
+    store.rhs.append(store.rhs[0])
+    with pytest.raises(ContractViolationError, match="duplicate left-hand sides"):
+        _compact(store)
+
+
+def test_compact_checks_every_row_after_a_pair_gadget():
+    # Deduplication that writes a gadget vouches for no row.
+    store = _store(3, [((0, 1, 2), 1)] * 2)
+    _deduplicate(store)
+    assert store.n > 3 and store.checked == 0
+    for case in ("arity 2", "same lhs"):
+        n, rows, message = BROKEN_FINISH[case]
+        store.n, store.lhs = n, [lhs for lhs, _ in rows]
+        store.rhs = bytearray(rhs for _, rhs in rows)
+        with pytest.raises(ContractViolationError, match=message):
+            _compact(store)
 
 
 def test_compact_checks_survive_python_O():
