@@ -25,6 +25,11 @@ keeps the flow and re-prices the moved terminal edges by a constant that
 every cut pays (Kohli and Torr, TPAMI 2007). A cut stops once its flow
 passes k, since a set heavier than k ends the search anyway. The union-find
 halves paths and is rebuilt only when a compression finds a lighter set.
+
+The engine reads the graph as columns: each edge's ends as dense ids, its
+parity and its weight. Edge and Graph are the API of edge_bipartization,
+which numbers a Graph's vertices and splits its edges into those columns;
+the two-variable solver builds the same columns from its rows directly.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ class SearchStats:
 class _ParityForest:
     """Union-find in which every vertex stores its colour relative to its parent.
 
-    Vertices are dense ids from _dense. Each tree is rooted at its smallest
+    Vertices are dense ids. Each tree is rooted at its smallest
     vertex, so sides() colours that vertex 0, as a breadth-first 2-coloring
     started from it would.
     """
@@ -162,18 +167,19 @@ class _ParityForest:
 
 
 def _dense(g: Graph):
-    """The touched vertices in ascending order, and each edge's ends as their indices."""
-    us, vs = list(map(itemgetter(0), g.edges)), list(map(itemgetter(1), g.edges))
+    """The touched vertices in ascending order, then the engine's columns:
+    each edge's ends as their indices, its parity and its weight."""
+    us, vs, weight, parity = (list(map(itemgetter(i), g.edges)) for i in range(4))
     ids = sorted(set(us).union(vs))
     index = dict(zip(ids, range(len(ids))))
-    return ids, list(zip(map(index.__getitem__, us), map(index.__getitem__, vs)))
+    return ids, list(zip(map(index.__getitem__, us), map(index.__getitem__, vs))), parity, weight
 
 
-def _forest(g: Graph, ends, size: int, edge_ids) -> _ParityForest | None:
+def _forest(ends, parity, size: int, edge_ids) -> _ParityForest | None:
     """Parity union-find of the given edges, or None if they contradict."""
     forest = _ParityForest(size)
     for eid in edge_ids:
-        if forest.add(*ends[eid], g.edges[eid].parity) is None:
+        if forest.add(*ends[eid], parity[eid]) is None:
             return None
     return forest
 
@@ -197,11 +203,11 @@ def _tree_path(tree, start: int, goal: int) -> list[int]:
 
 def is_bipartite(g: Graph):
     """Return a Bipartition, or an OddCycle witness when none exists."""
-    ids, ends = _dense(g)
+    ids, ends, parity, _ = _dense(g)
     forest = _ParityForest(len(ids))
     tree: list[list[tuple[int, int]]] = [[] for _ in ids]
-    for eid, ((u, v), e) in enumerate(zip(ends, g.edges)):
-        joins = forest.add(u, v, e.parity)
+    for eid, (u, v) in enumerate(ends):
+        joins = forest.add(u, v, parity[eid])
         if joins is None:
             return OddCycle(tuple(_tree_path(tree, u, v)) + (eid,))
         if joins:
@@ -224,11 +230,11 @@ class _Network:
     guess and never stored, so it never starts or ends a path.
     """
 
-    def __init__(self, g: Graph, ends, size: int) -> None:
-        self.edges = g.edges
+    def __init__(self, ends, parity, weight, size: int) -> None:
+        self.parity, self.weight = parity, weight
         self.head = [x for u, v in ends for x in (v, u)]
         self.out: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        self.capacity = [w for e in g.edges for w in (e.weight, e.weight)]
+        self.capacity = [w for w in weight for _ in (0, 1)]
         self.grown = 0
 
     def grow(self, upto: int) -> None:
@@ -265,9 +271,9 @@ class _Network:
             self.residual[2 * eid] = self.residual[2 * eid + 1] = 0
         # the first guess gives each v end colour 0 and each u end the parity
         self.where = where = [self.head[2 * eid + 1 - s] for eid in candidate for s in (0, 1)]
-        colour = [self.edges[eid].parity * (1 - s) for eid in candidate for s in (0, 1)]
+        colour = [self.parity[eid] * (1 - s) for eid in candidate for s in (0, 1)]
         self.source = source = [c != forest.find(x)[1] for c, x in zip(colour, where)]
-        weight = [self.edges[eid].weight for eid in candidate for _ in (0, 1)]
+        weight = [self.weight[eid] for eid in candidate for _ in (0, 1)]
         self.left = left = weight[:]
         self.value = 0
         best = None
@@ -336,9 +342,39 @@ class _Network:
                if z not in reached and self.residual[arc ^ 1]]
         cut += [candidate[t >> 1] for t, x in enumerate(self.where)
                 if (x in reached) != self.source[t]]
-        if sum(self.edges[eid].weight for eid in cut) != self.value:
+        if sum(map(self.weight.__getitem__, cut)) != self.value:
             raise ContractViolationError("max-flow/min-cut mismatch")
         return sorted(set(cut))
+
+
+def _bipartize(ids, ends, parity, weight, num_vertices: int, k: int, stats: SearchStats):
+    """The engine on a graph as columns: edge i joins the dense ids ends[i]
+    with parity[i] at cost weight[i], and dense id x is vertex ids[x] of
+    num_vertices. A minimum-weight Bipartition, or None when every deletion
+    set weighs more than k >= 0.
+    """
+    size = len(ids)
+    network = _Network(ends, parity, weight, size)
+    forest = _ParityForest(size)
+    solution: list[int] = []
+    total = 0
+    for eid, (u, v) in enumerate(ends):
+        if forest.add(u, v, parity[eid]) is not None:
+            continue
+        bound = min(total + weight[eid] - 1, k)
+        improved = network.compress(forest, solution + [eid], total, bound, stats)
+        if improved is None:
+            solution.append(eid)
+        else:
+            solution = improved
+            removed = set(solution)
+            forest = _forest(ends, parity, size, (i for i in range(eid + 1) if i not in removed))
+            if forest is None:
+                raise ContractViolationError("compressed set leaves a conflict")
+        total = sum(map(weight.__getitem__, solution))
+        if total > k:
+            return None
+    return Bipartition(forest.sides(ids, num_vertices), frozenset(solution))
 
 
 def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
@@ -354,29 +390,7 @@ def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
         raise ValueError(f"k must be >= 0, got {k}")
     if stats is None:
         stats = SearchStats()
-    ids, ends = _dense(g)
-    network = _Network(g, ends, len(ids))
-    forest = _ParityForest(len(ids))
-    solution: list[int] = []
-    weight = 0
-    for eid, ((u, v), e) in enumerate(zip(ends, g.edges)):
-        if forest.add(u, v, e.parity) is not None:
-            continue
-        bound = min(weight + e.weight - 1, k)
-        improved = network.compress(forest, solution + [eid], weight, bound, stats)
-        if improved is None:
-            solution.append(eid)
-            weight += e.weight
-        else:
-            solution = improved
-            weight = sum(g.edges[i].weight for i in solution)
-            removed = set(solution)
-            forest = _forest(g, ends, len(ids), (i for i in range(eid + 1) if i not in removed))
-            if forest is None:
-                raise ContractViolationError("compressed set leaves a conflict")
-        if weight > k:
-            return None
-    return Bipartition(forest.sides(ids, g.num_vertices), frozenset(solution))
+    return _bipartize(*_dense(g), g.num_vertices, k, stats)
 
 
 def brute_force_bipartization(g: Graph, k: int):
@@ -387,11 +401,11 @@ def brute_force_bipartization(g: Graph, k: int):
         )
     if any(e.weight != 1 for e in g.edges):
         raise GraphError("brute_force_bipartization requires unit weights")
-    ids, ends = _dense(g)
+    ids, ends, parity, _ = _dense(g)
     all_ids = range(len(g.edges))
     for size in range(min(k, len(g.edges)) + 1):
         for combo in itertools.combinations(all_ids, size):
-            forest = _forest(g, ends, len(ids), (i for i in all_ids if i not in combo))
+            forest = _forest(ends, parity, len(ids), (i for i in all_ids if i not in combo))
             if forest is not None:
                 return Bipartition(forest.sides(ids, g.num_vertices), frozenset(combo))
     return None

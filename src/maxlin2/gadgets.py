@@ -895,7 +895,7 @@ def _compact(store: _Rows) -> list[TraceStep]:
     if occ and max(occ) >= n:
         raise ContractViolationError(f"pipeline output has variable {max(occ)} >= n={n}")
     if len(occ) == n:
-        kept = tuple(range(n))
+        kept = range(n)
     else:
         kept = tuple(sorted(occ))
         remap = dict(zip(kept, range(len(kept))))

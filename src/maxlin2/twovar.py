@@ -7,12 +7,19 @@ xy of parity b and capacity w, and x = b becomes the edge from x to the
 anchor of parity 1 - b. Reading x = 1 iff x sits on the anchor's side turns
 every satisfied edge into a satisfied equation, so a deletion set of minimum
 weight is an optimal set of falsified equations.
+
+The graph goes to the engine as columns (ends, parities, weights), built
+straight from the normalized rows. No Edge or Graph is made: the system
+checked its rows when it was built, so no row gives a self-loop, a weight
+below 1 or a parity other than 0 or 1.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .baseline import SolveResult, _result
-from .bipartize import Edge, Graph, edge_bipartization
+from .bipartize import SearchStats, _bipartize
 from .core import (
     ContractViolationError,
     InstanceClassError,
@@ -23,49 +30,53 @@ from .core import (
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def _constraint_graph(system: LinSystem) -> Graph:
-    """Signed graph of a normalized system; edge j stands for equation j."""
-    anchor = system.n
-    edges = []
-    for lhs, rhs, weight in zip(system.lhs, system.rhs, system.weights):
-        if len(lhs) == 2:
-            edges.append(Edge(lhs[0], lhs[1], weight, rhs))
-        else:
-            edges.append(Edge(lhs[0], anchor, weight, 1 - rhs))
-    return Graph(anchor + 1, tuple(edges))
+def _graph_columns(system: LinSystem):
+    """The constraint graph of a normalized system as engine columns.
+
+    Returns the dense ids, which are the held variables in ascending order
+    and then the anchor n if a unary row exists, and per row its edge's ends
+    as indices into the ids and its parity. The engine numbers the vertices
+    of an edge list the same way, so both see one graph.
+    """
+    ids = sorted(set(chain.from_iterable(system.lhs)))
+    index = dict(zip(ids, range(len(ids))))
+    anchor = len(ids)
+    ends = [(index[r[0]], index[r[1]] if len(r) == 2 else anchor) for r in system.lhs]
+    # len(r) & 1 is 1 just for x = b, whose edge has parity 1 - b
+    parity = [b ^ (len(r) & 1) for r, b in zip(system.lhs, system.rhs)]
+    if 1 in map(len, system.lhs):
+        ids.append(system.n)
+    return ids, ends, parity
 
 
 def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
     """Exact decision (and optimum) for falsifying weight at most k.
 
-    Pipeline: normalize, build the constraint graph with the normalized
-    weights and run the edge bipartization engine on it. Weights are not
-    capped: no cut the engine keeps weighs more than k, so an edge heavier
-    than k is never cut, and a flow of at most k never saturates it. Returns
-    None when the true optimum exceeds k; otherwise the result carries an
-    optimal assignment.
+    Pipeline: normalize, build the constraint graph's columns with the
+    normalized weights and run the edge bipartization engine on them.
+    Weights are not capped: no cut the engine keeps weighs more than k, so
+    an edge heavier than k is never cut, and a flow of at most k never
+    saturates it. Returns None when the true optimum exceeds k; otherwise
+    the result carries an optimal assignment.
     """
-    for j, lhs in enumerate(system.lhs):
-        if len(lhs) > 2:
-            raise InstanceClassError(
-                f"equation {system.equations[j]} has {len(lhs)} variables;"
-                " at most 2 allowed"
-            )
+    if max(map(len, system.lhs), default=0) > 2:
+        j = next(j for j, lhs in enumerate(system.lhs) if len(lhs) > 2)
+        raise InstanceClassError(
+            f"equation {system.equations[j]} has {len(system.lhs[j])} variables; at most 2 allowed"
+        )
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     norm = normalize(system)
     budget = k - norm.forced_falsified
     if budget < 0:
         return None
-    bp = edge_bipartization(_constraint_graph(norm), budget)
+    ids, ends, parity = _graph_columns(norm)
+    bp = _bipartize(ids, ends, parity, norm.weights, system.n + 1, budget, SearchStats())
     if bp is None:
         return None
     # x = 1 iff x shares the anchor's side: keep the bits, or flip them all
-    side = bp.side
-    if not side[system.n]:
-        side = side.translate(_FLIP)
-    assignment = tuple(side[: system.n])
-    result = _result(system, assignment)
+    side = bp.side if bp.side[system.n] else bp.side.translate(_FLIP)
+    result = _result(system, side[: system.n])
     if result.falsified_weight > k:
         raise ContractViolationError(
             f"assignment falsifies {result.falsified_weight} > budget {k}"

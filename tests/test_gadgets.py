@@ -1408,7 +1408,7 @@ def test_compact_finishes_a_valid_store():
     store = _store(4, renamed)
     (step,) = _compact(store)
     assert store.system() == LinSystem.build(4, renamed)
-    assert step.data["kept"] == (0, 1, 2, 3)
+    assert tuple(step.data["kept"]) == (0, 1, 2, 3)
     assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (4, 4, 4, 4)
 
 

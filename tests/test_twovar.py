@@ -7,26 +7,48 @@ import random
 import pytest
 
 from maxlin2 import (
+    Edge,
+    Graph,
     InstanceClassError,
     LinSystem,
+    SolveResult,
     brute_force_min_falsified,
+    edge_bipartization,
     evaluate,
+    falsified_indices,
     normalize,
     solve_below_W,
 )
-from maxlin2.twovar import _constraint_graph
+from maxlin2.twovar import _graph_columns
 from helpers import random_system, star_system, traced_peak
 
 
-def _edge_set(graph):
-    return {(e.u, e.v, e.weight, e.parity) for e in graph.edges}
+def _old_graph(norm):
+    """The constraint graph of a normalized system as a Graph: x + y = b is
+    the edge xy of parity b, and x = b the edge from x to the anchor n of
+    parity 1 - b."""
+    anchor = norm.n
+    edges = []
+    for lhs, rhs, weight in zip(norm.lhs, norm.rhs, norm.weights):
+        if len(lhs) == 2:
+            edges.append(Edge(lhs[0], lhs[1], weight, rhs))
+        else:
+            edges.append(Edge(lhs[0], anchor, weight, 1 - rhs))
+    return Graph(anchor + 1, tuple(edges))
+
+
+def _edges(norm):
+    """The builder's edges in row order, as (u, v, weight, parity) over the
+    vertices 0..n, with the anchor as n."""
+    ids, ends, parity = _graph_columns(norm)
+    return [(ids[u], ids[v], w, p) for (u, v), w, p in zip(ends, norm.weights, parity)]
 
 
 def test_build_graph_example():
     system = LinSystem.build(2, [((0,), 0, 1), ((0, 1), 1, 2), ((0, 1), 0, 3)])
-    graph = _constraint_graph(normalize(system))
-    assert graph.num_vertices == 3
-    assert _edge_set(graph) == {
+    norm = normalize(system)
+    assert _graph_columns(norm)[0] == [0, 1, 2]
+    assert set(_edges(norm)) == {
         (0, 2, 1, 1),  # x1 = 0: x1 off the anchor's side
         (0, 1, 3, 0),  # x1 + x2 = 0
         (0, 1, 2, 1),  # x1 + x2 = 1
@@ -34,13 +56,55 @@ def test_build_graph_example():
 
 
 def test_build_graph_empty_system():
-    graph = _constraint_graph(LinSystem(0))
-    assert graph.num_vertices == 1 and graph.edges == ()
+    assert _graph_columns(LinSystem(0)) == ([], [], [])
 
 
 def test_build_graph_rhs_one_unit():
-    graph = _constraint_graph(LinSystem.build(1, [((0,), 1, 1)]))
-    assert _edge_set(graph) == {(0, 1, 1, 0)}
+    assert _edges(LinSystem.build(1, [((0,), 1, 1)])) == [(0, 1, 1, 0)]
+
+
+def _random_rows(rng: random.Random, n: int, m: int):
+    """Arity <= 2 rows over n variables: unary and binary rows, repeats and
+    opposing copies of earlier rows, and now and then a constant row."""
+    rows = []
+    for _ in range(m):
+        pick = rng.random()
+        if rows and pick < 0.3:
+            lhs, rhs, _ = rng.choice(rows)
+            rhs ^= pick < 0.15  # an opposing row, else a repeated one
+        elif pick < 0.35:
+            lhs, rhs = (), rng.randint(0, 1)
+        else:
+            lhs = tuple(sorted(rng.sample(range(n), rng.randint(1, min(2, n)))))
+            rhs = rng.randint(0, 1)
+        rows.append((lhs, rhs, rng.randint(1, 4)))
+    return rows
+
+
+def test_solve_below_W_matches_the_engine_on_an_edge_list():
+    # Both adapters drive one engine: the columns give the same answer,
+    # tie-breaks included, as edge_bipartization on the old edge list.
+    rng = random.Random(0xC01)
+    flip = bytes.maketrans(b"\0\1", b"\1\0")
+    for _ in range(250):
+        n = rng.randint(1, 12)
+        system = LinSystem.build(n, _random_rows(rng, n, rng.randint(0, 3 * n)))
+        norm = normalize(system)
+        graph = _old_graph(norm)
+        best = edge_bipartization(graph, sum(norm.weights))
+        optimum = norm.forced_falsified + sum(graph.edges[j].weight for j in best.deleted_edges)
+        for k in range(optimum + 2):
+            budget = k - norm.forced_falsified
+            expected = None
+            bp = edge_bipartization(graph, budget) if budget >= 0 else None
+            if bp is not None:
+                side = bp.side if bp.side[n] else bp.side.translate(flip)
+                assignment = tuple(side[:n])
+                certificate = falsified_indices(system, assignment)
+                weight = system.forced_falsified + sum(system.weights[j] for j in certificate)
+                expected = SolveResult(assignment, weight, certificate)
+            assert solve_below_W(system, k) == expected
+            assert (expected is None) == (k < optimum)
 
 
 def test_solve_below_W_rejects_high_arity():
@@ -96,14 +160,17 @@ def test_solve_below_W_counts_forced_contradictions():
 
 
 def test_graph_size_bound():
-    # one edge per normalized equation and one anchor, whatever the weights
+    # one edge per normalized equation, whatever the weights; the dense ids
+    # are the held variables, ascending, then the anchor n if a row needs it
     rng = random.Random(0xBEEF)
     for _ in range(80):
         system = random_system(rng, max_vars=8, max_eqs=10, max_weight=3, max_arity=2)
         norm = normalize(system)
-        graph = _constraint_graph(norm)
-        assert graph.num_vertices == system.n + 1
-        assert [e.weight for e in graph.edges] == list(norm.weights)
+        ids, ends, _ = _graph_columns(norm)
+        graph = _old_graph(norm)
+        assert _edges(norm) == [tuple(e) for e in graph.edges]
+        assert ids == sorted({x for e in graph.edges for x in e[:2]})
+        assert len(ends) == len(norm.lhs)
 
 
 def test_weights_above_the_budget_do_not_change_the_answer():
