@@ -26,10 +26,12 @@ every cut pays (Kohli and Torr, TPAMI 2007). A cut stops once its flow
 passes k, since a set heavier than k ends the search anyway. The union-find
 halves paths and is rebuilt only when a compression finds a lighter set.
 
-The engine reads the graph as columns: each edge's ends as dense ids, its
-parity and its weight. Edge and Graph are the API of edge_bipartization,
-which numbers a Graph's vertices and splits its edges into those columns;
-the two-variable solver builds the same columns from its rows directly.
+The engine reads the graph as raw columns -- each edge's two ends, its
+parity and its weight -- and numbers the touched vertices itself, in
+ascending order. Edge and Graph are the API of edge_bipartization, which
+splits a Graph's edges into those columns; the two-variable solver builds
+them from its rows directly, so both reach one engine through one
+numbering.
 """
 
 from __future__ import annotations
@@ -166,13 +168,18 @@ class _ParityForest:
         return bytes(side)
 
 
-def _dense(g: Graph):
-    """The touched vertices in ascending order, then the engine's columns:
-    each edge's ends as their indices, its parity and its weight."""
-    us, vs, weight, parity = (list(map(itemgetter(i), g.edges)) for i in range(4))
+def _columns(g: Graph):
+    """A graph's edges as the engine's raw columns: u ends, v ends, parities
+    and weights."""
+    return (list(map(itemgetter(i), g.edges)) for i in (0, 1, 3, 2))
+
+
+def _dense(us, vs):
+    """The touched vertices in ascending order, and each edge's ends as
+    their indices in that order."""
     ids = sorted(set(us).union(vs))
     index = dict(zip(ids, range(len(ids))))
-    return ids, list(zip(map(index.__getitem__, us), map(index.__getitem__, vs))), parity, weight
+    return ids, list(zip(map(index.__getitem__, us), map(index.__getitem__, vs)))
 
 
 def _forest(ends, parity, size: int, edge_ids) -> _ParityForest | None:
@@ -203,7 +210,8 @@ def _tree_path(tree, start: int, goal: int) -> list[int]:
 
 def is_bipartite(g: Graph):
     """Return a Bipartition, or an OddCycle witness when none exists."""
-    ids, ends, parity, _ = _dense(g)
+    us, vs, parity, _ = _columns(g)
+    ids, ends = _dense(us, vs)
     forest = _ParityForest(len(ids))
     tree: list[list[tuple[int, int]]] = [[] for _ in ids]
     for eid, (u, v) in enumerate(ends):
@@ -347,12 +355,16 @@ class _Network:
         return sorted(set(cut))
 
 
-def _bipartize(ids, ends, parity, weight, num_vertices: int, k: int, stats: SearchStats):
-    """The engine on a graph as columns: edge i joins the dense ids ends[i]
-    with parity[i] at cost weight[i], and dense id x is vertex ids[x] of
-    num_vertices. A minimum-weight Bipartition, or None when every deletion
-    set weighs more than k >= 0.
+def _bipartize(us, vs, parity, weight, num_vertices: int, k: int, stats: SearchStats | None = None):
+    """The engine on a graph as columns: edge i joins the vertices us[i] and
+    vs[i] of num_vertices with parity[i] at cost weight[i]. A minimum-weight
+    Bipartition, or None when every deletion set weighs more than k >= 0.
+    The search counts its work into stats, a fresh SearchStats when none is
+    given.
     """
+    if stats is None:
+        stats = SearchStats()
+    ids, ends = _dense(us, vs)
     size = len(ids)
     network = _Network(ends, parity, weight, size)
     forest = _ParityForest(size)
@@ -388,9 +400,7 @@ def edge_bipartization(g: Graph, k: int, stats: SearchStats | None = None):
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if stats is None:
-        stats = SearchStats()
-    return _bipartize(*_dense(g), g.num_vertices, k, stats)
+    return _bipartize(*_columns(g), g.num_vertices, k, stats)
 
 
 def brute_force_bipartization(g: Graph, k: int):
@@ -401,7 +411,8 @@ def brute_force_bipartization(g: Graph, k: int):
         )
     if any(e.weight != 1 for e in g.edges):
         raise GraphError("brute_force_bipartization requires unit weights")
-    ids, ends, parity, _ = _dense(g)
+    us, vs, parity, _ = _columns(g)
+    ids, ends = _dense(us, vs)
     all_ids = range(len(g.edges))
     for size in range(min(k, len(g.edges)) + 1):
         for combo in itertools.combinations(all_ids, size):

@@ -335,28 +335,34 @@ def variable_rows(lhs) -> defaultdict[int, list[int]]:
     return rows
 
 
+def holders(lhs) -> tuple[list[int], list[int]]:
+    """(count, holder) of the lhs column, two lists spanning only up to the
+    largest variable a row holds: count[v] rows hold v, and holder[v] is the
+    XOR of their ids. For a variable in one row that is the row's id; for
+    one in two rows, either id XOR holder[v] is the other."""
+    span = max(chain.from_iterable(lhs), default=-1) + 1
+    count = [0] * span
+    holder = [0] * span
+    for j, row in enumerate(lhs):
+        for v in row:
+            count[v] += 1
+            holder[v] ^= j
+    return count, holder
+
+
 def singleton_cascade(lhss) -> list[tuple[int, int]]:
     """Rows deleted by exhaustive singleton pruning, as (row, witness) pairs.
 
     `lhss` lists each row's variables. A row holding a variable that occurs
     in no other live row is deleted, cascading; the lowest-indexed singleton
-    variable is processed first. Occurrence counts are decremented per
-    deletion and the current singletons kept in a min-heap, so the whole
-    cascade costs O(size · log size). When no variable occurs once, one
-    occurrence count settles it. Its two per-variable lists span only up to
-    the largest variable a row holds.
+    variable is processed first. Occurrence counts and the `holders` XOR of
+    the live rows are updated per deletion and the current singletons kept
+    in a min-heap, so the whole cascade costs O(size · log size). When no
+    variable occurs once, one occurrence count settles it.
     """
     if 1 not in occurrences(lhss).values():
         return []
-    span = max(chain.from_iterable(lhss), default=-1) + 1
-    occ = [0] * span
-    # XOR of the indices of the live rows holding each variable: for a
-    # singleton it is the index of its one row.
-    holder = [0] * span
-    for j, lhs in enumerate(lhss):
-        for v in lhs:
-            occ[v] += 1
-            holder[v] ^= j
+    occ, holder = holders(lhss)
     # Counts only fall, so each variable enters the heap at most once; an
     # entry whose count has since dropped to 0 is skipped.
     singletons = [v for lhs in lhss for v in lhs if occ[v] == 1]
@@ -380,10 +386,9 @@ def _satisfy_removed(removed, values: list[int]) -> list[int]:
     """Replay removed (lhs, rhs, witness) rows in reverse, in place: each
     witness occurred in no later row, so setting it satisfies its row."""
     for lhs, rhs, witness in reversed(removed):
-        parity = rhs
+        parity = rhs ^ values[witness]  # cancels the witness's term below
         for v in lhs:
-            if v != witness:
-                parity ^= values[v]
+            parity ^= values[v]
         values[witness] = parity
     return values
 

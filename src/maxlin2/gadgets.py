@@ -434,19 +434,16 @@ def _plan(degree: int) -> _Plan:
     cheapest exact K_g^t with mu = 1, 2 or 3 ties per pair, for each t up to
     ceil(log2 d) the smallest exact g and the three after it. A clone holds
     d // g^t or one more occurrence and mu t (g - 1) ties; it must end below
-    d, so that the splits end, and at 3 or more, as `_predict_sizes`
+    d, so that the splits end, and at 3 or more, as `_stage_sizes`
     counts; mu > 1 is taken only when every clone splits again, and no
     graph has more than 2d slots. A tie goes to the earlier candidate.
-    Above MAX_UNIT_EQUATIONS, where the plan only sizes a refusal, the one
-    candidate is the cube K_2^t, t = ceil(log2 d).
     """
     if degree in _TIE_GRAPHS:
         slots, ties = _TIE_GRAPHS[degree]
         return _Plan(slots, 0, 1, (slots - 1, len(ties)))
     top = (degree - 1).bit_length()
-    shapes = product(range(1, top + 1), (1, 2, 3)) if degree <= MAX_UNIT_EQUATIONS else [(top, 1)]
     plans = []
-    for t, mu in shapes:
+    for t, mu in product(range(1, top + 1), (1, 2, 3)):
         # The exact g are those from the smallest on; each has
         # mu (g + 1) g^t / 2 >= d, and none below this start does.
         g = max(2, int((2 * degree / mu) ** (1 / (t + 1))) - 1)
@@ -922,11 +919,26 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
 
     This is the one size prediction: the runner and `normalize_max_degree3`
     check what they build against it. A stage predicted above
-    MAX_UNIT_EQUATIONS rows raises CapacityError. The weighted degree
-    profile of `system`, counted over its rows only, gives every size. The
-    first three stages are exact on any input they accept; the finish needs
-    `system` normalized and through always-satisfied-removal, as the
-    pipeline runs it:
+    MAX_UNIT_EQUATIONS rows raises CapacityError. The stages are sized one
+    at a time, and none past a refused one. Unit expansion comes first, and
+    no weighted degree exceeds the total weight, so no degree above
+    MAX_UNIT_EQUATIONS is ever planned.
+    """
+    for (stage, _), (n, m) in zip(_STAGES[:stages], _stage_sizes(system)):
+        if m > MAX_UNIT_EQUATIONS:
+            raise CapacityError(
+                f"{stage} would build {m} equations, over {MAX_UNIT_EQUATIONS}"
+            )
+    return n, m
+
+
+def _stage_sizes(system: LinSystem):
+    """Yield (n, m) after each stage of `_STAGES` in turn.
+
+    The weighted degree profile of `system`, counted over its rows only,
+    gives every size. The first three stages are exact on any input they
+    accept; the finish needs `system` normalized and through
+    always-satisfied-removal, as the pipeline runs it:
     - every gadget adds the rows and fresh variables of its `_GADGETS`
       entry, less the source rows it replaces;
     - every clone ends at occurrence 3, every fresh variable of arity
@@ -936,6 +948,7 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
       variables is split (a weight-3 one would have been removed);
     - a (=3,=3) output has as many variables as rows.
     """
+    yield system.n, system.total_weight
     # Every row counts once at C speed; only the heavier rows add the rest.
     lhs_column, weights = system.lhs, system.weights
     degree = occurrences(lhs_column)
@@ -948,23 +961,17 @@ def _predict_sizes(system: LinSystem, stages: int) -> tuple[int, int]:
     profile = Counter(degree.values())
     dn, dm = _grown(0, 0, profile.items())
     n, m = system.n + dn, system.total_weight + dm
-    sizes = [(system.n, system.total_weight), (n, m)]
+    yield n, m
     n2, m2 = _gadget_growth("arity2", arity_weight[2] + dm, 1)  # every tie has arity 2
     n1, m1 = _gadget_growth("arity1", arity_weight[1], 1)
     n, m = n + n2 + n1, m + m2 + m1
-    sizes.append((n, m))
+    yield n, m
     sixes, rest = divmod(profile[2] + n2 + n1, 6)
     pairs = sum(len(lhs) == 3 and weight == 2 and max(degree[v] for v in lhs) <= 3
                 for lhs, weight in heavy)
     for name, count, replaced in (("pad6", sixes, 0), ("pad3", rest // 3, 0), ("pair", pairs, 2)):
         m += _gadget_growth(name, count, replaced)[1]
-    sizes.append((m, m))
-    for (stage, _), (_, rows) in zip(_STAGES, sizes[:stages]):
-        if rows > MAX_UNIT_EQUATIONS:
-            raise CapacityError(
-                f"{stage} would build {rows} equations, over {MAX_UNIT_EQUATIONS}"
-            )
-    return sizes[stages - 1]
+    yield m, m
 
 
 def _gadget_growth(name: str, count: int, replaced: int) -> tuple[int, int]:

@@ -7,8 +7,11 @@ A component without pendant edges has every variable twice, so its rows sum
 to zero: it is satisfiable iff its rhs bits XOR to 0, and otherwise exactly
 its lightest equation is lost. `solve_occ2` realises this with one
 breadth-first search per component, started at a pendant edge where there
-is one and at the lightest row otherwise; it shares no code with the
-singleton cascade that the (=3,=3) pipeline runs.
+is one and at the lightest row otherwise. It takes its per-variable index
+from `core.holders` and sets the witnesses with `core._satisfy_removed`,
+as the singleton cascade of the (=3,=3) pipeline does, but it does not run
+that cascade: a breadth-first search also deletes the pendant-free
+components, which the cascade leaves.
 `solve_occ2_merge` is an independent cross-check that only reports the
 optimal value.
 
@@ -20,80 +23,72 @@ constant row holds no variable and is lost iff its rhs is 1.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 
 from .baseline import SolveResult, _result
-from .core import ContractViolationError, InstanceClassError, LinSystem, variable_rows
+from .core import (
+    ContractViolationError,
+    InstanceClassError,
+    LinSystem,
+    _satisfy_removed,
+    holders,
+    variable_rows,
+)
 
 
 def solve_occ2(system: LinSystem) -> SolveResult:
     """Exact optimum for instances with every variable in at most 2 equations.
 
-    One pass over the rows counts each held variable and XORs the indices
-    of the rows holding it, so a shared variable leads from either of its
-    rows to the other. Each component is then deleted breadth-first from
-    one root: every row reached through a shared variable v is deleted with
-    witness v, which no later row holds. A component with a pendant
-    variable is rooted at a row holding one, with that variable as its
-    witness, and loses nothing. Every other component has every variable
-    twice, so its rows sum to zero: it is rooted at its lightest row (least
-    weight, then caller index), which is its one loss iff its rhs bits XOR
-    to 1. A constant row is such a component of its own. Replaying the
-    deleted rows in reverse, from all zeros, sets each witness so that its
-    row holds. Runs in O(size) plus a sort of the rows of pendant-free
-    components, beyond the n-bit assignment.
+    `holders` counts each held variable and XORs the indices of the rows
+    holding it, so a shared variable leads from either of its rows to the
+    other. Each component is then deleted breadth-first from one root:
+    every row reached through a shared variable v is deleted with witness
+    v, which no later row holds. A component with a pendant variable is
+    rooted at a row holding one, with that variable as its witness, and
+    loses nothing. Every other component has every variable twice, so its
+    rows sum to zero: it is rooted at its lightest row (least weight, then
+    caller index), which is its one loss iff its rhs bits XOR to 1. A
+    constant row is such a component of its own. `_satisfy_removed`
+    replays the rows deleted with a witness in reverse, from all zeros, so
+    that each holds. Runs in O(size) plus a sort of the rows of
+    pendant-free components, beyond the n-bit assignment.
     """
     lhs, rhs, weights = system.lhs, system.rhs, system.weights
-    span = max(chain.from_iterable(lhs), default=-1) + 1
-    count = [0] * span
-    holder = [0] * span
-    for j, row in enumerate(lhs):
-        for v in row:
-            count[v] += 1
-            holder[v] ^= j
+    count, holder = holders(lhs)
     most = max(count, default=0)
     if most > 2:
         raise InstanceClassError(
             f"variable {count.index(most)} occurs {most} times; at most 2 allowed"
         )
-    pendants = [(holder[v], v) for v in compress(range(span), map((1).__eq__, count))]
+    pendants = [(holder[v], v) for v in compress(range(len(count)), map((1).__eq__, count))]
     for _, v in pendants:
         holder[v] = 0  # so that from its one row it leads back to that row
     live = bytearray(b"\x01") * len(lhs)
-    peeled: list[tuple[list[int], list[int]]] = []  # each component's rows and witnesses
+    removed: list[tuple[tuple[int, ...], int, int]] = []  # (lhs, rhs, witness)
 
-    def peel(root: int, witness: int) -> list[int]:
+    def peel(root: int) -> list[int]:
         """Delete the live component of root breadth-first; its rows."""
         live[root] = 0
-        rows, witnesses = [root], [witness]
+        rows = [root]
         for j in rows:  # rows grows as the search reaches new rows
             for v in lhs[j]:
                 u = holder[v] ^ j
                 if live[u]:
                     live[u] = 0
                     rows.append(u)
-                    witnesses.append(v)
-        peeled.append((rows, witnesses))
+                    removed.append((lhs[u], rhs[u], v))
         return rows
 
     for j, v in pendants:
         if live[j]:
-            peel(j, v)
+            removed.append((lhs[j], rhs[j], v))
+            peel(j)
     internal = system.forced_falsified
     # A stable sort: ties go to the lower index.
     for root in sorted(compress(range(len(lhs)), live), key=weights.__getitem__):
-        if live[root] and sum(map(rhs.__getitem__, peel(root, -1))) & 1:
+        if live[root] and sum(map(rhs.__getitem__, peel(root))) & 1:
             internal += weights[root]
-    values = [0] * system.n
-    for rows, witnesses in peeled:
-        for j, witness in zip(reversed(rows), reversed(witnesses)):
-            if witness >= 0:
-                # No row replayed before this one holds its witness, still 0.
-                parity = rhs[j]
-                for v in lhs[j]:
-                    parity ^= values[v]
-                values[witness] = parity
-    result = _result(system, values)
+    result = _result(system, _satisfy_removed(removed, [0] * system.n))
     if result.falsified_weight != internal:
         raise ContractViolationError("solver bookkeeping out of sync")
     return result

@@ -8,18 +8,17 @@ anchor of parity 1 - b. Reading x = 1 iff x sits on the anchor's side turns
 every satisfied edge into a satisfied equation, so a deletion set of minimum
 weight is an optimal set of falsified equations.
 
-The graph goes to the engine as columns (ends, parities, weights), built
-straight from the normalized rows. No Edge or Graph is made: the system
-checked its rows when it was built, so no row gives a self-loop, a weight
-below 1 or a parity other than 0 or 1.
+The graph goes to the engine as raw columns (u ends, v ends, parities,
+weights), built straight from the normalized rows; the engine numbers the
+vertices itself, as it does for a Graph. No Edge or Graph is made: the
+system checked its rows when it was built, so no row gives a self-loop, a
+weight below 1 or a parity other than 0 or 1.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .baseline import SolveResult, _result
-from .bipartize import SearchStats, _bipartize
+from .bipartize import _bipartize
 from .core import (
     ContractViolationError,
     InstanceClassError,
@@ -31,22 +30,15 @@ _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _graph_columns(system: LinSystem):
-    """The constraint graph of a normalized system as engine columns.
-
-    Returns the dense ids, which are the held variables in ascending order
-    and then the anchor n if a unary row exists, and per row its edge's ends
-    as indices into the ids and its parity. The engine numbers the vertices
-    of an edge list the same way, so both see one graph.
-    """
-    ids = sorted(set(chain.from_iterable(system.lhs)))
-    index = dict(zip(ids, range(len(ids))))
-    anchor = len(ids)
-    ends = [(index[r[0]], index[r[1]] if len(r) == 2 else anchor) for r in system.lhs]
+    """The constraint graph of a normalized system as the engine's raw
+    columns: per row its edge's u end, its v end (the anchor n for x = b)
+    and its parity."""
+    lhs, n = system.lhs, system.n
+    us = [r[0] for r in lhs]
+    vs = [r[1] if len(r) == 2 else n for r in lhs]
     # len(r) & 1 is 1 just for x = b, whose edge has parity 1 - b
-    parity = [b ^ (len(r) & 1) for r, b in zip(system.lhs, system.rhs)]
-    if 1 in map(len, system.lhs):
-        ids.append(system.n)
-    return ids, ends, parity
+    parity = [b ^ (len(r) & 1) for r, b in zip(lhs, system.rhs)]
+    return us, vs, parity
 
 
 def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
@@ -70,8 +62,8 @@ def solve_below_W(system: LinSystem, k: int) -> SolveResult | None:
     budget = k - norm.forced_falsified
     if budget < 0:
         return None
-    ids, ends, parity = _graph_columns(norm)
-    bp = _bipartize(ids, ends, parity, norm.weights, system.n + 1, budget, SearchStats())
+    us, vs, parity = _graph_columns(norm)
+    bp = _bipartize(us, vs, parity, norm.weights, system.n + 1, budget)
     if bp is None:
         return None
     # x = 1 iff x shares the anchor's side: keep the bits, or flip them all

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import random
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,7 @@ from maxlin2 import (
     occurrence_counts,
     profile,
 )
-from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
+from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS, holders, occurrences, variable_rows
 from helpers import star_system, traced_peak
 
 
@@ -122,6 +125,26 @@ def test_profile_sizes_nothing_by_the_header_n(system, max_occurrence):
     # The counts follow the rows: a header n of 10^6 adds no per-slot list.
     assert traced_peak(lambda: profile(system)) < 2**20
     assert profile(system).max_occurrence == max_occurrence
+
+
+def test_holders_match_the_row_index():
+    # The shared index of the singleton cascade and solve_occ2: count is the
+    # occurrence count and holder the XOR of the ids of the rows holding each
+    # variable, both sized by the largest variable a row holds.
+    rng = random.Random(0x401D)
+    columns = [
+        [tuple(sorted(rng.sample(range(0, 30, rng.randint(1, 3)), rng.randint(0, 4))))
+         for _ in range(rng.randint(0, 12))]
+        for _ in range(200)
+    ]
+    columns += [[], [()], [(), (3,), (), (3, 10**5 - 1), (10**5 - 1,)]]
+    for lhs in columns:
+        count, holder = holders(lhs)
+        rows = variable_rows(lhs)
+        span = max((v + 1 for row in lhs for v in row), default=0)
+        assert len(count) == len(holder) == span
+        assert {v: c for v, c in enumerate(count) if c} == occurrences(lhs)
+        assert holder == [reduce(xor, rows[v], 0) for v in range(span)]
 
 
 def test_profile_single_weighted_equation():

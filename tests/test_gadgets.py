@@ -1323,6 +1323,21 @@ def test_pipeline_refuses_a_weight_at_the_bound_promptly():
     assert time.monotonic() - started < 1
 
 
+def test_a_refused_unit_expansion_plans_no_degree(monkeypatch):
+    # The stages are sized one at a time: once unit expansion is refused, no
+    # degree is planned, so no plan is ever made above MAX_UNIT_EQUATIONS.
+    def unplanned(*args):
+        raise AssertionError("sized the degree splits past a refused stage")
+
+    monkeypatch.setattr(maxlin2.gadgets, "_grown", unplanned)
+    heavy = LinSystem.build(
+        2, [((0,), 1, MAX_TOTAL_WEIGHT - 2), ((0, 1), 0, 1), ((1,), 0, 1)]
+    )
+    for target in TARGETS:
+        with pytest.raises(CapacityError, match=f"^unit expansion would build {MAX_TOTAL_WEIGHT} "):
+            reduce_to_target(heavy, target)
+
+
 def test_reduce_to_target_refuses_an_unknown_target_first():
     # Refused before any work: the arity check, the first, would refuse
     # this arity-4 row with InstanceClassError.

@@ -3,6 +3,7 @@ pipeline's singleton cascade that drops always-satisfiable rows."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -460,3 +461,71 @@ def test_occ2_solvers_agree_with_oracle_on_edge_cases(system):
         assert yes is not None and yes.falsified_weight == optimum
         if optimum > 0:
             assert solve_below_W(system, optimum - 1) is None
+
+
+# sha256 over every answer of test_solver_golden_digest, taken from the
+# solvers before solve_occ2 shared the cascade's holder pass and replay and
+# before the two-variable engine numbered its own vertices.
+SOLVER_GOLDEN = "58ef268ad240249f6eb8ca170b51f4957588b4e8e99ce6d15b3730d68aa23e46"
+
+
+def _golden_system(rng: random.Random, max_arity: int, occ2: bool) -> LinSystem:
+    """A small system of unary, chain, cycle, repeated, opposing and constant
+    rows, shuffled, with unused variables and an input ledger. With occ2 each
+    shape takes fresh variables, so none occurs more than twice (a cycle of
+    arity 3 gets a pendant variable); otherwise the variables repeat freely."""
+    n, rows = rng.randint(0, 2), []
+    for _ in range(rng.randint(0, 7)):
+        shape = rng.choice(("unary", "chain", "cycle", "repeated", "opposing", "constant"))
+        size = rng.randint(2, 4)
+        if shape == "constant":
+            lhss = [()]
+        elif not occ2 and n and shape in ("repeated", "opposing"):
+            lhss = [tuple(rng.sample(range(n), rng.randint(1, min(max_arity, n))))] * 2
+        elif shape in ("repeated", "opposing"):
+            lhss = [tuple(range(n, n + rng.randint(1, max_arity)))] * 2
+        elif shape == "unary":
+            lhss = [(n,)]
+        elif shape == "chain":
+            lhss = [(v, v + 1) for v in range(n, n + size)]
+        else:
+            ring = list(range(n, n + size + 1))
+            lhss = list(zip(ring, ring[1:] + ring[:1]))
+            if max_arity == 3:
+                lhss[0] += (n + size + 1,)
+        if not occ2 and n and shape in ("unary", "chain", "cycle"):
+            lhss = [tuple(min(v, rng.randrange(n + size + 2)) for v in lhs) for lhs in lhss]
+        bits = [rng.randint(0, 1) for _ in lhss]
+        if shape == "opposing":
+            bits[1] = 1 - bits[0]
+        elif shape == "repeated":
+            bits[1] = bits[0]
+        rows += [(lhs, b, rng.randint(1, 4)) for lhs, b in zip(lhss, bits)]
+        n = max([n, *(v + 1 for lhs in lhss for v in lhs)])
+    rows = [(set(lhs), b, w) for lhs, b, w in rows]
+    rng.shuffle(rows)
+    label = list(range(n + rng.randint(0, 2)))
+    rng.shuffle(label)
+    rows = [(sorted(label[v] for v in lhs), b, w) for lhs, b, w in rows]
+    return LinSystem.build(len(label), rows, forced_falsified=rng.randint(0, 2))
+
+
+def test_solver_golden_digest():
+    # Unedited across refactors of either solver: every assignment, weight
+    # and certificate must stay the same, bit for bit.
+    rng = random.Random(0x501D)
+    digest = hashlib.sha256()
+    answers = 0
+    for i in range(400):
+        system = _golden_system(rng, 2 + i % 2, occ2=True)
+        result = solve_occ2(system)
+        digest.update(repr((result.assignment, result.falsified_weight, result.certificate)).encode())
+        two = _golden_system(rng, 2, occ2=i % 3 == 0)
+        for k in (rng.randint(0, 4), rng.randint(0, 9)):
+            result = solve_below_W(two, k)
+            if result is None:
+                digest.update(b"-")
+            else:
+                answers += 1
+                digest.update(repr((result.assignment, result.falsified_weight, result.certificate)).encode())
+    assert (digest.hexdigest(), answers) == (SOLVER_GOLDEN, 388)

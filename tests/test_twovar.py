@@ -40,14 +40,15 @@ def _old_graph(norm):
 def _edges(norm):
     """The builder's edges in row order, as (u, v, weight, parity) over the
     vertices 0..n, with the anchor as n."""
-    ids, ends, parity = _graph_columns(norm)
-    return [(ids[u], ids[v], w, p) for (u, v), w, p in zip(ends, norm.weights, parity)]
+    us, vs, parity = _graph_columns(norm)
+    return list(zip(us, vs, norm.weights, parity))
 
 
 def test_build_graph_example():
     system = LinSystem.build(2, [((0,), 0, 1), ((0, 1), 1, 2), ((0, 1), 0, 3)])
     norm = normalize(system)
-    assert _graph_columns(norm)[0] == [0, 1, 2]
+    # raw ends, no dense ids: the anchor is vertex n = 2
+    assert _graph_columns(norm)[:2] == ([0, 0, 0], [2, 1, 1])
     assert set(_edges(norm)) == {
         (0, 2, 1, 1),  # x1 = 0: x1 off the anchor's side
         (0, 1, 3, 0),  # x1 + x2 = 0
@@ -56,11 +57,16 @@ def test_build_graph_example():
 
 
 def test_build_graph_empty_system():
+    # no row, or only constant rows, which normalize drops: no edge, and no
+    # anchor end, whatever n is
     assert _graph_columns(LinSystem(0)) == ([], [], [])
+    assert _graph_columns(normalize(LinSystem.build(3, [((), 1, 2), ((), 0, 1)]))) == ([], [], [])
 
 
 def test_build_graph_rhs_one_unit():
-    assert _edges(LinSystem.build(1, [((0,), 1, 1)])) == [(0, 1, 1, 0)]
+    system = LinSystem.build(1, [((0,), 1, 1)])
+    assert _graph_columns(system) == ([0], [1], [0])
+    assert _edges(system) == [(0, 1, 1, 0)]
 
 
 def _random_rows(rng: random.Random, n: int, m: int):
@@ -160,17 +166,17 @@ def test_solve_below_W_counts_forced_contradictions():
 
 
 def test_graph_size_bound():
-    # one edge per normalized equation, whatever the weights; the dense ids
-    # are the held variables, ascending, then the anchor n if a row needs it
+    # one edge per normalized equation, whatever the weights; its ends are
+    # raw vertices, a variable and then a variable or the anchor n
     rng = random.Random(0xBEEF)
     for _ in range(80):
         system = random_system(rng, max_vars=8, max_eqs=10, max_weight=3, max_arity=2)
         norm = normalize(system)
-        ids, ends, _ = _graph_columns(norm)
+        us, vs, parity = _graph_columns(norm)
         graph = _old_graph(norm)
         assert _edges(norm) == [tuple(e) for e in graph.edges]
-        assert ids == sorted({x for e in graph.edges for x in e[:2]})
-        assert len(ends) == len(norm.lhs)
+        assert len(us) == len(vs) == len(parity) == len(norm.lhs)
+        assert all(u < v <= norm.n for u, v in zip(us, vs))
 
 
 def test_weights_above_the_budget_do_not_change_the_answer():
