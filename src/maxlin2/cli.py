@@ -4,12 +4,14 @@ Output is line-oriented and deterministic: status lines start with `s`,
 assignments with `v`, deletion sets with `d`. `reduce` writes one file:
 the reduced system, with one `c trace` line per step ahead of the header,
 which the `.lin2` readers skip. Exit codes: 0 clean, 2 verification
-mismatch, 64 usage error, 65 malformed input.
+mismatch, 64 usage error, 65 malformed input, 141 the reader of the output
+closed it early (the status a shell reports for a SIGPIPE death).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 EXIT_FORMAT = 65
+EXIT_PIPE = 141
 
 
 class UsageError(MaxLin2Error):
@@ -226,7 +229,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe. Whatever is still buffered goes to
+        # devnull, so that the interpreter's flush at exit raises nothing.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -157,7 +157,20 @@ class TraceStep:
     """One applied rule: the data the assignment maps need, and the sizes.
 
     pre_n/pre_m and post_n/post_m are the variable and equation counts of
-    the system before and after the rule.
+    the system before and after the rule. Both maps replay a step from the
+    record its data holds, never from its rule name:
+    - "variable" (with "rows"): a split; its clones are the variable and the
+      fresh range pre_n..post_n - 1. Forward gives every clone the
+      variable's value; back drops the clones and sets the variable to the
+      uniform clone value that falsifies the fewest of "rows".
+    - "groups" (with "triples" from deduplication): gadgets written from
+      pre_n on. Forward completes each copy from its sources; back drops
+      the fresh variables and sets each dropped triple to satisfy it.
+    - "kept": a renumbering; new variable i is old variable kept[i].
+    - "removed": rows dropped as always satisfiable. Forward keeps the
+      values; back sets each row's witness to satisfy it, last row first.
+    A step that holds none of these changes no variable, and both maps are
+    the identity on it; one that changes n without a record is a bug.
     """
 
     rule: str
@@ -208,17 +221,18 @@ class ReductionTrace:
     def text(self) -> str:
         """One line per step; `maxlin2 reduce` writes each as a `c trace` line.
 
-        Each line names the rule, the variable a degree rule split, and the
-        equation and variable counts before and after the step.
+        Each line names the rule, the variable of a step that records one
+        (a split), and the equation and variable counts before and after the
+        step. A trace of no steps has no lines.
         """
         lines = []
         for step in self.steps:
-            detail = f" variable={step.data['variable']}" if step.rule in _SPLIT_RULES else ""
+            detail = f" variable={step.data['variable']}" if "variable" in step.data else ""
             lines.append(
                 f"{step.rule}{detail}"
-                f" m:{step.pre_m}->{step.post_m} n:{step.pre_n}->{step.post_n}"
+                f" m:{step.pre_m}->{step.post_m} n:{step.pre_n}->{step.post_n}\n"
             )
-        return "\n".join(lines) + "\n"
+        return "".join(lines)
 
 
 def _best_uniform_clone_value(step: TraceStep, values) -> int:
@@ -241,67 +255,51 @@ def _best_uniform_clone_value(step: TraceStep, values) -> int:
 
 # Both maps rewrite one list in place: a step truncates or extends it by the
 # variables it removed or added, so a whole map costs O(input + output).
-
-# The rules that split one variable; their data is {"variable", "rows"}, and
-# the clones are that variable and the fresh range pre_n..post_n - 1.
-_SPLIT_RULES = ("degree4", "degree5plus")
-
-# The rules that write `_GADGETS` entries; their data holds the "groups"
-# `_write` returned, and deduplication's also its "triples".
-_GADGET_RULES = ("arity-expand", "degree2-triplets", "deduplicate")
+# Each tests first for a split's "variable", the record most steps hold.
 
 
 def _map_back_step(step: TraceStep, values: list[int]) -> list[int]:
-    rule = step.rule
-    pre_n = step.pre_n
-    if rule in ("normalize", "unit-expand", "opposing-pairs"):
-        return values
-    if rule in _SPLIT_RULES:
+    data = step.data
+    if "variable" in data:
         v = _best_uniform_clone_value(step, values)
-        del values[pre_n:]
-        values[step.data["variable"]] = v
-        return values
-    if rule == "always-satisfied-removal":
-        return _satisfy_removed(step.data["removed"], values)
-    if rule in _GADGET_RULES:
-        del values[pre_n:]
-        for (x, y, z), rhs in step.data.get("triples", ()):
+        del values[step.pre_n :]
+        values[data["variable"]] = v
+    elif "groups" in data:
+        del values[step.pre_n :]
+        for (x, y, z), rhs in data.get("triples", ()):
             values[x] = rhs
             values[y] = 0
             values[z] = 0
-        return values
-    if rule == "compact":
-        if step.post_n == pre_n:  # nothing was dropped: kept is the identity
-            return values
-        out = [0] * pre_n
-        for new_index, old_index in enumerate(step.data["kept"]):
+    elif "kept" in data:
+        out = [0] * step.pre_n
+        for new_index, old_index in enumerate(data["kept"]):
             out[old_index] = values[new_index]
         return out
-    raise ContractViolationError(f"unknown trace rule {rule!r}")
+    elif "removed" in data:
+        return _satisfy_removed(data["removed"], values)
+    elif step.post_n != step.pre_n:
+        raise ContractViolationError(f"trace step {step.rule!r} changes n but records no map")
+    return values
 
 
 def _map_forward_step(step: TraceStep, values: list[int]) -> list[int]:
-    rule = step.rule
-    if rule in ("normalize", "unit-expand", "opposing-pairs", "always-satisfied-removal"):
-        return values
-    if rule in _SPLIT_RULES:
-        values.extend([values[step.data["variable"]]] * (step.post_n - step.pre_n))
-        return values
-    if rule in _GADGET_RULES:
+    data = step.data
+    if "variable" in data:
+        values.extend([values[data["variable"]]] * (step.post_n - step.pre_n))
+    elif "groups" in data:
         # Each copy of a gadget is completed by one lookup on the values of
         # the slots its fresh variables read.
         # Triples need nothing: their variables occur in no output row.
-        for name, sources, rhs_bits in step.data["groups"]:
+        for name, sources, rhs_bits in data["groups"]:
             k = _GADGETS[name][0]
             read, completions = _completions(name)
             columns = [rhs_bits if s < 0 else map(values.__getitem__, sources[s::k]) for s in read]
             values.extend(chain.from_iterable(map(completions.__getitem__, zip(*columns))))
-        return values
-    if rule == "compact":
-        if step.post_n == step.pre_n:
-            return values
-        return [values[old] for old in step.data["kept"]]
-    raise ContractViolationError(f"unknown trace rule {rule!r}")
+    elif "kept" in data:
+        return [values[old] for old in data["kept"]]
+    elif step.post_n != step.pre_n:
+        raise ContractViolationError(f"trace step {step.rule!r} changes n but records no map")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -871,8 +869,9 @@ def _compact(store: _Rows) -> list[TraceStep]:
     three, and the set of left-hand sides shows that no two coincide; these
     two run only when a row lies past the `checked` count. The
     rows are renumbered only when a slot is empty, through the kept
-    variables alone, so no pass runs over the n slots; building the output
-    checks every row's order, range and rhs.
+    variables alone, so no pass runs over the n slots; only then does the
+    step record them, as "kept". Building the output checks every row's
+    order, range and rhs.
     """
     pre = store.sizes()
     lhs, n = store.lhs, store.n
@@ -892,12 +891,11 @@ def _compact(store: _Rows) -> list[TraceStep]:
     if occ and max(occ) >= n:
         raise ContractViolationError(f"pipeline output has variable {max(occ)} >= n={n}")
     if len(occ) == n:
-        kept = range(n)
-    else:
-        kept = tuple(sorted(occ))
-        remap = dict(zip(kept, range(len(kept))))
-        store.lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
-        store.n = len(kept)
+        return [store.step("compact", {}, pre)]
+    kept = tuple(sorted(occ))
+    remap = dict(zip(kept, range(len(kept))))
+    store.lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
+    store.n = len(kept)
     return [store.step("compact", {"kept": kept}, pre)]
 
 

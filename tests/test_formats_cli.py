@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxlin2
 from maxlin2 import (
     Equation,
     FormatError,
@@ -25,7 +30,7 @@ from maxlin2 import (
     parse_oddset,
     profile,
 )
-from maxlin2.cli import EXIT_FORMAT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from maxlin2.cli import EXIT_FORMAT, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from maxlin2.core import MAX_TOTAL_WEIGHT, MAX_UNIT_EQUATIONS
 from maxlin2.formats import _CHUNK, _plain_lin2
 from maxlin2.gadgets import reduce_to_target
@@ -468,6 +473,24 @@ def _write(tmp_path, name, text):
 
 CONTRADICTION = "p lin2 1 2\n1 0 1 1\n1 1 1 1\n"
 TARGETS = ("deg3", "arity3", "eq3eq3")  # every `maxlin2 reduce --target`
+
+
+def test_cli_solve_into_a_closed_pipe_exits_141_quietly(tmp_path):
+    # The assignment line of 200,000 variables outgrows any pipe buffer, so
+    # the reader's close after the first line breaks the pipe mid-write.
+    source = _write(tmp_path, "wide.lin2", "p lin2 200000 0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(maxlin2.__file__).parent.parent)}
+    with subprocess.Popen(
+        [sys.executable, "-m", "maxlin2.cli", "solve", source],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        status = child.wait(timeout=60)
+    assert (first, status, err) == (b"s OPTIMUM 0\n", EXIT_PIPE, b"")
 
 
 def test_cli_solve_auto_occ2(tmp_path, capsys):

@@ -57,6 +57,7 @@ from maxlin2.gadgets import (
     _deduplicate,
     _enforce_degree,
     _is_exact,
+    _map_back_step,
     _map_forward_step,
     _plan,
     _predict_sizes,
@@ -546,6 +547,18 @@ def test_normalize_max_degree3_fixed_point():
     out, trace = normalize_max_degree3(system)
     assert out == system
     assert trace.steps == ()
+
+
+def test_trace_text_has_one_line_per_step():
+    # No steps, no lines: a system of degree <= 3 needs no split.
+    _, trace = normalize_max_degree3(LinSystem.build(3, [((0, 1, 2), 0, 1)] * 3))
+    assert trace.text() == ""
+    system = LinSystem.build(5, [((0, j), 0, 1) for j in range(1, 5)] + [((1, 2, 3, 4), 1, 1)])
+    _, trace = normalize_max_degree3(system)
+    assert trace.text() == "degree4 variable=0 m:5->9 n:5->8\n"
+    _, trace = reduce_to_target(system, "deg3")
+    lines = trace.text().splitlines(keepends=True)
+    assert len(lines) == len(trace.steps) and all(line.endswith("\n") for line in lines)
 
 
 def test_normalize_max_degree3_terminates_and_decays():
@@ -1185,6 +1198,101 @@ def test_pipeline_golden_digests():
     assert (len(systems), cascades, renumbers) == (13, 6, 9)
 
 
+# sha256 of the forward map of a random assignment and the back map of a
+# random reduced assignment, over every entry point that writes a trace and
+# the corpus below. It pins what each step's maps do, whatever the step
+# records to do it.
+TRACE_GOLDEN = "e77276f58c9fe9245ec3a8fe60def98d763eaf36861f1a1757a9d2b789cfcf05"
+
+
+def _trace_rows(rng, n, m, arities, max_occurrence, max_weight=1):
+    """Up to m rows on variables below n, of arities drawn from `arities`.
+
+    No variable is in more than max_occurrence of them, and the weights are 1 to max_weight.
+    """
+    left = [max_occurrence] * n
+    rows = []
+    for _ in range(m):
+        pool = [v for v in range(n) if left[v]]
+        arity = rng.choice(arities)
+        if len(pool) < arity:
+            break
+        lhs = tuple(sorted(rng.sample(pool, arity)))
+        for v in lhs:
+            left[v] -= 1
+        rows.append((lhs, rng.randint(0, 1), rng.randint(1, max_weight)))
+    return rows
+
+
+def _trace_corpus(rng):
+    """(label, entry point, system) for every entry point that writes a trace.
+
+    The `reduce_to_target` inputs have weights 1 to 3 and weighted degrees
+    up to 12; some hold an opposing copy of a row, a pendant row (on a
+    variable no other row holds) or unused header slots, so that compact
+    runs with and without an empty slot. Those of "deg3" also hold arity-4
+    rows. The other entry points take unit weights: `normalize_max_degree3`
+    degrees up to 12, `enforce_degree_exactly3` arity-3 rows at occurrence
+    at most 3, and `deduplicate_equations` distinct arity-3 rows plus
+    copied pairs and one triple on variables of its own.
+    """
+    cases = []
+    for i in range(24):
+        target = TARGETS[i % 3]
+        n = rng.randint(3, 6)
+        rows = _trace_rows(rng, n, 2 * n, range(1, 5 if target == "deg3" else 4), 4, 3)
+        if rows and i % 2:
+            lhs, rhs, _ = rng.choice(rows)
+            rows.append((lhs, 1 - rhs, rng.randint(1, 3)))
+        if i % 4 == 1:
+            rows.append(((rng.randrange(n), n), rng.randint(0, 1), rng.randint(1, 3)))
+            n += 1
+        if i % 4 == 3:
+            n += rng.randint(1, 3)
+        cases.append((target, lambda s, t=target: reduce_to_target(s, t), LinSystem.build(n, rows)))
+    for _ in range(6):
+        n = rng.randint(3, 8)
+        rows = _trace_rows(rng, n, 14, range(1, 5), 12)
+        cases.append(("max-degree-3", normalize_max_degree3,
+                      LinSystem.build(n + rng.randint(0, 2), rows)))
+    for _ in range(6):
+        n = rng.randint(4, 10)
+        rows = _trace_rows(rng, n, 10, (3,), 3)
+        cases.append(("exactly-3", enforce_degree_exactly3,
+                      LinSystem.build(n + rng.randint(0, 2), rows)))
+    for i in range(6):
+        n = rng.randint(4, 9)
+        distinct = {row[0]: row for row in _trace_rows(rng, n, 8, (3,), 4)}
+        rows = list(distinct.values())
+        rows += rng.sample(rows, min(len(rows), rng.randint(1, 2)))
+        rows += [((n, n + 1, n + 2), i % 2, 1)] * 3
+        rng.shuffle(rows)
+        cases.append(("deduplicate", deduplicate_equations, LinSystem.build(n + 3, rows)))
+    return cases
+
+
+def test_trace_golden_digest():
+    rng = random.Random(0x7ACE)
+    digest = hashlib.sha256()
+    rules = set()
+    compact_renumbers = set()
+    for name, reduce, system in _trace_corpus(rng):
+        reduced, trace = reduce(system)
+        a = tuple(rng.randint(0, 1) for _ in range(system.n))
+        b = tuple(rng.randint(0, 1) for _ in range(reduced.n))
+        forward = trace.map_assignment_forward(a)
+        back = trace.map_assignment_back(b)
+        digest.update(name.encode() + b":" + bytes(forward) + b"|" + bytes(back) + b"|")
+        rules.update(step.rule for step in trace.steps)
+        compact_renumbers |= {s.post_n < s.pre_n for s in trace.steps if s.rule == "compact"}
+    assert digest.hexdigest() == TRACE_GOLDEN
+    assert rules == {
+        "normalize", "opposing-pairs", "always-satisfied-removal", "unit-expand", "degree4",
+        "degree5plus", "arity-expand", "degree2-triplets", "deduplicate", "compact",
+    }
+    assert compact_renumbers == {False, True}
+
+
 # Step data that holds equation rows (lhs, rhs), or (lhs, rhs, witness) for
 # "removed", and the gadget groups, counted by their sources: one rhs bit per
 # gadget written, so one per source row. The rest holds variables.
@@ -1419,12 +1527,31 @@ def test_compact_finishes_a_valid_store():
     assert store.system() == LinSystem.build(4, renamed)
     assert step.data["kept"] == (0, 1, 2, 4)
     assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (5, 4, 4, 4)
-    # With no empty slot every variable is kept and no row is renumbered.
+    # With no empty slot no row is renumbered, the step records nothing,
+    # and both maps are the identity.
     store = _store(4, renamed)
     (step,) = _compact(store)
     assert store.system() == LinSystem.build(4, renamed)
-    assert tuple(step.data["kept"]) == (0, 1, 2, 3)
+    assert step.data == {}
     assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (4, 4, 4, 4)
+    for bits in itertools.product((0, 1), repeat=4):
+        assert _map_forward_step(step, list(bits)) == list(bits)
+        assert _map_back_step(step, list(bits)) == list(bits)
+
+
+@pytest.mark.parametrize("rule", ["compact", "degree4", "arity-expand", "a rule of no kind"])
+def test_a_step_replays_its_record_not_its_rule(rule):
+    # A step with no record changes no variable, so both maps are the
+    # identity on it, whatever its rule; one that changes n with no record
+    # is refused by both.
+    step = maxlin2.TraceStep(rule, {}, 3, 2, 3, 2)
+    assert _map_forward_step(step, [1, 0, 1]) == [1, 0, 1]
+    assert _map_back_step(step, [0, 1, 1]) == [0, 1, 1]
+    grown = maxlin2.TraceStep(rule, {}, 3, 2, 5, 4)
+    with pytest.raises(ContractViolationError, match="changes n but records no map"):
+        _map_forward_step(grown, [1, 0, 1])
+    with pytest.raises(ContractViolationError, match="changes n but records no map"):
+        _map_back_step(grown, [0, 1, 1, 0, 0])
 
 
 # Stores that break one output contract each, with the check that must fire.
