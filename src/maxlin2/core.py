@@ -145,9 +145,16 @@ class LinSystem:
 
     Row j is ``lhs[j]`` (a tuple of strictly ascending variable indices),
     ``rhs[j]`` (a byte, 0 or 1) and ``weights[j]`` (an int >= 1). The
-    columns are checked once, when the system is built, by _check_rows, as
-    Equation checks itself; ``equations`` is a read-only view that builds Equation
-    objects only when a row is read.
+    columns are checked once, when the system is built; ``equations`` is a
+    read-only view that builds Equation objects only when a row is read.
+    ``LinSystem(...)`` and ``from_columns`` check everything: n, the ledger,
+    the column lengths, every rhs and weight, the order and range of every
+    lhs row (by _check_rows, as Equation checks itself) and the total
+    weight. The private ``_from_checked_rows`` runs the same checks but the
+    per-row lhs loop. It is for this package alone, where every row is
+    either copied from a built system over the same n (normalize, unit
+    expansion, the pipeline's front steps) or was just checked by the
+    caller (the pipeline's (=3,=3) finish).
 
     forced_falsified is a weight ledger for contradictory constant equations
     (empty lhs, rhs 1) removed by normalize(); it counts toward the falsified
@@ -184,7 +191,17 @@ class LinSystem:
         system._set_columns(n, lhs, rhs, weights, forced_falsified)
         return system
 
-    def _set_columns(self, n, lhs, rhs, weights, forced_falsified) -> None:
+    @classmethod
+    def _from_checked_rows(
+        cls, n: int, lhs, rhs, weights, forced_falsified: int = 0
+    ) -> "LinSystem":
+        """`from_columns` for lhs rows already known ascending, nonnegative
+        and below n; every other check still runs."""
+        system = cls.__new__(cls)
+        system._set_columns(n, lhs, rhs, weights, forced_falsified, rows_checked=True)
+        return system
+
+    def _set_columns(self, n, lhs, rhs, weights, forced_falsified, rows_checked=False) -> None:
         lhs, rhs, weights = tuple(lhs), bytes(rhs), tuple(weights)
         if n < 0:
             raise ValueError(f"variable count must be >= 0, got {n}")
@@ -194,7 +211,7 @@ class LinSystem:
             raise ValueError(
                 f"column lengths differ: {len(lhs)}, {len(rhs)}, {len(weights)}"
             )
-        _check_rows(lhs, rhs, weights, n)
+        _check_rows(() if rows_checked else lhs, rhs, weights, n)
         if sum(weights) > MAX_TOTAL_WEIGHT:
             raise OverflowError("total system weight exceeds the supported bound")
         object.__setattr__(self, "n", n)
@@ -281,7 +298,7 @@ def normalize(system: LinSystem) -> LinSystem:
         key = (lhs, rhs)
         kept[key] = kept.get(key, 0) + weight
     keys = sorted(kept)
-    return LinSystem.from_columns(
+    return LinSystem._from_checked_rows(
         system.n,
         [lhs for lhs, _ in keys],
         [rhs for _, rhs in keys],
@@ -307,7 +324,7 @@ def expand_unit_weights(system: LinSystem) -> LinSystem:
     for row, b, weight in zip(system.lhs, system.rhs, system.weights):
         lhs += [row] * weight
         rhs += bytes((b,)) * weight
-    return LinSystem.from_columns(
+    return LinSystem._from_checked_rows(
         system.n, lhs, rhs, (1,) * total, system.forced_falsified
     )
 

@@ -23,13 +23,16 @@ count occurrences once and index the rows by variable only when some
 variable splits, the padding takes the variables at occurrence 2 from that
 count, and every other count is taken from the rows.
 The (=3,=3) checks -- three variables per row, three rows per variable,
-distinct left-hand sides -- run on these columns where the output's
-columns are built: no stage builds an Equation. Reduction and both
+distinct left-hand sides -- run on these columns in the finish, which with
+as many variables as rows checks each row's arity, order and range and
+counts its variables in one pass, so that the output is built without a
+second row check: no stage builds an Equation. Reduction and both
 assignment maps cost O(input + output). A variable of degree 4 to 8
 splits into clones joined by a small tie graph that leaves every clone at
-degree 3. One above 8 splits along the product of cliques K_g^t, with 1 to
-3 ties per adjacent clone pair, that adds the fewest rows in all, its
-clones splitting in turn; the family holds the ceil(log2 d)-cube K_2^t, so
+degree 3, so its ties are appended in bulk and no clone is indexed. One
+above 8 splits along the product of cliques K_g^t, with 1 to 3 ties per
+adjacent clone pair, that adds the fewest rows in all, its clones
+splitting in turn; the family holds the ceil(log2 d)-cube K_2^t, so
 a split costs at most the cube's O(d log d) rows. Lindsey's
 edge-isoperimetric theorem for K_g^t makes its exactness one closed-form
 check.
@@ -314,11 +317,14 @@ class _Rows:
     runs on one store, sets `n` itself when it adds variables, and builds no
     Equation. The rules that need occurrence counts take them from the rows
     with `core.occurrences`; `twos` keeps the degree rule's list of the
-    variables at occurrence 2 for the padding. The pipeline's (=3,=3) checks run on these columns
-    in `_compact`, which renumbers only when a slot is empty; `system()`
-    builds the output columns and checks every row. `checked` is the number
-    of leading rows that deduplication found arity-3 and distinct, so that
-    `_compact` repeats those checks only when a row lies past them.
+    variables at occurrence 2 for the padding. The pipeline's (=3,=3)
+    checks run on these columns in `_compact`, which renumbers only when a
+    slot is empty. `checked` is the number of leading rows that
+    deduplication found arity-3 and distinct, so that `_compact` repeats
+    those checks only when a row lies past them. `valid` says that
+    `_compact` has checked every row's order and range as well, so that
+    `system()` builds the output without checking its rows again; until
+    then `system()` checks every row.
     """
 
     def __init__(self, system: LinSystem, op: str) -> None:
@@ -332,6 +338,7 @@ class _Rows:
         # has counted them; arity expansion adds its fresh variables.
         self.twos: list[int] | None = None
         self.checked = 0
+        self.valid = False
 
     def sizes(self) -> tuple[int, int]:
         return self.n, len(self.lhs)
@@ -341,9 +348,9 @@ class _Rows:
 
     def system(self) -> LinSystem:
         """The store as a unit-weight system; a rule that built a bad row is a bug."""
-        m = len(self.lhs)
+        build = LinSystem._from_checked_rows if self.valid else LinSystem.from_columns
         try:
-            return LinSystem.from_columns(self.n, self.lhs, self.rhs, (1,) * m, self.forced)
+            return build(self.n, self.lhs, self.rhs, (1,) * len(self.lhs), self.forced)
         except ValueError as exc:
             raise ContractViolationError(f"a rule built an invalid row: {exc}") from exc
 
@@ -471,6 +478,15 @@ def _ties(degree: int) -> tuple[tuple[int, int], ...]:
                         for k in range(1, g - a // p % g) for _ in range(mu)))
 
 
+def _final(degree: int) -> bool:
+    """Whether `_plan(degree)`'s split leaves every clone at occurrence <= 3.
+
+    Every split of a clone adds rows, so the plan's growth is its own ties
+    alone exactly when no clone splits again; so it is for d = 4 to 8.
+    """
+    return _plan(degree).growth[1] == len(_ties(degree))
+
+
 def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     """Split one variable of degree d >= 4 into clones joined by tie rows, in place.
 
@@ -482,11 +498,12 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
     `reduce_degree5plus` shows why the split is exact.
 
     Only the variable's rows and the new tie rows are touched; each clone is
-    fresh, so it sorts last in its row, and its entry in `holders` (the
-    `variable_rows` index) is made as its rows are added. The step records
-    the variable and its rows as they were before the split, the only rows
-    map-back has to evaluate; the clones are the variable and the step's
-    fresh range pre_n..post_n - 1.
+    fresh, so it sorts last in its row. The clones get entries in `holders`
+    (the `variable_rows` index), their rows and then their ties, only when
+    some clone may split again (see `_final`); otherwise the tie rows are
+    appended in bulk. The step records the variable and its rows as they
+    were before the split, the only rows map-back has to evaluate; the
+    clones are the variable and the step's fresh range pre_n..post_n - 1.
     """
     lhs_column, rhs_column = store.lhs, store.rhs
     ids = holders[variable]
@@ -503,14 +520,16 @@ def _split(store: _Rows, holders: defaultdict, variable: int) -> TraceStep:
             lhs = lhs_column[j]
             i = lhs.index(variable)
             lhs_column[j] = lhs[:i] + lhs[i + 1 :] + (clone,)
-        holders[clone].append(j)
     # Clones ascend with their slots, so each tie pair is stored sorted.
-    for a, b in ties:
-        x, y = clones[a], clones[b]
-        holders[x].append(len(lhs_column))
-        holders[y].append(len(lhs_column))
-        lhs_column.append((x, y))
-        rhs_column.append(0)
+    tie_rows = [(clones[a], clones[b]) for a, b in ties]
+    if not _final(degree):
+        for clone, j in zip(cycle(clones), ids):
+            holders[clone].append(j)
+        for j, (x, y) in enumerate(tie_rows, len(lhs_column)):
+            holders[x].append(j)
+            holders[y].append(j)
+    lhs_column += tie_rows
+    rhs_column += bytes(len(tie_rows))
     return store.step("degree4" if degree == 4 else "degree5plus", data, pre)
 
 
@@ -546,7 +565,7 @@ def _normalize_degrees(store: _Rows) -> list[TraceStep]:
         step = _split(store, holders, variable)
         steps.append(step)
         for c in (variable, *range(step.pre_n, step.post_n)):
-            if len(holders[c]) > 3:
+            if len(holders.get(c, ())) > 3:
                 heapq.heappush(heap, (-len(holders[c]), c))
     return steps
 
@@ -710,7 +729,7 @@ def _remove_always_satisfied_step(system: LinSystem) -> tuple[LinSystem, TraceSt
         for j, _ in deleted:
             live[j] = False
         columns = (compress(c, live) for c in (lhs_column, rhs_column, system.weights))
-        post = LinSystem.from_columns(system.n, *columns, system.forced_falsified)
+        post = LinSystem._from_checked_rows(system.n, *columns, system.forced_falsified)
     return post, _sized_step("always-satisfied-removal", {"removed": removed}, system, post)
 
 
@@ -857,13 +876,17 @@ def _resolve_opposing_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
             weights[j] -= lighter
             weights[j + 1] -= lighter
         columns = (compress(c, weights) for c in (lhs_column, system.rhs, weights))
-        post = LinSystem.from_columns(system.n, *columns, forced)
+        post = LinSystem._from_checked_rows(system.n, *columns, forced)
     return post, _sized_step("opposing-pairs", {}, system, post)
 
 
 def _compact(store: _Rows) -> list[TraceStep]:
     """Check the (=3,=3) shape and drop unused variable slots.
 
+    With as many variables as rows, the usual case, `_is_square_eq3`
+    checks the whole shape in one pass; when it holds, no slot is empty
+    and the store builds its output without checking its rows again.
+    Otherwise the checks below name the fault or renumber.
     Counts taken from the rows show every kept variable occurring exactly
     three times and within 0..n - 1. The row lengths show every row holding
     three, and the set of left-hand sides shows that no two coincide; these
@@ -874,6 +897,9 @@ def _compact(store: _Rows) -> list[TraceStep]:
     order, range and rhs.
     """
     pre = store.sizes()
+    if store.n == len(store.lhs) and _is_square_eq3(store):
+        store.valid = True
+        return [store.step("compact", {}, pre)]
     lhs, n = store.lhs, store.n
     occ = occurrences(lhs)
     if set(occ.values()) - {3}:
@@ -897,6 +923,29 @@ def _compact(store: _Rows) -> list[TraceStep]:
     store.lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
     store.n = len(kept)
     return [store.step("compact", {"kept": kept}, pre)]
+
+
+def _is_square_eq3(store: _Rows) -> bool:
+    """Whether a store of n variables and n rows has the (=3,=3) shape.
+
+    One pass unpacks each row as x, y, z (three variables) with
+    0 <= x < y < z < n and counts its variables in a list of n slots, which
+    must read 3 everywhere; the set of left-hand sides runs only when a row
+    lies past the `checked` count. The list is as long as the rows, so
+    memory stays O(output).
+    """
+    lhs, n = store.lhs, store.n
+    count = [0] * n
+    try:
+        for x, y, z in lhs:
+            if not -1 < x < y < z < n:
+                return False
+            count[x] += 1
+            count[y] += 1
+            count[z] += 1
+    except ValueError:  # a row that does not hold three
+        return False
+    return count.count(3) == n and (n <= store.checked or len(set(lhs)) == n)
 
 
 # The stages after normalization, in pipeline order, with the store rules

@@ -289,16 +289,42 @@ def test_bad_columns_give_the_equation_messages(case):
     assert str(by_columns.value) == str(by_rows.value) == message
 
 
-@pytest.mark.parametrize("n, lhs, rhs, weights, forced, message", [
+BAD_HEADERS = [
     (-1, (), b"", (), 0, "variable count must be >= 0, got -1"),
     (1, (), b"", (), -1, "forced_falsified must be >= 0"),
     (1, ((0,),), b"", (), 0, "column lengths differ: 1, 0, 0"),
-], ids=["n -1", "forced -1", "lengths"])
+]
+
+
+@pytest.mark.parametrize(
+    "n, lhs, rhs, weights, forced, message", BAD_HEADERS, ids=["n -1", "forced -1", "lengths"]
+)
 def test_from_columns_checks_its_header(n, lhs, rhs, weights, forced, message):
     with pytest.raises(ValueError) as caught:
         LinSystem.from_columns(n, lhs, rhs, weights, forced)
     assert type(caught.value) is ValueError
     assert str(caught.value) == message
+
+
+def test_checked_rows_build_skips_only_the_row_loop():
+    # The private build for rows already checked gives the system that
+    # from_columns gives, and runs every check but the per-row lhs loop.
+    columns = ([e.lhs for e in VIEW_ROWS], bytes(e.rhs for e in VIEW_ROWS), [2, 1, 3])
+    built = LinSystem._from_checked_rows(3, *columns, 2)
+    assert built == LinSystem.from_columns(3, *columns, 2) == LinSystem(3, VIEW_ROWS, 2)
+    assert hash(built) == hash(LinSystem(3, VIEW_ROWS, 2))
+    assert (type(built.lhs), type(built.rhs), type(built.weights)) == (tuple, bytes, tuple)
+    for case in ("rhs 2", "weight 0", "total weight"):
+        lhs, rhs, weights, error, message = BAD_COLUMNS[case]
+        with pytest.raises(error) as caught:
+            LinSystem._from_checked_rows(3, lhs, rhs, weights)
+        assert str(caught.value) == message
+    for n, lhs, rhs, weights, forced, message in BAD_HEADERS:
+        with pytest.raises(ValueError) as caught:
+            LinSystem._from_checked_rows(n, lhs, rhs, weights, forced)
+        assert str(caught.value) == message
+    # What it leaves out: a row out of order or out of range is the caller's.
+    assert LinSystem._from_checked_rows(1, [(3, 2)], b"\x00", [1]).lhs == ((3, 2),)
 
 
 def test_equations_view_compares_only_with_views_and_tuples():

@@ -5,10 +5,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import hashlib
+import heapq
 import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -56,9 +58,11 @@ from maxlin2.gadgets import (
     _compact,
     _deduplicate,
     _enforce_degree,
+    _final,
     _is_exact,
     _map_back_step,
     _map_forward_step,
+    _normalize_degrees,
     _plan,
     _predict_sizes,
     _remove_always_satisfied_step,
@@ -1376,6 +1380,78 @@ def test_degree_rule_growth_matches_what_the_split_builds():
                 assert all(c == 3 for c in occurrence_counts(out)[system.n :])
 
 
+def test_final_plans_are_those_whose_clones_all_end_at_three():
+    # `_split` indexes no clone of a plan that `_final` calls final, so the
+    # predicate must match a direct count: occurrence i on slot i mod
+    # slots, plus each slot's ties.
+    for degree in range(4, 301):
+        held = [0] * _plan(degree).slots
+        for i in range(degree):
+            held[i % len(held)] += 1
+        for a, b in _ties(degree):
+            held[a] += 1
+            held[b] += 1
+        assert _final(degree) == (max(held) <= 3), degree
+    assert all(map(_final, range(4, 9)))
+
+
+def _reference_degrees(store):
+    """`_normalize_degrees` with a `holders` entry for every clone of every
+    split, its rows and then its ties, and every clone checked for the heap.
+    Returns each step's rule, variable, recorded rows and sizes."""
+    occ = occurrences(store.lhs)
+    heap = [(-c, v) for v, c in occ.items() if c > 3]
+    heapq.heapify(heap)
+    holders = variable_rows(store.lhs)
+    steps = []
+    while heap:
+        variable = heapq.heappop(heap)[1]
+        ids = holders.pop(variable)
+        clones = (variable, *range(store.n, store.n + _plan(len(ids)).slots - 1))
+        rows = tuple((store.lhs[j], store.rhs[j]) for j in ids)
+        pre = (store.n, len(store.lhs))
+        store.n += len(clones) - 1
+        for clone, j in zip(itertools.cycle(clones), ids):
+            if clone != variable:
+                store.lhs[j] = tuple(v for v in store.lhs[j] if v != variable) + (clone,)
+            holders[clone].append(j)
+        for a, b in _ties(len(ids)):
+            holders[clones[a]].append(len(store.lhs))
+            holders[clones[b]].append(len(store.lhs))
+            store.lhs.append((clones[a], clones[b]))
+            store.rhs.append(0)
+        rule = "degree4" if len(ids) == 4 else "degree5plus"
+        steps.append((rule, variable, rows, *pre, store.n, len(store.lhs)))
+        for c in clones:
+            if len(holders[c]) > 3:
+                heapq.heappush(heap, (-len(holders[c]), c))
+    return steps
+
+
+def _wheel(d):
+    """W_d: hub 0 in d triangles (0, 1 + i, 1 + (i + 1) % d), rhs from Random(3)."""
+    rng = random.Random(3)
+    return LinSystem.build(
+        d + 1, [(sorted((0, 1 + i, 1 + (i + 1) % d)), rng.randint(0, 1), 1) for i in range(d)]
+    )
+
+
+def test_bulk_ties_split_as_a_full_row_index_does():
+    # A final split appends its ties in bulk and indexes no clone; the
+    # stores, rows and steps match the reference that indexes every clone.
+    # W_32 and W_100 split clones again, and their clones take final splits.
+    inputs = [expand_unit_weights(s) for s in _golden_corpus(random.Random(0x601D))]
+    splits = set()
+    for system in inputs + [_wheel(d) for d in (9, 32, 100)]:
+        store, reference = _Rows(system, "test"), _Rows(system, "test")
+        steps = [(s.rule, s.data["variable"], s.data["rows"], s.pre_n, s.pre_m, s.post_n, s.post_m)
+                 for s in _normalize_degrees(store)]
+        assert steps == _reference_degrees(reference)
+        assert (store.n, store.lhs, store.rhs) == (reference.n, reference.lhs, reference.rhs)
+        splits.update(_final(len(rows)) for _, _, rows, *_ in steps)
+    assert splits == {False, True}
+
+
 def test_degree_rules_refuse_oversize_output_before_building():
     # Splitting one variable of degree 100,021, the least star degree that
     # does, would build just over 10^7 equations. Every row of the bare star
@@ -1554,7 +1630,14 @@ def test_a_step_replays_its_record_not_its_rule(rule):
         _map_back_step(grown, [0, 1, 1, 0, 0])
 
 
+def _clique(variables):
+    """The 4-clique of triples on four variables, each row rhs 0: every variable in three rows."""
+    return [(lhs, 0) for lhs in itertools.combinations(variables, 3)]
+
+
 # Stores that break one output contract each, with the check that must fire.
+# Those marked "n = m" have as many variables as rows, the case that `_compact`
+# checks in one pass; the messages are those of the checks of the other case.
 BROKEN_FINISH = {
     # every variable occurs three times, but three rows have two variables
     "arity 2": (3, [((0, 1), 0), ((0, 2), 0), ((1, 2), 0), ((0, 1, 2), 1)], "arity-3"),
@@ -1564,14 +1647,32 @@ BROKEN_FINISH = {
     # would turn into the 4-clique on 0..3
     "variable -1": (5, [((-1, 0, 1), 0), ((-1, 0, 2), 0), ((-1, 1, 2), 0), ((0, 1, 2), 0)],
                     "variable -1 < 0"),
+    # every variable occurs three times: one row of two, one of four
+    "arity 2, n = m": (4, [((0, 1), 0), ((0, 2, 3), 0), ((1, 2, 3), 0), ((0, 1, 2, 3), 0)],
+                       "pipeline output has a row that is not arity-3"),
+    "descending, n = m": (4, _clique(range(4))[:3] + [((3, 2, 1), 0)],
+                          "a rule built an invalid row: lhs must be strictly ascending, "
+                          "got (3, 2, 1)"),
+    "variable -1, n = m": (4, _clique(range(-1, 3)), "pipeline output has variable -1 < 0"),
+    "variable n, n = m": (4, _clique((0, 1, 2, 4)), "pipeline output has variable 4 >= n=4"),
+    "d = 2, n = m": (5, [((0, 1, 4), 0), ((0, 2, 4), 0), ((1, 2, 3), 0), ((1, 3, 4), 0),
+                         ((2, 3, 4), 0)],
+                     "pipeline output has variable 0 occurring 2 times, not 3"),
+    "d = 4, n = m": (5, [((0, 1, 2), 0), ((0, 1, 3), 0), ((0, 2, 4), 0), ((0, 3, 4), 0),
+                         ((1, 2, 3), 0)],
+                     "pipeline output has variable 0 occurring 4 times, not 3"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_FINISH))
 def test_compact_rejects_broken_stores(case):
+    # The finish as the pipeline runs it: compact, then the output's build.
     n, rows, message = BROKEN_FINISH[case]
-    with pytest.raises(ContractViolationError, match=message):
-        _compact(_store(n, rows))
+    assert n == len(rows) or "n = m" not in case
+    store = _store(n, rows)
+    with pytest.raises(ContractViolationError, match=re.escape(message)):
+        _compact(store)
+        store.system()
 
 
 def test_compact_checks_the_rows_past_what_deduplication_checked():
@@ -1601,18 +1702,21 @@ def test_compact_checks_every_row_after_a_pair_gadget():
 
 
 def test_compact_checks_survive_python_O():
-    # Also the size checks: the whole-output refusal, and the built ==
-    # predicted checks of the degree rules and of the pipeline.
-    n, rows, _ = BROKEN_FINISH["d = 2"]
+    # A store with an empty slot and one with as many variables as rows, so
+    # both of compact's paths. Also the size checks: the whole-output
+    # refusal, and the built == predicted checks of the degree rules and of
+    # the pipeline.
+    stores = [BROKEN_FINISH[case][:2] for case in ("d = 2", "d = 4, n = m")]
     script = (
         "from maxlin2 import LinSystem, gadgets\n"
         "from maxlin2.core import CapacityError, ContractViolationError\n"
         "from maxlin2.gadgets import _Rows, _compact\n"
-        f"store = _Rows(LinSystem.build({n}, {rows!r}), 'test')\n"
-        "try:\n"
-        "    _compact(store)\n"
-        "except ContractViolationError:\n"
-        "    print(__debug__, 'refused')\n"
+        f"for n, rows in {stores!r}:\n"
+        "    store = _Rows(LinSystem.build(n, rows), 'test')\n"
+        "    try:\n"
+        "        _compact(store)\n"
+        "    except ContractViolationError:\n"
+        "        print(__debug__, 'refused')\n"
         "try:\n"
         "    LinSystem.from_columns(3, [(1, 0, 2)], b'\\x00', [1])\n"
         "except ValueError as exc:\n"
@@ -1645,7 +1749,7 @@ def test_compact_checks_survive_python_O():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
-        "False refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
+        "False refused\nFalse refused\nlhs must be strictly ascending, got (1, 0, 2)\n"
         "0\n"
         f"the (=3,=3) finish would build 12271248 equations, over {MAX_UNIT_EQUATIONS}\n"
         "the pipeline built (10, 15), predicted (2, 5)\n"
@@ -1679,6 +1783,37 @@ def test_pipeline_builds_no_equation_per_row(monkeypatch):
     assert built == []
     (removal,) = [s for s in trace.steps if s.rule == "always-satisfied-removal"]
     assert removal.post_m < removal.pre_m
+
+
+def test_derived_systems_do_not_check_the_rows_they_copy(monkeypatch):
+    # Normalization, the two front steps and unit expansion only merge, drop
+    # or copy rows of a built system, so none checks a row again; nor does
+    # the output's build after compact's one pass, on an input that leaves
+    # no slot empty. With a pendant row (on variables 3 and 4) as well, the
+    # input has a repeated row, an opposing pair, a constant and weight 2,
+    # so that each step builds a new system.
+    rows = [((0, 1), 1, 1), ((0, 1), 1, 1), ((0, 1), 0, 1), ((1, 2), 0, 2), ((0, 2), 1, 1),
+            ((), 1, 1)]
+    system = LinSystem.build(5, rows + [((2, 3, 4), 1, 1)])
+    square = LinSystem.build(3, rows)
+    checked = []
+    check = maxlin2.core._check_rows
+
+    def counted(lhs, *rest):
+        checked.extend(lhs)
+        check(lhs, *rest)
+
+    monkeypatch.setattr(maxlin2.core, "_check_rows", counted)
+    s0 = normalize(system)
+    s1, _ = _resolve_opposing_step(s0)
+    s2, _ = _remove_always_satisfied_step(s1)
+    s3 = expand_unit_weights(s2)
+    assert [len(s.lhs) for s in (system, s0, s1, s2, s3)] == [7, 5, 4, 3, 4]
+    out, trace = to_eq3_eq3(square)
+    assert out.n == len(out.lhs) == trace.steps[-1].pre_n > 0
+    assert checked == []
+    LinSystem.from_columns(s3.n, s3.lhs, s3.rhs, s3.weights)
+    assert checked == list(s3.lhs)
 
 
 def test_trace_maps_check_assignment_length():
