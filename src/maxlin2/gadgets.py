@@ -17,21 +17,23 @@ the reduced one (and matches it at the optimum).
 Every `maxlin2 reduce` target runs one pipeline, `reduce_to_target`, and
 stops after a prefix of its stages. Rows holding a variable no other row
 holds are always satisfiable: they are dropped once, cascading, on the
-weighted rows, and logged as plain rows. From unit expansion on, the rules
-rewrite one store that holds the lhs and rhs columns; the degree rules
-count occurrences once and index the rows by variable only when some
-variable splits, the padding takes the variables at occurrence 2 from that
-count, and every other count is taken from the rows.
+weighted rows, and logged as plain rows. The weighted rows are then
+renumbered onto the variables they hold, so that no target's output holds
+an unused variable. From unit expansion on, the rules rewrite one store
+that holds the lhs and rhs columns; the degree rules count occurrences
+once and index the rows by variable only when some variable splits, the
+padding takes the variables at occurrence 2 from that count, and every
+other count is taken from the rows.
 The (=3,=3) checks -- three variables per row, three rows per variable,
-distinct left-hand sides -- run on these columns in the finish, which with
-as many variables as rows checks each row's arity, order and range and
-counts its variables in one pass, so that the output is built without a
-second row check: no stage builds an Equation. Reduction and both
-assignment maps cost O(input + output). A variable of degree 4 to 8
-splits into clones joined by a small tie graph that leaves every clone at
-degree 3, so its ties are appended in bulk and no clone is indexed. One
-above 8 splits along the product of cliques K_g^t, with 1 to 3 ties per
-adjacent clone pair, that adds the fewest rows in all, its clones
+distinct left-hand sides -- run on these columns in the finish, which
+checks each row's arity, order and range and counts its variables in one
+pass, so that the output is built without a second row check: no stage
+builds an Equation. Reduction and both assignment maps cost
+O(input + output). A variable of degree 4 to 8 splits into clones
+joined by a small tie graph that leaves every clone at degree 3, so its
+ties are appended in bulk and no clone is indexed. One above 8 splits
+along the product of cliques K_g^t, with 1 to 3 ties per adjacent clone
+pair, that adds the fewest rows in all, its clones
 splitting in turn; the family holds the ceil(log2 d)-cube K_2^t, so
 a split costs at most the cube's O(d log d) rows. Lindsey's
 edge-isoperimetric theorem for K_g^t makes its exactness one closed-form
@@ -226,7 +228,9 @@ class ReductionTrace:
 
         Each line names the rule, the variable of a step that records one
         (a split), and the equation and variable counts before and after the
-        step. A trace of no steps has no lines.
+        step. A split's variable is numbered as after the `compact` step
+        that precedes it, not as in the input. A trace of no steps has no
+        lines.
         """
         lines = []
         for step in self.steps:
@@ -318,13 +322,13 @@ class _Rows:
     Equation. The rules that need occurrence counts take them from the rows
     with `core.occurrences`; `twos` keeps the degree rule's list of the
     variables at occurrence 2 for the padding. The pipeline's (=3,=3)
-    checks run on these columns in `_compact`, which renumbers only when a
-    slot is empty. `checked` is the number of leading rows that
-    deduplication found arity-3 and distinct, so that `_compact` repeats
-    those checks only when a row lies past them. `valid` says that
-    `_compact` has checked every row's order and range as well, so that
-    `system()` builds the output without checking its rows again; until
-    then `system()` checks every row.
+    checks run on these columns in `_compact`, which renumbers nothing:
+    the pipeline's store holds no empty slot. `checked` is the number of
+    leading rows that deduplication found arity-3 and distinct, so that
+    `_compact` repeats those checks only when a row lies past them. `valid`
+    says that `_compact` has checked every row's order and range as well,
+    so that `system()` builds the output without checking its rows again;
+    until then `system()` checks every row.
     """
 
     def __init__(self, system: LinSystem, op: str) -> None:
@@ -880,72 +884,61 @@ def _resolve_opposing_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
     return post, _sized_step("opposing-pairs", {}, system, post)
 
 
-def _compact(store: _Rows) -> list[TraceStep]:
-    """Check the (=3,=3) shape and drop unused variable slots.
+def _close_slots_step(system: LinSystem) -> tuple[LinSystem, TraceStep]:
+    """Renumber the rows onto the variables they hold, in ascending order.
 
-    With as many variables as rows, the usual case, `_is_square_eq3`
-    checks the whole shape in one pass; when it holds, no slot is empty
-    and the store builds its output without checking its rows again.
-    Otherwise the checks below name the fault or renumber.
-    Counts taken from the rows show every kept variable occurring exactly
-    three times and within 0..n - 1. The row lengths show every row holding
-    three, and the set of left-hand sides shows that no two coincide; these
-    two run only when a row lies past the `checked` count. The
-    rows are renumbered only when a slot is empty, through the kept
-    variables alone, so no pass runs over the n slots; only then does the
-    step record them, as "kept". Building the output checks every row's
-    order, range and rhs.
+    The map keeps order, so every row stays ascending and the rows stay
+    sorted. It is recorded as "kept" only when a slot is empty; with none,
+    the input is returned as it is and the step records nothing. The held
+    variables come from the rows, so nothing is sized by the header n.
     """
-    pre = store.sizes()
-    if store.n == len(store.lhs) and _is_square_eq3(store):
-        store.valid = True
-        return [store.step("compact", {}, pre)]
-    lhs, n = store.lhs, store.n
-    occ = occurrences(lhs)
-    if set(occ.values()) - {3}:
-        bad = min(v for v, c in occ.items() if c != 3)
-        raise ContractViolationError(
-            f"pipeline output has variable {bad} occurring {occ[bad]} times, not 3"
+    held = set(chain.from_iterable(system.lhs))
+    post, data = system, {}
+    if len(held) < system.n:
+        kept = sorted(held)
+        remap = dict(zip(kept, range(len(kept))))
+        lhs = [tuple(map(remap.__getitem__, row)) for row in system.lhs]
+        post = LinSystem._from_checked_rows(
+            len(kept), lhs, system.rhs, system.weights, system.forced_falsified
         )
-    if len(lhs) > store.checked:
-        if set(map(len, lhs)) - {3}:
-            raise ContractViolationError("pipeline output has a row that is not arity-3")
-        if len(set(lhs)) != len(lhs):
-            raise ContractViolationError("pipeline output has duplicate left-hand sides")
-    if occ and min(occ) < 0:
-        raise ContractViolationError(f"pipeline output has variable {min(occ)} < 0")
-    if occ and max(occ) >= n:
-        raise ContractViolationError(f"pipeline output has variable {max(occ)} >= n={n}")
-    if len(occ) == n:
-        return [store.step("compact", {}, pre)]
-    kept = tuple(sorted(occ))
-    remap = dict(zip(kept, range(len(kept))))
-    store.lhs = [(remap[x], remap[y], remap[z]) for x, y, z in lhs]
-    store.n = len(kept)
-    return [store.step("compact", {"kept": kept}, pre)]
+        data = {"kept": tuple(kept)}
+    return post, _sized_step("compact", data, system, post)
 
 
-def _is_square_eq3(store: _Rows) -> bool:
-    """Whether a store of n variables and n rows has the (=3,=3) shape.
+def _compact(store: _Rows) -> list[TraceStep]:
+    """Check the (=3,=3) shape of the finished store in one pass; write no step.
 
-    One pass unpacks each row as x, y, z (three variables) with
-    0 <= x < y < z < n and counts its variables in a list of n slots, which
-    must read 3 everywhere; the set of left-hand sides runs only when a row
-    lies past the `checked` count. The list is as long as the rows, so
-    memory stays O(output).
+    The front step closed every empty slot, and every variable the rows
+    held then, and every fresh one, reaches the output; so the output has
+    no unused variable, and nothing is renumbered here. One pass unpacks
+    each row as x, y, z (three variables) with 0 <= x < y < z < n and
+    counts its variables in a list of n slots, which must read 3
+    everywhere: that also shows n = m. The set of left-hand sides runs only
+    when a row lies past the `checked` count. When all of this holds,
+    `valid` lets the store build its output without checking its rows
+    again; a row out of order or range leaves it unset, and the build then
+    checks every row and names the fault.
     """
     lhs, n = store.lhs, store.n
     count = [0] * n
     try:
         for x, y, z in lhs:
             if not -1 < x < y < z < n:
-                return False
+                return []
             count[x] += 1
             count[y] += 1
             count[z] += 1
     except ValueError:  # a row that does not hold three
-        return False
-    return count.count(3) == n and (n <= store.checked or len(set(lhs)) == n)
+        raise ContractViolationError("pipeline output has a row that is not arity-3") from None
+    if count.count(3) != n:
+        bad = next(v for v, c in enumerate(count) if c != 3)
+        raise ContractViolationError(
+            f"pipeline output has variable {bad} occurring {count[bad]} times, not 3"
+        )
+    if n > store.checked and len(set(lhs)) != n:
+        raise ContractViolationError("pipeline output has duplicate left-hand sides")
+    store.valid = True
+    return []
 
 
 # The stages after normalization, in pipeline order, with the store rules
@@ -1037,12 +1030,12 @@ def to_eq3_eq3(system: LinSystem) -> tuple[LinSystem, ReductionTrace]:
     """Full pipeline to a unit-weight (=3,=3) system with distinct lhs.
 
     Stages: normalize, fold opposing same-lhs pairs into the forced ledger,
-    drop always-satisfiable rows, expand weights to unit copies, cut
-    occurrences down to 3, pad arities up to 3, enforce occurrence exactly
-    3, deduplicate, and finally drop unused variable slots. Each stage
+    drop always-satisfiable rows, drop the variable slots no row holds,
+    expand weights to unit copies, cut occurrences down to 3, pad arities
+    up to 3, enforce occurrence exactly 3, and deduplicate. Each stage
     preserves the minimum falsified weight, so the composition does too.
-    From the degree rules on, the stages rewrite one row store; the last
-    one checks the (=3,=3) shape before the output's columns are built.
+    From the degree rules on, the stages rewrite one row store; the finish
+    checks the (=3,=3) shape before the output's columns are built.
     The output is sized exactly before unit expansion: one above
     MAX_UNIT_EQUATIONS rows raises CapacityError. This is
     `reduce_to_target(system, "eq3eq3")`.
@@ -1054,10 +1047,13 @@ def reduce_to_target(system: LinSystem, target: str) -> tuple[LinSystem, Reducti
     """The reduction of `maxlin2 reduce --target`, one pipeline for every target.
 
     Every target normalizes, folds opposing pairs, drops always-satisfiable
-    rows, sizes its output and expands weights to unit copies, and its trace
-    starts at the caller's input. Then "deg3" cuts occurrences down to 3,
-    "arity3" also pads arities up to 3, and "eq3eq3" (`to_eq3_eq3`) also
-    finishes the (=3,=3) shape. Only "deg3" accepts arity above 3. An output
+    rows, renumbers the rows onto the variables they hold (the "compact"
+    step), sizes its output and expands weights to unit copies, and its
+    trace starts at the caller's input. Every variable held then, and every
+    fresh one, reaches the output, so no output holds an unused variable.
+    Then "deg3" cuts occurrences down to 3, "arity3" also pads arities up
+    to 3, and "eq3eq3" (`to_eq3_eq3`) also finishes the (=3,=3) shape.
+    Only "deg3" accepts arity above 3. An output
     predicted above MAX_UNIT_EQUATIONS rows raises CapacityError before unit
     expansion, and any other target raises ValueError before any work.
     """
@@ -1069,16 +1065,18 @@ def reduce_to_target(system: LinSystem, target: str) -> tuple[LinSystem, Reducti
     s0 = normalize(system)
     s1, opposing = _resolve_opposing_step(s0)
     s2, removal = _remove_always_satisfied_step(s1)
-    predicted = _predict_sizes(s2, len(stages))
-    s3 = expand_unit_weights(s2)
+    s3, closing = _close_slots_step(s2)
+    predicted = _predict_sizes(s3, len(stages))
+    s4 = expand_unit_weights(s3)
     rules = [rule for _, stage_rules in stages for rule in stage_rules]
-    out, trace = _apply(s3, "the unit-expanded input", *rules)
+    out, trace = _apply(s4, "the unit-expanded input", *rules)
     _check_built(out, predicted)
     steps = (
         _sized_step("normalize", {}, system, s0),
         opposing,
         removal,
-        _sized_step("unit-expand", {}, s2, s3),
+        closing,
+        _sized_step("unit-expand", {}, s3, s4),
         *trace.steps,
     )
     return out, ReductionTrace(steps, system, out)

@@ -810,20 +810,20 @@ EQ3EQ3_TRACE = """\
 normalize m:6->6 n:4->4
 opposing-pairs m:6->4 n:4->4
 always-satisfied-removal m:4->3 n:4->4
-unit-expand m:3->4 n:4->4
-degree4 variable=0 m:4->8 n:4->7
-arity-expand m:8->15 n:7->21
-degree2-triplets m:15->42 n:21->43
-deduplicate m:42->42 n:43->43
-compact m:42->42 n:43->42
+compact m:3->3 n:4->3
+unit-expand m:3->4 n:3->3
+degree4 variable=0 m:4->8 n:3->6
+arity-expand m:8->15 n:6->20
+degree2-triplets m:15->42 n:20->42
+deduplicate m:42->42 n:42->42
 """
 
 # The exact trace text of each target on one input with a weight-2 row, an
 # opposing unary pair and a variable of degree 4 once the pairs are folded.
 # Every target runs one pipeline, so each trace is a prefix of eq3eq3's.
 REDUCE_TRACES = {
-    "deg3": "".join(EQ3EQ3_TRACE.splitlines(keepends=True)[:5]),
-    "arity3": "".join(EQ3EQ3_TRACE.splitlines(keepends=True)[:6]),
+    "deg3": "".join(EQ3EQ3_TRACE.splitlines(keepends=True)[:6]),
+    "arity3": "".join(EQ3EQ3_TRACE.splitlines(keepends=True)[:7]),
     "eq3eq3": EQ3EQ3_TRACE,
 }
 
@@ -846,16 +846,16 @@ DEGREE5_TRACE = """\
 normalize m:7->7 n:4->4
 opposing-pairs m:7->5 n:4->4
 always-satisfied-removal m:5->5 n:4->4
+compact m:5->5 n:4->4
 unit-expand m:5->5 n:4->4
 degree5plus variable=0 m:5->10 n:4->8
 arity-expand m:10->18 n:8->24
 degree2-triplets m:18->48 n:24->48
 deduplicate m:48->48 n:48->48
-compact m:48->48 n:48->48
 """
 
 
-@pytest.mark.parametrize("target, lines", [("deg3", 5), ("arity3", 6), ("eq3eq3", 9)])
+@pytest.mark.parametrize("target, lines", [("deg3", 6), ("arity3", 7), ("eq3eq3", 9)])
 def test_cli_reduce_trace_file_text_of_a_degree5_split(tmp_path, capsys, target, lines):
     # Variable 1 is in seven rows; folding its opposing unary pair leaves
     # five, which the 5-cycle splits with 4 fresh variables and 5 ties.
@@ -893,15 +893,15 @@ def _assert_refused(source, target, out_path, capsys) -> str:
 
 def _assert_drops_it_all(source, target, out_path, capsys) -> None:
     """An input whose every row holds a variable of no other row, however
-    heavy, is always satisfiable: every target drops it at once. Only
-    eq3eq3 drops the unused variable slots too."""
+    heavy, is always satisfiable: every target drops it at once, and the
+    variable slots it leaves empty too."""
     started = time.monotonic()
     assert main(["reduce", source, "--target", target, "-o", str(out_path)]) == EXIT_OK
     assert time.monotonic() - started < 1
     reduced = parse_lin2(out_path.read_text())
     assert reduced.lhs == ()
     assert capsys.readouterr().out == f"s REDUCED n={reduced.n} m=0\n"
-    assert reduced.n == 0 or target != "eq3eq3"
+    assert reduced.n == 0
 
 
 def test_cli_reduce_refuses_huge_weight_promptly(tmp_path, capsys):

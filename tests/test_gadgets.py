@@ -55,6 +55,7 @@ from maxlin2.core import (
 from maxlin2.gadgets import (
     _GADGETS,
     _TIE_GRAPHS,
+    _close_slots_step,
     _compact,
     _deduplicate,
     _enforce_degree,
@@ -1206,7 +1207,7 @@ def test_pipeline_golden_digests():
 # random reduced assignment, over every entry point that writes a trace and
 # the corpus below. It pins what each step's maps do, whatever the step
 # records to do it.
-TRACE_GOLDEN = "e77276f58c9fe9245ec3a8fe60def98d763eaf36861f1a1757a9d2b789cfcf05"
+TRACE_GOLDEN = "88ca66ab004f8235faa031259fee8d452742a1749cb05dc5bbc30da1606b9323"
 
 
 def _trace_rows(rng, n, m, arities, max_occurrence, max_weight=1):
@@ -1320,8 +1321,10 @@ def test_trace_records_rule_data_and_sizes_only():
         # An output pruned away to nothing was pruned before unit expansion,
         # and logs at most the weighted rows it removed.
         rules = [step.rule for step in trace.steps]
-        assert rules[1:4] == ["opposing-pairs", "always-satisfied-removal", "unit-expand"]
-        assert rules.count("always-satisfied-removal") == 1
+        front = ["opposing-pairs", "always-satisfied-removal", "compact", "unit-expand"]
+        assert rules[1:5] == front
+        assert rules.count("always-satisfied-removal") == rules.count("compact") == 1
+        assert not any("kept" in step.data for step in trace.steps[4:])
         removal = trace.steps[2]
         bound = len(out.equations) // 2 if out.equations else removal.pre_m
         assert recorded <= bound
@@ -1595,24 +1598,69 @@ def _store(n, rows):
 
 
 def test_compact_finishes_a_valid_store():
-    # Every pair of four variables shares two rows; variable 3 is unused.
-    rows = [((0, 1, 2), 0), ((0, 1, 4), 1), ((0, 2, 4), 0), ((1, 2, 4), 1)]
-    store = _store(5, rows)
-    (step,) = _compact(store)
-    renamed = [((0, 1, 2), 0), ((0, 1, 3), 1), ((0, 2, 3), 0), ((1, 2, 3), 1)]
-    assert store.system() == LinSystem.build(4, renamed)
-    assert step.data["kept"] == (0, 1, 2, 4)
-    assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (5, 4, 4, 4)
-    # With no empty slot no row is renumbered, the step records nothing,
-    # and both maps are the identity.
-    store = _store(4, renamed)
-    (step,) = _compact(store)
-    assert store.system() == LinSystem.build(4, renamed)
-    assert step.data == {}
-    assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (4, 4, 4, 4)
-    for bits in itertools.product((0, 1), repeat=4):
+    # Every pair of four variables shares two rows. The finish renumbers
+    # nothing and writes no step; the store builds its rows as they are.
+    rows = [((0, 1, 2), 0), ((0, 1, 3), 1), ((0, 2, 3), 0), ((1, 2, 3), 1)]
+    store = _store(4, rows)
+    assert _compact(store) == []
+    assert store.valid
+    assert store.system() == LinSystem.build(4, rows)
+
+
+def test_closing_drops_the_slots_no_weighted_row_holds():
+    # Slot 2 is unused, and the cascade drops the pendant row on 4 first,
+    # which leaves slot 4 empty too.
+    system = LinSystem.build(5, [((0, 1), 1, 2), ((0, 3), 0, 1), ((1, 3), 1, 3), ((3, 4), 1, 1)])
+    pruned, removal = _remove_always_satisfied_step(system)
+    closed, step = _close_slots_step(pruned)
+    assert step.rule == "compact" and step.data == {"kept": (0, 1, 3)}
+    assert closed == LinSystem.build(3, [((0, 1), 1, 2), ((0, 2), 0, 1), ((1, 2), 1, 3)])
+    assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (5, 3, 3, 3)
+    assert _map_forward_step(step, [1, 0, 1, 1, 0]) == [1, 0, 1]
+    # Back puts 0 in each dropped slot; the cascade replay then sets the
+    # pendant row's witness.
+    back = _map_back_step(step, [1, 1, 0])
+    assert back == [1, 1, 0, 0, 0]
+    assert _map_back_step(removal, back) == [1, 1, 0, 0, 1]
+    # With no empty slot the input is returned as it is, the step records
+    # nothing, and both maps are the identity.
+    same, step = _close_slots_step(closed)
+    assert same is closed and step.data == {}
+    assert (step.pre_n, step.pre_m, step.post_n, step.post_m) == (3, 3, 3, 3)
+    for bits in itertools.product((0, 1), repeat=3):
         assert _map_forward_step(step, list(bits)) == list(bits)
         assert _map_back_step(step, list(bits)) == list(bits)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_closing_the_empty_slots_is_a_renaming(target):
+    # Reducing a system with empty slots, some left by the cascade, is
+    # reducing its rows renumbered onto the variables they hold: the same
+    # output, forward maps that agree on the held variables, and a back map
+    # that puts 0 on every slot no row holds.
+    rng = random.Random(0xC105E)
+    for i in range(60):
+        n = rng.randint(3, 7)
+        rows = _trace_rows(rng, n, 2 * n, range(1, 4), 4, 3)
+        if i % 2:
+            rows.append(((rng.randrange(n), n), rng.randint(0, 1), rng.randint(1, 3)))
+            n += 1
+        padded = LinSystem.build(n + i % 3, rows)
+        held = sorted({v for lhs, _, _ in rows for v in lhs})
+        rank = {v: r for r, v in enumerate(held)}
+        closed = LinSystem.build(
+            len(held), [(tuple(map(rank.get, lhs)), rhs, w) for lhs, rhs, w in rows]
+        )
+        out, trace = reduce_to_target(padded, target)
+        closed_out, closed_trace = reduce_to_target(closed, target)
+        assert out == closed_out
+        a = [rng.randint(0, 1) for _ in range(padded.n)]
+        forward = closed_trace.map_assignment_forward([a[v] for v in held])
+        assert trace.map_assignment_forward(a) == forward
+        b = [rng.randint(0, 1) for _ in range(out.n)]
+        back = trace.map_assignment_back(b)
+        assert [back[v] for v in held] == list(closed_trace.map_assignment_back(b))
+        assert not any(back[v] for v in set(range(padded.n)) - set(held))
 
 
 @pytest.mark.parametrize("rule", ["compact", "degree4", "arity-expand", "a rule of no kind"])
@@ -1636,25 +1684,32 @@ def _clique(variables):
 
 
 # Stores that break one output contract each, with the check that must fire.
-# Those marked "n = m" have as many variables as rows, the case that `_compact`
-# checks in one pass; the messages are those of the checks of the other case.
+# Those marked "n = m" have as many variables as rows. `_compact` names a
+# fault of arity, count or lhs; a row out of order or range leaves the store
+# unvalidated, and the output's build, which then checks every row, names it.
 BROKEN_FINISH = {
     # every variable occurs three times, but three rows have two variables
     "arity 2": (3, [((0, 1), 0), ((0, 2), 0), ((1, 2), 0), ((0, 1, 2), 1)], "arity-3"),
     "d = 2": (4, [((0, 1, 2), 0), ((0, 1, 3), 1)], "variable 0 occurring 2 times"),
     "same lhs": (3, [((0, 1, 2), 1)] * 3, "duplicate left-hand sides"),
+    # a valid 4-clique but for the empty slot 3: the pipeline closes every
+    # slot before unit expansion, so the finish renumbers none
+    "empty slot": (5, _clique((0, 1, 2, 4)),
+                   "pipeline output has variable 3 occurring 0 times, not 3"),
     # a valid 4-clique on -1..2 with two empty slots, which renumbering
     # would turn into the 4-clique on 0..3
     "variable -1": (5, [((-1, 0, 1), 0), ((-1, 0, 2), 0), ((-1, 1, 2), 0), ((0, 1, 2), 0)],
-                    "variable -1 < 0"),
+                    "a rule built an invalid row: negative variable index in (-1, 0, 1)"),
     # every variable occurs three times: one row of two, one of four
     "arity 2, n = m": (4, [((0, 1), 0), ((0, 2, 3), 0), ((1, 2, 3), 0), ((0, 1, 2, 3), 0)],
                        "pipeline output has a row that is not arity-3"),
     "descending, n = m": (4, _clique(range(4))[:3] + [((3, 2, 1), 0)],
                           "a rule built an invalid row: lhs must be strictly ascending, "
                           "got (3, 2, 1)"),
-    "variable -1, n = m": (4, _clique(range(-1, 3)), "pipeline output has variable -1 < 0"),
-    "variable n, n = m": (4, _clique((0, 1, 2, 4)), "pipeline output has variable 4 >= n=4"),
+    "variable -1, n = m": (4, _clique(range(-1, 3)),
+                           "a rule built an invalid row: negative variable index in (-1, 0, 1)"),
+    "variable n, n = m": (4, _clique((0, 1, 2, 4)),
+                          "a rule built an invalid row: variable 4 out of range for n=4"),
     "d = 2, n = m": (5, [((0, 1, 4), 0), ((0, 2, 4), 0), ((1, 2, 3), 0), ((1, 3, 4), 0),
                          ((2, 3, 4), 0)],
                      "pipeline output has variable 0 occurring 2 times, not 3"),
